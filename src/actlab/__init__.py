@@ -18,11 +18,10 @@ from .errors import ConfigError, ContractViolation, DivergenceError, ParseError
 from .losses import (LossWeights, SmoothingParams, cdd_batch, cdd_pair,
                      cond_entropy, lsce, rce, step1_objective, step2_objective)
 from .models import (MlpSpec, ModelBundle, build, bundle_from_params,
-                     clone_for_adaptation, forward_source, forward_target,
-                     frozen_params, load_checkpoint, params_fingerprint,
-                     save_checkpoint, trainable_params)
-from .optim import (AdamConfig, AdamState, LrSchedule, SamConfig, SamState,
-                    SgdConfig, SgdState, adam_step, lr_at, sam_step, sgd_step)
+                     clone_for_adaptation, forward_target, load_checkpoint,
+                     params_fingerprint, save_checkpoint, trainable_params)
+from .optim import (AdamConfig, AdamState, SamConfig, SamState, SgdConfig,
+                    SgdState, adam_step, lr_at, sam_step, sgd_step)
 from .pipeline import (AdaptConfig, EvalResult, PretrainConfig, RunReport,
                        ScheduleConfig, StepRecord, SweepCell, SweepReport,
                        adapt, evaluate, pretrain_source, seed_sweep)
@@ -33,15 +32,15 @@ __version__ = "0.1.0"
 __all__ = [
     "AdaptConfig", "AdamConfig", "AdamState", "AugmentPolicy", "ConfigError",
     "ContractViolation", "DivergenceError", "DomainSpec", "EvalResult",
-    "ExperimentConfig", "LabeledSet", "LossWeights", "LrSchedule", "MlpSpec",
+    "ExperimentConfig", "LabeledSet", "LossWeights", "MlpSpec",
     "ModelBundle", "ParseError", "PretrainConfig", "RunReport", "SamConfig",
     "SamState", "ScheduleConfig", "SgdConfig", "SgdState", "ShiftSpec",
     "SmoothingParams", "StepRecord", "StrongTier", "SupportSplit", "SweepCell",
     "SweepReport", "Tensor", "WeakTier", "adam_step", "adapt", "augment",
     "augment_batch", "backward", "batches", "build", "bundle_from_params",
     "cdd_batch", "cdd_pair", "clone_for_adaptation", "cond_entropy",
-    "config_hash", "config_to_dict", "evaluate", "forward_source",
-    "forward_target", "frozen_params", "load_checkpoint", "load_config",
+    "config_hash", "config_to_dict", "evaluate", "forward_target",
+    "load_checkpoint", "load_config",
     "load_labeled_set", "lr_at", "lsce", "make_domain_pair",
     "params_fingerprint", "parse_config", "pretrain_source", "rce",
     "rng_stream", "sam_step", "sample_support", "save_checkpoint",

@@ -15,7 +15,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from .config import (ExperimentConfig, config_hash, config_to_dict, load_config)
@@ -23,10 +23,9 @@ from .data import load_labeled_set, make_domain_pair, sample_support, save_label
 from .errors import ContractViolation, DivergenceError, ParseError
 from .models import load_checkpoint, save_checkpoint
 from .pipeline import adapt as run_adapt
-from .pipeline import evaluate, pretrain_source, seed_sweep
+from .pipeline import StepRecord, evaluate, pretrain_source, seed_sweep
 
-TRACE_COLUMNS = ("iteration", "step_kind", "loss_total", "loss_lsce",
-                 "loss_entropy", "loss_rce", "loss_cdd", "lr")
+TRACE_COLUMNS = tuple(f.name for f in fields(StepRecord))
 SWEEP_COLUMNS = ("kind", "data_seed", "model_seed", "status",
                  "no_adapt_accuracy", "adapted_accuracy",
                  "no_adapt_macro", "adapted_macro")
@@ -121,9 +120,8 @@ def _write_trace_csv(path, trace):
         w = csv.writer(f)
         w.writerow(TRACE_COLUMNS)
         for r in trace:
-            w.writerow([r.iteration, r.step_kind, _fmt(r.loss_total),
-                        _fmt(r.loss_lsce), _fmt(r.loss_entropy), _fmt(r.loss_rce),
-                        _fmt(r.loss_cdd), _fmt(r.lr)])
+            w.writerow([_fmt(v) if isinstance(v, float) else v
+                        for v in (getattr(r, name) for name in TRACE_COLUMNS)])
 
 
 def cmd_adapt(args) -> int:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import re
 from dataclasses import asdict, dataclass, field
 
@@ -77,7 +78,13 @@ def _int(v, path):
 def _num(v, path):
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         _fail(path, f"expected a number, got {v!r}")
-    return float(v)
+    try:
+        x = float(v)
+    except OverflowError:
+        _fail(path, "number is out of float64 range")
+    if not math.isfinite(x):
+        _fail(path, f"expected a finite number, got {v!r}")
+    return x
 
 
 def _str(v, path):

@@ -1,10 +1,11 @@
 """Small MLPs arranged for bi-classifier adaptation.
 
-A bundle holds two full copies of the same architecture: a trainable target
-side (one feature extractor, two classifier heads) and a frozen source side
-that keeps the pretrained weights bitwise intact so its predictions can anchor
-the adaptation losses. Checkpoints are JSON with decimal parameter text, which
-round-trips float64 exactly.
+A bundle is one network: a feature extractor shared by two classifier heads.
+Adaptation trains a clone and reads the caller's untouched bundle as the
+frozen source model whose predictions anchor the losses. The forward pass
+comes in two pieces, features then one head, so a caller that holds the
+extractor fixed can compute its features once. Checkpoints are JSON with
+decimal parameter text, which round-trips float64 exactly.
 """
 
 from __future__ import annotations
@@ -53,41 +54,27 @@ class MlpSpec:
 
 
 class ModelBundle:
-    """Trainable target net plus a frozen copy of the source net.
+    """Two-head MLP: one shared extractor and two classifier heads.
 
     ``extractor`` / ``head1`` / ``head2`` are lists of (weight, bias) Tensors
-    with requires_grad set; the ``frozen_*`` mirrors never require gradients
-    and nothing in this package ever writes to them after construction.
+    with requires_grad set.
     """
 
-    def __init__(self, spec, extractor, head1, head2,
-                 frozen_extractor, frozen_head1, frozen_head2):
+    def __init__(self, spec, extractor, head1, head2):
         self.spec = spec
         self.extractor = extractor
         self.head1 = head1
         self.head2 = head2
-        self.frozen_extractor = frozen_extractor
-        self.frozen_head1 = frozen_head1
-        self.frozen_head2 = frozen_head2
 
     def named_params(self, side="target"):
-        if side == "target":
-            parts = [("extractor", self.extractor), ("head1", self.head1), ("head2", self.head2)]
-        elif side == "source":
-            parts = [("extractor", self.frozen_extractor),
-                     ("head1", self.frozen_head1), ("head2", self.frozen_head2)]
-        else:
+        """(name, Tensor) pairs in checkpoint order. ``side`` may only be "target"."""
+        if side != "target":
             raise ContractViolation(f"unknown side {side!r}")
         out = []
-        for prefix, layers in parts:
-            if prefix == "extractor":
-                for i, (w, b) in enumerate(layers):
-                    out.append((f"extractor.{i}.weight", w))
-                    out.append((f"extractor.{i}.bias", b))
-            else:
-                w, b = layers[0]
-                out.append((f"{prefix}.weight", w))
-                out.append((f"{prefix}.bias", b))
+        for i, (w, b) in enumerate(self.extractor):
+            out += [(f"extractor.{i}.weight", w), (f"extractor.{i}.bias", b)]
+        for prefix, ((w, b),) in (("head1", self.head1), ("head2", self.head2)):
+            out += [(f"{prefix}.weight", w), (f"{prefix}.bias", b)]
         return out
 
 
@@ -108,22 +95,19 @@ def _draw_params(spec):
     return extractor, head
 
 
-def _as_layers(arrays, requires_grad):
-    return [(Tensor(w.copy(), requires_grad=requires_grad),
-             Tensor(b.copy(), requires_grad=requires_grad)) for w, b in arrays]
+def _as_layers(arrays):
+    return [(Tensor(w.copy(), requires_grad=True), Tensor(b.copy(), requires_grad=True))
+            for w, b in arrays]
 
 
 def build(spec: MlpSpec) -> ModelBundle:
-    """Fresh bundle: target and source sides start bitwise identical."""
+    """Fresh bundle; both heads start as copies of one draw."""
     extractor, head = _draw_params(spec)
-    return ModelBundle(
-        spec,
-        _as_layers(extractor, True), _as_layers([head], True), _as_layers([head], True),
-        _as_layers(extractor, False), _as_layers([head], False), _as_layers([head], False))
+    return ModelBundle(spec, _as_layers(extractor), _as_layers([head]), _as_layers([head]))
 
 
 def bundle_from_params(spec, params: dict) -> ModelBundle:
-    """Rebuild a bundle from named arrays; both sides take the same values."""
+    """Rebuild a bundle from named arrays; the bundle holds copies."""
     n_layers = len(spec.extractor_dims())
     expected = {}
     for i, (fan_in, fan_out) in enumerate(spec.extractor_dims()):
@@ -148,16 +132,12 @@ def bundle_from_params(spec, params: dict) -> ModelBundle:
           np.asarray(params["head1.bias"], dtype=np.float64))
     h2 = (np.asarray(params["head2.weight"], dtype=np.float64),
           np.asarray(params["head2.bias"], dtype=np.float64))
-    return ModelBundle(
-        spec,
-        _as_layers(ext, True), _as_layers([h1], True), _as_layers([h2], True),
-        _as_layers(ext, False), _as_layers([h1], False), _as_layers([h2], False))
+    return ModelBundle(spec, _as_layers(ext), _as_layers([h1]), _as_layers([h2]))
 
 
 def clone_for_adaptation(bundle: ModelBundle) -> ModelBundle:
-    """New bundle whose target AND frozen sides copy `bundle`'s target side."""
-    params = {name: t.data.copy() for name, t in bundle.named_params("target")}
-    return bundle_from_params(bundle.spec, params)
+    """New bundle with its own copies of `bundle`'s parameters."""
+    return bundle_from_params(bundle.spec, {name: t.data for name, t in bundle.named_params()})
 
 
 # -- forward passes -------------------------------------------------------------
@@ -171,45 +151,29 @@ def _check_input(spec, x):
     return x
 
 
-def _extract(layers, x):
-    out = x
-    last = len(layers) - 1
-    for i, (w, b) in enumerate(layers):
+def forward_features(bundle, x):
+    """Extractor output for inputs of shape [n, input_dim]."""
+    out = _check_input(bundle.spec, x)
+    last = len(bundle.extractor) - 1
+    for i, (w, b) in enumerate(bundle.extractor):
         out = out.matmul(w).add_bias(b)
         if i < last:
             out = out.relu()
     return out
 
 
-def _head(head, feats):
-    w, b = head[0]
+def forward_head(bundle, feats, branch):
+    """Logits of head `branch` (1 or 2) on extractor features."""
+    if branch not in (1, 2):
+        raise ContractViolation(f"branch must be 1 or 2, got {branch!r}")
+    (w, b), = bundle.head1 if branch == 1 else bundle.head2
     return feats.matmul(w).add_bias(b)
 
 
 def forward_target(bundle, x):
-    """Logits of both target heads from one shared extractor pass."""
-    x = _check_input(bundle.spec, x)
-    feats = _extract(bundle.extractor, x)
-    return _head(bundle.head1, feats), _head(bundle.head2, feats)
-
-
-def forward_source(bundle, x):
-    """Frozen-side logits; constants as far as the tape is concerned."""
-    x = _check_input(bundle.spec, x)
-    feats = _extract(bundle.frozen_extractor, x)
-    return _head(bundle.frozen_head1, feats), _head(bundle.frozen_head2, feats)
-
-
-def forward_target_branch(bundle, x, branch):
-    x = _check_input(bundle.spec, x)
-    feats = _extract(bundle.extractor, x)
-    return _head(bundle.head1 if branch == 1 else bundle.head2, feats)
-
-
-def forward_source_branch(bundle, x, branch):
-    x = _check_input(bundle.spec, x)
-    feats = _extract(bundle.frozen_extractor, x)
-    return _head(bundle.frozen_head1 if branch == 1 else bundle.frozen_head2, feats)
+    """Logits of both heads from one shared extractor pass."""
+    feats = forward_features(bundle, x)
+    return forward_head(bundle, feats, 1), forward_head(bundle, feats, 2)
 
 
 # -- parameter access -----------------------------------------------------------
@@ -224,14 +188,6 @@ def trainable_params(bundle, scope):
         raise ContractViolation(f"unknown scope {scope!r}")
     params = []
     for layers in parts:
-        for w, b in layers:
-            params.extend((w, b))
-    return params
-
-
-def frozen_params(bundle):
-    params = []
-    for layers in (bundle.frozen_extractor, bundle.frozen_head1, bundle.frozen_head2):
         for w, b in layers:
             params.extend((w, b))
     return params

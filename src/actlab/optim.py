@@ -67,15 +67,6 @@ class SamConfig:
             raise ContractViolation(f"rho must be nonnegative, got {self.rho}")
 
 
-@dataclass(frozen=True)
-class LrSchedule:
-    eta0: float
-
-    def __post_init__(self):
-        if self.eta0 <= 0:
-            raise ContractViolation(f"eta0 must be positive, got {self.eta0}")
-
-
 class SgdState:
     def __init__(self):
         self.velocity = {}
@@ -93,10 +84,12 @@ class SamState:
         self.base = AdamState()
 
 
-def lr_at(schedule: LrSchedule, progress: float) -> float:
+def lr_at(eta0: float, progress: float) -> float:
+    if not eta0 > 0:
+        raise ContractViolation(f"eta0 must be positive, got {eta0}")
     if not 0.0 <= progress <= 1.0:
         raise ContractViolation(f"progress must be in [0, 1], got {progress}")
-    return schedule.eta0 * (1.0 + POLY_SLOPE * progress) ** POLY_EXPONENT
+    return eta0 * (1.0 + POLY_SLOPE * progress) ** POLY_EXPONENT
 
 
 def _check_step_args(params, grads, lr_override, default_lr):

@@ -27,11 +27,10 @@ from .errors import ContractViolation, DivergenceError
 from .losses import (LossWeights, SmoothingParams, lsce, step1_objective,
                      step2_objective)
 from .models import (MlpSpec, ModelBundle, build, clone_for_adaptation,
-                     forward_source_branch, forward_target,
-                     forward_target_branch, frozen_params, params_fingerprint,
-                     trainable_params)
-from .optim import (LrSchedule, SamConfig, SamState, SgdConfig, SgdState,
-                    lr_at, sam_step, sgd_step)
+                     forward_features, forward_head, forward_target,
+                     params_fingerprint, trainable_params)
+from .optim import (SamConfig, SamState, SgdConfig, SgdState, lr_at, sam_step,
+                    sgd_step)
 from .tensor import Tensor, backward, zero_grad
 
 EVAL_HEADS = ("c_t1", "mean_of_heads")
@@ -282,9 +281,11 @@ def adapt(source_model: ModelBundle, split: SupportSplit, policy: AugmentPolicy,
           cfg: AdaptConfig):
     """Run the two-step loop from a pretrained model. Returns (bundle, report).
 
-    The adapted bundle's frozen side keeps the pretrained weights bitwise; a
-    non-finite loss aborts with the iteration index and the last finite
-    parameter snapshot attached.
+    Training runs on a clone; `source_model` itself is the frozen source whose
+    probabilities anchor the losses, and it is left bitwise unchanged. Only
+    the labeled `split.support` is drawn from; `split.test` is used for
+    evaluation alone. A non-finite loss aborts with the iteration index and
+    the last finite parameter snapshot attached.
     """
     spec = source_model.spec
     support = split.support
@@ -295,23 +296,27 @@ def adapt(source_model: ModelBundle, split: SupportSplit, policy: AugmentPolicy,
         raise ContractViolation(f"support dim {support.xs.shape[1]} != model "
                                 f"input dim {spec.input_dim}")
 
+    source_before = params_fingerprint(trainable_params(source_model, "all_target"))
     bundle = clone_for_adaptation(source_model)
-    frozen_before = params_fingerprint(frozen_params(bundle))
     params_all = trainable_params(bundle, "all_target")
     params_heads = trainable_params(bundle, "classifiers_only")
     n_extract = len(params_all) - len(params_heads)
 
-    schedule = LrSchedule(cfg.schedule.eta0)
     sam_state_all, sam_state_heads = SamState(), SamState()
     n_t = min(cfg.batch_size, len(support))
     batch_iter = _batch_stream(support, n_t, cfg.seed)
     aug_rng = rng_stream(cfg.seed, "augment")
 
+    def source_probs(view, branch):
+        logits = forward_head(source_model, forward_features(source_model, view), branch)
+        return _softmax_np(logits.data)
+
     trace = []
-    last_good = {name: t.data.copy() for name, t in bundle.named_params("target")}
+    # optimizer steps rebind p.data and never write into it, so references suffice
+    last_good = {name: t.data for name, t in bundle.named_params()}
     for it in range(cfg.total_iterations):
         progress = it / cfg.total_iterations
-        eta = lr_at(schedule, progress)
+        eta = lr_at(cfg.schedule.eta0, progress)
         lr_ext = eta if cfg.schedule.schedule_extractor else cfg.schedule.eta0
         lr_head = (eta if cfg.schedule.schedule_heads else cfg.schedule.eta0) \
             * cfg.schedule.head_multiplier
@@ -326,19 +331,23 @@ def adapt(source_model: ModelBundle, split: SupportSplit, policy: AugmentPolicy,
                 weak = augment_batch(xs, policy, "weak", aug_rng)
                 strong = augment_batch(xs, policy, "strong", aug_rng)
                 view1, view2, labels = _route_views(cfg.view_mode, weak, strong, ys)
-                # frozen-source probabilities for the same views; constants
-                q1 = _softmax_np(forward_source_branch(bundle, Tensor(view1), 1).data)
-                q2 = _softmax_np(forward_source_branch(bundle, Tensor(view2), 2).data)
-                step_inputs = (view1, view2, labels, q1, q2)
+                step_inputs = (view1, view2, labels,
+                               source_probs(view1, 1), source_probs(view2, 2))
             view1, view2, labels, q1, q2 = step_inputs
 
-            comps_box = {}
+            if step_kind == "2":
+                # step 2 moves only the heads: its features are constants
+                feats1 = Tensor(forward_features(bundle, view1).data)
+                feats2 = Tensor(forward_features(bundle, view2).data)
+            evals = []  # SAM calls the closure twice; the trace logs the first, unperturbed one
 
-            def closure(step_kind=step_kind, view1=view1, view2=view2,
-                        labels=labels, q1=q1, q2=q2, comps_box=comps_box,
-                        it=it, last_good=last_good):
-                l1 = forward_target_branch(bundle, Tensor(view1), 1)
-                l2 = forward_target_branch(bundle, Tensor(view2), 2)
+            def closure():
+                if step_kind == "1":
+                    l1 = forward_head(bundle, forward_features(bundle, view1), 1)
+                    l2 = forward_head(bundle, forward_features(bundle, view2), 2)
+                else:
+                    l1 = forward_head(bundle, feats1, 1)
+                    l2 = forward_head(bundle, feats2, 2)
                 if not (np.isfinite(l1.data).all() and np.isfinite(l2.data).all()):
                     raise DivergenceError(
                         f"adaptation diverged at iteration {it} (step {step_kind}): "
@@ -351,8 +360,7 @@ def adapt(source_model: ModelBundle, split: SupportSplit, policy: AugmentPolicy,
                     total, comps = step2_objective(l1, l2, labels, q1, q2,
                                                    cfg.weights, cfg.smoothing,
                                                    cfg.cdd_sign)
-                if not comps_box:  # log the unperturbed evaluation only
-                    comps_box.update(comps)
+                evals.append(comps)
                 return total
 
             if step_kind == "1":
@@ -366,14 +374,15 @@ def adapt(source_model: ModelBundle, split: SupportSplit, policy: AugmentPolicy,
                 raise DivergenceError(
                     f"adaptation diverged at iteration {it} (step {step_kind})",
                     iteration=it, last_loss=loss_value, last_good_params=last_good)
-            last_good = {name: t.data.copy() for name, t in bundle.named_params("target")}
+            last_good = {name: t.data for name, t in bundle.named_params()}
+            comps = evals[0]
             trace.append(StepRecord(
                 iteration=it, step_kind=f"step{step_kind}", loss_total=loss_value,
-                loss_lsce=comps_box["lsce"], loss_entropy=comps_box["entropy"],
-                loss_rce=comps_box["rce"], loss_cdd=comps_box["cdd"], lr=eta))
+                loss_lsce=comps["lsce"], loss_entropy=comps["entropy"],
+                loss_rce=comps["rce"], loss_cdd=comps["cdd"], lr=eta))
 
-    if params_fingerprint(frozen_params(bundle)) != frozen_before:
-        raise RuntimeError("frozen source copies changed during adaptation")
+    if params_fingerprint(trainable_params(source_model, "all_target")) != source_before:
+        raise RuntimeError("source model changed during adaptation")
 
     final = evaluate(bundle, split.test, cfg.eval_head)
     baseline = evaluate(source_model, split.test, cfg.eval_head)

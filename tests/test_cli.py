@@ -1,5 +1,6 @@
 import json
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from actlab.cli import main
 from actlab.config import config_hash, config_to_dict, load_config
 from actlab.data import LabeledSet, load_labeled_set, save_labeled_set
 from actlab.models import MlpSpec, build, save_checkpoint
+from actlab.pipeline import StepRecord
 
 
 def config_doc(out_dir, **kw):
@@ -84,6 +86,12 @@ class TestAdaptCommand:
 
         test_set = load_labeled_set(run_dir / "test_set.csv")
         assert len(test_set) == 36 - 6  # everything outside the support
+
+    def test_trace_header_is_the_step_record_schema(self, workspace, capsys):
+        cfg_path, run_dir = workspace
+        assert main(["adapt", "--config", str(cfg_path)]) == 0
+        header = (run_dir / "trace.csv").read_text().splitlines()[0]
+        assert header.split(",") == [f.name for f in fields(StepRecord)]
 
     def test_reuses_existing_source_checkpoint(self, workspace, capsys):
         cfg_path, run_dir = workspace

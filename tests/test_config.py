@@ -1,6 +1,9 @@
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from actlab.config import (ExperimentConfig, config_hash, config_to_dict,
                            load_config, parse_config)
@@ -98,6 +101,67 @@ class TestParsing:
             parse_config(minimal_doc(model={"input_dim": 5, "hidden_dims": [16],
                                             "feature_dim": 8, "num_classes": 3}))
         assert exc.value.path == "<root>"  # cross-field check at the top level
+
+
+def _numeric_leaves(doc, path=""):
+    """Dotted paths of every int/float leaf, in the parser's path syntax."""
+    if isinstance(doc, dict):
+        items = [(f"{path}.{k}" if path else k, v) for k, v in doc.items()]
+    elif isinstance(doc, list):
+        items = [(f"{path}[{i}]", v) for i, v in enumerate(doc)]
+    elif isinstance(doc, (int, float)) and not isinstance(doc, bool):
+        return [path]
+    else:
+        return []
+    return [leaf for sub, v in items for leaf in _numeric_leaves(v, sub)]
+
+
+def _set_leaf(doc, path, value):
+    keys = [int(k) if k.isdigit() else k
+            for k in path.replace("[", ".").replace("]", "").split(".")]
+    for k in keys[:-1]:
+        doc = doc[k]
+    doc[keys[-1]] = value
+
+
+FULL_DOC = config_to_dict(parse_config(minimal_doc()))
+NUMERIC_LEAVES = _numeric_leaves(FULL_DOC)
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("path", ["adapt.sam.rho", "adapt.schedule.eta0",
+                                      "pretrain.sgd.lr", "domain.shift.noise_sigma"])
+    @pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity"])
+    def test_json_non_finite_is_rejected_at_its_path(self, tmp_path, path, text):
+        doc = json.loads(json.dumps(FULL_DOC))
+        _set_leaf(doc, path, "@@")
+        p = tmp_path / "exp.json"
+        p.write_text(json.dumps(doc).replace('"@@"', text))
+        with pytest.raises(ConfigError) as exc:
+            load_config(p)
+        assert exc.value.path == path
+        assert "finite" in str(exc.value)
+
+    def test_leaf_walk_covers_nested_and_listed_numbers(self):
+        assert {"adapt.sam.rho", "adapt.sam.base.eps_adam", "model.hidden_dims[0]",
+                "augment.strong.scale_range[1]", "n_way"} <= set(NUMERIC_LEAVES)
+
+    @settings(max_examples=60, deadline=None)
+    @given(path=st.sampled_from(NUMERIC_LEAVES),
+           value=st.sampled_from([math.nan, math.inf, -math.inf]))
+    def test_any_numeric_leaf_rejects_non_finite(self, path, value):
+        doc = json.loads(json.dumps(FULL_DOC))
+        _set_leaf(doc, path, value)
+        with pytest.raises(ConfigError) as exc:
+            parse_config(doc)
+        assert exc.value.path == path
+
+    def test_huge_integer_for_a_float_field_is_a_config_error(self):
+        doc = json.loads(json.dumps(FULL_DOC))
+        _set_leaf(doc, "adapt.sam.rho", 10 ** 400)
+        with pytest.raises(ConfigError) as exc:
+            parse_config(doc)
+        assert exc.value.path == "adapt.sam.rho"
 
 
 class TestCrossChecks:

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from actlab.errors import ContractViolation, ParseError
-from actlab.models import (MlpSpec, build, clone_for_adaptation, forward_source,
-                           forward_target, frozen_params, load_checkpoint,
+from actlab.models import (MlpSpec, build, clone_for_adaptation, forward_features,
+                           forward_head, forward_target, load_checkpoint,
                            params_fingerprint, save_checkpoint, trainable_params)
-from actlab.tensor import Tensor, backward
+from actlab.tensor import Tensor
 
 
 def small_spec(seed=7):
@@ -48,14 +48,6 @@ class TestBuild:
         w0 = bundle.extractor[0][0].data  # fan_in 2
         assert np.all(np.abs(w0) <= np.sqrt(6.0 / 2))
 
-    def test_target_matches_source_at_build(self):
-        bundle = build(small_spec())
-        x = np.random.default_rng(0).normal(size=(5, 2))
-        t1, t2 = forward_target(bundle, Tensor(x))
-        s1, s2 = forward_source(bundle, Tensor(x))
-        np.testing.assert_array_equal(t1.data, s1.data)
-        np.testing.assert_array_equal(t2.data, s2.data)
-
     def test_rejects_single_class(self):
         with pytest.raises(ContractViolation):
             MlpSpec(2, (16,), 8, 1)
@@ -72,20 +64,23 @@ class TestForward:
         with pytest.raises(ContractViolation):
             forward_target(bundle, Tensor(np.zeros((4, 3))))
 
-    def test_source_outputs_are_constants(self):
-        """No gradient may flow into the frozen copies."""
+    def test_target_is_features_then_heads(self):
         bundle = build(small_spec())
-        s1, _ = forward_source(bundle, Tensor(np.ones((2, 2))))
-        assert not s1.requires_grad
+        for w, _ in bundle.head2:
+            w.data = w.data + 1.0  # so the two heads differ
+        x = np.random.default_rng(0).normal(size=(5, 2))
+        l1, l2 = forward_target(bundle, Tensor(x))
+        feats = forward_features(bundle, x)
+        assert feats.shape == (5, 8)
+        np.testing.assert_array_equal(l1.data, forward_head(bundle, feats, 1).data)
+        np.testing.assert_array_equal(l2.data, forward_head(bundle, feats, 2).data)
+        assert not np.array_equal(l1.data, l2.data)
 
-    def test_frozen_side_untouched_by_target_training_step(self):
+    def test_head_branch_checked(self):
         bundle = build(small_spec())
-        before = params_fingerprint(frozen_params(bundle))
-        l1, l2 = forward_target(bundle, Tensor(np.ones((3, 2))))
-        backward((l1 * l1).sum() + (l2 * l2).sum())
-        for p in trainable_params(bundle, "all_target"):
-            p.data = p.data - 0.1 * p.grad
-        assert params_fingerprint(frozen_params(bundle)) == before
+        feats = forward_features(bundle, np.zeros((4, 2)))
+        with pytest.raises(ContractViolation):
+            forward_head(bundle, feats, 3)
 
     def test_scopes(self):
         bundle = build(small_spec())
@@ -93,6 +88,13 @@ class TestForward:
         assert len(trainable_params(bundle, "classifiers_only")) == 4
         with pytest.raises(ContractViolation):
             trainable_params(bundle, "everything")
+
+    def test_only_the_target_side_exists(self):
+        bundle = build(small_spec())
+        assert [n for n, _ in bundle.named_params()] == \
+            [n for n, _ in bundle.named_params("target")]
+        with pytest.raises(ContractViolation):
+            bundle.named_params("source")
 
 
 class TestCheckpoint:
@@ -144,14 +146,14 @@ class TestCheckpoint:
 
 class TestClone:
     def test_clone_copies_target_into_both_sides(self):
+        # the two sides of an adaptation: the trainable clone, and the
+        # original, which adapt() reads as the frozen source model
         bundle = build(small_spec())
         for w, _ in bundle.extractor:
             w.data = w.data + 1.0  # pretend training happened
         clone = clone_for_adaptation(bundle)
-        np.testing.assert_array_equal(clone.extractor[0][0].data,
-                                      bundle.extractor[0][0].data)
-        np.testing.assert_array_equal(clone.frozen_extractor[0][0].data,
-                                      bundle.extractor[0][0].data)
+        assert params_fingerprint(trainable_params(clone, "all_target")) == \
+            params_fingerprint(trainable_params(bundle, "all_target"))
 
     def test_clone_is_independent_storage(self):
         bundle = build(small_spec())

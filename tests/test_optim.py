@@ -3,7 +3,7 @@ import pytest
 
 from actlab.errors import ContractViolation
 from actlab.losses import lsce
-from actlab.optim import (AdamConfig, AdamState, LrSchedule, SamConfig,
+from actlab.optim import (AdamConfig, AdamState, SamConfig,
                           SamState, SgdConfig, SgdState, adam_step,
                           global_grad_norm, lr_at, sam_step, sgd_step)
 from actlab.tensor import Tensor, backward, scalar_mul, zero_grad
@@ -191,34 +191,30 @@ class TestSam:
 
 class TestLrSchedule:
     def test_progress_zero_is_eta0_exactly(self):
-        s = LrSchedule(eta0=0.01)
-        assert lr_at(s, 0.0) == 0.01
+        assert lr_at(0.01, 0.0) == 0.01
 
     def test_progress_one_pinned(self):
-        s = LrSchedule(eta0=1.0)
-        np.testing.assert_allclose(lr_at(s, 1.0), oracles.POLY_LR_AT_ONE, atol=1e-15)
+        np.testing.assert_allclose(lr_at(1.0, 1.0), oracles.POLY_LR_AT_ONE, atol=1e-15)
 
     def test_closed_form_anywhere(self):
-        s = LrSchedule(eta0=0.4)
         for p in (0.1, 0.37, 0.5, 0.93):
-            np.testing.assert_allclose(lr_at(s, p),
+            np.testing.assert_allclose(lr_at(0.4, p),
                                        0.4 * np.exp(-0.75 * np.log1p(10.0 * p)),
                                        rtol=1e-12)
 
     def test_strictly_decreasing(self):
-        s = LrSchedule(eta0=1.0)
-        grid = [lr_at(s, p) for p in np.linspace(0, 1, 101)]
+        grid = [lr_at(1.0, p) for p in np.linspace(0, 1, 101)]
         assert all(a > b for a, b in zip(grid, grid[1:]))
 
     def test_progress_out_of_range(self):
-        s = LrSchedule(eta0=1.0)
         for p in (-0.01, 1.01):
             with pytest.raises(ContractViolation):
-                lr_at(s, p)
+                lr_at(1.0, p)
 
     def test_bad_configs_rejected(self):
-        with pytest.raises(ContractViolation):
-            LrSchedule(eta0=0.0)
+        for eta0 in (0.0, -1.0, float("nan")):
+            with pytest.raises(ContractViolation):
+                lr_at(eta0, 0.5)
         with pytest.raises(ContractViolation):
             SgdConfig(lr=0.1, momentum=1.0)
         with pytest.raises(ContractViolation):
