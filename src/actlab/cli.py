@@ -55,6 +55,8 @@ def _seed_list(text):
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
     if not seeds:
         raise argparse.ArgumentTypeError("expected at least one seed")
+    if min(seeds) < 0:
+        raise argparse.ArgumentTypeError(f"seeds must be >= 0, got {min(seeds)}")
     return seeds
 
 

@@ -47,6 +47,8 @@ class ExperimentConfig:
             raise ContractViolation(f"n_way must be >= 2, got {self.n_way}")
         if self.k_shot < 1:
             raise ContractViolation(f"k_shot must be >= 1, got {self.k_shot}")
+        if self.split_seed < 0:
+            raise ContractViolation(f"split_seed must be >= 0, got {self.split_seed}")
         if self.model.input_dim != self.domain.dim:
             raise ContractViolation(f"model input_dim {self.model.input_dim} != "
                                     f"domain dim {self.domain.dim}")

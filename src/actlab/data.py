@@ -66,6 +66,8 @@ class DomainSpec:
             raise ContractViolation(f"dim must be >= 2, got {self.dim}")
         if self.num_classes < 2:
             raise ContractViolation(f"num_classes must be >= 2, got {self.num_classes}")
+        if self.seed < 0:
+            raise ContractViolation(f"seed must be >= 0, got {self.seed}")
         if len(self.samples_per_class) != self.num_classes:
             raise ContractViolation(
                 f"samples_per_class has {len(self.samples_per_class)} entries "

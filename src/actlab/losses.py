@@ -10,6 +10,23 @@ into the tape, so one backward call yields exact gradients. Shapes:
 
 The CDD closed form is the collapsed off-diagonal sum of the K x K relevance
 matrix p1 p2^T; the tests verify the algebra against explicit enumeration.
+
+Each loss, and each step objective, is one tape node whose backward rule
+computes d/dlogits in plain numpy. That rule repeats, operation for operation
+and in the same association order, what the tape's backward does over the
+same loss composed from generic ops (softmax_rows, log_shifted, *, sum,
+scalar_mul), so values, gradients and trained fingerprints are bitwise those
+of the composed form. With c = (upstream * weight) * (-1/n), d/dp of a term is
+
+    lsce     c * smoothed / (p + 0)         entropy  c * ln(p + eps) + c * p / (p + eps)
+    rce      c * ln(q + eps)                cdd      c * p_other
+
+and each goes through its own softmax backward, p * (g - <g, p>). A branch's
+logit gradient adds them as ((cdd + rce) + entropy) + lsce, the order in which
+the tape reaches the four softmax nodes. tests/test_losses.py holds the fused
+nodes to the composed form (kept in tests/oracles.py) bit for bit, for two
+distinct logits tensors; the same tensor passed as both branches accumulates
+in another order.
 """
 
 from __future__ import annotations
@@ -19,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation
-from .tensor import Tensor, scalar_mul
+from .tensor import Tensor, _log_shifted, _result, _softmax, _softmax_grad
 
 SIMPLEX_TOL = 1e-6
 
@@ -64,9 +81,9 @@ def _check_labels(labels, n, k):
         raise ContractViolation(f"labels must be [{n}], got shape {labels.shape}")
     if not np.issubdtype(labels.dtype, np.integer):
         raise ContractViolation(f"labels must be integers, got dtype {labels.dtype}")
-    bad = np.flatnonzero((labels < 0) | (labels >= k))
-    if bad.size:
-        i = int(bad[0])
+    bad = (labels < 0) | (labels >= k)
+    if bad.any():
+        i = int(np.flatnonzero(bad)[0])
         raise ContractViolation(f"label at row {i} is {labels[i]}, outside [0, {k})")
     return labels
 
@@ -74,14 +91,57 @@ def _check_labels(labels, n, k):
 def _check_simplex(probs, who):
     probs = np.asarray(probs, dtype=np.float64)
     rows = probs if probs.ndim == 2 else probs[None, :]
-    if np.any(rows < -SIMPLEX_TOL):
+    if (rows < -SIMPLEX_TOL).any():
         raise ContractViolation(f"{who}: negative probability entry")
     sums = rows.sum(axis=1)
     off = np.abs(sums - 1.0)
-    if np.any(off > SIMPLEX_TOL):
+    if (off > SIMPLEX_TOL).any():
         i = int(np.argmax(off))
         raise ContractViolation(f"{who}: row {i} sums to {sums[i]!r}, not 1")
     return probs
+
+
+def _smoothed_targets(labels, n, k, alpha_smooth):
+    smoothed = np.full((n, k), alpha_smooth / k)
+    smoothed[np.arange(n), labels] += 1.0 - alpha_smooth
+    return smoothed
+
+
+def _log_source(source_probs, n, k, eps_log):
+    source_probs = _check_simplex(source_probs, "rce source_probs")
+    if source_probs.shape != (n, k):
+        raise ContractViolation(
+            f"rce: source_probs shape {source_probs.shape} != logits shape {(n, k)}")
+    return np.log(source_probs + eps_log)
+
+
+# Each term takes softmax rows p and returns (s, grad): the term's value is
+# (-1/n) * s, and grad(c) is its logit gradient under an upstream gradient g,
+# given c = g * (-1/n) (times the term's weight inside an objective).
+
+
+def _lsce_term(p, smoothed):
+    shifted, logp = _log_shifted(p, 0.0)
+    return (smoothed * logp).sum(), lambda c: _softmax_grad(p, c * smoothed / shifted)
+
+
+def _entropy_term(p, eps_log):
+    shifted, logp = _log_shifted(p, eps_log)
+    return (p * logp).sum(), lambda c: _softmax_grad(p, c * logp + c * p / shifted)
+
+
+def _rce_term(p, log_q):
+    return (p * log_q).sum(), lambda c: _softmax_grad(p, c * log_q)
+
+
+def _cdd_term(p1, p2):
+    return (p1 * p2).sum(), lambda c: (_softmax_grad(p1, c * p2), _softmax_grad(p2, c * p1))
+
+
+def _single_node(logits, term, n):
+    s, grad = term
+    return _result((-1.0 / n) * s, (logits,),
+                   lambda g: ((logits, grad(g * (-1.0 / n))),))
 
 
 def lsce(logits: Tensor, labels, alpha_smooth: float) -> Tensor:
@@ -90,10 +150,8 @@ def lsce(logits: Tensor, labels, alpha_smooth: float) -> Tensor:
     labels = _check_labels(labels, n, k)
     if not 0.0 <= alpha_smooth < 1.0:
         raise ContractViolation(f"alpha_smooth must be in [0, 1), got {alpha_smooth}")
-    smoothed = np.full((n, k), alpha_smooth / k)
-    smoothed[np.arange(n), labels] += 1.0 - alpha_smooth
-    logp = logits.softmax_rows().log_shifted(0.0)
-    return scalar_mul(-1.0 / n, (Tensor(smoothed) * logp).sum())
+    smoothed = _smoothed_targets(labels, n, k, alpha_smooth)
+    return _single_node(logits, _lsce_term(_softmax(logits.data), smoothed), n)
 
 
 def cond_entropy(logits: Tensor, eps_log: float) -> Tensor:
@@ -103,8 +161,7 @@ def cond_entropy(logits: Tensor, eps_log: float) -> Tensor:
     below zero on one-hot rows, which is fine.
     """
     n, _ = _check_logits(logits, "cond_entropy")
-    probs = logits.softmax_rows()
-    return scalar_mul(-1.0 / n, (probs * probs.log_shifted(eps_log)).sum())
+    return _single_node(logits, _entropy_term(_softmax(logits.data), eps_log), n)
 
 
 def rce(target_logits: Tensor, source_probs, eps_log: float) -> Tensor:
@@ -113,13 +170,8 @@ def rce(target_logits: Tensor, source_probs, eps_log: float) -> Tensor:
     ``source_probs`` is a plain array; no gradient ever flows into it.
     """
     n, k = _check_logits(target_logits, "rce")
-    source_probs = _check_simplex(source_probs, "rce source_probs")
-    if source_probs.shape != (n, k):
-        raise ContractViolation(
-            f"rce: source_probs shape {source_probs.shape} != logits shape {(n, k)}")
-    log_q = np.log(source_probs + eps_log)
-    p = target_logits.softmax_rows()
-    return scalar_mul(-1.0 / n, (p * Tensor(log_q)).sum())
+    log_q = _log_source(source_probs, n, k, eps_log)
+    return _single_node(target_logits, _rce_term(_softmax(target_logits.data), log_q), n)
 
 
 def cdd_pair(p1, p2) -> float:
@@ -136,33 +188,66 @@ def cdd_pair(p1, p2) -> float:
     return float(1.0 - np.dot(p1, p2))
 
 
+def _check_branches(logits1, logits2, who):
+    n1, k1 = _check_logits(logits1, who)
+    n2, k2 = _check_logits(logits2, who)
+    if (n1, k1) != (n2, k2):
+        raise ContractViolation(f"{who}: branch shapes differ, {logits1.shape} "
+                                f"vs {logits2.shape}")
+    return n1, k1
+
+
 def cdd_batch(logits1: Tensor, logits2: Tensor) -> Tensor:
     """Batch-mean CDD between the two branches' softmax rows."""
-    n1, k1 = _check_logits(logits1, "cdd_batch")
-    n2, k2 = _check_logits(logits2, "cdd_batch")
-    if (n1, k1) != (n2, k2):
-        raise ContractViolation(f"cdd_batch: branch shapes differ, {logits1.shape} "
-                                f"vs {logits2.shape}")
-    inner = (logits1.softmax_rows() * logits2.softmax_rows()).sum()
-    return scalar_mul(-1.0 / n1, inner) + 1.0
+    n, _ = _check_branches(logits1, logits2, "cdd_batch")
+    s, grad = _cdd_term(_softmax(logits1.data), _softmax(logits2.data))
+
+    def backward(g):
+        dz1, dz2 = grad(g * (-1.0 / n))
+        return ((logits1, dz1), (logits2, dz2))
+
+    return _result((-1.0 / n) * s + 1.0, (logits1, logits2), backward)
 
 
-def _components(logits1, logits2, labels, source_probs1, source_probs2, smoothing):
-    return {
-        "lsce": lsce(logits1, labels, smoothing.alpha_smooth)
-                + lsce(logits2, labels, smoothing.alpha_smooth),
-        "entropy": cond_entropy(logits1, smoothing.eps_log)
-                   + cond_entropy(logits2, smoothing.eps_log),
-        "rce": rce(logits1, source_probs1, smoothing.eps_log)
-               + rce(logits2, source_probs2, smoothing.eps_log),
-        "cdd": cdd_batch(logits1, logits2),
-    }
+def _branch(p, smoothed, log_q, eps_log):
+    """One head's lsce, entropy and rce sums, and its logit gradient."""
+    s_lsce, d_lsce = _lsce_term(p, smoothed)
+    s_entropy, d_entropy = _entropy_term(p, eps_log)
+    s_rce, d_rce = _rce_term(p, log_q)
+
+    def grad(c_lsce, c_entropy, c_rce, dz_cdd):
+        dz = d_rce(c_rce) if dz_cdd is None else dz_cdd + d_rce(c_rce)
+        return (dz + d_entropy(c_entropy)) + d_lsce(c_lsce)
+
+    return (s_lsce, s_entropy, s_rce), grad
 
 
-def _weighted_base(parts, weights):
-    return (scalar_mul(weights.lambda_lsce, parts["lsce"])
-            + scalar_mul(weights.lambda_e, parts["entropy"])
-            + scalar_mul(weights.lambda_rce, parts["rce"]))
+def _objective(logits1, logits2, labels, source_probs1, source_probs2,
+               weights, smoothing, cdd_weight, who):
+    """One node over both branches; cdd_weight None leaves the CDD term out."""
+    n, k = _check_branches(logits1, logits2, who)
+    labels = _check_labels(labels, n, k)
+    smoothed = _smoothed_targets(labels, n, k, smoothing.alpha_smooth)
+    m, eps = -1.0 / n, smoothing.eps_log
+    p1, p2 = _softmax(logits1.data), _softmax(logits2.data)
+    sums1, grad1 = _branch(p1, smoothed, _log_source(source_probs1, n, k, eps), eps)
+    sums2, grad2 = _branch(p2, smoothed, _log_source(source_probs2, n, k, eps), eps)
+    s_cdd, grad_cdd = _cdd_term(p1, p2)
+    parts = {name: m * a + m * b for name, a, b in zip(("lsce", "entropy", "rce"), sums1, sums2)}
+    parts["cdd"] = m * s_cdd + 1.0
+    lambdas = (weights.lambda_lsce, weights.lambda_e, weights.lambda_rce)
+    total = (lambdas[0] * parts["lsce"] + lambdas[1] * parts["entropy"]) \
+        + lambdas[2] * parts["rce"]
+    if cdd_weight is not None:
+        total = total + cdd_weight * parts["cdd"]
+
+    def backward(g):
+        cs = [(g * lam) * m for lam in lambdas]
+        dz_cdd = (None, None) if cdd_weight is None else grad_cdd((g * cdd_weight) * m)
+        return ((logits1, grad1(*cs, dz_cdd[0])), (logits2, grad2(*cs, dz_cdd[1])))
+
+    comps = {name: float(v) for name, v in parts.items()}
+    return _result(total, (logits1, logits2), backward), comps
 
 
 def step1_objective(logits1, logits2, labels, source_probs1, source_probs2,
@@ -172,9 +257,8 @@ def step1_objective(logits1, logits2, labels, source_probs1, source_probs2,
     Returns (scalar tensor, component values). The CDD value is computed for
     the log but takes no part in this objective.
     """
-    parts = _components(logits1, logits2, labels, source_probs1, source_probs2, smoothing)
-    total = _weighted_base(parts, weights)
-    return total, {name: t.item() for name, t in parts.items()}
+    return _objective(logits1, logits2, labels, source_probs1, source_probs2,
+                      weights, smoothing, None, "step1_objective")
 
 
 def step2_objective(logits1, logits2, labels, source_probs1, source_probs2,
@@ -187,7 +271,6 @@ def step2_objective(logits1, logits2, labels, source_probs1, source_probs2,
     """
     if cdd_sign not in ("as_printed", "flipped"):
         raise ContractViolation(f"cdd_sign must be as_printed or flipped, got {cdd_sign!r}")
-    parts = _components(logits1, logits2, labels, source_probs1, source_probs2, smoothing)
     sign = -1.0 if cdd_sign == "as_printed" else 1.0
-    total = _weighted_base(parts, weights) + scalar_mul(sign * weights.lambda_cdd, parts["cdd"])
-    return total, {name: t.item() for name, t in parts.items()}
+    return _objective(logits1, logits2, labels, source_probs1, source_probs2,
+                      weights, smoothing, sign * weights.lambda_cdd, "step2_objective")

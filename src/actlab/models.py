@@ -41,6 +41,8 @@ class MlpSpec:
             raise ContractViolation(f"need at least 2 classes, got {self.num_classes}")
         if self.activation != "relu":
             raise ContractViolation(f"unsupported activation {self.activation!r}")
+        if self.init_seed < 0:
+            raise ContractViolation(f"init_seed must be >= 0, got {self.init_seed}")
 
     def extractor_dims(self):
         """Layer (fan_in, fan_out) pairs: input -> hiddens -> feature."""
@@ -249,6 +251,8 @@ def load_checkpoint(path, expect_spec: MlpSpec | None = None) -> ModelBundle:
             arr = np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
         except (KeyError, TypeError, ValueError) as e:
             raise ParseError(f"{path}: bad parameter {name!r} ({e})") from e
+        if not np.isfinite(arr).all():
+            raise ParseError(f"{path}: parameter {name!r} has a non-finite value")
         params[name] = arr
     try:
         return bundle_from_params(spec, params)

@@ -31,7 +31,7 @@ from .models import (MlpSpec, ModelBundle, build, clone_for_adaptation,
                      params_fingerprint, trainable_params)
 from .optim import (SamConfig, SamState, SgdConfig, SgdState, lr_at, sam_step,
                     sgd_step)
-from .tensor import Tensor, backward, zero_grad
+from .tensor import Tensor, _softmax, backward, zero_grad
 
 EVAL_HEADS = ("c_t1", "mean_of_heads")
 VIEW_MODES = ("asymmetric", "both_to_both")
@@ -56,6 +56,8 @@ class PretrainConfig:
             raise ContractViolation("lr_multiplier_heads must be positive")
         if not 0.0 <= self.alpha_smooth < 1.0:
             raise ContractViolation("alpha_smooth must be in [0, 1)")
+        if self.seed < 0:
+            raise ContractViolation(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -101,6 +103,8 @@ class AdaptConfig:
             raise ContractViolation(f"view_mode must be one of {VIEW_MODES}")
         if self.eval_head not in EVAL_HEADS:
             raise ContractViolation(f"eval_head must be one of {EVAL_HEADS}")
+        if self.seed < 0:
+            raise ContractViolation(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -161,12 +165,6 @@ class RunReport:
         }
 
 
-def _softmax_np(logits):
-    z = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
-
-
 def hash_of_dict(doc: dict) -> str:
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
 
@@ -189,9 +187,9 @@ def evaluate(bundle: ModelBundle, test: LabeledSet, eval_head: str = "c_t1") -> 
                                 f"model expects {bundle.spec.num_classes}")
     l1, l2 = forward_target(bundle, Tensor(test.xs))
     if eval_head == "c_t1":
-        probs = _softmax_np(l1.data)
+        probs = _softmax(l1.data)
     else:
-        probs = 0.5 * (_softmax_np(l1.data) + _softmax_np(l2.data))
+        probs = 0.5 * (_softmax(l1.data) + _softmax(l2.data))
     preds = np.argmax(probs, axis=1)
     k = test.num_classes
     confusion = np.zeros((k, k), dtype=np.int64)
@@ -309,7 +307,7 @@ def adapt(source_model: ModelBundle, split: SupportSplit, policy: AugmentPolicy,
 
     def source_probs(view, branch):
         logits = forward_head(source_model, forward_features(source_model, view), branch)
-        return _softmax_np(logits.data)
+        return _softmax(logits.data)
 
     trace = []
     # optimizer steps rebind p.data and never write into it, so references suffice

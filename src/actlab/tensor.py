@@ -139,15 +139,7 @@ class Tensor:
     def log_shifted(self, eps: float) -> "Tensor":
         """ln(x + eps). Every entry of x + eps must be strictly positive."""
         x = self
-        if eps < 0.0:
-            raise ContractViolation(f"log_shifted eps must be nonnegative, got {eps}")
-        shifted = x.data + eps
-        bad = np.flatnonzero(~(shifted > 0.0))
-        if bad.size:
-            i = int(bad[0])
-            raise ContractViolation(
-                f"log_shifted: entry {i} is {x.data.reshape(-1)[i]!r}, not positive after +{eps}")
-        out_data = np.log(shifted)
+        shifted, out_data = _log_shifted(x.data, eps)
 
         def backward(g):
             return ((x, g / shifted),)
@@ -186,14 +178,10 @@ class Tensor:
         x = self
         if x.ndim != 2:
             raise ContractViolation(f"softmax_rows needs a rank-2 tensor, got shape {x.shape}")
-        shifted = x.data - x.data.max(axis=1, keepdims=True)
-        e = np.exp(shifted)
-        p = e / e.sum(axis=1, keepdims=True)
+        p = _softmax(x.data)
 
         def backward(g):
-            # dx = p * (g - sum_k g_k p_k)  per row
-            dot = (g * p).sum(axis=1, keepdims=True)
-            return ((x, p * (g - dot)),)
+            return ((x, _softmax_grad(p, g)),)
 
         return _result(p, (x,), backward)
 
@@ -201,6 +189,33 @@ class Tensor:
 
     def backward(self):
         backward(self)
+
+
+# -- numpy kernels shared with the fused loss nodes in losses.py ----------------
+
+
+def _log_shifted(x, eps):
+    """(x + eps, ln(x + eps)) of an array; every x + eps must be strictly positive."""
+    if eps < 0.0:
+        raise ContractViolation(f"log_shifted eps must be nonnegative, got {eps}")
+    shifted = x + eps
+    positive = shifted > 0.0  # False for NaN too
+    if not positive.all():
+        i = int(np.flatnonzero(~positive)[0])
+        raise ContractViolation(
+            f"log_shifted: entry {i} is {x.reshape(-1)[i]!r}, not positive after +{eps}")
+    return shifted, np.log(shifted)
+
+
+def _softmax(x):
+    """Row softmax of a [n, K] array, max-subtracted for stability."""
+    e = np.exp(x - x.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def _softmax_grad(p, g):
+    """d/dx of a row softmax p = softmax(x), given g = d/dp: p * (g - sum_k g_k p_k)."""
+    return p * (g - (g * p).sum(axis=1, keepdims=True))
 
 
 def _wrap(value):

@@ -1,0 +1,72 @@
+"""Bitwise fidelity check on the acceptance suite's reference runs.
+
+    PYTHONPATH=src python3 tests/fidelity.py > fidelity.txt
+
+Prints one line per adaptation run: the pretrained and the adapted
+`params_fingerprint`, and a sha256 over the run's `StepRecord` trace. A change
+that must keep every bit prints exactly the same lines as its parent commit,
+so diff the two outputs. The configurations are the ones `test_acceptance.py`
+pins: moons and blobs at data seeds 2, 3 and 4 for 800 iterations, plus six
+200-iteration variants of moons seed 2 that reach the other code paths.
+
+Not collected by pytest (no ``test_`` prefix). It takes about 25 s on a
+2-vCPU machine.
+"""
+
+import hashlib
+import json
+
+from actlab.data import make_domain_pair, sample_support
+from actlab.models import params_fingerprint, trainable_params
+from actlab.optim import SamConfig
+from actlab.pipeline import adapt, pretrain_source
+
+from test_acceptance import (BLOBS, BLOBS_MODEL, DATA_SEEDS, MOONS, MOONS_MODEL,
+                             PRETRAIN, reference_adapt_config, reference_policy)
+
+VARIANTS = {
+    "both_to_both": {"view_mode": "both_to_both"},
+    "reused_batch": {"fresh_batch_per_step": False},
+    "pattern_112": {"step_pattern": "112"},
+    "pattern_2": {"step_pattern": "2"},
+    "as_printed": {"cdd_sign": "as_printed"},
+    "rho_0": {"sam": SamConfig(rho=0.0)},
+}
+
+
+def fingerprint(bundle):
+    return params_fingerprint(trainable_params(bundle, "all_target"))
+
+
+def trace_hash(report):
+    doc = json.dumps([r.to_dict() for r in report.trace])
+    return hashlib.sha256(doc.encode()).hexdigest()
+
+
+def runs():
+    """(label, domain spec, model spec, n_way, data seed, adapt config) per run."""
+    for name, domain, model, n_way in (("moons", MOONS, MOONS_MODEL, 2),
+                                       ("blobs", BLOBS, BLOBS_MODEL, 4)):
+        for seed in DATA_SEEDS:
+            yield f"{name}/seed{seed}", domain, model, n_way, seed, reference_adapt_config()
+    for tag, overrides in VARIANTS.items():
+        yield (f"moons/seed2/{tag}", MOONS, MOONS_MODEL, 2, 2,
+               reference_adapt_config(total_iterations=200, **overrides))
+
+
+def main():
+    pretrained = {}
+    for label, domain, model, n_way, seed, cfg in runs():
+        if domain not in pretrained:
+            source, target = make_domain_pair(domain)
+            bundle, _ = pretrain_source(source, model, PRETRAIN)
+            pretrained[domain] = (bundle, target)
+        bundle, target = pretrained[domain]
+        split = sample_support(target, n_way, 5, seed=seed)
+        adapted, report = adapt(bundle, split, reference_policy(), cfg)
+        print(f"{label} pretrained={fingerprint(bundle)} adapted={fingerprint(adapted)} "
+              f"trace={trace_hash(report)}", flush=True)
+
+
+if __name__ == "__main__":
+    main()

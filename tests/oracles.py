@@ -8,6 +8,8 @@ are pinned here as float64 literals.
 
 import numpy as np
 
+from actlab.tensor import Tensor, scalar_mul
+
 # ln(1e-5), i.e. log_shifted(0, 1e-5)
 LOG_SHIFTED_ZERO_1E5 = -11.512925464970228
 
@@ -65,3 +67,72 @@ def softmax_np(logits):
     z = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=1, keepdims=True)
+
+
+# -- composed-tape reference for the fused loss nodes ---------------------------
+# actlab.losses builds each loss and step objective as one tape node with a
+# hand-written backward rule. These are the same functions composed from the
+# generic Tensor ops, so that the tape's own backward differentiates them; the
+# fused nodes must match them bit for bit, values and gradients alike.
+
+
+def tape_lsce(logits, labels, alpha_smooth):
+    n, k = logits.shape
+    smoothed = np.full((n, k), alpha_smooth / k)
+    smoothed[np.arange(n), labels] += 1.0 - alpha_smooth
+    logp = logits.softmax_rows().log_shifted(0.0)
+    return scalar_mul(-1.0 / n, (Tensor(smoothed) * logp).sum())
+
+
+def tape_cond_entropy(logits, eps_log):
+    n, _ = logits.shape
+    probs = logits.softmax_rows()
+    return scalar_mul(-1.0 / n, (probs * probs.log_shifted(eps_log)).sum())
+
+
+def tape_rce(logits, source_probs, eps_log):
+    n, _ = logits.shape
+    log_q = np.log(np.asarray(source_probs, dtype=np.float64) + eps_log)
+    return scalar_mul(-1.0 / n, (logits.softmax_rows() * Tensor(log_q)).sum())
+
+
+def tape_cdd_batch(logits1, logits2):
+    n, _ = logits1.shape
+    inner = (logits1.softmax_rows() * logits2.softmax_rows()).sum()
+    return scalar_mul(-1.0 / n, inner) + 1.0
+
+
+def _tape_components(logits1, logits2, labels, source_probs1, source_probs2, smoothing):
+    return {
+        "lsce": tape_lsce(logits1, labels, smoothing.alpha_smooth)
+                + tape_lsce(logits2, labels, smoothing.alpha_smooth),
+        "entropy": tape_cond_entropy(logits1, smoothing.eps_log)
+                   + tape_cond_entropy(logits2, smoothing.eps_log),
+        "rce": tape_rce(logits1, source_probs1, smoothing.eps_log)
+               + tape_rce(logits2, source_probs2, smoothing.eps_log),
+        "cdd": tape_cdd_batch(logits1, logits2),
+    }
+
+
+def _tape_weighted_base(parts, weights):
+    return (scalar_mul(weights.lambda_lsce, parts["lsce"])
+            + scalar_mul(weights.lambda_e, parts["entropy"])
+            + scalar_mul(weights.lambda_rce, parts["rce"]))
+
+
+def tape_step1_objective(logits1, logits2, labels, source_probs1, source_probs2,
+                         weights, smoothing):
+    parts = _tape_components(logits1, logits2, labels, source_probs1, source_probs2,
+                             smoothing)
+    return (_tape_weighted_base(parts, weights),
+            {name: t.item() for name, t in parts.items()})
+
+
+def tape_step2_objective(logits1, logits2, labels, source_probs1, source_probs2,
+                         weights, smoothing, cdd_sign="as_printed"):
+    parts = _tape_components(logits1, logits2, labels, source_probs1, source_probs2,
+                             smoothing)
+    sign = -1.0 if cdd_sign == "as_printed" else 1.0
+    total = (_tape_weighted_base(parts, weights)
+             + scalar_mul(sign * weights.lambda_cdd, parts["cdd"]))
+    return total, {name: t.item() for name, t in parts.items()}

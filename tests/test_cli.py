@@ -210,6 +210,37 @@ class TestErrorPaths:
         assert main(["adapt", "--config", str(p)]) == 1
         assert "adapt.rho" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["pretrain", "adapt"])
+    @pytest.mark.parametrize("flag", ["--split-seed", "--adapt-seed", "--pretrain-seed",
+                                      "--init-seed"])
+    def test_negative_seed_override_writes_nothing(self, workspace, capsys, command, flag):
+        cfg_path, run_dir = workspace
+        assert main([command, "--config", str(cfg_path), flag, "-1"]) == 1
+        assert "must be >= 0, got -1" in capsys.readouterr().err
+        assert not run_dir.exists()
+
+    def test_negative_seed_in_config_leaves_run_dir_untouched(self, workspace, capsys):
+        cfg_path, run_dir = workspace
+        assert main(["pretrain", "--config", str(cfg_path)]) == 0
+        before = sorted((p.name, p.read_bytes()) for p in run_dir.iterdir())
+        doc = json.loads(cfg_path.read_text())
+        doc["adapt"]["seed"] = -1
+        cfg_path.write_text(json.dumps(doc))
+        assert main(["adapt", "--config", str(cfg_path), "--force"]) == 1
+        assert "adapt: seed must be >= 0" in capsys.readouterr().err
+        assert sorted((p.name, p.read_bytes()) for p in run_dir.iterdir()) == before
+
+    @pytest.mark.parametrize("option", ["--data-seeds", "--model-seeds"])
+    def test_negative_sweep_seed_is_a_usage_error(self, workspace, capsys, option):
+        cfg_path, run_dir = workspace
+        seeds = {"--data-seeds": "1", "--model-seeds": "5", option: "2,-3"}
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--config", str(cfg_path)]
+                 + [arg for pair in seeds.items() for arg in pair])
+        assert exc.value.code == 2
+        assert "seeds must be >= 0" in capsys.readouterr().err
+        assert not run_dir.exists()
+
     def test_unknown_subcommand_is_a_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["transmogrify"])

@@ -164,6 +164,26 @@ class TestNonFinite:
         assert exc.value.path == "adapt.sam.rho"
 
 
+class TestNegativeSeeds:
+    @pytest.mark.parametrize("path", ["split_seed", "domain.seed", "model.init_seed",
+                                      "pretrain.seed", "adapt.seed"])
+    def test_negative_seed_is_rejected_at_its_owner(self, path):
+        doc = json.loads(json.dumps(FULL_DOC))
+        _set_leaf(doc, path, -1)
+        with pytest.raises(ConfigError) as exc:
+            parse_config(doc)
+        owner, _, field = path.rpartition(".")
+        assert exc.value.path == (owner or "<root>")
+        assert f"{field} must be >= 0, got -1" in str(exc.value)
+
+    def test_zero_seeds_are_accepted(self):
+        doc = json.loads(json.dumps(FULL_DOC))
+        for path in ("split_seed", "domain.seed", "model.init_seed",
+                     "pretrain.seed", "adapt.seed"):
+            _set_leaf(doc, path, 0)
+        assert parse_config(doc).adapt.seed == 0
+
+
 class TestCrossChecks:
     def test_n_way_must_match_domain_classes(self):
         with pytest.raises(ConfigError):

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from actlab.errors import ContractViolation
 from actlab.losses import (LossWeights, SmoothingParams, cdd_batch, cdd_pair,
                            cond_entropy, lsce, rce, step1_objective,
                            step2_objective)
-from actlab.tensor import Tensor, backward
+from actlab.tensor import Tensor, backward, scalar_mul
 
 import oracles
 
@@ -286,3 +288,99 @@ class TestStepObjectives:
             SmoothingParams(alpha_smooth=1.0)
         with pytest.raises(ContractViolation):
             SmoothingParams(eps_log=0.0)
+
+
+class TestErrorPaths:
+    """A softmax entry that underflows to 0 has no finite log; the checks must fire."""
+
+    UNDERFLOW = [[0.0, 800.0]]  # softmax gives exactly [0, 1]
+
+    def test_lsce_rejects_an_underflowed_probability(self):
+        with pytest.raises(ContractViolation, match="not positive"):
+            lsce(Tensor(self.UNDERFLOW), np.array([1]), 0.1)
+
+    @pytest.mark.parametrize("objective", [step1_objective, step2_objective])
+    def test_step_objectives_reject_an_underflowed_probability(self, objective):
+        q = np.array([[0.5, 0.5]])
+        with pytest.raises(ContractViolation, match="not positive"):
+            objective(Tensor(self.UNDERFLOW), Tensor([[0.0, 0.0]]), np.array([1]), q, q,
+                      LossWeights(), SmoothingParams())
+
+    def test_cond_entropy_rejects_a_negative_eps(self):
+        with pytest.raises(ContractViolation, match="nonnegative"):
+            cond_entropy(Tensor([[0.3, -0.2]]), -1e-3)
+
+
+@st.composite
+def loss_cases(draw):
+    """Random logits, labels, source probs, weights and smoothing for one batch."""
+    n, k = draw(st.integers(1, 64)), draw(st.integers(2, 8))
+    scale = draw(st.floats(0.0, 30.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    weight = st.one_of(st.just(0.0), st.floats(0.0, 2.0))
+    return {
+        "l1": rng.normal(size=(n, k)) * scale,
+        "l2": rng.normal(size=(n, k)) * scale,
+        "labels": rng.integers(0, k, size=n),
+        "q1": oracles.softmax_np(rng.normal(size=(n, k)) * scale),
+        "q2": oracles.softmax_np(rng.normal(size=(n, k)) * scale),
+        "weights": LossWeights(*(draw(weight) for _ in range(4))),
+        "smoothing": SmoothingParams(
+            draw(st.one_of(st.just(0.0), st.floats(0.0, 0.5, exclude_max=True))),
+            draw(st.floats(1e-8, 0.1))),
+        "upstream": draw(st.one_of(st.just(1.0), st.floats(0.1, 3.0))),
+    }
+
+
+class TestBitwiseAgainstTape:
+    """Each fused loss node equals the same loss composed from generic tape ops,
+    bit for bit: its value, its components and both logits' gradients."""
+
+    @staticmethod
+    def _run(fn, arrays, upstream):
+        tensors = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+        out = fn(*tensors)
+        node, comps = out if isinstance(out, tuple) else (out, None)
+        # a node that is not the root sees an upstream gradient other than 1
+        backward(node if upstream == 1.0 else scalar_mul(upstream, node))
+        return node.item(), comps, [t.grad for t in tensors]
+
+    def _same(self, fused, tape, arrays, upstream):
+        value, comps, grads = self._run(fused, arrays, upstream)
+        ref_value, ref_comps, ref_grads = self._run(tape, arrays, upstream)
+        assert value == ref_value
+        assert comps == ref_comps
+        for g, ref in zip(grads, ref_grads):
+            assert np.array_equal(g, ref)
+
+    @settings(max_examples=150, deadline=None)
+    @given(loss_cases())
+    def test_losses_and_objectives_match_the_composed_tape(self, case):
+        l1, l2, labels = case["l1"], case["l2"], case["labels"]
+        q1, q2, w, sm = case["q1"], case["q2"], case["weights"], case["smoothing"]
+        a, eps, up = sm.alpha_smooth, sm.eps_log, case["upstream"]
+        self._same(lambda z: lsce(z, labels, a),
+                   lambda z: oracles.tape_lsce(z, labels, a), [l1], up)
+        self._same(lambda z: cond_entropy(z, eps),
+                   lambda z: oracles.tape_cond_entropy(z, eps), [l1], up)
+        self._same(lambda z: rce(z, q1, eps),
+                   lambda z: oracles.tape_rce(z, q1, eps), [l1], up)
+        self._same(cdd_batch, oracles.tape_cdd_batch, [l1, l2], up)
+        self._same(lambda x, y: step1_objective(x, y, labels, q1, q2, w, sm),
+                   lambda x, y: oracles.tape_step1_objective(x, y, labels, q1, q2, w, sm),
+                   [l1, l2], up)
+        for sign in ("as_printed", "flipped"):
+            self._same(lambda x, y: step2_objective(x, y, labels, q1, q2, w, sm, sign),
+                       lambda x, y: oracles.tape_step2_objective(x, y, labels, q1, q2,
+                                                                 w, sm, sign),
+                       [l1, l2], up)
+
+    def test_scaled_lsce_under_a_sum(self):
+        """The pretraining loss shape: two lsce nodes under a sum, scaled by 0.7."""
+        rng = np.random.default_rng(53)
+        l1, l2 = rng.normal(size=(9, 3)) * 4.0, rng.normal(size=(9, 3)) * 4.0
+        labels = rng.integers(0, 3, size=9)
+        self._same(lambda x, y: lsce(x, labels, 0.1) + lsce(y, labels, 0.1),
+                   lambda x, y: (oracles.tape_lsce(x, labels, 0.1)
+                                 + oracles.tape_lsce(y, labels, 0.1)),
+                   [l1, l2], 0.7)

@@ -134,6 +134,16 @@ class TestCheckpoint:
         with pytest.raises(ContractViolation):
             load_checkpoint(path, expect_spec=other)
 
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_parameter_is_parse_error(self, tmp_path, value):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(build(small_spec()), path)
+        doc = json.loads(path.read_text())
+        doc["params"]["head1.weight"]["data"][0] = "@@"
+        path.write_text(json.dumps(doc).replace('"@@"', value))
+        with pytest.raises(ParseError, match="head1.weight"):
+            load_checkpoint(path)
+
     def test_bad_shape_is_parse_error(self, tmp_path):
         path = tmp_path / "m.ckpt"
         save_checkpoint(build(small_spec()), path)
