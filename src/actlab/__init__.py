@@ -15,8 +15,9 @@ from .data import (AugmentPolicy, DomainSpec, LabeledSet, ShiftSpec, StrongTier,
                    load_labeled_set, make_domain_pair, rng_stream,
                    sample_support, save_labeled_set)
 from .errors import ConfigError, ContractViolation, DivergenceError, ParseError
-from .losses import (LossWeights, SmoothingParams, cdd_batch, cdd_pair,
-                     cond_entropy, lsce, rce, step1_objective, step2_objective)
+from .losses import (BatchTargets, LossWeights, SmoothingParams, batch_targets,
+                     cdd_batch, cdd_pair, cond_entropy, lsce, rce, step1_objective,
+                     step2_objective)
 from .models import (MlpSpec, ModelBundle, build, bundle_from_params,
                      clone_for_adaptation, forward_target, load_checkpoint,
                      params_fingerprint, save_checkpoint, trainable_params)
@@ -30,14 +31,16 @@ from .tensor import Tensor, backward, zero_grad
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdaptConfig", "AdamConfig", "AdamState", "AugmentPolicy", "ConfigError",
+    "AdaptConfig", "AdamConfig", "AdamState", "AugmentPolicy", "BatchTargets",
+    "ConfigError",
     "ContractViolation", "DivergenceError", "DomainSpec", "EvalResult",
     "ExperimentConfig", "LabeledSet", "LossWeights", "MlpSpec",
     "ModelBundle", "ParseError", "PretrainConfig", "RunReport", "SamConfig",
     "SamState", "ScheduleConfig", "SgdConfig", "SgdState", "ShiftSpec",
     "SmoothingParams", "StepRecord", "StrongTier", "SupportSplit", "SweepCell",
     "SweepReport", "Tensor", "WeakTier", "adam_step", "adapt", "augment",
-    "augment_batch", "backward", "batches", "build", "bundle_from_params",
+    "augment_batch", "backward", "batch_targets", "batches", "build",
+    "bundle_from_params",
     "cdd_batch", "cdd_pair", "clone_for_adaptation", "cond_entropy",
     "config_hash", "config_to_dict", "evaluate", "forward_target",
     "load_checkpoint", "load_config",

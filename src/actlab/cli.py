@@ -140,16 +140,18 @@ def cmd_adapt(args) -> int:
     if will_pretrain:
         _claim(run_dir / "pretrain.log", args.force)
 
+    # validate the support draw and an existing source checkpoint before any write;
+    # the split draws from its own seeded stream, so moving it first changes no bit
     source, target = make_domain_pair(cfg.domain)
+    split = sample_support(target, cfg.n_way, cfg.k_shot, cfg.split_seed)
+    if not will_pretrain:
+        bundle = load_checkpoint(source_ckpt, expect_spec=cfg.model)
     run_dir.mkdir(parents=True, exist_ok=True)
     (run_dir / "config.json").write_text(cfg_text)
     if will_pretrain:
         bundle, history = pretrain_source(source, cfg.model, cfg.pretrain)
         _write_pretrain_outputs(run_dir, cfg, bundle, history)
-    else:
-        bundle = load_checkpoint(source_ckpt, expect_spec=cfg.model)
 
-    split = sample_support(target, cfg.n_way, cfg.k_shot, cfg.split_seed)
     adapted, report = run_adapt(bundle, split, cfg.augment, cfg.adapt)
 
     save_checkpoint(adapted, run_dir / "target.ckpt")

@@ -27,6 +27,13 @@ the tape reaches the four softmax nodes. tests/test_losses.py holds the fused
 nodes to the composed form (kept in tests/oracles.py) bit for bit, for two
 distinct logits tensors; the same tensor passed as both branches accumulates
 in another order.
+
+The step objectives score logits against ``BatchTargets``: the smoothed label
+targets and ln(q + eps) of each branch's frozen source probabilities. These
+depend only on the batch, so ``batch_targets`` builds and checks them once
+per batch (labels in range, source rows on the simplex), and every objective
+call on that batch reuses them: SAM evaluates each objective twice, and the
+adaptation loop evaluates both steps on one batch when it reuses batches.
 """
 
 from __future__ import annotations
@@ -107,11 +114,10 @@ def _smoothed_targets(labels, n, k, alpha_smooth):
     return smoothed
 
 
-def _log_source(source_probs, n, k, eps_log):
-    source_probs = _check_simplex(source_probs, "rce source_probs")
+def _log_source(source_probs, n, k, eps_log, who):
+    source_probs = _check_simplex(source_probs, who)
     if source_probs.shape != (n, k):
-        raise ContractViolation(
-            f"rce: source_probs shape {source_probs.shape} != logits shape {(n, k)}")
+        raise ContractViolation(f"{who}: shape {source_probs.shape} != batch shape {(n, k)}")
     return np.log(source_probs + eps_log)
 
 
@@ -170,7 +176,7 @@ def rce(target_logits: Tensor, source_probs, eps_log: float) -> Tensor:
     ``source_probs`` is a plain array; no gradient ever flows into it.
     """
     n, k = _check_logits(target_logits, "rce")
-    log_q = _log_source(source_probs, n, k, eps_log)
+    log_q = _log_source(source_probs, n, k, eps_log, "rce source_probs")
     return _single_node(target_logits, _rce_term(_softmax(target_logits.data), log_q), n)
 
 
@@ -222,16 +228,49 @@ def _branch(p, smoothed, log_q, eps_log):
     return (s_lsce, s_entropy, s_rce), grad
 
 
-def _objective(logits1, logits2, labels, source_probs1, source_probs2,
-               weights, smoothing, cdd_weight, who):
+@dataclass(frozen=True)
+class BatchTargets:
+    """Everything a step objective needs that depends only on the batch.
+
+    Built once per batch by ``batch_targets`` and reused by every objective
+    call on that batch, SAM's perturbed re-evaluation included.
+    """
+    smoothed: np.ndarray
+    log_q1: np.ndarray
+    log_q2: np.ndarray
+    smoothing: SmoothingParams
+
+
+def batch_targets(labels, source_probs1, source_probs2,
+                  smoothing: SmoothingParams) -> BatchTargets:
+    """Smoothed label targets and ln(q + eps) of both branches' source probs.
+
+    Checks the labels and that each source-probability array is a batch of
+    simplex rows; the batch shape [n, K] comes from ``source_probs1``.
+    """
+    q1 = np.asarray(source_probs1, dtype=np.float64)
+    if q1.ndim != 2 or q1.shape[0] < 1 or q1.shape[1] < 2:
+        raise ContractViolation(f"source_probs must be [n, K] with n >= 1 and K >= 2, "
+                                f"got shape {q1.shape}")
+    n, k = q1.shape
+    labels = _check_labels(labels, n, k)
+    eps = smoothing.eps_log
+    return BatchTargets(_smoothed_targets(labels, n, k, smoothing.alpha_smooth),
+                        _log_source(q1, n, k, eps, "source_probs1"),
+                        _log_source(source_probs2, n, k, eps, "source_probs2"),
+                        smoothing)
+
+
+def _objective(logits1, logits2, targets, weights, cdd_weight, who):
     """One node over both branches; cdd_weight None leaves the CDD term out."""
     n, k = _check_branches(logits1, logits2, who)
-    labels = _check_labels(labels, n, k)
-    smoothed = _smoothed_targets(labels, n, k, smoothing.alpha_smooth)
-    m, eps = -1.0 / n, smoothing.eps_log
+    if targets.smoothed.shape != (n, k):
+        raise ContractViolation(f"{who}: logits shape {(n, k)} != batch targets shape "
+                                f"{targets.smoothed.shape}")
+    smoothed, m, eps = targets.smoothed, -1.0 / n, targets.smoothing.eps_log
     p1, p2 = _softmax(logits1.data), _softmax(logits2.data)
-    sums1, grad1 = _branch(p1, smoothed, _log_source(source_probs1, n, k, eps), eps)
-    sums2, grad2 = _branch(p2, smoothed, _log_source(source_probs2, n, k, eps), eps)
+    sums1, grad1 = _branch(p1, smoothed, targets.log_q1, eps)
+    sums2, grad2 = _branch(p2, smoothed, targets.log_q2, eps)
     s_cdd, grad_cdd = _cdd_term(p1, p2)
     parts = {name: m * a + m * b for name, a, b in zip(("lsce", "entropy", "rce"), sums1, sums2)}
     parts["cdd"] = m * s_cdd + 1.0
@@ -250,19 +289,16 @@ def _objective(logits1, logits2, labels, source_probs1, source_probs2,
     return _result(total, (logits1, logits2), backward), comps
 
 
-def step1_objective(logits1, logits2, labels, source_probs1, source_probs2,
-                    weights: LossWeights, smoothing: SmoothingParams):
+def step1_objective(logits1, logits2, targets: BatchTargets, weights: LossWeights):
     """Supervision + entropy + source anchoring, summed over both branches.
 
     Returns (scalar tensor, component values). The CDD value is computed for
     the log but takes no part in this objective.
     """
-    return _objective(logits1, logits2, labels, source_probs1, source_probs2,
-                      weights, smoothing, None, "step1_objective")
+    return _objective(logits1, logits2, targets, weights, None, "step1_objective")
 
 
-def step2_objective(logits1, logits2, labels, source_probs1, source_probs2,
-                    weights: LossWeights, smoothing: SmoothingParams,
+def step2_objective(logits1, logits2, targets: BatchTargets, weights: LossWeights,
                     cdd_sign: str = "as_printed"):
     """Step-1 terms with the weighted CDD term added.
 
@@ -272,5 +308,5 @@ def step2_objective(logits1, logits2, labels, source_probs1, source_probs2,
     if cdd_sign not in ("as_printed", "flipped"):
         raise ContractViolation(f"cdd_sign must be as_printed or flipped, got {cdd_sign!r}")
     sign = -1.0 if cdd_sign == "as_printed" else 1.0
-    return _objective(logits1, logits2, labels, source_probs1, source_probs2,
-                      weights, smoothing, sign * weights.lambda_cdd, "step2_objective")
+    return _objective(logits1, logits2, targets, weights, sign * weights.lambda_cdd,
+                      "step2_objective")

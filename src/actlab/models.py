@@ -5,19 +5,36 @@ Adaptation trains a clone and reads the caller's untouched bundle as the
 frozen source model whose predictions anchor the losses. The forward pass
 comes in two pieces, features then one head, so a caller that holds the
 extractor fixed can compute its features once. Checkpoints are JSON with
-decimal parameter text, which round-trips float64 exactly.
+decimal parameter text, which round-trips float64 exactly; they are written
+through a temporary file and renamed into place, so a crash never leaves a
+truncated one.
+
+Each piece is one tape node over its whole layer stack (affine layers with a
+ReLU between consecutive ones). Its forward runs ``a @ W``, ``+ b`` and
+``np.where(a > 0, a, 0)`` layer by layer, and its backward rule runs, from
+the last layer down, the numpy operations the tape runs over the same stack
+composed from ``Tensor.matmul`` / ``add_bias`` / ``relu``: ``g.sum(axis=0)``
+for a bias, ``a.T @ g`` for a weight, ``g @ W.T`` for the layer input and
+``g * mask`` through a ReLU. Gradients reaching a parameter shared by two
+nodes (one extractor applied to two views) meet in ``tensor.backward`` in the
+same order as the composed tape's, so logits and every parameter gradient are
+bitwise those of the composed form; tests/test_models.py holds the node to
+that form (kept in tests/oracles.py). The rule skips ``g @ W.T`` for an input
+that needs no gradient, and such an input is not a parent of the node.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from .errors import ContractViolation, ParseError
-from .tensor import Tensor
+from .tensor import Tensor, _result
 
 CHECKPOINT_FORMAT_VERSION = 1
 
@@ -145,31 +162,58 @@ def clone_for_adaptation(bundle: ModelBundle) -> ModelBundle:
 # -- forward passes -------------------------------------------------------------
 
 
-def _check_input(spec, x):
+def _check_rows(x, dim, who):
     if not isinstance(x, Tensor):
         x = Tensor(x)
-    if x.ndim != 2 or x.shape[1] != spec.input_dim:
-        raise ContractViolation(f"input must be [n, {spec.input_dim}], got shape {x.shape}")
+    shape = x.data.shape
+    if len(shape) != 2 or shape[1] != dim:
+        raise ContractViolation(f"{who} must be [n, {dim}], got shape {shape}")
     return x
+
+
+def _layer_stack(x, layers):
+    """One tape node: affine layers with a ReLU between consecutive ones."""
+    params, inputs, masks = [], [], []
+    out = x.data
+    last = len(layers) - 1
+    for i, (w, b) in enumerate(layers):
+        params += (w, b)
+        inputs.append(out)
+        out = out @ w.data
+        out = out + b.data[None, :]
+        if i < last:
+            mask = out > 0.0  # subgradient at exactly 0 is 0
+            masks.append(mask)
+            out = np.where(mask, out, 0.0)
+    input_grad = x.requires_grad
+    if input_grad:
+        params.append(x)
+
+    def backward(g):
+        grads = []
+        for i in range(last, -1, -1):
+            w, b = layers[i]
+            grads += [(w, inputs[i].T @ g), (b, g.sum(axis=0))]
+            if i > 0:
+                g = (g @ w.data.T) * masks[i - 1]
+            elif input_grad:
+                grads.append((x, g @ w.data.T))
+        return grads
+
+    return _result(out, params, backward)
 
 
 def forward_features(bundle, x):
     """Extractor output for inputs of shape [n, input_dim]."""
-    out = _check_input(bundle.spec, x)
-    last = len(bundle.extractor) - 1
-    for i, (w, b) in enumerate(bundle.extractor):
-        out = out.matmul(w).add_bias(b)
-        if i < last:
-            out = out.relu()
-    return out
+    return _layer_stack(_check_rows(x, bundle.spec.input_dim, "input"), bundle.extractor)
 
 
 def forward_head(bundle, feats, branch):
     """Logits of head `branch` (1 or 2) on extractor features."""
     if branch not in (1, 2):
         raise ContractViolation(f"branch must be 1 or 2, got {branch!r}")
-    (w, b), = bundle.head1 if branch == 1 else bundle.head2
-    return feats.matmul(w).add_bias(b)
+    feats = _check_rows(feats, bundle.spec.feature_dim, "features")
+    return _layer_stack(feats, bundle.head1 if branch == 1 else bundle.head2)
 
 
 def forward_target(bundle, x):
@@ -207,15 +251,30 @@ def params_fingerprint(tensors):
 
 
 def save_checkpoint(bundle: ModelBundle, path):
+    """Write `bundle` to `path` atomically: a temporary file, then a rename.
+
+    Refuses a NaN or infinite parameter before touching the filesystem, since
+    ``load_checkpoint`` would refuse the file.
+    """
+    named = bundle.named_params("target")
+    for name, t in named:
+        if not np.isfinite(t.data).all():
+            raise ContractViolation(f"cannot save parameter {name!r}: it has a non-finite value")
     doc = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "spec": bundle.spec.to_dict(),
         "params": {name: {"shape": list(t.data.shape), "data": t.data.reshape(-1).tolist()}
-                   for name, t in bundle.named_params("target")},
+                   for name, t in named},
     }
-    with open(path, "w") as f:
-        json.dump(doc, f, indent=1, sort_keys=True)
-        f.write("\n")
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w") as f:
+            json.dump(doc, f, indent=1, sort_keys=True)
+            f.write("\n")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def load_checkpoint(path, expect_spec: MlpSpec | None = None) -> ModelBundle:

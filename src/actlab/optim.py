@@ -160,7 +160,8 @@ def sam_step(params, loss_closure, state: SamState, cfg: SamConfig,
     backward(loss)
     grads = _collect_grads(params)
 
-    saved = [p.data.copy() for p in params]
+    # steps rebind p.data and never write into it, so references restore w exactly
+    saved = [p.data for p in params]
     scale = cfg.rho / (global_grad_norm(grads) + SAM_NORM_FLOOR)
     for p, g in zip(params, grads):
         p.data = p.data + scale * g

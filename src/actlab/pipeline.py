@@ -24,8 +24,8 @@ import numpy as np
 from .data import (AugmentPolicy, LabeledSet, SupportSplit, augment_batch,
                    batches, make_domain_pair, rng_stream, sample_support)
 from .errors import ContractViolation, DivergenceError
-from .losses import (LossWeights, SmoothingParams, lsce, step1_objective,
-                     step2_objective)
+from .losses import (LossWeights, SmoothingParams, batch_targets, lsce,
+                     step1_objective, step2_objective)
 from .models import (MlpSpec, ModelBundle, build, clone_for_adaptation,
                      forward_features, forward_head, forward_target,
                      params_fingerprint, trainable_params)
@@ -329,9 +329,11 @@ def adapt(source_model: ModelBundle, split: SupportSplit, policy: AugmentPolicy,
                 weak = augment_batch(xs, policy, "weak", aug_rng)
                 strong = augment_batch(xs, policy, "strong", aug_rng)
                 view1, view2, labels = _route_views(cfg.view_mode, weak, strong, ys)
-                step_inputs = (view1, view2, labels,
-                               source_probs(view1, 1), source_probs(view2, 2))
-            view1, view2, labels, q1, q2 = step_inputs
+                view1, view2 = Tensor(view1), Tensor(view2)
+                targets = batch_targets(labels, source_probs(view1, 1),
+                                        source_probs(view2, 2), cfg.smoothing)
+                step_inputs = (view1, view2, targets)
+            view1, view2, targets = step_inputs
 
             if step_kind == "2":
                 # step 2 moves only the heads: its features are constants
@@ -352,11 +354,9 @@ def adapt(source_model: ModelBundle, split: SupportSplit, policy: AugmentPolicy,
                         f"non-finite logits", iteration=it, last_loss=float("nan"),
                         last_good_params=last_good)
                 if step_kind == "1":
-                    total, comps = step1_objective(l1, l2, labels, q1, q2,
-                                                   cfg.weights, cfg.smoothing)
+                    total, comps = step1_objective(l1, l2, targets, cfg.weights)
                 else:
-                    total, comps = step2_objective(l1, l2, labels, q1, q2,
-                                                   cfg.weights, cfg.smoothing,
+                    total, comps = step2_objective(l1, l2, targets, cfg.weights,
                                                    cfg.cdd_sign)
                 evals.append(comps)
                 return total
@@ -443,7 +443,8 @@ def _run_cell(spec, source_params, target, n_way, k_shot, data_seed, model_seed,
         return SweepCell(data_seed, model_seed, "ok",
                          report.no_adapt_accuracy, report.accuracy,
                          report.no_adapt_macro_accuracy, report.macro_accuracy)
-    except Exception as e:  # a failed cell is data, not a crash
+    except (ContractViolation, DivergenceError) as e:
+        # a bad draw or a diverged run is data; any other error is a bug and propagates
         return SweepCell(data_seed, model_seed, f"error: {type(e).__name__}: {e}",
                          None, None, None, None)
 
@@ -456,8 +457,9 @@ def seed_sweep(domain, spec, pretrain_cfg, adapt_cfg, policy, n_way, k_shot,
                data_seeds, model_seeds, jobs: int = 1) -> SweepReport:
     """Cross-product of data seeds (support draw) and model seeds (init + pretrain).
 
-    Pretraining happens once per model seed; cells may run in parallel. Failed
-    cells are recorded with their error and skipped by the aggregates. Spread
+    Pretraining happens once per model seed; cells may run in parallel. A cell
+    that fails with a ContractViolation or a DivergenceError is recorded with
+    its error and skipped by the aggregates; any other exception propagates. Spread
     and variance are computed across data seeds after averaging over model
     seeds within each data seed.
     """

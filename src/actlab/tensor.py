@@ -9,6 +9,10 @@ reachable tensor that requires one.
 There is no general broadcasting. Elementwise ops take operands of identical
 shape, or one operand that is a scalar (a Python number, or a tensor of size
 one). Matrix ops are rank-2 only. Everything is float64.
+
+The package's hot paths build fused nodes through ``_result`` (models.py per
+layer stack, losses.py per loss); ``matmul``, ``add_bias`` and ``relu`` are
+kept as the composed form the tests hold those nodes to, bit for bit.
 """
 
 from __future__ import annotations
@@ -228,10 +232,12 @@ def _wrap(value):
 
 def _result(data, parents, backward_rule):
     out = Tensor(data)
-    if any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = tuple(parents)
-        out._backward = backward_rule
+    for p in parents:  # not any(genexpr): the generator costs two Python calls per op
+        if p.requires_grad:
+            out.requires_grad = True
+            out._parents = tuple(parents)
+            out._backward = backward_rule
+            break
     return out
 
 

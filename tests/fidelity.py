@@ -7,14 +7,17 @@ Prints one line per adaptation run: the pretrained and the adapted
 that must keep every bit prints exactly the same lines as its parent commit,
 so diff the two outputs. The configurations are the ones `test_acceptance.py`
 pins: moons and blobs at data seeds 2, 3 and 4 for 800 iterations, plus six
-200-iteration variants of moons seed 2 that reach the other code paths.
+200-iteration variants of moons seed 2 that reach the other code paths, and
+one 200-iteration blobs run on a model with two hidden layers, so that the
+multi-layer backward of the extractor is covered too.
 
-Not collected by pytest (no ``test_`` prefix). It takes about 25 s on a
+Not collected by pytest (no ``test_`` prefix). It takes about 20 s on a
 2-vCPU machine.
 """
 
 import hashlib
 import json
+from dataclasses import replace
 
 from actlab.data import make_domain_pair, sample_support
 from actlab.models import params_fingerprint, trainable_params
@@ -52,16 +55,18 @@ def runs():
     for tag, overrides in VARIANTS.items():
         yield (f"moons/seed2/{tag}", MOONS, MOONS_MODEL, 2, 2,
                reference_adapt_config(total_iterations=200, **overrides))
+    yield ("blobs/seed2/hidden_32x32", BLOBS, replace(BLOBS_MODEL, hidden_dims=(32, 32)),
+           4, 2, reference_adapt_config(total_iterations=200))
 
 
 def main():
     pretrained = {}
     for label, domain, model, n_way, seed, cfg in runs():
-        if domain not in pretrained:
+        if (domain, model) not in pretrained:
             source, target = make_domain_pair(domain)
             bundle, _ = pretrain_source(source, model, PRETRAIN)
-            pretrained[domain] = (bundle, target)
-        bundle, target = pretrained[domain]
+            pretrained[domain, model] = (bundle, target)
+        bundle, target = pretrained[domain, model]
         split = sample_support(target, n_way, 5, seed=seed)
         adapted, report = adapt(bundle, split, reference_policy(), cfg)
         print(f"{label} pretrained={fingerprint(bundle)} adapted={fingerprint(adapted)} "

@@ -136,3 +136,27 @@ def tape_step2_objective(logits1, logits2, labels, source_probs1, source_probs2,
     total = (_tape_weighted_base(parts, weights)
              + scalar_mul(sign * weights.lambda_cdd, parts["cdd"]))
     return total, {name: t.item() for name, t in parts.items()}
+
+
+# -- composed-tape reference for the fused layer-stack nodes --------------------
+# actlab.models runs each forward piece as one tape node over its layer stack.
+# These build the same pieces from Tensor.matmul / add_bias / relu, one tape
+# node per op; the fused nodes must match them bit for bit.
+
+
+def tape_layer_stack(x, layers):
+    out = x
+    last = len(layers) - 1
+    for i, (w, b) in enumerate(layers):
+        out = out.matmul(w).add_bias(b)
+        if i < last:
+            out = out.relu()
+    return out
+
+
+def tape_forward_features(bundle, x):
+    return tape_layer_stack(x, bundle.extractor)
+
+
+def tape_forward_head(bundle, feats, branch):
+    return tape_layer_stack(feats, bundle.head1 if branch == 1 else bundle.head2)

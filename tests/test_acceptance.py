@@ -17,8 +17,8 @@ import oracles
 from actlab.data import (AugmentPolicy, DomainSpec, ShiftSpec, StrongTier,
                          WeakTier, make_domain_pair, sample_support)
 from actlab.errors import ContractViolation
-from actlab.losses import (LossWeights, SmoothingParams, cdd_batch, cdd_pair,
-                           cond_entropy, lsce, rce, step1_objective,
+from actlab.losses import (LossWeights, SmoothingParams, batch_targets, cdd_batch,
+                           cdd_pair, cond_entropy, lsce, rce, step1_objective,
                            step2_objective)
 from actlab.models import MlpSpec
 from actlab.optim import (AdamConfig, AdamState, SamConfig, SamState,
@@ -163,15 +163,15 @@ def test_01_gradient_suite_matches_finite_differences():
         q1 = oracles.softmax_np(rng.uniform(-3, 3, size=(n, k)))
         q2 = oracles.softmax_np(rng.uniform(-3, 3, size=(n, k)))
         sign = "as_printed" if trial % 2 == 0 else "flipped"
+        targets = batch_targets(labels, q1, q2, sm)
 
         check(lambda z: lsce(z, labels, 0.1), [l1], f"lsce[{trial}]")
         check(lambda z: cond_entropy(z, 1e-5), [l1], f"entropy[{trial}]")
         check(lambda z: rce(z, q1, 1e-5), [l1], f"rce[{trial}]")
         check(lambda a, b: cdd_batch(a, b), [l1, l2], f"cdd[{trial}]")
-        check(lambda a, b: step1_objective(a, b, labels, q1, q2, w, sm)[0],
+        check(lambda a, b: step1_objective(a, b, targets, w)[0],
               [l1, l2], f"step1[{trial}]")
-        check(lambda a, b: step2_objective(a, b, labels, q1, q2, w, sm,
-                                           sign)[0],
+        check(lambda a, b: step2_objective(a, b, targets, w, sign)[0],
               [l1, l2], f"step2[{trial}]")
 
     elapsed = time.perf_counter() - t0

@@ -230,6 +230,23 @@ class TestErrorPaths:
         assert "adapt: seed must be >= 0" in capsys.readouterr().err
         assert sorted((p.name, p.read_bytes()) for p in run_dir.iterdir()) == before
 
+    def test_impossible_support_draw_creates_no_run_dir(self, tmp_path, capsys):
+        out = tmp_path / "runs"
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps(config_doc(out, k_shot=50)))
+        assert main(["adapt", "--config", str(cfg_path)]) == 1
+        assert "cannot draw K=50" in capsys.readouterr().err
+        assert not (out / "t1").exists()
+
+    def test_mismatched_source_checkpoint_writes_nothing(self, workspace, capsys):
+        cfg_path, run_dir = workspace
+        run_dir.mkdir(parents=True)
+        other = MlpSpec(input_dim=2, hidden_dims=(5,), feature_dim=4, num_classes=3)
+        save_checkpoint(build(other), run_dir / "source.ckpt")
+        assert main(["adapt", "--config", str(cfg_path)]) == 1
+        assert "does not match expected spec" in capsys.readouterr().err
+        assert [p.name for p in run_dir.iterdir()] == ["source.ckpt"]
+
     @pytest.mark.parametrize("option", ["--data-seeds", "--model-seeds"])
     def test_negative_sweep_seed_is_a_usage_error(self, workspace, capsys, option):
         cfg_path, run_dir = workspace

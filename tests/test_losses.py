@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from actlab.errors import ContractViolation
-from actlab.losses import (LossWeights, SmoothingParams, cdd_batch, cdd_pair,
-                           cond_entropy, lsce, rce, step1_objective,
+from actlab.losses import (LossWeights, SmoothingParams, batch_targets, cdd_batch,
+                           cdd_pair, cond_entropy, lsce, rce, step1_objective,
                            step2_objective)
 from actlab.tensor import Tensor, backward, scalar_mul
 
@@ -203,9 +203,10 @@ class TestGradients:
         self._fd_check(lambda z: cond_entropy(z, 1e-5), [logits1], "entropy")
         self._fd_check(lambda z: rce(z, q1, 1e-5), [logits1], "rce")
         self._fd_check(lambda a, b: cdd_batch(a, b), [logits1, logits2], "cdd")
-        self._fd_check(lambda a, b: step1_objective(a, b, labels, q1, q2, w, sm)[0],
+        targets = batch_targets(labels, q1, q2, sm)
+        self._fd_check(lambda a, b: step1_objective(a, b, targets, w)[0],
                        [logits1, logits2], "step1")
-        self._fd_check(lambda a, b: step2_objective(a, b, labels, q1, q2, w, sm)[0],
+        self._fd_check(lambda a, b: step2_objective(a, b, targets, w)[0],
                        [logits1, logits2], "step2")
 
 
@@ -219,34 +220,29 @@ class TestStepObjectives:
         self.q1 = oracles.softmax_np(rng.uniform(-3, 3, size=(self.n, self.k)))
         self.q2 = oracles.softmax_np(rng.uniform(-3, 3, size=(self.n, self.k)))
         self.sm = SmoothingParams(0.1, 1e-5)
+        self.targets = batch_targets(self.labels, self.q1, self.q2, self.sm)
 
     def test_step1_composition(self):
         w = LossWeights(0.7, 0.2, 0.4, 1.3)
-        total, comps = step1_objective(self.l1, self.l2, self.labels,
-                                       self.q1, self.q2, w, self.sm)
+        total, comps = step1_objective(self.l1, self.l2, self.targets, w)
         expect = 0.7 * comps["lsce"] + 0.2 * comps["entropy"] + 0.4 * comps["rce"]
         np.testing.assert_allclose(total.item(), expect, atol=1e-12)
 
     def test_step2_subtracts_cdd_as_printed(self):
         w = LossWeights(1.0, 0.3, 0.3, 0.8)
-        t1, comps = step1_objective(self.l1, self.l2, self.labels,
-                                    self.q1, self.q2, w, self.sm)
-        t2, _ = step2_objective(self.l1, self.l2, self.labels,
-                                self.q1, self.q2, w, self.sm, "as_printed")
+        t1, comps = step1_objective(self.l1, self.l2, self.targets, w)
+        t2, _ = step2_objective(self.l1, self.l2, self.targets, w, "as_printed")
         np.testing.assert_allclose(t2.item(), t1.item() - 0.8 * comps["cdd"], atol=1e-12)
 
     def test_step2_flipped_adds_cdd(self):
         w = LossWeights(1.0, 0.3, 0.3, 0.8)
-        t1, comps = step1_objective(self.l1, self.l2, self.labels,
-                                    self.q1, self.q2, w, self.sm)
-        t2, _ = step2_objective(self.l1, self.l2, self.labels,
-                                self.q1, self.q2, w, self.sm, "flipped")
+        t1, comps = step1_objective(self.l1, self.l2, self.targets, w)
+        t2, _ = step2_objective(self.l1, self.l2, self.targets, w, "flipped")
         np.testing.assert_allclose(t2.item(), t1.item() + 0.8 * comps["cdd"], atol=1e-12)
 
     def test_components_always_reported(self):
         w = LossWeights(0.0, 0.0, 0.0, 0.0)
-        total, comps = step1_objective(self.l1, self.l2, self.labels,
-                                       self.q1, self.q2, w, self.sm)
+        total, comps = step1_objective(self.l1, self.l2, self.targets, w)
         assert set(comps) == {"lsce", "entropy", "rce", "cdd"}
         assert all(np.isfinite(v) and v != 0.0 for v in comps.values())
         assert total.item() == 0.0
@@ -255,7 +251,7 @@ class TestStepObjectives:
         w = LossWeights(0.0, 0.0, 0.0, 0.0)
         l1 = Tensor(self.l1.data.copy(), requires_grad=True)
         l2 = Tensor(self.l2.data.copy(), requires_grad=True)
-        total, _ = step2_objective(l1, l2, self.labels, self.q1, self.q2, w, self.sm)
+        total, _ = step2_objective(l1, l2, self.targets, w)
         backward(total)
         np.testing.assert_array_equal(l1.grad, 0.0)
         np.testing.assert_array_equal(l2.grad, 0.0)
@@ -265,19 +261,18 @@ class TestStepObjectives:
         rng = np.random.default_rng(47)
         perm = rng.permutation(self.k)
         w = LossWeights()
-        a, ca = step2_objective(self.l1, self.l2, self.labels, self.q1, self.q2,
-                                w, self.sm)
+        a, ca = step2_objective(self.l1, self.l2, self.targets, w)
+        permuted = batch_targets(np.argsort(perm)[self.labels], self.q1[:, perm],
+                                 self.q2[:, perm], self.sm)
         b, cb = step2_objective(Tensor(self.l1.data[:, perm]), Tensor(self.l2.data[:, perm]),
-                                np.argsort(perm)[self.labels],
-                                self.q1[:, perm], self.q2[:, perm], w, self.sm)
+                                permuted, w)
         np.testing.assert_allclose(a.item(), b.item(), atol=1e-12)
         for key in ca:
             np.testing.assert_allclose(ca[key], cb[key], atol=1e-12)
 
     def test_bad_cdd_sign(self):
         with pytest.raises(ContractViolation):
-            step2_objective(self.l1, self.l2, self.labels, self.q1, self.q2,
-                            LossWeights(), self.sm, "upside_down")
+            step2_objective(self.l1, self.l2, self.targets, LossWeights(), "upside_down")
 
     def test_negative_weight_rejected(self):
         with pytest.raises(ContractViolation):
@@ -288,6 +283,37 @@ class TestStepObjectives:
             SmoothingParams(alpha_smooth=1.0)
         with pytest.raises(ContractViolation):
             SmoothingParams(eps_log=0.0)
+
+
+class TestBatchTargets:
+    def setup_method(self):
+        self.q = oracles.softmax_np(np.random.default_rng(61).normal(size=(4, 3)))
+        self.labels = np.array([0, 2, 1, 2])
+        self.sm = SmoothingParams(0.1, 1e-5)
+
+    def test_holds_the_smoothed_labels_and_log_source(self):
+        t = batch_targets(self.labels, self.q, self.q[::-1], self.sm)
+        np.testing.assert_array_equal(t.smoothed.argmax(axis=1), self.labels)
+        np.testing.assert_allclose(t.smoothed.sum(axis=1), 1.0, atol=1e-15)
+        np.testing.assert_array_equal(t.log_q2, np.log(self.q[::-1] + 1e-5))
+
+    @pytest.mark.parametrize("labels, match", [([0, 1, 3, 0], "outside"),
+                                               ([0, 1, 2], "labels must be")])
+    def test_rejects_bad_labels(self, labels, match):
+        with pytest.raises(ContractViolation, match=match):
+            batch_targets(np.array(labels), self.q, self.q, self.sm)
+
+    def test_names_the_bad_source_array(self):
+        with pytest.raises(ContractViolation, match="source_probs2: row 0 sums"):
+            batch_targets(self.labels, self.q, self.q * 2.0, self.sm)
+        with pytest.raises(ContractViolation, match="source_probs2: shape"):
+            batch_targets(self.labels, self.q, self.q[:3], self.sm)
+
+    def test_objective_rejects_targets_of_another_batch(self):
+        t = batch_targets(self.labels, self.q, self.q, self.sm)
+        logits = Tensor(np.zeros((5, 3)))
+        with pytest.raises(ContractViolation, match="batch targets shape"):
+            step1_objective(logits, logits, t, LossWeights())
 
 
 class TestErrorPaths:
@@ -303,8 +329,8 @@ class TestErrorPaths:
     def test_step_objectives_reject_an_underflowed_probability(self, objective):
         q = np.array([[0.5, 0.5]])
         with pytest.raises(ContractViolation, match="not positive"):
-            objective(Tensor(self.UNDERFLOW), Tensor([[0.0, 0.0]]), np.array([1]), q, q,
-                      LossWeights(), SmoothingParams())
+            objective(Tensor(self.UNDERFLOW), Tensor([[0.0, 0.0]]),
+                      batch_targets(np.array([1]), q, q, SmoothingParams()), LossWeights())
 
     def test_cond_entropy_rejects_a_negative_eps(self):
         with pytest.raises(ContractViolation, match="nonnegative"):
@@ -366,11 +392,12 @@ class TestBitwiseAgainstTape:
         self._same(lambda z: rce(z, q1, eps),
                    lambda z: oracles.tape_rce(z, q1, eps), [l1], up)
         self._same(cdd_batch, oracles.tape_cdd_batch, [l1, l2], up)
-        self._same(lambda x, y: step1_objective(x, y, labels, q1, q2, w, sm),
+        targets = batch_targets(labels, q1, q2, sm)
+        self._same(lambda x, y: step1_objective(x, y, targets, w),
                    lambda x, y: oracles.tape_step1_objective(x, y, labels, q1, q2, w, sm),
                    [l1, l2], up)
         for sign in ("as_printed", "flipped"):
-            self._same(lambda x, y: step2_objective(x, y, labels, q1, q2, w, sm, sign),
+            self._same(lambda x, y: step2_objective(x, y, targets, w, sign),
                        lambda x, y: oracles.tape_step2_objective(x, y, labels, q1, q2,
                                                                  w, sm, sign),
                        [l1, l2], up)

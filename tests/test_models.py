@@ -2,12 +2,17 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from actlab.errors import ContractViolation, ParseError
-from actlab.models import (MlpSpec, build, clone_for_adaptation, forward_features,
-                           forward_head, forward_target, load_checkpoint,
-                           params_fingerprint, save_checkpoint, trainable_params)
-from actlab.tensor import Tensor
+from actlab.models import (MlpSpec, build, bundle_from_params, clone_for_adaptation,
+                           forward_features, forward_head, forward_target,
+                           load_checkpoint, params_fingerprint, save_checkpoint,
+                           trainable_params)
+from actlab.tensor import Tensor, backward
+
+import oracles
 
 
 def small_spec(seed=7):
@@ -144,6 +149,40 @@ class TestCheckpoint:
         with pytest.raises(ParseError, match="head1.weight"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_parameter_is_refused_before_any_write(self, tmp_path, value):
+        bundle = build(small_spec())
+        bundle.extractor[1][1].data = np.where(np.arange(8) == 3, value, 0.0)
+        path = tmp_path / "m.ckpt"
+        with pytest.raises(ContractViolation, match="extractor.1.bias"):
+            save_checkpoint(bundle, path)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_refused_save_keeps_the_existing_file(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(build(small_spec()), path)
+        before = path.read_bytes()
+        bad = build(small_spec(seed=8))
+        bad.head2[0][0].data = bad.head2[0][0].data * np.nan
+        with pytest.raises(ContractViolation, match="head2.weight"):
+            save_checkpoint(bad, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
+
+    def test_save_replaces_through_a_temporary_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(build(small_spec()), path)
+        before = path.read_bytes()
+
+        def crash(*args, **kwargs):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(json, "dump", crash)  # dies halfway through the write
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(build(small_spec(seed=8)), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
+
     def test_bad_shape_is_parse_error(self, tmp_path):
         path = tmp_path / "m.ckpt"
         save_checkpoint(build(small_spec()), path)
@@ -171,3 +210,93 @@ class TestClone:
         clone.extractor[0][0].data = clone.extractor[0][0].data + 5.0
         assert not np.array_equal(clone.extractor[0][0].data,
                                   bundle.extractor[0][0].data)
+
+
+# -- the fused layer-stack node against the composed tape --------------------------
+
+# how the two heads see the extractor: two views through one shared extractor
+# (adaptation step 1), one feature tensor read by both heads (pretraining), or
+# features detached into constants (adaptation step 2)
+WIRINGS = ("two_views", "shared_features", "constant_features")
+
+
+@st.composite
+def stack_cases(draw):
+    """A random MLP with 0-3 hidden layers, its parameters, inputs and a readout."""
+    spec = MlpSpec(input_dim=draw(st.integers(1, 6)),
+                   hidden_dims=tuple(draw(st.lists(st.integers(1, 12), max_size=3))),
+                   feature_dim=draw(st.integers(1, 8)),
+                   num_classes=draw(st.integers(2, 5)))
+    n = draw(st.integers(1, 64))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    params = {name: rng.normal(size=t.shape)
+              for name, t in build(spec).named_params()}
+    k = spec.num_classes
+    return {
+        "spec": spec, "params": params,
+        "x1": rng.normal(size=(n, spec.input_dim)), "x2": rng.normal(size=(n, spec.input_dim)),
+        "c1": rng.normal(size=(n, k)), "c2": rng.normal(size=(n, k)),
+        "input_grad": draw(st.booleans()), "wiring": draw(st.sampled_from(WIRINGS)),
+    }
+
+
+def run_stack(case, features, head):
+    """Logits, then the gradient of every parameter and input, after one backward."""
+    bundle = bundle_from_params(case["spec"], case["params"])
+    x1 = Tensor(case["x1"].copy(), requires_grad=case["input_grad"])
+    x2 = Tensor(case["x2"].copy(), requires_grad=case["input_grad"])
+    if case["wiring"] == "two_views":
+        l1 = head(bundle, features(bundle, x1), 1)
+        l2 = head(bundle, features(bundle, x2), 2)
+    else:
+        feats = features(bundle, x1)
+        if case["wiring"] == "constant_features":
+            feats = Tensor(feats.data)
+        l1, l2 = head(bundle, feats, 1), head(bundle, feats, 2)
+    backward((l1 * Tensor(case["c1"])).sum() + (l2 * Tensor(case["c2"])).sum())
+    return [l1.data, l2.data] + [t.grad for _, t in bundle.named_params()] + [x1.grad, x2.grad]
+
+
+class TestFusedLayerStack:
+    @settings(max_examples=200, deadline=None)
+    @given(stack_cases())
+    def test_matches_the_composed_tape_bit_for_bit(self, case):
+        fused = run_stack(case, forward_features, forward_head)
+        composed = run_stack(case, oracles.tape_forward_features, oracles.tape_forward_head)
+        for got, want in zip(fused, composed):
+            if want is None:
+                assert got is None
+            else:
+                assert np.array_equal(got, want)
+
+    def test_input_gradient_only_when_asked(self):
+        bundle = build(small_spec())
+        x = Tensor(np.ones((3, 2)))
+        feats = forward_features(bundle, x)
+        assert all(p is not x for p in feats._parents)
+        backward(forward_head(bundle, feats, 1).sum())
+        assert x.grad is None
+
+    def test_gradients_match_finite_differences(self):
+        spec = MlpSpec(input_dim=3, hidden_dims=(5, 4), feature_dim=4, num_classes=3)
+        rng = np.random.default_rng(59)
+        names = [name for name, _ in build(spec).named_params()]
+        arrays = [rng.normal(size=t.shape) for _, t in build(spec).named_params()]
+        arrays += [rng.normal(size=(6, 3)), rng.normal(size=(6, 3))]
+        c1, c2 = rng.normal(size=(6, 3)), rng.normal(size=(6, 3))
+
+        def loss(*arrs, requires_grad=False):
+            bundle = bundle_from_params(spec, dict(zip(names, arrs[:-2])))
+            for _, t in bundle.named_params():
+                t.requires_grad = requires_grad
+            x1, x2 = (Tensor(a, requires_grad=requires_grad) for a in arrs[-2:])
+            l1 = forward_head(bundle, forward_features(bundle, x1), 1)
+            l2 = forward_head(bundle, forward_features(bundle, x2), 2)
+            return bundle, (x1, x2), (l1 * Tensor(c1)).sum() + (l2 * Tensor(c2)).sum()
+
+        bundle, xs, total = loss(*[a.copy() for a in arrays], requires_grad=True)
+        backward(total)
+        analytic = [t.grad for _, t in bundle.named_params()] + [x.grad for x in xs]
+        numeric = oracles.fd_grad(lambda *arrs: loss(*arrs)[2].item(),
+                                  [a.copy() for a in arrays])
+        assert oracles.max_rel_err(analytic, numeric) < 1e-4

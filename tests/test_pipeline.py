@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from actlab import pipeline
 from actlab.data import (AugmentPolicy, DomainSpec, LabeledSet, ShiftSpec,
                          make_domain_pair, sample_support)
 from actlab.errors import ContractViolation, DivergenceError
@@ -313,6 +314,24 @@ class TestSeedSweep:
                    for c in report.cells)
         assert report.mean_adapted is None
         assert report.spread_adapted is None
+
+    def test_divergence_is_recorded_as_a_failed_cell(self, monkeypatch):
+        def diverge(*args, **kwargs):
+            raise DivergenceError("loss went non-finite", iteration=0)
+
+        monkeypatch.setattr(pipeline, "adapt", diverge)
+        report = self.sweep()
+        assert all(c.status == "error: DivergenceError: loss went non-finite"
+                   for c in report.cells)
+        assert report.mean_adapted is None
+
+    def test_programming_error_propagates(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("adapt() got an unexpected keyword argument")
+
+        monkeypatch.setattr(pipeline, "adapt", broken)
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            self.sweep()
 
     def test_parallel_matches_serial(self):
         serial = self.sweep(jobs=1)
