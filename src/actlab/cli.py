@@ -21,6 +21,7 @@ from pathlib import Path
 from .config import (ExperimentConfig, config_hash, config_to_dict, load_config)
 from .data import load_labeled_set, make_domain_pair, sample_support, save_labeled_set
 from .errors import ContractViolation, DivergenceError, ParseError
+from .fileio import atomic_write
 from .models import load_checkpoint, save_checkpoint
 from .pipeline import adapt as run_adapt
 from .pipeline import StepRecord, evaluate, pretrain_source, seed_sweep
@@ -60,6 +61,16 @@ def _seed_list(text):
     return seeds
 
 
+def _positive_int(text):
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _effective_config(args) -> ExperimentConfig:
     cfg = load_config(args.config)
     if args.out is not None:
@@ -90,11 +101,16 @@ def _run_dir(cfg) -> Path:
     return Path(cfg.output_dir) / cfg.run_id
 
 
+def _write_text(path, text):
+    with atomic_write(path) as f:
+        f.write(text)
+
+
 def _write_pretrain_outputs(run_dir, cfg, bundle, history):
     save_checkpoint(bundle, run_dir / "source.ckpt")
     lines = [f"epoch={h['epoch']} mean_loss={h['mean_loss']:.6f} "
              f"train_acc={h['train_accuracy']:.4f}" for h in history]
-    (run_dir / "pretrain.log").write_text("".join(line + "\n" for line in lines))
+    _write_text(run_dir / "pretrain.log", "".join(line + "\n" for line in lines))
 
 
 def cmd_pretrain(args) -> int:
@@ -109,7 +125,7 @@ def cmd_pretrain(args) -> int:
     source, _ = make_domain_pair(cfg.domain)
     bundle, history = pretrain_source(source, cfg.model, cfg.pretrain)
     run_dir.mkdir(parents=True, exist_ok=True)
-    (run_dir / "config.json").write_text(cfg_text)
+    _write_text(run_dir / "config.json", cfg_text)
     _write_pretrain_outputs(run_dir, cfg, bundle, history)
     acc = history[-1]["train_accuracy"] if history else float("nan")
     print(f"pretrain: epochs={cfg.pretrain.epochs} train_acc={acc:.4f} "
@@ -118,7 +134,7 @@ def cmd_pretrain(args) -> int:
 
 
 def _write_trace_csv(path, trace):
-    with open(path, "w", newline="") as f:
+    with atomic_write(path, newline="") as f:
         w = csv.writer(f)
         w.writerow(TRACE_COLUMNS)
         for r in trace:
@@ -147,7 +163,7 @@ def cmd_adapt(args) -> int:
     if not will_pretrain:
         bundle = load_checkpoint(source_ckpt, expect_spec=cfg.model)
     run_dir.mkdir(parents=True, exist_ok=True)
-    (run_dir / "config.json").write_text(cfg_text)
+    _write_text(run_dir / "config.json", cfg_text)
     if will_pretrain:
         bundle, history = pretrain_source(source, cfg.model, cfg.pretrain)
         _write_pretrain_outputs(run_dir, cfg, bundle, history)
@@ -165,7 +181,7 @@ def cmd_adapt(args) -> int:
                          "pretrain_seed": cfg.pretrain.seed})
     doc = report.to_dict()
     doc["config"] = config_to_dict(cfg)
-    (run_dir / "report.json").write_text(json.dumps(doc, indent=1) + "\n")
+    _write_text(run_dir / "report.json", json.dumps(doc, indent=1) + "\n")
 
     print(f"no_adapt={report.no_adapt_accuracy:.4f} adapted={report.accuracy:.4f}")
     return 0
@@ -205,8 +221,8 @@ def cmd_sweep(args) -> int:
                         cfg.n_way, cfg.k_shot, args.data_seeds, args.model_seeds,
                         jobs=args.jobs)
     run_dir.mkdir(parents=True, exist_ok=True)
-    (run_dir / "config.json").write_text(cfg_text)
-    with open(run_dir / "sweep.csv", "w", newline="") as f:
+    _write_text(run_dir / "config.json", cfg_text)
+    with atomic_write(run_dir / "sweep.csv", newline="") as f:
         w = csv.writer(f)
         w.writerow(SWEEP_COLUMNS)
         for c in report.cells:
@@ -271,7 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated support-draw seeds")
     p.add_argument("--model-seeds", type=_seed_list, required=True,
                    help="comma-separated init/pretrain seeds")
-    p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
+    p.add_argument("--jobs", type=_positive_int, default=1,
+                   help="parallel worker processes (>= 1)")
     p.set_defaults(func=cmd_sweep)
 
     return parser

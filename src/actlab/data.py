@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractViolation, ParseError
+from .fileio import atomic_write
 
 GENERATORS = ("gaussian_blobs", "two_moons")
 
@@ -307,7 +308,7 @@ def batches(labeled_set: LabeledSet, batch_size: int, shuffle_seed: int, epoch: 
 def save_labeled_set(ls: LabeledSet, path):
     if "," in ls.name or "\n" in ls.name:
         raise ContractViolation(f"set name {ls.name!r} cannot contain ',' or newlines")
-    with open(path, "w") as f:
+    with atomic_write(path) as f:
         f.write(f"{ls.xs.shape[1]},{ls.num_classes},{ls.name}\n")
         for row, y in zip(ls.xs, ls.ys):
             f.write(",".join("%.17g" % v for v in row) + f",{int(y)}\n")

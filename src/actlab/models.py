@@ -4,7 +4,9 @@ A bundle is one network: a feature extractor shared by two classifier heads.
 Adaptation trains a clone and reads the caller's untouched bundle as the
 frozen source model whose predictions anchor the losses. The forward pass
 comes in two pieces, features then one head, so a caller that holds the
-extractor fixed can compute its features once. Checkpoints are JSON with
+extractor fixed can compute its features once. ``plain_features`` and
+``plain_head`` run the same numpy loop on plain arrays and record no tape
+node, for the passes nothing differentiates. Checkpoints are JSON with
 decimal parameter text, which round-trips float64 exactly; they are written
 through a temporary file and renamed into place, so a crash never leaves a
 truncated one.
@@ -27,13 +29,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .errors import ContractViolation, ParseError
+from .fileio import atomic_write
 from .tensor import Tensor, _result
 
 CHECKPOINT_FORMAT_VERSION = 1
@@ -171,20 +172,31 @@ def _check_rows(x, dim, who):
     return x
 
 
-def _layer_stack(x, layers):
-    """One tape node: affine layers with a ReLU between consecutive ones."""
-    params, inputs, masks = [], [], []
-    out = x.data
+def _stack_forward(a, layers):
+    """Affine layers with a ReLU between consecutive ones, on plain arrays.
+
+    Returns the output, each layer's input and each ReLU's mask.
+    """
+    inputs, masks = [], []
     last = len(layers) - 1
     for i, (w, b) in enumerate(layers):
-        params += (w, b)
-        inputs.append(out)
-        out = out @ w.data
-        out = out + b.data[None, :]
+        inputs.append(a)
+        a = a @ w.data
+        a = a + b.data[None, :]
         if i < last:
-            mask = out > 0.0  # subgradient at exactly 0 is 0
+            mask = a > 0.0  # subgradient at exactly 0 is 0
             masks.append(mask)
-            out = np.where(mask, out, 0.0)
+            a = np.where(mask, a, 0.0)
+    return a, inputs, masks
+
+
+def _layer_stack(x, layers):
+    """One tape node over `_stack_forward`."""
+    out, inputs, masks = _stack_forward(x.data, layers)
+    params = []
+    for w, b in layers:
+        params += (w, b)
+    last = len(layers) - 1
     input_grad = x.requires_grad
     if input_grad:
         params.append(x)
@@ -222,6 +234,24 @@ def forward_target(bundle, x):
     return forward_head(bundle, feats, 1), forward_head(bundle, feats, 2)
 
 
+def plain_features(bundle, x):
+    """`forward_features` as a plain array, recording no tape node.
+
+    For the passes nothing differentiates (a frozen model, constant features,
+    evaluation). The arithmetic, and so every bit, is `forward_features`'.
+    """
+    x = _check_rows(x, bundle.spec.input_dim, "input")
+    return _stack_forward(x.data, bundle.extractor)[0]
+
+
+def plain_head(bundle, feats, branch):
+    """`forward_head` as a plain array, recording no tape node."""
+    if branch not in (1, 2):
+        raise ContractViolation(f"branch must be 1 or 2, got {branch!r}")
+    feats = _check_rows(feats, bundle.spec.feature_dim, "features")
+    return _stack_forward(feats.data, bundle.head1 if branch == 1 else bundle.head2)[0]
+
+
 # -- parameter access -----------------------------------------------------------
 
 
@@ -251,7 +281,7 @@ def params_fingerprint(tensors):
 
 
 def save_checkpoint(bundle: ModelBundle, path):
-    """Write `bundle` to `path` atomically: a temporary file, then a rename.
+    """Write `bundle` to `path` atomically (`fileio.atomic_write`).
 
     Refuses a NaN or infinite parameter before touching the filesystem, since
     ``load_checkpoint`` would refuse the file.
@@ -266,15 +296,9 @@ def save_checkpoint(bundle: ModelBundle, path):
         "params": {name: {"shape": list(t.data.shape), "data": t.data.reshape(-1).tolist()}
                    for name, t in named},
     }
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "w") as f:
-            json.dump(doc, f, indent=1, sort_keys=True)
-            f.write("\n")
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
+    with atomic_write(path) as f:
+        json.dump(doc, f, indent=1, sort_keys=True)
+        f.write("\n")
 
 
 def load_checkpoint(path, expect_spec: MlpSpec | None = None) -> ModelBundle:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -26,9 +26,10 @@ from .data import (AugmentPolicy, LabeledSet, SupportSplit, augment_batch,
 from .errors import ContractViolation, DivergenceError
 from .losses import (LossWeights, SmoothingParams, batch_targets, lsce,
                      step1_objective, step2_objective)
-from .models import (MlpSpec, ModelBundle, build, clone_for_adaptation,
-                     forward_features, forward_head, forward_target,
-                     params_fingerprint, trainable_params)
+from .models import (MlpSpec, ModelBundle, build, bundle_from_params,
+                     clone_for_adaptation, forward_features, forward_head,
+                     forward_target, params_fingerprint, plain_features, plain_head,
+                     trainable_params)
 from .optim import (SamConfig, SamState, SgdConfig, SgdState, lr_at, sam_step,
                     sgd_step)
 from .tensor import Tensor, _softmax, backward, zero_grad
@@ -185,11 +186,10 @@ def evaluate(bundle: ModelBundle, test: LabeledSet, eval_head: str = "c_t1") -> 
     if test.num_classes != bundle.spec.num_classes:
         raise ContractViolation(f"test set has {test.num_classes} classes, "
                                 f"model expects {bundle.spec.num_classes}")
-    l1, l2 = forward_target(bundle, Tensor(test.xs))
-    if eval_head == "c_t1":
-        probs = _softmax(l1.data)
-    else:
-        probs = 0.5 * (_softmax(l1.data) + _softmax(l2.data))
+    feats = plain_features(bundle, test.xs)
+    probs = _softmax(plain_head(bundle, feats, 1))
+    if eval_head == "mean_of_heads":
+        probs = 0.5 * (probs + _softmax(plain_head(bundle, feats, 2)))
     preds = np.argmax(probs, axis=1)
     k = test.num_classes
     confusion = np.zeros((k, k), dtype=np.int64)
@@ -306,8 +306,8 @@ def adapt(source_model: ModelBundle, split: SupportSplit, policy: AugmentPolicy,
     aug_rng = rng_stream(cfg.seed, "augment")
 
     def source_probs(view, branch):
-        logits = forward_head(source_model, forward_features(source_model, view), branch)
-        return _softmax(logits.data)
+        feats = plain_features(source_model, view)
+        return _softmax(plain_head(source_model, feats, branch))
 
     trace = []
     # optimizer steps rebind p.data and never write into it, so references suffice
@@ -337,8 +337,8 @@ def adapt(source_model: ModelBundle, split: SupportSplit, policy: AugmentPolicy,
 
             if step_kind == "2":
                 # step 2 moves only the heads: its features are constants
-                feats1 = Tensor(forward_features(bundle, view1).data)
-                feats2 = Tensor(forward_features(bundle, view2).data)
+                feats1 = Tensor(plain_features(bundle, view1))
+                feats2 = Tensor(plain_features(bundle, view2))
             evals = []  # SAM calls the closure twice; the trace logs the first, unperturbed one
 
             def closure():
@@ -433,9 +433,14 @@ class SweepReport:
                 "variance_adapted": self.variance_adapted}
 
 
+def _pretrain_params(source, spec, cfg):
+    """Pretrain one model seed; its named parameter arrays."""
+    bundle, _ = pretrain_source(source, spec, cfg)
+    return {name: t.data for name, t in bundle.named_params()}
+
+
 def _run_cell(spec, source_params, target, n_way, k_shot, data_seed, model_seed,
               policy, adapt_cfg):
-    from .models import bundle_from_params
     try:
         pretrained = bundle_from_params(spec, source_params)
         split = sample_support(target, n_way, k_shot, seed=data_seed)
@@ -449,38 +454,50 @@ def _run_cell(spec, source_params, target, n_way, k_shot, data_seed, model_seed,
                          None, None, None, None)
 
 
-def _pool_cell(payload):
-    return _run_cell(*payload)
-
-
 def seed_sweep(domain, spec, pretrain_cfg, adapt_cfg, policy, n_way, k_shot,
                data_seeds, model_seeds, jobs: int = 1) -> SweepReport:
     """Cross-product of data seeds (support draw) and model seeds (init + pretrain).
 
-    Pretraining happens once per model seed; cells may run in parallel. A cell
-    that fails with a ContractViolation or a DivergenceError is recorded with
-    its error and skipped by the aggregates; any other exception propagates. Spread
-    and variance are computed across data seeds after averaging over model
-    seeds within each data seed.
+    Pretraining happens once per model seed. With ``jobs > 1`` one process
+    pool does all the work: each model seed's pretraining is a task, and its
+    cells are submitted as soon as it finishes, so cells of one seed run while
+    another still pretrains. Every task is deterministic and independent, so
+    the report is the same for every ``jobs``. A cell that fails with a
+    ContractViolation or a DivergenceError is recorded with its error and
+    skipped by the aggregates; any other exception in a cell, and any
+    exception in pretraining, propagates, and queued tasks are cancelled.
+    Spread and variance are computed across data seeds after averaging over
+    model seeds within each data seed.
     """
     if not data_seeds or not model_seeds:
         raise ContractViolation("need at least one data seed and one model seed")
+    if jobs < 1:
+        raise ContractViolation(f"jobs must be >= 1, got {jobs}")
     source, target = make_domain_pair(domain)
-    source_params = {}
-    for ms in model_seeds:
-        pre_bundle, _ = pretrain_source(source, replace(spec, init_seed=ms),
-                                        replace(pretrain_cfg, seed=ms))
-        source_params[ms] = {name: t.data.copy()
-                             for name, t in pre_bundle.named_params("target")}
 
-    payloads = [(replace(spec, init_seed=ms), source_params[ms], target, n_way,
-                 k_shot, ds, ms, policy, adapt_cfg)
-                for ds in data_seeds for ms in model_seeds]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            cells = list(pool.map(_pool_cell, payloads))
+    def pretrain_args(ms):
+        return source, replace(spec, init_seed=ms), replace(pretrain_cfg, seed=ms)
+
+    def cell_args(ms, params):
+        return [(replace(spec, init_seed=ms), params, target, n_way, k_shot, ds, ms,
+                 policy, adapt_cfg) for ds in data_seeds]
+
+    if jobs == 1:
+        cells = [_run_cell(*args) for ms in model_seeds
+                 for args in cell_args(ms, _pretrain_params(*pretrain_args(ms)))]
     else:
-        cells = [_run_cell(*p) for p in payloads]
+        pool = ProcessPoolExecutor(max_workers=jobs)
+        try:
+            pretraining = {pool.submit(_pretrain_params, *pretrain_args(ms)): ms
+                           for ms in model_seeds}
+            cell_futures = []
+            for done in as_completed(pretraining):
+                params = done.result()
+                cell_futures += [pool.submit(_run_cell, *args)
+                                 for args in cell_args(pretraining[done], params)]
+            cells = [f.result() for f in cell_futures]
+        finally:
+            pool.shutdown(cancel_futures=True)
     cells.sort(key=lambda c: (c.data_seed, c.model_seed))
 
     ok = [c for c in cells if c.status == "ok"]

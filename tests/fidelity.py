@@ -9,7 +9,11 @@ so diff the two outputs. The configurations are the ones `test_acceptance.py`
 pins: moons and blobs at data seeds 2, 3 and 4 for 800 iterations, plus six
 200-iteration variants of moons seed 2 that reach the other code paths, and
 one 200-iteration blobs run on a model with two hidden layers, so that the
-multi-layer backward of the extractor is covered too.
+multi-layer backward of the extractor is covered too. Last come two lines
+for a small moons `seed_sweep` (model seeds 7 and 8 x data seeds 2 and 3, 100
+adaptation iterations), one at ``jobs=1`` and one at ``jobs=2``: each is a
+sha256 of the sweep report's `to_dict()`, so the two lines must also match
+each other.
 
 Not collected by pytest (no ``test_`` prefix). It takes about 20 s on a
 2-vCPU machine.
@@ -22,7 +26,7 @@ from dataclasses import replace
 from actlab.data import make_domain_pair, sample_support
 from actlab.models import params_fingerprint, trainable_params
 from actlab.optim import SamConfig
-from actlab.pipeline import adapt, pretrain_source
+from actlab.pipeline import adapt, hash_of_dict, pretrain_source, seed_sweep
 
 from test_acceptance import (BLOBS, BLOBS_MODEL, DATA_SEEDS, MOONS, MOONS_MODEL,
                              PRETRAIN, reference_adapt_config, reference_policy)
@@ -71,6 +75,12 @@ def main():
         adapted, report = adapt(bundle, split, reference_policy(), cfg)
         print(f"{label} pretrained={fingerprint(bundle)} adapted={fingerprint(adapted)} "
               f"trace={trace_hash(report)}", flush=True)
+    for jobs in (1, 2):
+        report = seed_sweep(MOONS, MOONS_MODEL, PRETRAIN,
+                            reference_adapt_config(total_iterations=100),
+                            reference_policy(), 2, 5, data_seeds=[2, 3],
+                            model_seeds=[7, 8], jobs=jobs)
+        print(f"moons/sweep/jobs{jobs} report={hash_of_dict(report.to_dict())}", flush=True)
 
 
 if __name__ == "__main__":

@@ -5,6 +5,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from actlab import cli
 from actlab.cli import main
 from actlab.config import config_hash, config_to_dict, load_config
 from actlab.data import LabeledSet, load_labeled_set, save_labeled_set
@@ -257,6 +258,32 @@ class TestErrorPaths:
         assert exc.value.code == 2
         assert "seeds must be >= 0" in capsys.readouterr().err
         assert not run_dir.exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-1", "two"])
+    def test_jobs_below_one_is_a_usage_error(self, workspace, capsys, jobs):
+        cfg_path, run_dir = workspace
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--config", str(cfg_path), "--data-seeds", "1",
+                  "--model-seeds", "5", "--jobs", jobs])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+        assert not run_dir.exists()
+
+    def test_output_that_dies_midway_keeps_the_old_file(self, workspace, capsys,
+                                                        monkeypatch):
+        cfg_path, run_dir = workspace
+        assert main(["adapt", "--config", str(cfg_path)]) == 0
+        before = (run_dir / "trace.csv").read_bytes()
+        names = sorted(p.name for p in run_dir.iterdir())
+
+        def crash(value):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli, "_fmt", crash)  # trace.csv dies after its header
+        with pytest.raises(OSError, match="disk full"):
+            main(["adapt", "--config", str(cfg_path), "--force", "--split-seed", "4"])
+        assert (run_dir / "trace.csv").read_bytes() == before
+        assert sorted(p.name for p in run_dir.iterdir()) == names
 
     def test_unknown_subcommand_is_a_usage_error(self):
         with pytest.raises(SystemExit) as exc:

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from actlab.errors import ContractViolation, ParseError
 from actlab.models import (MlpSpec, build, bundle_from_params, clone_for_adaptation,
                            forward_features, forward_head, forward_target,
-                           load_checkpoint, params_fingerprint, save_checkpoint,
-                           trainable_params)
+                           load_checkpoint, params_fingerprint, plain_features,
+                           plain_head, save_checkpoint, trainable_params)
 from actlab.tensor import Tensor, backward
 
 import oracles
@@ -300,3 +300,28 @@ class TestFusedLayerStack:
         numeric = oracles.fd_grad(lambda *arrs: loss(*arrs)[2].item(),
                                   [a.copy() for a in arrays])
         assert oracles.max_rel_err(analytic, numeric) < 1e-4
+
+
+class TestPlainForward:
+    @settings(max_examples=200, deadline=None)
+    @given(stack_cases())
+    def test_matches_the_tape_path_bit_for_bit(self, case):
+        bundle = bundle_from_params(case["spec"], case["params"])
+        x = case["x1"]
+        feats = plain_features(bundle, x)
+        tape_feats = forward_features(bundle, Tensor(x))
+        assert type(feats) is np.ndarray
+        assert np.array_equal(feats, tape_feats.data)
+        for branch in (1, 2):
+            logits = plain_head(bundle, feats, branch)
+            assert type(logits) is np.ndarray
+            assert np.array_equal(logits, forward_head(bundle, tape_feats, branch).data)
+
+    def test_shapes_and_branch_checked(self):
+        bundle = build(small_spec())
+        with pytest.raises(ContractViolation, match="input must be"):
+            plain_features(bundle, np.zeros((4, 3)))
+        with pytest.raises(ContractViolation, match="features must be"):
+            plain_head(bundle, np.zeros((4, 2)), 1)
+        with pytest.raises(ContractViolation, match="branch"):
+            plain_head(bundle, np.zeros((4, 8)), 3)

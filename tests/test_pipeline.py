@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -334,11 +335,82 @@ class TestSeedSweep:
             self.sweep()
 
     def test_parallel_matches_serial(self):
-        serial = self.sweep(jobs=1)
-        parallel = self.sweep(jobs=2)
-        assert [c.adapted_accuracy for c in serial.cells] == \
-            [c.adapted_accuracy for c in parallel.cells]
-        assert serial.mean_adapted == parallel.mean_adapted
+        # jobs=3 is more workers than model seeds
+        serial = self.sweep(jobs=1).to_dict()
+        for jobs in (2, 3):
+            assert self.sweep(jobs=jobs).to_dict() == serial
+
+    # Pool workers are forked inside seed_sweep, after these monkeypatches, so
+    # the patched functions are the ones that run in the workers.
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("error", [
+        lambda: DivergenceError("pretraining diverged", iteration=3, last_loss=7.5),
+        lambda: ContractViolation("source has 2 classes"),
+    ], ids=["DivergenceError", "ContractViolation"])
+    def test_pretraining_error_propagates(self, monkeypatch, jobs, error):
+        def fail(*args, **kwargs):
+            raise error()
+
+        monkeypatch.setattr(pipeline, "pretrain_source", fail)
+        with pytest.raises(type(error()), match=str(error())) as exc:
+            self.sweep(jobs=jobs)
+        assert vars(exc.value) == vars(error())  # iteration, last_loss, ...
+
+    def test_programming_error_in_a_worker_propagates(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("adapt() got an unexpected keyword argument")
+
+        monkeypatch.setattr(pipeline, "adapt", broken)
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            self.sweep(jobs=2)
+
+    def test_divergence_in_a_worker_is_a_recorded_cell(self, monkeypatch):
+        def diverge(*args, **kwargs):
+            raise DivergenceError("loss went non-finite", iteration=0)
+
+        monkeypatch.setattr(pipeline, "adapt", diverge)
+        report = self.sweep(jobs=2)
+        assert [(c.data_seed, c.model_seed) for c in report.cells] == \
+            [(1, 5), (1, 6), (2, 5), (2, 6)]
+        assert all(c.status == "error: DivergenceError: loss went non-finite"
+                   for c in report.cells)
+
+    def test_pretraining_error_cancels_queued_cells(self, monkeypatch, tmp_path):
+        # seed 5 pretrains normally and queues 24 cells of 50 ms each on the
+        # one free worker; seed 6 fails after 0.3 s, so most cells never start
+        real_pretrain = pipeline.pretrain_source
+
+        def pretrain(source, spec, cfg):
+            if spec.init_seed == 6:
+                time.sleep(0.3)
+                raise DivergenceError("seed 6 diverged", iteration=1)
+            return real_pretrain(source, spec, cfg)
+
+        def slow_cell(pretrained, split, policy, cfg):
+            (tmp_path / f"cell-{split.seed}").touch()
+            time.sleep(0.05)
+            raise DivergenceError("stop", iteration=0)
+
+        monkeypatch.setattr(pipeline, "pretrain_source", pretrain)
+        monkeypatch.setattr(pipeline, "adapt", slow_cell)
+        with pytest.raises(DivergenceError, match="seed 6 diverged"):
+            seed_sweep(DOMAIN, SPEC, PretrainConfig(epochs=2, seed=5),
+                       small_adapt_cfg(), AugmentPolicy(), n_way=3, k_shot=5,
+                       data_seeds=list(range(24)), model_seeds=[5, 6], jobs=2)
+        started = len(list(tmp_path.iterdir()))
+        assert started < 24
+        time.sleep(0.2)  # the pool is shut down: nothing starts afterwards
+        assert len(list(tmp_path.iterdir())) == started
+
+    @pytest.mark.parametrize("jobs", [0, -4])
+    def test_jobs_below_one_rejected_before_pretraining(self, monkeypatch, jobs):
+        def pretrain(*args, **kwargs):
+            raise AssertionError("pretraining started")
+
+        monkeypatch.setattr(pipeline, "pretrain_source", pretrain)
+        with pytest.raises(ContractViolation, match=f"jobs must be >= 1, got {jobs}"):
+            self.sweep(jobs=jobs)
 
     def test_empty_seed_lists_rejected(self):
         with pytest.raises(ContractViolation):
