@@ -24,12 +24,10 @@ from .errors import ContractViolation, DivergenceError, ParseError
 from .fileio import atomic_write
 from .models import load_checkpoint, save_checkpoint
 from .pipeline import adapt as run_adapt
-from .pipeline import StepRecord, evaluate, pretrain_source, seed_sweep
+from .pipeline import StepRecord, SweepCell, evaluate, pretrain_source, seed_sweep
 
 TRACE_COLUMNS = tuple(f.name for f in fields(StepRecord))
-SWEEP_COLUMNS = ("kind", "data_seed", "model_seed", "status",
-                 "no_adapt_accuracy", "adapted_accuracy",
-                 "no_adapt_macro", "adapted_macro")
+SWEEP_COLUMNS = ("kind",) + tuple(f.name for f in fields(SweepCell))
 
 
 class _OverwriteRefused(Exception):

@@ -36,7 +36,7 @@ def rng_stream(seed: int, purpose: str, index: int | None = None):
 @dataclass(frozen=True)
 class ShiftSpec:
     rotation_deg: float = 0.0
-    translation: tuple = ()
+    translation: tuple[float, ...] = ()
     noise_sigma: float = 0.0
 
     def __post_init__(self):
@@ -50,10 +50,10 @@ class DomainSpec:
     generator: str
     dim: int
     num_classes: int
-    samples_per_class: tuple
+    samples_per_class: tuple[int, ...]
     shift: ShiftSpec = field(default_factory=ShiftSpec)
     label_space_mode: str = "closed_set"
-    target_classes: tuple | None = None
+    target_classes: tuple[int, ...] | None = None
     seed: int = 0
 
     def __post_init__(self):
@@ -233,7 +233,7 @@ class WeakTier:
 @dataclass(frozen=True)
 class StrongTier:
     jitter_sigma: float = 0.15
-    scale_range: tuple = (0.8, 1.2)
+    scale_range: tuple[float, ...] = (0.8, 1.2)
     feature_drop_prob: float = 0.1
     num_ops: int = 2
 

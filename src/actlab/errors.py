@@ -18,7 +18,12 @@ class ConfigError(ParseError):
 
     def __init__(self, path, message):
         self.path = path
+        self.message = message
         super().__init__(f"{path}: {message}" if path else message)
+
+    def __reduce__(self):
+        # the default would replay only the formatted text as the one argument
+        return type(self), (self.path, self.message)
 
 
 class DivergenceError(RuntimeError):

@@ -9,7 +9,8 @@ extractor fixed can compute its features once. ``plain_features`` and
 node, for the passes nothing differentiates. Checkpoints are JSON with
 decimal parameter text, which round-trips float64 exactly; they are written
 through a temporary file and renamed into place, so a crash never leaves a
-truncated one.
+truncated one. A checkpoint's spec block is read by ``schema.parse`` from
+``MlpSpec``'s fields, as strictly as a config's ``model`` block.
 
 Each piece is one tape node over its whole layer stack (affine layers with a
 ReLU between consecutive ones). Its forward runs ``a @ W``, ``+ b`` and
@@ -33,8 +34,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolation, ParseError
+from .errors import ConfigError, ContractViolation, ParseError
 from .fileio import atomic_write
+from .schema import parse, to_plain
 from .tensor import Tensor, _result
 
 CHECKPOINT_FORMAT_VERSION = 1
@@ -43,7 +45,7 @@ CHECKPOINT_FORMAT_VERSION = 1
 @dataclass(frozen=True)
 class MlpSpec:
     input_dim: int
-    hidden_dims: tuple
+    hidden_dims: tuple[int, ...]
     feature_dim: int
     num_classes: int
     activation: str = "relu"
@@ -66,11 +68,6 @@ class MlpSpec:
         """Layer (fan_in, fan_out) pairs: input -> hiddens -> feature."""
         sizes = (self.input_dim,) + self.hidden_dims + (self.feature_dim,)
         return list(zip(sizes[:-1], sizes[1:]))
-
-    def to_dict(self):
-        return {"input_dim": self.input_dim, "hidden_dims": list(self.hidden_dims),
-                "feature_dim": self.feature_dim, "num_classes": self.num_classes,
-                "activation": self.activation, "init_seed": self.init_seed}
 
 
 class ModelBundle:
@@ -292,7 +289,7 @@ def save_checkpoint(bundle: ModelBundle, path):
             raise ContractViolation(f"cannot save parameter {name!r}: it has a non-finite value")
     doc = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
-        "spec": bundle.spec.to_dict(),
+        "spec": to_plain(bundle.spec),
         "params": {name: {"shape": list(t.data.shape), "data": t.data.reshape(-1).tolist()}
                    for name, t in named},
     }
@@ -315,16 +312,11 @@ def load_checkpoint(path, expect_spec: MlpSpec | None = None) -> ModelBundle:
         if key not in doc:
             raise ParseError(f"{path}: missing {key!r}")
     try:
-        spec = MlpSpec(
-            input_dim=int(doc["spec"]["input_dim"]),
-            hidden_dims=tuple(doc["spec"]["hidden_dims"]),
-            feature_dim=int(doc["spec"]["feature_dim"]),
-            num_classes=int(doc["spec"]["num_classes"]),
-            activation=doc["spec"].get("activation", "relu"),
-            init_seed=int(doc["spec"]["init_seed"]),
-        )
-    except (KeyError, TypeError, ValueError) as e:
-        raise ParseError(f"{path}: bad spec block ({e})") from e
+        spec = parse(MlpSpec, doc["spec"], "spec")
+    except ConfigError as e:
+        raise ParseError(f"{path}: {e}") from e
+    if "init_seed" not in doc["spec"]:  # save_checkpoint always records the draw's seed
+        raise ParseError(f"{path}: spec.init_seed: missing required key")
     if expect_spec is not None and spec != expect_spec:
         raise ContractViolation(
             f"checkpoint spec {spec} does not match expected spec {expect_spec}")

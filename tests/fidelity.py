@@ -13,7 +13,9 @@ multi-layer backward of the extractor is covered too. Last come two lines
 for a small moons `seed_sweep` (model seeds 7 and 8 x data seeds 2 and 3, 100
 adaptation iterations), one at ``jobs=1`` and one at ``jobs=2``: each is a
 sha256 of the sweep report's `to_dict()`, so the two lines must also match
-each other.
+each other. The two final lines cover the file formats: the `config_hash` of
+the README quickstart config, loaded through `load_config`, and a sha256 of
+the bytes `save_checkpoint` writes for the pretrained moons source model.
 
 Not collected by pytest (no ``test_`` prefix). It takes about 20 s on a
 2-vCPU machine.
@@ -21,10 +23,14 @@ Not collected by pytest (no ``test_`` prefix). It takes about 20 s on a
 
 import hashlib
 import json
+import re
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
+from actlab.config import config_hash, load_config
 from actlab.data import make_domain_pair, sample_support
-from actlab.models import params_fingerprint, trainable_params
+from actlab.models import params_fingerprint, save_checkpoint, trainable_params
 from actlab.optim import SamConfig
 from actlab.pipeline import adapt, hash_of_dict, pretrain_source, seed_sweep
 
@@ -81,6 +87,15 @@ def main():
                             reference_policy(), 2, 5, data_seeds=[2, 3],
                             model_seeds=[7, 8], jobs=jobs)
         print(f"moons/sweep/jobs{jobs} report={hash_of_dict(report.to_dict())}", flush=True)
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    quickstart = re.search(r"```json\n(.*?)```", readme, re.S).group(1)
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path, ckpt_path = Path(tmp) / "config.json", Path(tmp) / "source.ckpt"
+        cfg_path.write_text(quickstart)
+        print(f"readme/quickstart config_hash={config_hash(load_config(cfg_path))}")
+        save_checkpoint(pretrained[MOONS, MOONS_MODEL][0], ckpt_path)
+        digest = hashlib.sha256(ckpt_path.read_bytes()).hexdigest()
+        print(f"moons/source.ckpt sha256={digest}", flush=True)
 
 
 if __name__ == "__main__":

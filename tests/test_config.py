@@ -1,8 +1,9 @@
 import json
 import math
+import pickle
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from actlab.config import (ExperimentConfig, config_hash, config_to_dict,
@@ -93,6 +94,15 @@ class TestParsing:
             parse_config(doc)
         assert exc.value.path == "domain.samples_per_class[1]"
 
+    def test_config_error_survives_pickling(self):
+        # a sweep worker's error reaches the caller through pickle
+        with pytest.raises(ConfigError) as exc:
+            parse_config(minimal_doc(adapt={"sam": {"rho": "big"}}))
+        again = pickle.loads(pickle.dumps(exc.value))
+        assert type(again) is ConfigError
+        assert again.path == "adapt.sam.rho"
+        assert str(again) == str(exc.value) == "adapt.sam.rho: expected a number, got 'big'"
+
     def test_semantic_violations_become_config_errors_with_path(self):
         with pytest.raises(ConfigError) as exc:
             parse_config(minimal_doc(adapt={"step_pattern": "13"}))
@@ -126,6 +136,84 @@ def _set_leaf(doc, path, value):
 
 FULL_DOC = config_to_dict(parse_config(minimal_doc()))
 NUMERIC_LEAVES = _numeric_leaves(FULL_DOC)
+
+
+# Written out by hand rather than read from the dataclasses, so that the
+# properties below check the parser against an independent list.
+REQUIRED_KEYS = {
+    "run_id", "output_dir", "n_way", "k_shot", "domain", "model",
+    "domain.generator", "domain.dim", "domain.num_classes", "domain.samples_per_class",
+    "model.input_dim", "model.hidden_dims", "model.feature_dim", "model.num_classes",
+    "pretrain.sgd.lr",
+}
+# PretrainConfig's default sgd block has weight_decay 5e-4 where SgdConfig's
+# own default is 0.0, so this key keeps the config only when its block goes too.
+PARENT_DEFAULT_KEYS = {"pretrain.sgd.weight_decay"}
+
+
+def _object_keys(doc, path=""):
+    """Dotted path of every key of every object, parents before children."""
+    keys = []
+    for k, v in doc.items():
+        sub = f"{path}.{k}" if path else k
+        keys.append(sub)
+        if isinstance(v, dict):
+            keys += _object_keys(v, sub)
+    return keys
+
+
+def _get(doc, path):
+    for k in path.split(".") if path else []:
+        doc = doc[k]
+    return doc
+
+
+def _delete(doc, path):
+    """Delete the key at `path` if its object is still there; whether it was."""
+    parent, _, key = path.rpartition(".")
+    try:
+        node = _get(doc, parent)
+    except KeyError:
+        return False
+    if key not in node:
+        return False
+    del node[key]
+    return True
+
+
+FULL_CFG = parse_config(minimal_doc())
+OPTIONAL_KEYS = [k for k in _object_keys(FULL_DOC)
+                 if k not in REQUIRED_KEYS | PARENT_DEFAULT_KEYS]
+OBJECT_NODES = [""] + [k for k in _object_keys(FULL_DOC) if isinstance(_get(FULL_DOC, k), dict)]
+
+
+class TestDocumentProperties:
+    @settings(max_examples=80, deadline=None)
+    @given(dropped=st.sets(st.sampled_from(OPTIONAL_KEYS)),
+           required=st.none() | st.sampled_from(sorted(REQUIRED_KEYS)))
+    def test_optional_keys_take_their_defaults(self, dropped, required):
+        doc = json.loads(json.dumps(FULL_DOC))
+        for path in dropped:
+            _delete(doc, path)
+        cfg = parse_config(doc)
+        assert cfg == FULL_CFG
+        assert parse_config(config_to_dict(cfg)) == cfg
+        if required is not None and _delete(doc, required):
+            with pytest.raises(ConfigError) as exc:
+                parse_config(doc)
+            assert exc.value.path == required
+            assert str(exc.value) == f"{required}: missing required key"
+
+    @settings(max_examples=80, deadline=None)
+    @given(node=st.sampled_from(OBJECT_NODES), key=st.text(min_size=1, max_size=8))
+    def test_unknown_key_anywhere_is_named_by_its_full_path(self, node, key):
+        doc = json.loads(json.dumps(FULL_DOC))
+        obj = _get(doc, node)
+        assume(key not in obj)
+        obj[key] = 1
+        with pytest.raises(ConfigError) as exc:
+            parse_config(doc)
+        assert exc.value.path == (f"{node}.{key}" if node else key)
 
 
 class TestNonFinite:

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -131,6 +132,39 @@ class TestCheckpoint:
         path.write_text(path.read_text()[: len(path.read_text()) // 2])
         with pytest.raises(ParseError):
             load_checkpoint(path)
+
+    @staticmethod
+    def edited_spec(tmp_path, edit):
+        """A saved 2-12-8 model, 2 classes, seed 1, whose spec block `edit` changed."""
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(build(MlpSpec(2, (12,), 8, 2, init_seed=1)), path)
+        doc = json.loads(path.read_text())
+        edit(doc["spec"])
+        path.write_text(json.dumps(doc))
+        return path
+
+    # each value would pass a cast to the saved one: the spec is parsed like a
+    # config's model block, not coerced
+    @pytest.mark.parametrize("key, value, where", [
+        ("input_dim", 2.7, "spec.input_dim"),
+        ("hidden_dims", [12.9], "spec.hidden_dims[0]"),
+        ("init_seed", True, "spec.init_seed"),
+        ("num_classes", "2", "spec.num_classes"),
+        ("init_sed", 1, "spec.init_sed"),
+    ])
+    def test_spec_block_is_parsed_strictly(self, tmp_path, key, value, where):
+        path = self.edited_spec(tmp_path, lambda spec: spec.update({key: value}))
+        with pytest.raises(ParseError, match=re.escape(where)):
+            load_checkpoint(path)
+
+    def test_spec_without_init_seed_is_parse_error(self, tmp_path):
+        path = self.edited_spec(tmp_path, lambda spec: spec.pop("init_seed"))
+        with pytest.raises(ParseError, match="init_seed"):
+            load_checkpoint(path)
+
+    def test_spec_without_activation_loads_as_relu(self, tmp_path):
+        path = self.edited_spec(tmp_path, lambda spec: spec.pop("activation"))
+        assert load_checkpoint(path).spec == MlpSpec(2, (12,), 8, 2, init_seed=1)
 
     def test_spec_mismatch_is_contract_violation(self, tmp_path):
         path = tmp_path / "m.ckpt"
