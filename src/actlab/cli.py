@@ -24,7 +24,7 @@ from .errors import ContractViolation, DivergenceError, ParseError
 from .fileio import atomic_write
 from .models import load_checkpoint, save_checkpoint
 from .pipeline import adapt as run_adapt
-from .pipeline import StepRecord, SweepCell, evaluate, pretrain_source, seed_sweep
+from .pipeline import EVAL_HEADS, StepRecord, SweepCell, evaluate, pretrain_source, seed_sweep
 
 TRACE_COLUMNS = tuple(f.name for f in fields(StepRecord))
 SWEEP_COLUMNS = ("kind",) + tuple(f.name for f in fields(SweepCell))
@@ -275,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate a checkpoint on an exported dataset")
     p.add_argument("--ckpt", required=True, help="checkpoint path")
     p.add_argument("--data", required=True, help="dataset CSV path")
-    p.add_argument("--head", default="c_t1", choices=["c_t1", "mean_of_heads"])
+    p.add_argument("--head", default="c_t1", choices=EVAL_HEADS)
     p.add_argument("--json", action="store_true", help="emit the full result as JSON")
     p.set_defaults(func=cmd_eval)
 

@@ -326,6 +326,8 @@ def load_labeled_set(path) -> LabeledSet:
         dim, num_classes = int(head[0]), int(head[1])
     except ValueError as e:
         raise ParseError(f"{path}: bad header ({e})") from e
+    if dim < 1:
+        raise ParseError(f"{path}: header dim must be >= 1, got {dim}")
     xs, ys = [], []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line:

@@ -1,6 +1,9 @@
 """Small MLPs arranged for bi-classifier adaptation.
 
 A bundle is one network: a feature extractor shared by two classifier heads.
+``MlpSpec.param_shapes`` is its one parameter layout (names, shapes, checkpoint
+order): ``build`` draws into it, ``bundle_from_params`` checks named arrays
+against it, and the training scopes and checkpoints follow it.
 Adaptation trains a clone and reads the caller's untouched bundle as the
 frozen source model whose predictions anchor the losses. The forward pass
 comes in two pieces, features then one head, so a caller that holds the
@@ -64,92 +67,76 @@ class MlpSpec:
         if self.init_seed < 0:
             raise ContractViolation(f"init_seed must be >= 0, got {self.init_seed}")
 
-    def extractor_dims(self):
-        """Layer (fan_in, fan_out) pairs: input -> hiddens -> feature."""
+    def param_shapes(self):
+        """(name, shape) of every parameter, in checkpoint order: the extractor's
+        layers (input -> hiddens -> feature), then ``head1`` and ``head2``; each
+        layer is a weight ``[fan_in, fan_out]`` and then its bias ``[fan_out]``.
+        """
         sizes = (self.input_dim,) + self.hidden_dims + (self.feature_dim,)
-        return list(zip(sizes[:-1], sizes[1:]))
+        layers = [(f"extractor.{i}", *dims) for i, dims in enumerate(zip(sizes, sizes[1:]))]
+        layers += [(head, self.feature_dim, self.num_classes) for head in ("head1", "head2")]
+        shapes = []
+        for layer, fan_in, fan_out in layers:
+            shapes += [(f"{layer}.weight", (fan_in, fan_out)), (f"{layer}.bias", (fan_out,))]
+        return shapes
 
 
 class ModelBundle:
     """Two-head MLP: one shared extractor and two classifier heads.
 
-    ``extractor`` / ``head1`` / ``head2`` are lists of (weight, bias) Tensors
-    with requires_grad set.
+    ``params`` maps each name of ``spec.param_shapes()``, in that order, to a
+    Tensor with requires_grad set. ``extractor`` / ``head1`` / ``head2`` are
+    lists of (weight, bias) pairs of those same Tensors, as the forward
+    passes read them.
     """
 
-    def __init__(self, spec, extractor, head1, head2):
+    def __init__(self, spec, params):
         self.spec = spec
-        self.extractor = extractor
-        self.head1 = head1
-        self.head2 = head2
+        self.params = params
+        tensors = list(params.values())
+        layers = list(zip(tensors[0::2], tensors[1::2]))
+        self.extractor, self.head1, self.head2 = layers[:-2], layers[-2:-1], layers[-1:]
 
     def named_params(self, side="target"):
         """(name, Tensor) pairs in checkpoint order. ``side`` may only be "target"."""
         if side != "target":
             raise ContractViolation(f"unknown side {side!r}")
-        out = []
-        for i, (w, b) in enumerate(self.extractor):
-            out += [(f"extractor.{i}.weight", w), (f"extractor.{i}.bias", b)]
-        for prefix, ((w, b),) in (("head1", self.head1), ("head2", self.head2)):
-            out += [(f"{prefix}.weight", w), (f"{prefix}.bias", b)]
-        return out
-
-
-def _kaiming_uniform(rng, fan_in, fan_out):
-    bound = np.sqrt(6.0 / fan_in)
-    return rng.uniform(-bound, bound, size=(fan_in, fan_out))
-
-
-def _draw_params(spec):
-    """One deterministic parameter draw; both heads copy a single draw."""
-    rng = np.random.default_rng(spec.init_seed)
-    extractor = []
-    for fan_in, fan_out in spec.extractor_dims():
-        w = _kaiming_uniform(rng, fan_in, fan_out)
-        extractor.append((w, np.zeros(fan_out)))
-    head_w = _kaiming_uniform(rng, spec.feature_dim, spec.num_classes)
-    head = (head_w, np.zeros(spec.num_classes))
-    return extractor, head
-
-
-def _as_layers(arrays):
-    return [(Tensor(w.copy(), requires_grad=True), Tensor(b.copy(), requires_grad=True))
-            for w, b in arrays]
+        return list(self.params.items())
 
 
 def build(spec: MlpSpec) -> ModelBundle:
-    """Fresh bundle; both heads start as copies of one draw."""
-    extractor, head = _draw_params(spec)
-    return ModelBundle(spec, _as_layers(extractor), _as_layers([head]), _as_layers([head]))
+    """Fresh bundle: Kaiming-uniform weights drawn in layout order, zero biases.
+
+    Both heads start as copies of one draw, made after the extractor's.
+    """
+    rng = np.random.default_rng(spec.init_seed)
+    params = {}
+    for name, shape in spec.param_shapes():
+        if name.endswith(".bias"):
+            params[name] = np.zeros(shape)
+        elif name == "head2.weight":
+            params[name] = params["head1.weight"]
+        else:
+            bound = np.sqrt(6.0 / shape[0])  # Kaiming uniform over fan_in
+            params[name] = rng.uniform(-bound, bound, size=shape)
+    return bundle_from_params(spec, params)
 
 
 def bundle_from_params(spec, params: dict) -> ModelBundle:
-    """Rebuild a bundle from named arrays; the bundle holds copies."""
-    n_layers = len(spec.extractor_dims())
-    expected = {}
-    for i, (fan_in, fan_out) in enumerate(spec.extractor_dims()):
-        expected[f"extractor.{i}.weight"] = (fan_in, fan_out)
-        expected[f"extractor.{i}.bias"] = (fan_out,)
-    for h in ("head1", "head2"):
-        expected[f"{h}.weight"] = (spec.feature_dim, spec.num_classes)
-        expected[f"{h}.bias"] = (spec.num_classes,)
-    if set(params) != set(expected):
-        missing = sorted(set(expected) - set(params))
-        extra = sorted(set(params) - set(expected))
+    """Bundle holding copies of named arrays, checked against ``spec.param_shapes()``."""
+    layout = spec.param_shapes()
+    names = {name for name, _ in layout}
+    if set(params) != names:
         raise ContractViolation(f"parameter names do not match spec "
-                                f"(missing {missing}, unexpected {extra})")
-    for name, shape in expected.items():
+                                f"(missing {sorted(names - set(params))}, "
+                                f"unexpected {sorted(set(params) - names)})")
+    tensors = {}
+    for name, shape in layout:
         got = np.asarray(params[name], dtype=np.float64)
         if got.shape != shape:
             raise ContractViolation(f"{name}: expected shape {shape}, got {got.shape}")
-    ext = [(np.asarray(params[f"extractor.{i}.weight"], dtype=np.float64),
-            np.asarray(params[f"extractor.{i}.bias"], dtype=np.float64))
-           for i in range(n_layers)]
-    h1 = (np.asarray(params["head1.weight"], dtype=np.float64),
-          np.asarray(params["head1.bias"], dtype=np.float64))
-    h2 = (np.asarray(params["head2.weight"], dtype=np.float64),
-          np.asarray(params["head2.bias"], dtype=np.float64))
-    return ModelBundle(spec, _as_layers(ext), _as_layers([h1]), _as_layers([h2]))
+        tensors[name] = Tensor(got.copy(), requires_grad=True)
+    return ModelBundle(spec, tensors)
 
 
 def clone_for_adaptation(bundle: ModelBundle) -> ModelBundle:
@@ -253,17 +240,12 @@ def plain_head(bundle, feats, branch):
 
 
 def trainable_params(bundle, scope):
+    """The Tensors that `scope` trains, in checkpoint order."""
     if scope == "all_target":
-        parts = [bundle.extractor, bundle.head1, bundle.head2]
-    elif scope == "classifiers_only":
-        parts = [bundle.head1, bundle.head2]
-    else:
-        raise ContractViolation(f"unknown scope {scope!r}")
-    params = []
-    for layers in parts:
-        for w, b in layers:
-            params.extend((w, b))
-    return params
+        return list(bundle.params.values())
+    if scope == "classifiers_only":
+        return [t for name, t in bundle.params.items() if not name.startswith("extractor.")]
+    raise ContractViolation(f"unknown scope {scope!r}")
 
 
 def params_fingerprint(tensors):
@@ -294,8 +276,25 @@ def save_checkpoint(bundle: ModelBundle, path):
                    for name, t in named},
     }
     with atomic_write(path) as f:
-        json.dump(doc, f, indent=1, sort_keys=True)
-        f.write("\n")
+        f.write(json.dumps(doc, sort_keys=True) + "\n")  # json.dump skips the C encoder
+
+
+def _entry_array(path, name, entry, shape):
+    """One checkpoint entry's data as a float64 array of its layout `shape`."""
+    if not isinstance(entry, dict) or entry.get("shape") != list(shape):
+        raise ParseError(f"{path}: bad parameter {name!r} (expected an object with "
+                         f"shape {list(shape)})")
+    data = entry.get("data")
+    # one pass over the list; a bool is not a number, and np.array would cast it
+    if not isinstance(data, list) or not set(map(type, data)) <= {int, float}:
+        raise ParseError(f"{path}: bad parameter {name!r} (data must be a flat list of numbers)")
+    try:
+        arr = np.array(data, dtype=np.float64).reshape(shape)
+    except (OverflowError, ValueError) as e:
+        raise ParseError(f"{path}: bad parameter {name!r} ({e})") from e
+    if not np.isfinite(arr).all():
+        raise ParseError(f"{path}: parameter {name!r} has a non-finite value")
+    return arr
 
 
 def load_checkpoint(path, expect_spec: MlpSpec | None = None) -> ModelBundle:
@@ -306,8 +305,9 @@ def load_checkpoint(path, expect_spec: MlpSpec | None = None) -> ModelBundle:
         raise ParseError(f"{path}: not a valid checkpoint ({e})") from e
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: checkpoint root must be an object")
-    if doc.get("format_version") != CHECKPOINT_FORMAT_VERSION:
-        raise ParseError(f"{path}: unsupported format_version {doc.get('format_version')!r}")
+    version = doc.get("format_version")
+    if type(version) is not int or version != CHECKPOINT_FORMAT_VERSION:
+        raise ParseError(f"{path}: unsupported format_version {version!r}")
     for key in ("spec", "params"):
         if key not in doc:
             raise ParseError(f"{path}: missing {key!r}")
@@ -320,15 +320,12 @@ def load_checkpoint(path, expect_spec: MlpSpec | None = None) -> ModelBundle:
     if expect_spec is not None and spec != expect_spec:
         raise ContractViolation(
             f"checkpoint spec {spec} does not match expected spec {expect_spec}")
-    params = {}
-    for name, entry in doc["params"].items():
-        try:
-            arr = np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
-        except (KeyError, TypeError, ValueError) as e:
-            raise ParseError(f"{path}: bad parameter {name!r} ({e})") from e
-        if not np.isfinite(arr).all():
-            raise ParseError(f"{path}: parameter {name!r} has a non-finite value")
-        params[name] = arr
+    if not isinstance(doc["params"], dict):
+        raise ParseError(f"{path}: params must be an object")
+    layout = dict(spec.param_shapes())
+    # a name outside the layout keeps its raw entry: bundle_from_params refuses it
+    params = {name: _entry_array(path, name, entry, layout[name]) if name in layout else entry
+              for name, entry in doc["params"].items()}
     try:
         return bundle_from_params(spec, params)
     except ContractViolation as e:

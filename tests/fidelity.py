@@ -13,9 +13,12 @@ multi-layer backward of the extractor is covered too. Last come two lines
 for a small moons `seed_sweep` (model seeds 7 and 8 x data seeds 2 and 3, 100
 adaptation iterations), one at ``jobs=1`` and one at ``jobs=2``: each is a
 sha256 of the sweep report's `to_dict()`, so the two lines must also match
-each other. The two final lines cover the file formats: the `config_hash` of
-the README quickstart config, loaded through `load_config`, and a sha256 of
-the bytes `save_checkpoint` writes for the pretrained moons source model.
+each other. The three final lines cover the file formats: the `config_hash`
+of the README quickstart config, loaded through `load_config`, a sha256 of
+the bytes `save_checkpoint` writes for the pretrained moons source model, and
+the `params_fingerprint` of that file loaded back. The last line does not
+depend on how the file is encoded, so a change of checkpoint bytes that keeps
+every parameter changes only the line before it.
 
 Not collected by pytest (no ``test_`` prefix). It takes about 20 s on a
 2-vCPU machine.
@@ -30,7 +33,8 @@ from pathlib import Path
 
 from actlab.config import config_hash, load_config
 from actlab.data import make_domain_pair, sample_support
-from actlab.models import params_fingerprint, save_checkpoint, trainable_params
+from actlab.models import (load_checkpoint, params_fingerprint, save_checkpoint,
+                           trainable_params)
 from actlab.optim import SamConfig
 from actlab.pipeline import adapt, hash_of_dict, pretrain_source, seed_sweep
 
@@ -96,6 +100,8 @@ def main():
         save_checkpoint(pretrained[MOONS, MOONS_MODEL][0], ckpt_path)
         digest = hashlib.sha256(ckpt_path.read_bytes()).hexdigest()
         print(f"moons/source.ckpt sha256={digest}", flush=True)
+        print(f"moons/source.ckpt reloaded={fingerprint(load_checkpoint(ckpt_path))}",
+              flush=True)
 
 
 if __name__ == "__main__":

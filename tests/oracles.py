@@ -160,3 +160,26 @@ def tape_forward_features(bundle, x):
 
 def tape_forward_head(bundle, feats, branch):
     return tape_layer_stack(feats, bundle.head1 if branch == 1 else bundle.head2)
+
+
+# -- the parameter draw, spelled out ---------------------------------------------
+# actlab.models.build draws into the layout `MlpSpec.param_shapes` declares.
+# This is the same draw written layer by layer, with every name and shape by
+# hand, so a change of names, shapes, order or RNG stream shows.
+
+
+def drawn_params(spec):
+    """(name, array) pairs of `build(spec)`, in checkpoint order."""
+    rng = np.random.default_rng(spec.init_seed)
+    sizes = [spec.input_dim, *spec.hidden_dims, spec.feature_dim]
+    out = []
+    for i in range(len(sizes) - 1):
+        bound = np.sqrt(6.0 / sizes[i])
+        out.append((f"extractor.{i}.weight",
+                    rng.uniform(-bound, bound, size=(sizes[i], sizes[i + 1]))))
+        out.append((f"extractor.{i}.bias", np.zeros(sizes[i + 1])))
+    bound = np.sqrt(6.0 / spec.feature_dim)
+    head = rng.uniform(-bound, bound, size=(spec.feature_dim, spec.num_classes))
+    for name in ("head1", "head2"):  # one draw, copied into both heads
+        out += [(f"{name}.weight", head.copy()), (f"{name}.bias", np.zeros(spec.num_classes))]
+    return out

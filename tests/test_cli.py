@@ -248,6 +248,21 @@ class TestErrorPaths:
         assert "does not match expected spec" in capsys.readouterr().err
         assert [p.name for p in run_dir.iterdir()] == ["source.ckpt"]
 
+    @pytest.mark.parametrize("broken", ["ckpt", "data"])
+    def test_eval_on_a_malformed_file_is_an_error(self, tmp_path, capsys, broken):
+        ckpt, data = tmp_path / "m.ckpt", tmp_path / "d.csv"
+        save_checkpoint(build(MlpSpec(2, (4,), 4, 2)), ckpt)
+        save_labeled_set(LabeledSet(np.zeros((2, 2)), np.array([0, 1]), 2, "d"), data)
+        if broken == "ckpt":
+            doc = json.loads(ckpt.read_text())
+            doc["params"] = []
+            ckpt.write_text(json.dumps(doc))
+        else:
+            data.write_text("-1,2,x\n")
+        assert main(["eval", "--ckpt", str(ckpt), "--data", str(data)]) == 1
+        named = ckpt if broken == "ckpt" else data
+        assert capsys.readouterr().err.startswith(f"error: {named}: ")
+
     @pytest.mark.parametrize("option", ["--data-seeds", "--model-seeds"])
     def test_negative_sweep_seed_is_a_usage_error(self, workspace, capsys, option):
         cfg_path, run_dir = workspace

@@ -232,6 +232,13 @@ class TestExport:
         with pytest.raises(ParseError):
             load_labeled_set(path)
 
+    @pytest.mark.parametrize("dim", [-1, 0])
+    def test_header_dim_below_one_rejected(self, tmp_path, dim):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"{dim},2,x\n")
+        with pytest.raises(ParseError, match="dim must be >= 1"):
+            load_labeled_set(path)
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")

@@ -21,6 +21,13 @@ def small_spec(seed=7):
                    init_seed=seed)
 
 
+# a random MLP with 0-3 hidden layers
+SPECS = st.builds(MlpSpec, input_dim=st.integers(1, 6),
+                  hidden_dims=st.lists(st.integers(1, 12), max_size=3).map(tuple),
+                  feature_dim=st.integers(1, 8), num_classes=st.integers(2, 5),
+                  init_seed=st.integers(0, 2**32 - 1))
+
+
 class TestBuild:
     def test_parameter_counts(self):
         bundle = build(small_spec())
@@ -53,6 +60,17 @@ class TestBuild:
         bundle = build(small_spec())
         w0 = bundle.extractor[0][0].data  # fan_in 2
         assert np.all(np.abs(w0) <= np.sqrt(6.0 / 2))
+
+    @settings(max_examples=100, deadline=None)
+    @given(SPECS)
+    def test_draw_matches_the_spelled_out_oracle_bit_for_bit(self, spec):
+        got = [(name, t.data) for name, t in build(spec).named_params()]
+        want = oracles.drawn_params(spec)
+        assert [name for name, _ in got] == [name for name, _ in want]
+        for (_, a), (_, b) in zip(got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+        heads = dict(got)
+        assert not np.shares_memory(heads["head1.weight"], heads["head2.weight"])
 
     def test_rejects_single_class(self):
         with pytest.raises(ContractViolation):
@@ -103,6 +121,38 @@ class TestForward:
             bundle.named_params("source")
 
 
+class TestLayout:
+    @settings(max_examples=100, deadline=None)
+    @given(SPECS)
+    def test_every_view_follows_param_shapes(self, spec):
+        bundle = build(spec)
+        named = bundle.named_params()
+        assert [(name, t.shape) for name, t in named] == spec.param_shapes()
+        tensors = [t for _, t in named]
+        layers = bundle.extractor + bundle.head1 + bundle.head2
+        assert all(a is b for a, b in zip([t for layer in layers for t in layer], tensors,
+                                          strict=True))
+        assert all(a is b for a, b in zip(trainable_params(bundle, "all_target"), tensors,
+                                          strict=True))
+        heads = [(name, t) for name, t in named if name.startswith(("head1.", "head2."))]
+        assert [name for name, _ in heads] == ["head1.weight", "head1.bias",
+                                               "head2.weight", "head2.bias"]
+        assert all(a is b for a, b in zip(trainable_params(bundle, "classifiers_only"),
+                                          [t for _, t in heads], strict=True))
+
+    def test_names_and_shapes_checked(self):
+        spec = small_spec()
+        params = {name: np.zeros(shape) for name, shape in spec.param_shapes()}
+        renamed = {("head3.bias" if name == "head2.bias" else name): a
+                   for name, a in params.items()}
+        with pytest.raises(ContractViolation, match=re.escape(
+                "missing ['head2.bias'], unexpected ['head3.bias']")):
+            bundle_from_params(spec, renamed)
+        with pytest.raises(ContractViolation, match=re.escape(
+                "head1.bias: expected shape (3,), got (2,)")):
+            bundle_from_params(spec, {**params, "head1.bias": np.zeros(2)})
+
+
 class TestCheckpoint:
     def test_round_trip_bitwise(self, tmp_path):
         bundle = build(small_spec())
@@ -134,14 +184,64 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     @staticmethod
-    def edited_spec(tmp_path, edit):
-        """A saved 2-12-8 model, 2 classes, seed 1, whose spec block `edit` changed."""
+    def edited(tmp_path, edit):
+        """A saved 2-12-8 model, 2 classes, seed 1, whose document `edit` changed."""
         path = tmp_path / "m.ckpt"
         save_checkpoint(build(MlpSpec(2, (12,), 8, 2, init_seed=1)), path)
         doc = json.loads(path.read_text())
-        edit(doc["spec"])
+        edit(doc)
         path.write_text(json.dumps(doc))
         return path
+
+    @classmethod
+    def edited_spec(cls, tmp_path, edit):
+        """The same model, with its spec block `edit` changed."""
+        return cls.edited(tmp_path, lambda doc: edit(doc["spec"]))
+
+    # both compare equal to 1, so a plain `!= 1` test lets them through
+    @pytest.mark.parametrize("value", [True, 1.0])
+    def test_format_version_must_be_the_integer_one(self, tmp_path, value):
+        path = self.edited(tmp_path, lambda doc: doc.update(format_version=value))
+        with pytest.raises(ParseError, match=re.escape(f"{path}: unsupported format_version")):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("value", [[], None, "params"])
+    def test_params_block_must_be_an_object(self, tmp_path, value):
+        path = self.edited(tmp_path, lambda doc: doc.update(params=value))
+        with pytest.raises(ParseError, match=re.escape(f"{path}: params must be an object")):
+            load_checkpoint(path)
+
+    # each would pass np.array(..., dtype=float64) and a reshape
+    @pytest.mark.parametrize("edit", [
+        lambda data: [str(v) for v in data],
+        lambda data: [v > 0 for v in data],
+        lambda data: [True] + data[1:],
+        lambda data: [data[:8], data[8:]],
+    ], ids=["strings", "bools", "one_bool", "nested"])
+    def test_data_must_be_a_flat_list_of_numbers(self, tmp_path, edit):
+        def edit_doc(doc):
+            entry = doc["params"]["head1.weight"]
+            entry["data"] = edit(entry["data"])
+        path = self.edited(tmp_path, edit_doc)
+        with pytest.raises(ParseError, match=re.escape(f"{path}: bad parameter 'head1.weight'")):
+            load_checkpoint(path)
+
+    def test_stated_shape_must_be_the_layouts(self, tmp_path):
+        # a reshape to the stated [-1, 2] would infer the right shape and load
+        path = self.edited(tmp_path, lambda doc: doc["params"]["head1.weight"].update(
+            shape=[-1, 2]))
+        with pytest.raises(ParseError, match=re.escape(
+                f"{path}: bad parameter 'head1.weight' (expected an object with shape [8, 2])")):
+            load_checkpoint(path)
+
+    def test_indented_files_still_load(self, tmp_path):
+        # checkpoints written by older versions are indented
+        bundle = build(small_spec())
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(bundle, path)
+        path.write_text(json.dumps(json.loads(path.read_text()), indent=1, sort_keys=True) + "\n")
+        assert params_fingerprint(trainable_params(load_checkpoint(path), "all_target")) == \
+            params_fingerprint(trainable_params(bundle, "all_target"))
 
     # each value would pass a cast to the saved one: the spec is parsed like a
     # config's model block, not coerced
@@ -211,7 +311,7 @@ class TestCheckpoint:
         def crash(*args, **kwargs):
             raise OSError("disk full")
 
-        monkeypatch.setattr(json, "dump", crash)  # dies halfway through the write
+        monkeypatch.setattr(json, "dumps", crash)  # dies halfway through the write
         with pytest.raises(OSError, match="disk full"):
             save_checkpoint(build(small_spec(seed=8)), path)
         assert path.read_bytes() == before
@@ -257,10 +357,7 @@ WIRINGS = ("two_views", "shared_features", "constant_features")
 @st.composite
 def stack_cases(draw):
     """A random MLP with 0-3 hidden layers, its parameters, inputs and a readout."""
-    spec = MlpSpec(input_dim=draw(st.integers(1, 6)),
-                   hidden_dims=tuple(draw(st.lists(st.integers(1, 12), max_size=3))),
-                   feature_dim=draw(st.integers(1, 8)),
-                   num_classes=draw(st.integers(2, 5)))
+    spec = draw(SPECS)
     n = draw(st.integers(1, 64))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     params = {name: rng.normal(size=t.shape)
