@@ -47,6 +47,12 @@ def _fmt(value):
     return "" if value is None else "%.17g" % value
 
 
+def _row(record, columns):
+    """`record`'s fields named by `columns`, floats and None through `_fmt`."""
+    return [_fmt(v) if v is None or isinstance(v, float) else v
+            for v in (getattr(record, name) for name in columns)]
+
+
 def _seed_list(text):
     try:
         seeds = [int(s) for s in text.split(",") if s.strip() != ""]
@@ -135,9 +141,7 @@ def _write_trace_csv(path, trace):
     with atomic_write(path, newline="") as f:
         w = csv.writer(f)
         w.writerow(TRACE_COLUMNS)
-        for r in trace:
-            w.writerow([_fmt(v) if isinstance(v, float) else v
-                        for v in (getattr(r, name) for name in TRACE_COLUMNS)])
+        w.writerows(_row(r, TRACE_COLUMNS) for r in trace)
 
 
 def cmd_adapt(args) -> int:
@@ -223,10 +227,7 @@ def cmd_sweep(args) -> int:
     with atomic_write(run_dir / "sweep.csv", newline="") as f:
         w = csv.writer(f)
         w.writerow(SWEEP_COLUMNS)
-        for c in report.cells:
-            w.writerow(["cell", c.data_seed, c.model_seed, c.status,
-                        _fmt(c.no_adapt_accuracy), _fmt(c.adapted_accuracy),
-                        _fmt(c.no_adapt_macro), _fmt(c.adapted_macro)])
+        w.writerows(["cell", *_row(c, SWEEP_COLUMNS[1:])] for c in report.cells)
         w.writerow(["aggregate", "", "", "mean_no_adapt",
                     _fmt(report.mean_no_adapt), "", "", ""])
         for name in ("mean_adapted", "spread_adapted", "variance_adapted"):

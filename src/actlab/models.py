@@ -281,9 +281,14 @@ def save_checkpoint(bundle: ModelBundle, path):
 
 def _entry_array(path, name, entry, shape):
     """One checkpoint entry's data as a float64 array of its layout `shape`."""
-    if not isinstance(entry, dict) or entry.get("shape") != list(shape):
+    # `==` alone would let a float (2.0) or a bool (true for 1) stand for a size
+    if not isinstance(entry, dict) or entry.get("shape") != list(shape) \
+            or set(map(type, entry["shape"])) != {int}:
         raise ParseError(f"{path}: bad parameter {name!r} (expected an object with "
                          f"shape {list(shape)})")
+    unknown = sorted(set(entry) - {"shape", "data"})
+    if unknown:
+        raise ParseError(f"{path}: bad parameter {name!r} (unknown key {unknown[0]!r})")
     data = entry.get("data")
     # one pass over the list; a bool is not a number, and np.array would cast it
     if not isinstance(data, list) or not set(map(type, data)) <= {int, float}:
@@ -308,6 +313,9 @@ def load_checkpoint(path, expect_spec: MlpSpec | None = None) -> ModelBundle:
     version = doc.get("format_version")
     if type(version) is not int or version != CHECKPOINT_FORMAT_VERSION:
         raise ParseError(f"{path}: unsupported format_version {version!r}")
+    unknown = sorted(set(doc) - {"format_version", "spec", "params"})
+    if unknown:
+        raise ParseError(f"{path}: unknown key {unknown[0]!r}")
     for key in ("spec", "params"):
         if key not in doc:
             raise ParseError(f"{path}: missing {key!r}")

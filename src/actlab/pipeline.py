@@ -30,8 +30,8 @@ from .models import (MlpSpec, ModelBundle, build, bundle_from_params,
                      clone_for_adaptation, forward_features, forward_head,
                      forward_target, params_fingerprint, plain_features, plain_head,
                      trainable_params)
-from .optim import (SamConfig, SamState, SgdConfig, SgdState, lr_at, sam_step,
-                    sgd_step)
+from .optim import (AdamConfig, SamConfig, SamState, SgdConfig, SgdState, lr_at,
+                    sam_step, sgd_step)
 from .tensor import Tensor, _softmax, backward, zero_grad
 
 EVAL_HEADS = ("c_t1", "mean_of_heads")
@@ -95,6 +95,10 @@ class AdaptConfig:
             raise ContractViolation("total_iterations must be >= 1")
         if self.batch_size < 1:
             raise ContractViolation("batch_size must be >= 1")
+        if self.sam.base.lr != AdamConfig.lr:  # every step passes the schedule's rates
+            raise ContractViolation(f"sam.base.lr is not used: adaptation takes its learning "
+                                    f"rates from schedule (eta0, head_multiplier); leave "
+                                    f"sam.base.lr at {AdamConfig.lr}, got {self.sam.base.lr}")
         if self.cdd_sign not in ("as_printed", "flipped"):
             raise ContractViolation("cdd_sign must be as_printed or flipped")
         if not self.step_pattern or set(self.step_pattern) - {"1", "2"}:
@@ -215,6 +219,11 @@ def evaluate(bundle: ModelBundle, test: LabeledSet, eval_head: str = "c_t1") -> 
 # -- source pretraining -------------------------------------------------------------
 
 
+def _rates(params, heads, extractor_lr, head_lr):
+    """Each parameter's learning rate: `head_lr` for one of `heads`, else `extractor_lr`."""
+    return [head_lr if p in heads else extractor_lr for p in params]
+
+
 def pretrain_source(source: LabeledSet, spec: MlpSpec, cfg: PretrainConfig):
     """Train extractor plus both heads with label-smoothed CE under SGD-momentum.
 
@@ -226,9 +235,8 @@ def pretrain_source(source: LabeledSet, spec: MlpSpec, cfg: PretrainConfig):
                                 f"spec expects {spec.num_classes}")
     bundle = build(spec)
     params = trainable_params(bundle, "all_target")
-    n_heads = len(trainable_params(bundle, "classifiers_only"))
-    lrs = [cfg.sgd.lr] * (len(params) - n_heads) + \
-          [cfg.sgd.lr * cfg.lr_multiplier_heads] * n_heads
+    lrs = _rates(params, trainable_params(bundle, "classifiers_only"), cfg.sgd.lr,
+                 cfg.sgd.lr * cfg.lr_multiplier_heads)
     state = SgdState()
     history = []
     for epoch in range(cfg.epochs):
@@ -296,11 +304,10 @@ def adapt(source_model: ModelBundle, split: SupportSplit, policy: AugmentPolicy,
 
     source_before = params_fingerprint(trainable_params(source_model, "all_target"))
     bundle = clone_for_adaptation(source_model)
-    params_all = trainable_params(bundle, "all_target")
-    params_heads = trainable_params(bundle, "classifiers_only")
-    n_extract = len(params_all) - len(params_heads)
-
-    sam_state_all, sam_state_heads = SamState(), SamState()
+    heads = trainable_params(bundle, "classifiers_only")
+    # step kind -> the parameters it trains and its SAM state
+    steps = {"1": (trainable_params(bundle, "all_target"), SamState()),
+             "2": (heads, SamState())}
     n_t = min(cfg.batch_size, len(support))
     batch_iter = _batch_stream(support, n_t, cfg.seed)
     aug_rng = rng_stream(cfg.seed, "augment")
@@ -318,8 +325,9 @@ def adapt(source_model: ModelBundle, split: SupportSplit, policy: AugmentPolicy,
         lr_ext = eta if cfg.schedule.schedule_extractor else cfg.schedule.eta0
         lr_head = (eta if cfg.schedule.schedule_heads else cfg.schedule.eta0) \
             * cfg.schedule.head_multiplier
-        lrs_all = [lr_ext] * n_extract + [lr_head] * len(params_heads)
-        lrs_heads = [lr_head] * len(params_heads)
+        lrs = {}  # a plain loop: a comprehension would cost a Python call per iteration
+        for kind, (params, _) in steps.items():
+            lrs[kind] = _rates(params, heads, lr_ext, lr_head)
 
         step_inputs = None
         for step_kind in cfg.step_pattern:
@@ -337,17 +345,14 @@ def adapt(source_model: ModelBundle, split: SupportSplit, policy: AugmentPolicy,
 
             if step_kind == "2":
                 # step 2 moves only the heads: its features are constants
-                feats1 = Tensor(plain_features(bundle, view1))
-                feats2 = Tensor(plain_features(bundle, view2))
+                fixed = (Tensor(plain_features(bundle, view1)),
+                         Tensor(plain_features(bundle, view2)))
             evals = []  # SAM calls the closure twice; the trace logs the first, unperturbed one
 
             def closure():
-                if step_kind == "1":
-                    l1 = forward_head(bundle, forward_features(bundle, view1), 1)
-                    l2 = forward_head(bundle, forward_features(bundle, view2), 2)
-                else:
-                    l1 = forward_head(bundle, feats1, 1)
-                    l2 = forward_head(bundle, feats2, 2)
+                feats1, feats2 = fixed if step_kind == "2" else \
+                    (forward_features(bundle, view1), forward_features(bundle, view2))
+                l1, l2 = forward_head(bundle, feats1, 1), forward_head(bundle, feats2, 2)
                 if not (np.isfinite(l1.data).all() and np.isfinite(l2.data).all()):
                     raise DivergenceError(
                         f"adaptation diverged at iteration {it} (step {step_kind}): "
@@ -361,12 +366,9 @@ def adapt(source_model: ModelBundle, split: SupportSplit, policy: AugmentPolicy,
                 evals.append(comps)
                 return total
 
-            if step_kind == "1":
-                loss_value = sam_step(params_all, closure, sam_state_all,
-                                      cfg.sam, lr_override=lrs_all)
-            else:
-                loss_value = sam_step(params_heads, closure, sam_state_heads,
-                                      cfg.sam, lr_override=lrs_heads)
+            params, sam_state = steps[step_kind]
+            loss_value = sam_step(params, closure, sam_state, cfg.sam,
+                                  lr_override=lrs[step_kind])
 
             if not np.isfinite(loss_value):
                 raise DivergenceError(
@@ -413,9 +415,6 @@ class SweepCell:
     no_adapt_macro: float | None
     adapted_macro: float | None
 
-    def to_dict(self):
-        return asdict(self)
-
 
 @dataclass
 class SweepReport:
@@ -426,11 +425,7 @@ class SweepReport:
     variance_adapted: float | None
 
     def to_dict(self):
-        return {"cells": [c.to_dict() for c in self.cells],
-                "mean_adapted": self.mean_adapted,
-                "mean_no_adapt": self.mean_no_adapt,
-                "spread_adapted": self.spread_adapted,
-                "variance_adapted": self.variance_adapted}
+        return asdict(self)
 
 
 def _pretrain_params(source, spec, cfg):

@@ -11,8 +11,11 @@ shape, or one operand that is a scalar (a Python number, or a tensor of size
 one). Matrix ops are rank-2 only. Everything is float64.
 
 The package's hot paths build fused nodes through ``_result`` (models.py per
-layer stack, losses.py per loss); ``matmul``, ``add_bias`` and ``relu`` are
-kept as the composed form the tests hold those nodes to, bit for bit.
+layer stack, losses.py per loss) and use only ``+``, ``backward`` and
+``zero_grad`` besides. The rest of the op set (``*``, ``matmul``, ``add_bias``,
+``relu``, ``log_shifted``, ``softmax_rows``, the full ``sum`` and
+``scalar_mul``) is exactly what the composed reference in ``tests/oracles.py``
+needs: the tests hold the fused nodes to it, bit for bit.
 """
 
 from __future__ import annotations
@@ -67,30 +70,11 @@ class Tensor:
                             da=lambda g, a, b: g,
                             db=lambda g, a, b: g)
 
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return _elementwise("sub", self, other,
-                            fwd=lambda a, b: a - b,
-                            da=lambda g, a, b: g,
-                            db=lambda g, a, b: -g)
-
-    def __rsub__(self, other):
-        return _elementwise("sub", _wrap(other), self,
-                            fwd=lambda a, b: a - b,
-                            da=lambda g, a, b: g,
-                            db=lambda g, a, b: -g)
-
     def __mul__(self, other):
         return _elementwise("mul", self, other,
                             fwd=lambda a, b: a * b,
                             da=lambda g, a, b: g * b,
                             db=lambda g, a, b: g * a)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return self * -1.0
 
     # -- matrix ops ------------------------------------------------------------
 
@@ -131,15 +115,6 @@ class Tensor:
 
         return _result(out_data, (x,), backward)
 
-    def exp(self) -> "Tensor":
-        x = self
-        out_data = np.exp(x.data)
-
-        def backward(g):
-            return ((x, g * out_data),)
-
-        return _result(out_data, (x,), backward)
-
     def log_shifted(self, eps: float) -> "Tensor":
         """ln(x + eps). Every entry of x + eps must be strictly positive."""
         x = self
@@ -152,28 +127,13 @@ class Tensor:
 
     # -- reductions ------------------------------------------------------------
 
-    def sum(self, axis=None) -> "Tensor":
+    def sum(self) -> "Tensor":
+        """The sum of every entry, as a scalar tensor."""
         x = self
-        _check_axis(x, axis)
-        out_data = x.data.sum(axis=axis)
+        out_data = x.data.sum()
 
         def backward(g):
-            if axis is None:
-                return ((x, np.broadcast_to(g, x.shape).copy()),)
-            return ((x, np.broadcast_to(np.expand_dims(g, axis), x.shape).copy()),)
-
-        return _result(out_data, (x,), backward)
-
-    def mean(self, axis=None) -> "Tensor":
-        x = self
-        _check_axis(x, axis)
-        count = x.size if axis is None else x.shape[axis]
-        out_data = x.data.mean(axis=axis)
-
-        def backward(g):
-            if axis is None:
-                return ((x, np.broadcast_to(g / count, x.shape).copy()),)
-            return ((x, np.broadcast_to(np.expand_dims(g, axis) / count, x.shape).copy()),)
+            return ((x, np.broadcast_to(g, x.shape).copy()),)
 
         return _result(out_data, (x,), backward)
 
@@ -188,11 +148,6 @@ class Tensor:
             return ((x, _softmax_grad(p, g)),)
 
         return _result(p, (x,), backward)
-
-    # -- backward --------------------------------------------------------------
-
-    def backward(self):
-        backward(self)
 
 
 # -- numpy kernels shared with the fused loss nodes in losses.py ----------------
@@ -260,11 +215,6 @@ def _elementwise(name, a, b, fwd, da, db):
                 (b, _reduce_to(db(g, a.data, b.data), b.shape)))
 
     return _result(out_data, (a, b), backward)
-
-
-def _check_axis(x, axis):
-    if axis is not None and not (isinstance(axis, int) and 0 <= axis < x.ndim):
-        raise ContractViolation(f"axis {axis!r} out of range for shape {x.shape}")
 
 
 def scalar_mul(c: float, t: Tensor) -> Tensor:

@@ -6,7 +6,7 @@ Prints one line per adaptation run: the pretrained and the adapted
 `params_fingerprint`, and a sha256 over the run's `StepRecord` trace. A change
 that must keep every bit prints exactly the same lines as its parent commit,
 so diff the two outputs. The configurations are the ones `test_acceptance.py`
-pins: moons and blobs at data seeds 2, 3 and 4 for 800 iterations, plus six
+pins: moons and blobs at data seeds 2, 3 and 4 for 800 iterations, plus seven
 200-iteration variants of moons seed 2 that reach the other code paths, and
 one 200-iteration blobs run on a model with two hidden layers, so that the
 multi-layer backward of the extractor is covered too. Last come two lines
@@ -36,7 +36,8 @@ from actlab.data import make_domain_pair, sample_support
 from actlab.models import (load_checkpoint, params_fingerprint, save_checkpoint,
                            trainable_params)
 from actlab.optim import SamConfig
-from actlab.pipeline import adapt, hash_of_dict, pretrain_source, seed_sweep
+from actlab.pipeline import (ScheduleConfig, adapt, hash_of_dict, pretrain_source,
+                             seed_sweep)
 
 from test_acceptance import (BLOBS, BLOBS_MODEL, DATA_SEEDS, MOONS, MOONS_MODEL,
                              PRETRAIN, reference_adapt_config, reference_policy)
@@ -48,6 +49,8 @@ VARIANTS = {
     "pattern_2": {"step_pattern": "2"},
     "as_printed": {"cdd_sign": "as_printed"},
     "rho_0": {"sam": SamConfig(rho=0.0)},
+    "unscheduled": {"schedule": ScheduleConfig(eta0=1e-3, schedule_extractor=False,
+                                               schedule_heads=False)},
 }
 
 

