@@ -37,7 +37,7 @@ class _OverwriteRefused(Exception):
 def _claim(path: Path, force: bool, expect_text: str | None = None):
     if not path.exists():
         return
-    if expect_text is not None and path.read_text() == expect_text:
+    if expect_text is not None and path.read_bytes() == expect_text.encode():
         return
     if not force:
         raise _OverwriteRefused(f"{path} already exists; pass --force to overwrite")
@@ -90,19 +90,34 @@ def _effective_config(args) -> ExperimentConfig:
     return cfg
 
 
-def _config_text(cfg) -> str:
-    return json.dumps(config_to_dict(cfg), indent=1, sort_keys=True) + "\n"
+def _start_run(args, outputs):
+    """The effective config, with the run directory's `outputs` claimed.
 
-
-def _maybe_print_config(args, cfg) -> bool:
+    Under --print-config, prints the config and returns None before touching
+    anything. Otherwise claims config.json (identical text is allowed) and
+    each named output, and returns (cfg, run_dir, config text).
+    """
+    cfg = _effective_config(args)
+    cfg_text = json.dumps(config_to_dict(cfg), indent=1, sort_keys=True) + "\n"
     if args.print_config:
-        print(_config_text(cfg), end="")
+        print(cfg_text, end="")
+        return None
+    run_dir = Path(cfg.output_dir) / cfg.run_id
+    _claim(run_dir / "config.json", args.force, expect_text=cfg_text)
+    for name in outputs:
+        _claim(run_dir / name, args.force)
+    return cfg, run_dir, cfg_text
+
+
+def _same_source(path, cfg) -> bool:
+    """Whether the config at `path` is missing or pretrains the source `cfg` does."""
+    if not path.exists():
         return True
-    return False
-
-
-def _run_dir(cfg) -> Path:
-    return Path(cfg.output_dir) / cfg.run_id
+    try:
+        old = load_config(path)
+    except ParseError:  # unreadable or malformed: nothing vouches for source.ckpt
+        return False
+    return (old.domain, old.model, old.pretrain) == (cfg.domain, cfg.model, cfg.pretrain)
 
 
 def _write_text(path, text):
@@ -110,7 +125,7 @@ def _write_text(path, text):
         f.write(text)
 
 
-def _write_pretrain_outputs(run_dir, cfg, bundle, history):
+def _write_pretrain_outputs(run_dir, bundle, history):
     save_checkpoint(bundle, run_dir / "source.ckpt")
     lines = [f"epoch={h['epoch']} mean_loss={h['mean_loss']:.6f} "
              f"train_acc={h['train_accuracy']:.4f}" for h in history]
@@ -118,19 +133,15 @@ def _write_pretrain_outputs(run_dir, cfg, bundle, history):
 
 
 def cmd_pretrain(args) -> int:
-    cfg = _effective_config(args)
-    if _maybe_print_config(args, cfg):
+    run = _start_run(args, ("source.ckpt", "pretrain.log"))
+    if run is None:
         return 0
-    run_dir = _run_dir(cfg)
-    cfg_text = _config_text(cfg)
-    _claim(run_dir / "config.json", args.force, expect_text=cfg_text)
-    _claim(run_dir / "source.ckpt", args.force)
-    _claim(run_dir / "pretrain.log", args.force)
+    cfg, run_dir, cfg_text = run
     source, _ = make_domain_pair(cfg.domain)
     bundle, history = pretrain_source(source, cfg.model, cfg.pretrain)
     run_dir.mkdir(parents=True, exist_ok=True)
     _write_text(run_dir / "config.json", cfg_text)
-    _write_pretrain_outputs(run_dir, cfg, bundle, history)
+    _write_pretrain_outputs(run_dir, bundle, history)
     acc = history[-1]["train_accuracy"] if history else float("nan")
     print(f"pretrain: epochs={cfg.pretrain.epochs} train_acc={acc:.4f} "
           f"-> {run_dir / 'source.ckpt'}")
@@ -145,16 +156,12 @@ def _write_trace_csv(path, trace):
 
 
 def cmd_adapt(args) -> int:
-    cfg = _effective_config(args)
-    if _maybe_print_config(args, cfg):
+    run = _start_run(args, ("target.ckpt", "report.json", "trace.csv", "test_set.csv"))
+    if run is None:
         return 0
-    run_dir = _run_dir(cfg)
-    cfg_text = _config_text(cfg)
+    cfg, run_dir, cfg_text = run
     source_ckpt = run_dir / "source.ckpt"
-    will_pretrain = not source_ckpt.exists()
-    _claim(run_dir / "config.json", args.force, expect_text=cfg_text)
-    for name in ("target.ckpt", "report.json", "trace.csv", "test_set.csv"):
-        _claim(run_dir / name, args.force)
+    will_pretrain = not (source_ckpt.exists() and _same_source(run_dir / "config.json", cfg))
     if will_pretrain:
         _claim(run_dir / "pretrain.log", args.force)
 
@@ -168,21 +175,34 @@ def cmd_adapt(args) -> int:
     _write_text(run_dir / "config.json", cfg_text)
     if will_pretrain:
         bundle, history = pretrain_source(source, cfg.model, cfg.pretrain)
-        _write_pretrain_outputs(run_dir, cfg, bundle, history)
+        _write_pretrain_outputs(run_dir, bundle, history)
 
     adapted, report = run_adapt(bundle, split, cfg.augment, cfg.adapt)
 
     save_checkpoint(adapted, run_dir / "target.ckpt")
     save_labeled_set(split.test, run_dir / "test_set.csv")
     _write_trace_csv(run_dir / "trace.csv", report.trace)
-
-    report.config_hash = config_hash(cfg)
-    report.checkpoint_paths = {"source": str(source_ckpt),
-                               "target": str(run_dir / "target.ckpt")}
-    report.seeds.update({"domain_seed": cfg.domain.seed,
-                         "pretrain_seed": cfg.pretrain.seed})
-    doc = report.to_dict()
-    doc["config"] = config_to_dict(cfg)
+    doc = {
+        "final": {
+            "accuracy": report.accuracy,
+            "per_class_accuracy": report.per_class,
+            "macro_accuracy": report.macro_accuracy,
+            "confusion_matrix": report.confusion,
+            "no_adapt_accuracy": report.no_adapt_accuracy,
+            "no_adapt_per_class_accuracy": report.no_adapt_per_class,
+            "no_adapt_macro_accuracy": report.no_adapt_macro_accuracy,
+        },
+        "provenance": {
+            "seeds": {"adapt_seed": cfg.adapt.seed, "split_seed": cfg.split_seed,
+                      "init_seed": cfg.model.init_seed, "domain_seed": cfg.domain.seed,
+                      "pretrain_seed": cfg.pretrain.seed},
+            "config_hash": config_hash(cfg),
+            "checkpoint_paths": {"source": str(source_ckpt),
+                                 "target": str(run_dir / "target.ckpt")},
+        },
+        "trace": [r.to_dict() for r in report.trace],
+        "config": config_to_dict(cfg),
+    }
     _write_text(run_dir / "report.json", json.dumps(doc, indent=1) + "\n")
 
     print(f"no_adapt={report.no_adapt_accuracy:.4f} adapted={report.accuracy:.4f}")
@@ -211,14 +231,10 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg = _effective_config(args)
-    if _maybe_print_config(args, cfg):
+    run = _start_run(args, ("sweep.csv",))
+    if run is None:
         return 0
-    run_dir = _run_dir(cfg)
-    cfg_text = _config_text(cfg)
-    _claim(run_dir / "config.json", args.force, expect_text=cfg_text)
-    _claim(run_dir / "sweep.csv", args.force)
-
+    cfg, run_dir, cfg_text = run
     report = seed_sweep(cfg.domain, cfg.model, cfg.pretrain, cfg.adapt, cfg.augment,
                         cfg.n_way, cfg.k_shot, args.data_seeds, args.model_seeds,
                         jobs=args.jobs)

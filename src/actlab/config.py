@@ -76,7 +76,7 @@ def load_config(path) -> ExperimentConfig:
     try:
         with open(path) as f:
             text = f.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ParseError(f"cannot read config {path}: {e}") from e
     try:
         doc = json.loads(text)

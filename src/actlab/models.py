@@ -265,18 +265,20 @@ def save_checkpoint(bundle: ModelBundle, path):
     Refuses a NaN or infinite parameter before touching the filesystem, since
     ``load_checkpoint`` would refuse the file.
     """
-    named = bundle.named_params("target")
-    for name, t in named:
+    named = dict(bundle.named_params("target"))
+    for name, t in named.items():
         if not np.isfinite(t.data).all():
             raise ContractViolation(f"cannot save parameter {name!r}: it has a non-finite value")
-    doc = {
-        "format_version": CHECKPOINT_FORMAT_VERSION,
-        "spec": to_plain(bundle.spec),
-        "params": {name: {"shape": list(t.data.shape), "data": t.data.reshape(-1).tolist()}
-                   for name, t in named},
-    }
+    # the bytes of json.dumps(doc, sort_keys=True), one parameter at a time: the C
+    # encoder holds a string per token, so encoding the whole document at once
+    # would hold every parameter's tokens together
     with atomic_write(path) as f:
-        f.write(json.dumps(doc, sort_keys=True) + "\n")  # json.dump skips the C encoder
+        f.write(f'{{"format_version": {CHECKPOINT_FORMAT_VERSION}, "params": {{')
+        for i, name in enumerate(sorted(named)):
+            data = named[name].data
+            entry = {"data": data.reshape(-1).tolist(), "shape": list(data.shape)}
+            f.write(f'{", " if i else ""}{json.dumps(name)}: {json.dumps(entry)}')
+        f.write(f'}}, "spec": {json.dumps(to_plain(bundle.spec), sort_keys=True)}}}\n')
 
 
 def _entry_array(path, name, entry, shape):

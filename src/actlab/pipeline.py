@@ -14,8 +14,6 @@ as eta0 * (1 + 10 p)^-0.75 over outer-iteration progress p.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import asdict, dataclass, field, replace
 
@@ -138,6 +136,11 @@ class EvalResult:
 
 @dataclass
 class RunReport:
+    """What `adapt` computed: the step trace and the adapted and no-adapt scores.
+
+    The run's provenance is the caller's: the configs and seeds it passed in.
+    """
+
     trace: list
     accuracy: float
     per_class: list
@@ -146,32 +149,6 @@ class RunReport:
     no_adapt_accuracy: float
     no_adapt_per_class: list
     no_adapt_macro_accuracy: float
-    seeds: dict
-    config_hash: str
-    checkpoint_paths: dict = field(default_factory=dict)
-
-    def to_dict(self):
-        return {
-            "final": {
-                "accuracy": self.accuracy,
-                "per_class_accuracy": self.per_class,
-                "macro_accuracy": self.macro_accuracy,
-                "confusion_matrix": self.confusion,
-                "no_adapt_accuracy": self.no_adapt_accuracy,
-                "no_adapt_per_class_accuracy": self.no_adapt_per_class,
-                "no_adapt_macro_accuracy": self.no_adapt_macro_accuracy,
-            },
-            "provenance": {
-                "seeds": self.seeds,
-                "config_hash": self.config_hash,
-                "checkpoint_paths": self.checkpoint_paths,
-            },
-            "trace": [r.to_dict() for r in self.trace],
-        }
-
-
-def hash_of_dict(doc: dict) -> str:
-    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
 
 
 # -- evaluation -------------------------------------------------------------------
@@ -379,7 +356,7 @@ def adapt(source_model: ModelBundle, split: SupportSplit, policy: AugmentPolicy,
             trace.append(StepRecord(
                 iteration=it, step_kind=f"step{step_kind}", loss_total=loss_value,
                 loss_lsce=comps["lsce"], loss_entropy=comps["entropy"],
-                loss_rce=comps["rce"], loss_cdd=comps["cdd"], lr=eta))
+                loss_rce=comps["rce"], loss_cdd=comps["cdd"], lr=lr_ext))
 
     if params_fingerprint(trainable_params(source_model, "all_target")) != source_before:
         raise RuntimeError("source model changed during adaptation")
@@ -395,9 +372,6 @@ def adapt(source_model: ModelBundle, split: SupportSplit, policy: AugmentPolicy,
         no_adapt_accuracy=baseline.accuracy,
         no_adapt_per_class=baseline.per_class,
         no_adapt_macro_accuracy=baseline.macro_accuracy,
-        seeds={"adapt_seed": cfg.seed, "split_seed": split.seed,
-               "init_seed": spec.init_seed},
-        config_hash=hash_of_dict({"adapt": asdict(cfg), "augment": asdict(policy)}),
     )
     return bundle, report
 

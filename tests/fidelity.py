@@ -13,31 +13,39 @@ multi-layer backward of the extractor is covered too. Last come two lines
 for a small moons `seed_sweep` (model seeds 7 and 8 x data seeds 2 and 3, 100
 adaptation iterations), one at ``jobs=1`` and one at ``jobs=2``: each is a
 sha256 of the sweep report's `to_dict()`, so the two lines must also match
-each other. The three final lines cover the file formats: the `config_hash`
-of the README quickstart config, loaded through `load_config`, a sha256 of
-the bytes `save_checkpoint` writes for the pretrained moons source model, and
-the `params_fingerprint` of that file loaded back. The last line does not
+each other. Three lines cover the file formats: the `config_hash` of the
+README quickstart config, loaded through `load_config`, a sha256 of the bytes
+`save_checkpoint` writes for the pretrained moons source model, and the
+`params_fingerprint` of that file loaded back. The reload line does not
 depend on how the file is encoded, so a change of checkpoint bytes that keeps
-every parameter changes only the line before it.
+every parameter changes only the line before it. The last lines cover the
+CLI's bytes: in a temporary working directory, the README quickstart runs
+through `cli.main` (`adapt`, `eval --json` on its outputs, and a two-cell
+`sweep --jobs 2`), and each command's stdout and each file it wrote get a
+sha256 line. The quickstart's relative `output_dir` keeps the checkpoint
+paths inside `report.json` the same in every directory.
 
-Not collected by pytest (no ``test_`` prefix). It takes about 20 s on a
+Not collected by pytest (no ``test_`` prefix). It takes about 30 s on a
 2-vCPU machine.
 """
 
+import contextlib
 import hashlib
+import io
 import json
+import os
 import re
 import tempfile
 from dataclasses import replace
 from pathlib import Path
 
+from actlab import cli
 from actlab.config import config_hash, load_config
 from actlab.data import make_domain_pair, sample_support
 from actlab.models import (load_checkpoint, params_fingerprint, save_checkpoint,
                            trainable_params)
 from actlab.optim import SamConfig
-from actlab.pipeline import (ScheduleConfig, adapt, hash_of_dict, pretrain_source,
-                             seed_sweep)
+from actlab.pipeline import ScheduleConfig, adapt, pretrain_source, seed_sweep
 
 from test_acceptance import (BLOBS, BLOBS_MODEL, DATA_SEEDS, MOONS, MOONS_MODEL,
                              PRETRAIN, reference_adapt_config, reference_policy)
@@ -54,13 +62,25 @@ VARIANTS = {
 }
 
 
+CLI_RUNS = (
+    ["adapt", "--config", "config.json"],
+    ["eval", "--json", "--ckpt", "runs/moons-demo/target.ckpt",
+     "--data", "runs/moons-demo/test_set.csv"],
+    ["sweep", "--config", "config.json", "--out", "sweepruns", "--data-seeds", "2,3",
+     "--model-seeds", "7", "--jobs", "2"],
+)
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
 def fingerprint(bundle):
     return params_fingerprint(trainable_params(bundle, "all_target"))
 
 
 def trace_hash(report):
-    doc = json.dumps([r.to_dict() for r in report.trace])
-    return hashlib.sha256(doc.encode()).hexdigest()
+    return sha256(json.dumps([r.to_dict() for r in report.trace]).encode())
 
 
 def runs():
@@ -93,7 +113,8 @@ def main():
                             reference_adapt_config(total_iterations=100),
                             reference_policy(), 2, 5, data_seeds=[2, 3],
                             model_seeds=[7, 8], jobs=jobs)
-        print(f"moons/sweep/jobs{jobs} report={hash_of_dict(report.to_dict())}", flush=True)
+        digest = sha256(json.dumps(report.to_dict(), sort_keys=True).encode())
+        print(f"moons/sweep/jobs{jobs} report={digest}", flush=True)
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     quickstart = re.search(r"```json\n(.*?)```", readme, re.S).group(1)
     with tempfile.TemporaryDirectory() as tmp:
@@ -101,10 +122,30 @@ def main():
         cfg_path.write_text(quickstart)
         print(f"readme/quickstart config_hash={config_hash(load_config(cfg_path))}")
         save_checkpoint(pretrained[MOONS, MOONS_MODEL][0], ckpt_path)
-        digest = hashlib.sha256(ckpt_path.read_bytes()).hexdigest()
-        print(f"moons/source.ckpt sha256={digest}", flush=True)
+        print(f"moons/source.ckpt sha256={sha256(ckpt_path.read_bytes())}", flush=True)
         print(f"moons/source.ckpt reloaded={fingerprint(load_checkpoint(ckpt_path))}",
               flush=True)
+    cli_lines(quickstart)
+
+
+def cli_lines(quickstart):
+    """The sha256 of each CLI run's stdout, then of each file the runs wrote."""
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            Path("config.json").write_text(quickstart)
+            for argv in CLI_RUNS:
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    code = cli.main(argv)
+                print(f"cli/{argv[0]} exit={code} stdout={sha256(out.getvalue().encode())}",
+                      flush=True)
+            for path in sorted(p for p in Path(".").rglob("*")
+                               if p.is_file() and p != Path("config.json")):
+                print(f"cli/{path.as_posix()} sha256={sha256(path.read_bytes())}")
+        finally:
+            os.chdir(home)
 
 
 if __name__ == "__main__":

@@ -10,7 +10,7 @@ from actlab.cli import main
 from actlab.config import config_hash, config_to_dict, load_config
 from actlab.data import LabeledSet, load_labeled_set, save_labeled_set
 from actlab.models import MlpSpec, build, save_checkpoint
-from actlab.pipeline import StepRecord
+from actlab.pipeline import StepRecord, pretrain_source
 
 
 def config_doc(out_dir, **kw):
@@ -73,10 +73,21 @@ class TestAdaptCommand:
                      "report.json", "trace.csv", "test_set.csv", "config.json"):
             assert (run_dir / name).exists(), name
 
+        # json.dumps runs without sort_keys, so the key order is the byte layout
         report = json.loads((run_dir / "report.json").read_text())
         cfg = load_config(cfg_path)
+        assert list(report) == ["final", "provenance", "trace", "config"]
+        assert list(report["final"]) == [
+            "accuracy", "per_class_accuracy", "macro_accuracy", "confusion_matrix",
+            "no_adapt_accuracy", "no_adapt_per_class_accuracy", "no_adapt_macro_accuracy"]
+        assert 0.0 <= report["final"]["no_adapt_accuracy"] <= 1.0
+        assert list(report["provenance"]) == ["seeds", "config_hash", "checkpoint_paths"]
+        assert list(report["provenance"]["seeds"].items()) == [
+            ("adapt_seed", 0), ("split_seed", 21), ("init_seed", 7), ("domain_seed", 3),
+            ("pretrain_seed", 0)]
         assert report["provenance"]["config_hash"] == config_hash(cfg)
-        assert report["provenance"]["seeds"]["split_seed"] == 21
+        assert report["provenance"]["checkpoint_paths"] == {
+            "source": str(run_dir / "source.ckpt"), "target": str(run_dir / "target.ckpt")}
         assert report["config"] == config_to_dict(cfg)
         assert len(report["trace"]) == 4  # 2 iterations x 2 steps
 
@@ -111,12 +122,69 @@ class TestAdaptCommand:
         assert main(["adapt", "--config", str(cfg_path)]) == 1
         assert "error:" in capsys.readouterr().err
 
-    def test_print_config_has_no_side_effects(self, workspace, capsys):
+    @pytest.mark.parametrize("command, existing", [
+        ("pretrain", False), ("adapt", False), ("sweep", False), ("adapt", True)],
+        ids=["pretrain", "adapt", "sweep", "adapt-over-outputs"])
+    def test_print_config_has_no_side_effects(self, workspace, capsys, command, existing):
         cfg_path, run_dir = workspace
-        assert main(["adapt", "--config", str(cfg_path), "--print-config"]) == 0
+        if existing:  # outputs that a run without --force would refuse to replace
+            assert main(["adapt", "--config", str(cfg_path)]) == 0
+            capsys.readouterr()
+
+        def files():
+            return sorted((p.name, p.read_bytes()) for p in run_dir.iterdir()) \
+                if run_dir.exists() else None
+
+        before = files()
+        argv = [command, "--config", str(cfg_path), "--print-config"]
+        if command == "sweep":
+            argv += ["--data-seeds", "1", "--model-seeds", "5"]
+        assert main(argv) == 0
         printed = json.loads(capsys.readouterr().out)
         assert printed == config_to_dict(load_config(cfg_path))
-        assert not run_dir.exists()
+        assert files() == before
+
+    def test_changed_pretraining_pretrains_again(self, workspace, tmp_path):
+        cfg_path, run_dir = workspace
+        assert main(["adapt", "--config", str(cfg_path)]) == 0
+        first = (run_dir / "source.ckpt").read_bytes()
+        assert main(["adapt", "--config", str(cfg_path), "--force",
+                     "--pretrain-seed", "9"]) == 0
+        fresh = tmp_path / "fresh"
+        assert main(["pretrain", "--config", str(cfg_path), "--out", str(fresh),
+                     "--pretrain-seed", "9"]) == 0
+        assert (run_dir / "source.ckpt").read_bytes() != first
+        for name in ("source.ckpt", "pretrain.log"):
+            assert (run_dir / name).read_bytes() == (fresh / "t1" / name).read_bytes()
+
+    @pytest.mark.parametrize("change, pretrains", [
+        (["--split-seed", "99"], False), ("missing", False),
+        (["--init-seed", "9"], True), ("malformed", True), ("undecodable", True)],
+        ids=["split-seed", "missing-config", "init-seed", "malformed-config",
+             "undecodable-config"])
+    def test_source_checkpoint_reuse_follows_config_json(self, workspace, monkeypatch,
+                                                          change, pretrains):
+        cfg_path, run_dir = workspace
+        assert main(["adapt", "--config", str(cfg_path)]) == 0
+        ckpt = (run_dir / "source.ckpt").read_bytes()
+        if change == "missing":
+            (run_dir / "config.json").unlink()
+        elif change == "malformed":
+            (run_dir / "config.json").write_text("{oops")
+        elif change == "undecodable":
+            (run_dir / "config.json").write_bytes(b"\xff\xfe{}")
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return pretrain_source(*args)
+
+        monkeypatch.setattr(cli, "pretrain_source", counting)
+        overrides = change if isinstance(change, list) else []
+        assert main(["adapt", "--config", str(cfg_path), "--force", *overrides]) == 0
+        assert len(calls) == pretrains
+        if not pretrains:
+            assert (run_dir / "source.ckpt").read_bytes() == ckpt
 
     def test_seed_overrides_reach_the_report(self, workspace):
         cfg_path, run_dir = workspace

@@ -337,3 +337,9 @@ class TestLoad:
     def test_missing_file_is_a_parse_error(self, tmp_path):
         with pytest.raises(ParseError):
             load_config(tmp_path / "nope.json")
+
+    def test_undecodable_file_is_a_parse_error(self, tmp_path):
+        p = tmp_path / "exp.json"
+        p.write_bytes(b"\xff\xfe{}")
+        with pytest.raises(ParseError, match="cannot read config"):
+            load_config(p)

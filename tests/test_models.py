@@ -1,5 +1,8 @@
 import json
 import re
+import tempfile
+from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -160,6 +163,18 @@ class TestCheckpoint:
         save_checkpoint(bundle, p1)
         save_checkpoint(load_checkpoint(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @settings(max_examples=50, deadline=None)
+    @given(SPECS)
+    def test_bytes_are_the_sorted_json_document(self, spec):
+        bundle = build(spec)
+        doc = {"format_version": 1, "spec": asdict(spec),
+               "params": {name: {"shape": list(t.data.shape), "data": t.data.ravel().tolist()}
+                          for name, t in bundle.named_params()}}
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "m.ckpt"
+            save_checkpoint(bundle, path)
+            assert path.read_bytes() == (json.dumps(doc, sort_keys=True) + "\n").encode()
 
     def test_records_seed(self, tmp_path):
         path = tmp_path / "m.ckpt"

@@ -1,6 +1,7 @@
 import json
 import re
 import time
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -234,14 +235,17 @@ class TestAdapt:
             [r.loss_total for r in reused.trace]
 
     def test_report_is_json_ready(self, pretrained, split):
+        # the report holds only what adaptation computed; provenance is the caller's
         bundle, _ = pretrained
         _, report = adapt(bundle, split, AugmentPolicy(), small_adapt_cfg())
-        doc = json.loads(json.dumps(report.to_dict()))
-        assert set(doc) == {"final", "provenance", "trace"}
-        assert len(doc["provenance"]["config_hash"]) == 64
-        assert doc["provenance"]["seeds"] == {"adapt_seed": 11, "split_seed": 21,
-                                              "init_seed": 7}
-        assert doc["final"]["no_adapt_accuracy"] is not None
+        doc = json.loads(json.dumps(asdict(report)))
+        assert set(doc) == {"trace", "accuracy", "per_class", "macro_accuracy",
+                            "confusion", "no_adapt_accuracy", "no_adapt_per_class",
+                            "no_adapt_macro_accuracy"}
+        assert doc["no_adapt_accuracy"] is not None
+        assert [set(r) for r in doc["trace"]] == \
+            [{f.name for f in fields(r)} for r in report.trace]
+        assert doc["trace"] == [r.to_dict() for r in report.trace]
 
     def test_shape_and_class_mismatches_rejected(self, pretrained, split):
         bundle, _ = pretrained
@@ -265,8 +269,8 @@ class TestAdapt:
             return sam_step(params, closure, state, cfg, lr_override=lr_override)
 
         monkeypatch.setattr(pipeline, "sam_step", recording)
-        adapted, _ = adapt(pretrained[0], split, AugmentPolicy(),
-                           small_adapt_cfg(total_iterations=3, schedule=schedule))
+        adapted, report = adapt(pretrained[0], split, AugmentPolicy(),
+                                small_adapt_cfg(total_iterations=3, schedule=schedule))
         names = {id(t): name for name, t in adapted.named_params()}
         assert len(calls) == 6
         for i, (params, lrs) in enumerate(calls):
@@ -276,6 +280,11 @@ class TestAdapt:
             got = [(names[id(p)].startswith("head"), lr) for p, lr in zip(params, lrs)]
             assert len(got) == (len(names) if i % 2 == 0 else 4)  # step 1, step 2
             assert got == [(head, want_head if head else want_ext) for head, _ in got]
+        # the trace logs the extractor rate step 1 applied, on both steps' records
+        applied = [next(lr for p, lr in zip(params, lrs) if not names[id(p)].startswith("head"))
+                   for params, lrs in calls[::2]]
+        assert [r.lr for r in report.trace[::2]] == applied
+        assert [r.lr for r in report.trace[1::2]] == applied
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_aborts_with_last_good_params(self, pretrained, split):
