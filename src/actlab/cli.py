@@ -3,7 +3,9 @@
 Every run lands in <output_dir>/<run_id>/. Existing files are never replaced
 silently: rewriting requires --force, except config.json, which may be
 rewritten freely when the content is identical (so pretrain and adapt can
-share a run directory without friction).
+share a run directory without friction). Under --force a run replaces the one
+before it: after validating every input, a command's first write deletes each
+output it claims.
 
 Exit codes: 0 success, 1 failed run or bad inputs, 2 refused overwrite
 (argparse also uses 2 for usage errors).
@@ -13,12 +15,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
 from pathlib import Path
 
-from .config import (ExperimentConfig, config_hash, config_to_dict, load_config)
+from .config import ExperimentConfig, config_hash, config_to_dict, load_config, parse_config
 from .data import load_labeled_set, make_domain_pair, sample_support, save_labeled_set
 from .errors import ContractViolation, DivergenceError, ParseError
 from .fileio import atomic_write
@@ -27,7 +30,11 @@ from .pipeline import adapt as run_adapt
 from .pipeline import EVAL_HEADS, StepRecord, SweepCell, evaluate, pretrain_source, seed_sweep
 
 TRACE_COLUMNS = tuple(f.name for f in fields(StepRecord))
+PRETRAIN_OUTPUTS = ("source.ckpt", "pretrain.log")
+ADAPT_OUTPUTS = ("target.ckpt", "report.json", "trace.csv", "test_set.csv")
 SWEEP_COLUMNS = ("kind",) + tuple(f.name for f in fields(SweepCell))
+SEED_FLAGS = {"split_seed": "split_seed", "adapt_seed": "adapt.seed",
+              "pretrain_seed": "pretrain.seed", "init_seed": "model.init_seed"}
 
 
 class _OverwriteRefused(Exception):
@@ -76,18 +83,13 @@ def _positive_int(text):
 
 
 def _effective_config(args) -> ExperimentConfig:
-    cfg = load_config(args.config)
-    if args.out is not None:
-        cfg = replace(cfg, output_dir=args.out)
-    if getattr(args, "split_seed", None) is not None:
-        cfg = replace(cfg, split_seed=args.split_seed)
-    if getattr(args, "adapt_seed", None) is not None:
-        cfg = replace(cfg, adapt=replace(cfg.adapt, seed=args.adapt_seed))
-    if getattr(args, "pretrain_seed", None) is not None:
-        cfg = replace(cfg, pretrain=replace(cfg.pretrain, seed=args.pretrain_seed))
-    if getattr(args, "init_seed", None) is not None:
-        cfg = replace(cfg, model=replace(cfg.model, init_seed=args.init_seed))
-    return cfg
+    """The config file with the command line's overrides, parsed as one document."""
+    doc = config_to_dict(load_config(args.config))
+    for flag, path in [("out", "output_dir"), *SEED_FLAGS.items()]:
+        if (value := getattr(args, flag, None)) is not None:
+            *parents, key = path.split(".")
+            functools.reduce(dict.__getitem__, parents, doc)[key] = value
+    return parse_config(doc)
 
 
 def _start_run(args, outputs):
@@ -125,6 +127,14 @@ def _write_text(path, text):
         f.write(text)
 
 
+def _replace_run(run_dir, cfg_text, outputs):
+    """The first write of a run: delete its claimed `outputs`, then write config.json."""
+    run_dir.mkdir(parents=True, exist_ok=True)
+    for name in outputs:
+        (run_dir / name).unlink(missing_ok=True)
+    _write_text(run_dir / "config.json", cfg_text)
+
+
 def _write_pretrain_outputs(run_dir, bundle, history):
     save_checkpoint(bundle, run_dir / "source.ckpt")
     lines = [f"epoch={h['epoch']} mean_loss={h['mean_loss']:.6f} "
@@ -133,14 +143,15 @@ def _write_pretrain_outputs(run_dir, bundle, history):
 
 
 def cmd_pretrain(args) -> int:
-    run = _start_run(args, ("source.ckpt", "pretrain.log"))
+    # adapt's outputs derive from the source checkpoint this replaces
+    outputs = PRETRAIN_OUTPUTS + ADAPT_OUTPUTS
+    run = _start_run(args, outputs)
     if run is None:
         return 0
     cfg, run_dir, cfg_text = run
     source, _ = make_domain_pair(cfg.domain)
     bundle, history = pretrain_source(source, cfg.model, cfg.pretrain)
-    run_dir.mkdir(parents=True, exist_ok=True)
-    _write_text(run_dir / "config.json", cfg_text)
+    _replace_run(run_dir, cfg_text, outputs)
     _write_pretrain_outputs(run_dir, bundle, history)
     acc = history[-1]["train_accuracy"] if history else float("nan")
     print(f"pretrain: epochs={cfg.pretrain.epochs} train_acc={acc:.4f} "
@@ -156,14 +167,15 @@ def _write_trace_csv(path, trace):
 
 
 def cmd_adapt(args) -> int:
-    run = _start_run(args, ("target.ckpt", "report.json", "trace.csv", "test_set.csv"))
+    run = _start_run(args, ())  # which outputs it claims depends on the run directory
     if run is None:
         return 0
     cfg, run_dir, cfg_text = run
     source_ckpt = run_dir / "source.ckpt"
     will_pretrain = not (source_ckpt.exists() and _same_source(run_dir / "config.json", cfg))
-    if will_pretrain:
-        _claim(run_dir / "pretrain.log", args.force)
+    outputs = ADAPT_OUTPUTS + (PRETRAIN_OUTPUTS if will_pretrain else ())
+    for name in outputs:
+        _claim(run_dir / name, args.force)
 
     # validate the support draw and an existing source checkpoint before any write;
     # the split draws from its own seeded stream, so moving it first changes no bit
@@ -171,8 +183,7 @@ def cmd_adapt(args) -> int:
     split = sample_support(target, cfg.n_way, cfg.k_shot, cfg.split_seed)
     if not will_pretrain:
         bundle = load_checkpoint(source_ckpt, expect_spec=cfg.model)
-    run_dir.mkdir(parents=True, exist_ok=True)
-    _write_text(run_dir / "config.json", cfg_text)
+    _replace_run(run_dir, cfg_text, outputs)
     if will_pretrain:
         bundle, history = pretrain_source(source, cfg.model, cfg.pretrain)
         _write_pretrain_outputs(run_dir, bundle, history)
@@ -238,8 +249,7 @@ def cmd_sweep(args) -> int:
     report = seed_sweep(cfg.domain, cfg.model, cfg.pretrain, cfg.adapt, cfg.augment,
                         cfg.n_way, cfg.k_shot, args.data_seeds, args.model_seeds,
                         jobs=args.jobs)
-    run_dir.mkdir(parents=True, exist_ok=True)
-    _write_text(run_dir / "config.json", cfg_text)
+    _replace_run(run_dir, cfg_text, ("sweep.csv",))
     with atomic_write(run_dir / "sweep.csv", newline="") as f:
         w = csv.writer(f)
         w.writerow(SWEEP_COLUMNS)
@@ -276,10 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--print-config", action="store_true",
                        help="print the effective config as JSON and exit")
         if seeds:
-            p.add_argument("--split-seed", type=int, help="override split_seed")
-            p.add_argument("--adapt-seed", type=int, help="override adapt.seed")
-            p.add_argument("--pretrain-seed", type=int, help="override pretrain.seed")
-            p.add_argument("--init-seed", type=int, help="override model.init_seed")
+            for flag, path in SEED_FLAGS.items():
+                p.add_argument("--" + flag.replace("_", "-"), type=int, help=f"override {path}")
 
     p = sub.add_parser("pretrain", help="train the source model, save source.ckpt")
     common(p)

@@ -1,10 +1,8 @@
 """Experiment configs: strict JSON parsing, canonical form, content hash.
 
 The dataclasses are the schema: ``ExperimentConfig`` and the config classes
-it nests declare every key, its type and its default once, and
-``schema.parse`` derives the parser from them. Parsing is closed-world: every
-key must be known, every value well-typed, and any complaint carries the full
-dotted path of the offending field. Omitted optional keys take the dataclass
+it nests declare every key, its type, range and default once, and
+``schema.parse`` derives the strict parser from them. Omitted keys take their
 defaults, so a config hash covers the complete effective configuration, not
 just what the file spelled out.
 """
@@ -13,43 +11,32 @@ from __future__ import annotations
 
 import hashlib
 import json
-import re
 from dataclasses import dataclass, field
+from typing import Annotated
 
 from .data import AugmentPolicy, DomainSpec
 from .errors import ContractViolation, ParseError
+from .fileio import read_text
 from .models import MlpSpec
 from .pipeline import AdaptConfig, PretrainConfig
-from .schema import parse, to_plain
-
-_RUN_ID = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
+from .schema import Classes, Count, Match, Natural, check_fields, parse, to_plain
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    run_id: str
-    output_dir: str
-    n_way: int
-    k_shot: int
+    run_id: Annotated[str, Match("[A-Za-z0-9][A-Za-z0-9._-]*")]
+    output_dir: Annotated[str, Match(".+")]
+    n_way: Classes
+    k_shot: Count
     domain: DomainSpec
     model: MlpSpec
-    split_seed: int = 0
+    split_seed: Natural = 0
     pretrain: PretrainConfig = field(default_factory=PretrainConfig)
     adapt: AdaptConfig = field(default_factory=AdaptConfig)
     augment: AugmentPolicy = field(default_factory=AugmentPolicy)
 
     def __post_init__(self):
-        if not _RUN_ID.match(self.run_id):
-            raise ContractViolation(
-                f"run_id {self.run_id!r} must match [A-Za-z0-9][A-Za-z0-9._-]*")
-        if not self.output_dir:
-            raise ContractViolation("output_dir cannot be empty")
-        if self.n_way < 2:
-            raise ContractViolation(f"n_way must be >= 2, got {self.n_way}")
-        if self.k_shot < 1:
-            raise ContractViolation(f"k_shot must be >= 1, got {self.k_shot}")
-        if self.split_seed < 0:
-            raise ContractViolation(f"split_seed must be >= 0, got {self.split_seed}")
+        check_fields(self)
         if self.model.input_dim != self.domain.dim:
             raise ContractViolation(f"model input_dim {self.model.input_dim} != "
                                     f"domain dim {self.domain.dim}")
@@ -74,12 +61,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
 
 def load_config(path) -> ExperimentConfig:
     try:
-        with open(path) as f:
-            text = f.read()
-    except (OSError, UnicodeDecodeError) as e:
-        raise ParseError(f"cannot read config {path}: {e}") from e
-    try:
-        doc = json.loads(text)
+        doc = json.loads(read_text(path, "config"))
     except json.JSONDecodeError as e:
         raise ParseError(f"config {path} is not valid JSON: {e}") from e
     return parse_config(doc)

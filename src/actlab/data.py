@@ -10,13 +10,13 @@ share a stream.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Annotated, Literal
 
 import numpy as np
 
 from .errors import ContractViolation, ParseError
-from .fileio import atomic_write
-
-GENERATORS = ("gaussian_blobs", "two_moons")
+from .fileio import atomic_write, read_text
+from .schema import Bound, Classes, Natural, NonNegative, Probability, check_fields
 
 # blob geometry: class means equally spaced on this circle in the first two dims
 BLOB_RADIUS = 2.5
@@ -37,38 +37,30 @@ def rng_stream(seed: int, purpose: str, index: int | None = None):
 class ShiftSpec:
     rotation_deg: float = 0.0
     translation: tuple[float, ...] = ()
-    noise_sigma: float = 0.0
+    noise_sigma: NonNegative = 0.0
 
     def __post_init__(self):
+        check_fields(self)
         object.__setattr__(self, "translation", tuple(float(t) for t in self.translation))
-        if self.noise_sigma < 0:
-            raise ContractViolation(f"noise_sigma must be nonnegative, got {self.noise_sigma}")
 
 
 @dataclass(frozen=True)
 class DomainSpec:
-    generator: str
-    dim: int
-    num_classes: int
+    generator: Literal["gaussian_blobs", "two_moons"]
+    dim: Annotated[int, Bound(2)]  # shifts rotate the first two dims
+    num_classes: Classes
     samples_per_class: tuple[int, ...]
     shift: ShiftSpec = field(default_factory=ShiftSpec)
-    label_space_mode: str = "closed_set"
+    label_space_mode: Literal["closed_set", "partial_set"] = "closed_set"
     target_classes: tuple[int, ...] | None = None
-    seed: int = 0
+    seed: Natural = 0
 
     def __post_init__(self):
+        check_fields(self)
         object.__setattr__(self, "samples_per_class",
                            tuple(int(n) for n in self.samples_per_class))
-        if self.generator not in GENERATORS:
-            raise ContractViolation(f"unknown generator {self.generator!r}")
         if self.generator == "two_moons" and (self.num_classes != 2 or self.dim != 2):
             raise ContractViolation("two_moons is a 2-class, 2-dim generator")
-        if self.dim < 2:
-            raise ContractViolation(f"dim must be >= 2, got {self.dim}")
-        if self.num_classes < 2:
-            raise ContractViolation(f"num_classes must be >= 2, got {self.num_classes}")
-        if self.seed < 0:
-            raise ContractViolation(f"seed must be >= 0, got {self.seed}")
         if len(self.samples_per_class) != self.num_classes:
             raise ContractViolation(
                 f"samples_per_class has {len(self.samples_per_class)} entries "
@@ -81,9 +73,9 @@ class DomainSpec:
         if self.label_space_mode == "closed_set":
             if self.target_classes is not None:
                 raise ContractViolation("target_classes only applies to partial_set mode")
-        elif self.label_space_mode == "partial_set":
-            if not self.target_classes:
-                raise ContractViolation("partial_set mode needs target_classes")
+        elif not self.target_classes:
+            raise ContractViolation("partial_set mode needs target_classes")
+        else:
             tc = tuple(sorted(int(c) for c in self.target_classes))
             object.__setattr__(self, "target_classes", tc)
             if len(set(tc)) != len(tc) or any(not 0 <= c < self.num_classes for c in tc):
@@ -91,24 +83,21 @@ class DomainSpec:
                                         f"[0, {self.num_classes})")
             if len(tc) == self.num_classes:
                 raise ContractViolation("partial_set target_classes must be a proper subset")
-        else:
-            raise ContractViolation(f"unknown label_space_mode {self.label_space_mode!r}")
 
 
 @dataclass
 class LabeledSet:
     xs: np.ndarray
     ys: np.ndarray
-    num_classes: int
+    num_classes: Classes
     name: str
 
     def __post_init__(self):
+        check_fields(self)
         self.xs = np.asarray(self.xs, dtype=np.float64)
         self.ys = np.asarray(self.ys, dtype=np.int64)
         if self.xs.ndim != 2 or self.ys.ndim != 1 or len(self.xs) != len(self.ys):
             raise ContractViolation(f"bad labeled set shapes {self.xs.shape} / {self.ys.shape}")
-        if self.num_classes < 2:
-            raise ContractViolation(f"num_classes must be >= 2, got {self.num_classes}")
         if len(self.ys) and (self.ys.min() < 0 or self.ys.max() >= self.num_classes):
             raise ContractViolation(f"labels outside [0, {self.num_classes})")
 
@@ -220,34 +209,25 @@ def sample_support(target: LabeledSet, n_way: int, k_shot: int, seed: int) -> Su
 
 @dataclass(frozen=True)
 class WeakTier:
-    jitter_sigma: float = 0.05
-    flip_axis_prob: float = 0.0
+    jitter_sigma: NonNegative = 0.05
+    flip_axis_prob: Probability = 0.0
 
-    def __post_init__(self):
-        if self.jitter_sigma < 0:
-            raise ContractViolation(f"jitter_sigma must be nonnegative, got {self.jitter_sigma}")
-        if not 0.0 <= self.flip_axis_prob <= 1.0:
-            raise ContractViolation(f"flip_axis_prob must be in [0, 1]")
+    __post_init__ = check_fields
 
 
 @dataclass(frozen=True)
 class StrongTier:
-    jitter_sigma: float = 0.15
+    jitter_sigma: NonNegative = 0.15
     scale_range: tuple[float, ...] = (0.8, 1.2)
-    feature_drop_prob: float = 0.1
-    num_ops: int = 2
+    feature_drop_prob: Probability = 0.1
+    num_ops: Natural = 2
 
     def __post_init__(self):
+        check_fields(self)
         object.__setattr__(self, "scale_range", tuple(float(s) for s in self.scale_range))
-        if self.jitter_sigma < 0:
-            raise ContractViolation(f"jitter_sigma must be nonnegative, got {self.jitter_sigma}")
         if len(self.scale_range) != 2 or self.scale_range[0] > self.scale_range[1]:
             raise ContractViolation(f"scale_range must be (lo, hi) with lo <= hi, "
                                     f"got {self.scale_range}")
-        if not 0.0 <= self.feature_drop_prob <= 1.0:
-            raise ContractViolation("feature_drop_prob must be in [0, 1]")
-        if self.num_ops < 0:
-            raise ContractViolation(f"num_ops must be nonnegative, got {self.num_ops}")
 
 
 @dataclass(frozen=True)
@@ -315,8 +295,7 @@ def save_labeled_set(ls: LabeledSet, path):
 
 
 def load_labeled_set(path) -> LabeledSet:
-    with open(path) as f:
-        lines = f.read().splitlines()
+    lines = read_text(path, "dataset").splitlines()
     if not lines:
         raise ParseError(f"{path}: empty dataset file")
     head = lines[0].split(",")

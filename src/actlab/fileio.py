@@ -1,8 +1,8 @@
-"""Atomic file output: write a temporary file beside the target, then rename it.
+"""Text files: atomic output, and input that fails as a typed error.
 
 Every file the package writes (checkpoints, dataset exports and the CLI's run
 outputs) goes through `atomic_write`, so a crash mid-write leaves the old
-file, or none, and never a truncated one.
+file, or none, and never a truncated one; every file it reads, `read_text`.
 """
 
 from __future__ import annotations
@@ -10,6 +10,8 @@ from __future__ import annotations
 import os
 from contextlib import contextmanager
 from pathlib import Path
+
+from .errors import ParseError
 
 
 @contextmanager
@@ -28,3 +30,11 @@ def atomic_write(path, newline=None):
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+def read_text(path, what):
+    """The text of the `what` file at `path`, or a `ParseError` naming both."""
+    try:
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as e:
+        raise ParseError(f"cannot read {what} {path}: {e}") from e

@@ -39,10 +39,12 @@ adaptation loop evaluates both steps on one batch when it reuses batches.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Annotated
 
 import numpy as np
 
 from .errors import ContractViolation
+from .schema import Bound, Fraction, NonNegative, check_fields
 from .tensor import Tensor, _log_shifted, _result, _softmax, _softmax_grad
 
 SIMPLEX_TOL = 1e-6
@@ -50,27 +52,20 @@ SIMPLEX_TOL = 1e-6
 
 @dataclass(frozen=True)
 class LossWeights:
-    lambda_lsce: float = 1.0
-    lambda_e: float = 0.3
-    lambda_rce: float = 0.3
-    lambda_cdd: float = 1.0
+    lambda_lsce: NonNegative = 1.0
+    lambda_e: NonNegative = 0.3
+    lambda_rce: NonNegative = 0.3
+    lambda_cdd: NonNegative = 1.0
 
-    def __post_init__(self):
-        for name in ("lambda_lsce", "lambda_e", "lambda_rce", "lambda_cdd"):
-            if getattr(self, name) < 0:
-                raise ContractViolation(f"{name} must be nonnegative, got {getattr(self, name)}")
+    __post_init__ = check_fields
 
 
 @dataclass(frozen=True)
 class SmoothingParams:
-    alpha_smooth: float = 0.1
-    eps_log: float = 1e-5
+    alpha_smooth: Fraction = 0.1
+    eps_log: Annotated[float, Bound(0, 1, open_lo=True, open_hi=True)] = 1e-5
 
-    def __post_init__(self):
-        if not 0.0 <= self.alpha_smooth < 1.0:
-            raise ContractViolation(f"alpha_smooth must be in [0, 1), got {self.alpha_smooth}")
-        if not 0.0 < self.eps_log < 1.0:
-            raise ContractViolation(f"eps_log must be in (0, 1), got {self.eps_log}")
+    __post_init__ = check_fields
 
 
 def _check_logits(logits, who):

@@ -34,12 +34,13 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from typing import Literal
 
 import numpy as np
 
 from .errors import ConfigError, ContractViolation, ParseError
-from .fileio import atomic_write
-from .schema import parse, to_plain
+from .fileio import atomic_write, read_text
+from .schema import Classes, Count, Natural, check_fields, parse, to_plain
 from .tensor import Tensor, _result
 
 CHECKPOINT_FORMAT_VERSION = 1
@@ -47,25 +48,18 @@ CHECKPOINT_FORMAT_VERSION = 1
 
 @dataclass(frozen=True)
 class MlpSpec:
-    input_dim: int
+    input_dim: Count
     hidden_dims: tuple[int, ...]
-    feature_dim: int
-    num_classes: int
-    activation: str = "relu"
-    init_seed: int = 0
+    feature_dim: Count
+    num_classes: Classes
+    activation: Literal["relu"] = "relu"
+    init_seed: Natural = 0
 
     def __post_init__(self):
+        check_fields(self)
         object.__setattr__(self, "hidden_dims", tuple(int(h) for h in self.hidden_dims))
-        if self.input_dim < 1 or self.feature_dim < 1:
-            raise ContractViolation(f"dims must be positive, got {self}")
         if any(h < 1 for h in self.hidden_dims):
             raise ContractViolation(f"hidden dims must be positive, got {self.hidden_dims}")
-        if self.num_classes < 2:
-            raise ContractViolation(f"need at least 2 classes, got {self.num_classes}")
-        if self.activation != "relu":
-            raise ContractViolation(f"unsupported activation {self.activation!r}")
-        if self.init_seed < 0:
-            raise ContractViolation(f"init_seed must be >= 0, got {self.init_seed}")
 
     def param_shapes(self):
         """(name, shape) of every parameter, in checkpoint order: the extractor's
@@ -306,8 +300,7 @@ def _entry_array(path, name, entry, shape):
 
 def load_checkpoint(path, expect_spec: MlpSpec | None = None) -> ModelBundle:
     try:
-        with open(path) as f:
-            doc = json.load(f)
+        doc = json.loads(read_text(path, "checkpoint"))
     except json.JSONDecodeError as e:
         raise ParseError(f"{path}: not a valid checkpoint ({e})") from e
     if not isinstance(doc, dict):

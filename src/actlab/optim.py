@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractViolation
+from .schema import Fraction, NonNegative, Positive, check_fields
 from .tensor import Tensor, backward, zero_grad
 
 SAM_NORM_FLOOR = 1e-12
@@ -27,44 +28,29 @@ POLY_EXPONENT = -0.75
 
 @dataclass(frozen=True)
 class SgdConfig:
-    lr: float
-    momentum: float = 0.9
-    weight_decay: float = 0.0
+    lr: Positive
+    momentum: Fraction = 0.9
+    weight_decay: NonNegative = 0.0
 
-    def __post_init__(self):
-        if self.lr <= 0:
-            raise ContractViolation(f"lr must be positive, got {self.lr}")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ContractViolation(f"momentum must be in [0, 1), got {self.momentum}")
-        if self.weight_decay < 0:
-            raise ContractViolation(f"weight_decay must be nonnegative, got {self.weight_decay}")
+    __post_init__ = check_fields
 
 
 @dataclass(frozen=True)
 class AdamConfig:
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps_adam: float = 1e-8
+    lr: Positive = 1e-3
+    beta1: Fraction = 0.9
+    beta2: Fraction = 0.999
+    eps_adam: Positive = 1e-8
 
-    def __post_init__(self):
-        if self.lr <= 0:
-            raise ContractViolation(f"lr must be positive, got {self.lr}")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ContractViolation(f"betas must be in [0, 1), got {self.beta1}, {self.beta2}")
-        if self.eps_adam <= 0:
-            raise ContractViolation(f"eps_adam must be positive, got {self.eps_adam}")
+    __post_init__ = check_fields
 
 
 @dataclass(frozen=True)
 class SamConfig:
-    rho: float = 0.05
+    rho: NonNegative = 0.05  # 0 is allowed on purpose: it reduces SAM to the base optimizer
     base: AdamConfig = field(default_factory=AdamConfig)
 
-    def __post_init__(self):
-        # rho = 0 is allowed on purpose: it reduces SAM to the base optimizer
-        if self.rho < 0:
-            raise ContractViolation(f"rho must be nonnegative, got {self.rho}")
+    __post_init__ = check_fields
 
 
 class SgdState:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import asdict, dataclass, field, replace
+from typing import Annotated, Literal, get_args
 
 import numpy as np
 
@@ -30,84 +31,56 @@ from .models import (MlpSpec, ModelBundle, build, bundle_from_params,
                      trainable_params)
 from .optim import (AdamConfig, SamConfig, SamState, SgdConfig, SgdState, lr_at,
                     sam_step, sgd_step)
+from .schema import Count, Fraction, Match, Natural, Positive, check_fields
 from .tensor import Tensor, _softmax, backward, zero_grad
 
-EVAL_HEADS = ("c_t1", "mean_of_heads")
-VIEW_MODES = ("asymmetric", "both_to_both")
+EvalHead = Literal["c_t1", "mean_of_heads"]
+EVAL_HEADS = get_args(EvalHead)
 
 
 @dataclass(frozen=True)
 class PretrainConfig:
-    epochs: int = 60
-    batch_size: int = 32
-    sgd: SgdConfig = field(default_factory=lambda: SgdConfig(lr=0.02, momentum=0.9,
-                                                             weight_decay=5e-4))
-    lr_multiplier_heads: float = 10.0
-    alpha_smooth: float = 0.1
-    seed: int = 0
+    epochs: Natural = 60
+    batch_size: Count = 32
+    sgd: SgdConfig = SgdConfig(lr=0.02, momentum=0.9, weight_decay=5e-4)
+    lr_multiplier_heads: Positive = 10.0
+    alpha_smooth: Fraction = 0.1
+    seed: Natural = 0
 
-    def __post_init__(self):
-        if self.epochs < 0:
-            raise ContractViolation(f"epochs must be >= 0, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ContractViolation(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.lr_multiplier_heads <= 0:
-            raise ContractViolation("lr_multiplier_heads must be positive")
-        if not 0.0 <= self.alpha_smooth < 1.0:
-            raise ContractViolation("alpha_smooth must be in [0, 1)")
-        if self.seed < 0:
-            raise ContractViolation(f"seed must be >= 0, got {self.seed}")
+    __post_init__ = check_fields
 
 
 @dataclass(frozen=True)
 class ScheduleConfig:
-    eta0: float = 1e-3
-    head_multiplier: float = 10.0 / 3.0
+    eta0: Positive = 1e-3
+    head_multiplier: Positive = 10.0 / 3.0
     schedule_extractor: bool = True
     schedule_heads: bool = True
 
-    def __post_init__(self):
-        if self.eta0 <= 0:
-            raise ContractViolation(f"eta0 must be positive, got {self.eta0}")
-        if self.head_multiplier <= 0:
-            raise ContractViolation("head_multiplier must be positive")
+    __post_init__ = check_fields
 
 
 @dataclass(frozen=True)
 class AdaptConfig:
-    total_iterations: int = 2000
-    batch_size: int = 32
+    total_iterations: Count = 2000
+    batch_size: Count = 32
     weights: LossWeights = field(default_factory=LossWeights)
     smoothing: SmoothingParams = field(default_factory=SmoothingParams)
     sam: SamConfig = field(default_factory=SamConfig)
     schedule: ScheduleConfig = field(default_factory=ScheduleConfig)
-    cdd_sign: str = "as_printed"
-    step_pattern: str = "12"
+    cdd_sign: Literal["as_printed", "flipped"] = "as_printed"
+    step_pattern: Annotated[str, Match("[12]+")] = "12"
     fresh_batch_per_step: bool = True
-    view_mode: str = "asymmetric"
-    eval_head: str = "c_t1"
-    seed: int = 0
+    view_mode: Literal["asymmetric", "both_to_both"] = "asymmetric"
+    eval_head: EvalHead = "c_t1"
+    seed: Natural = 0
 
     def __post_init__(self):
-        if self.total_iterations < 1:
-            raise ContractViolation("total_iterations must be >= 1")
-        if self.batch_size < 1:
-            raise ContractViolation("batch_size must be >= 1")
+        check_fields(self)
         if self.sam.base.lr != AdamConfig.lr:  # every step passes the schedule's rates
             raise ContractViolation(f"sam.base.lr is not used: adaptation takes its learning "
                                     f"rates from schedule (eta0, head_multiplier); leave "
                                     f"sam.base.lr at {AdamConfig.lr}, got {self.sam.base.lr}")
-        if self.cdd_sign not in ("as_printed", "flipped"):
-            raise ContractViolation("cdd_sign must be as_printed or flipped")
-        if not self.step_pattern or set(self.step_pattern) - {"1", "2"}:
-            raise ContractViolation(f"step_pattern must be a nonempty string over "
-                                    f"'1'/'2', got {self.step_pattern!r}")
-        if self.view_mode not in VIEW_MODES:
-            raise ContractViolation(f"view_mode must be one of {VIEW_MODES}")
-        if self.eval_head not in EVAL_HEADS:
-            raise ContractViolation(f"eval_head must be one of {EVAL_HEADS}")
-        if self.seed < 0:
-            raise ContractViolation(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -201,6 +174,8 @@ def _rates(params, heads, extractor_lr, head_lr):
     return [head_lr if p in heads else extractor_lr for p in params]
 
 
+# a run that overflows reports once, by its DivergenceError, not also by numpy warnings
+@np.errstate(over="ignore", invalid="ignore")
 def pretrain_source(source: LabeledSet, spec: MlpSpec, cfg: PretrainConfig):
     """Train extractor plus both heads with label-smoothed CE under SGD-momentum.
 
@@ -260,6 +235,7 @@ def _route_views(view_mode, weak, strong, ys):
     return both, both, np.concatenate([ys, ys])
 
 
+@np.errstate(over="ignore", invalid="ignore")  # as for pretrain_source
 def adapt(source_model: ModelBundle, split: SupportSplit, policy: AugmentPolicy,
           cfg: AdaptConfig):
     """Run the two-step loop from a pretrained model. Returns (bundle, report).

@@ -203,6 +203,58 @@ class TestAdaptCommand:
         assert main(["adapt", "--config", str(cfg_path), "--force"]) == 0
 
 
+class TestForceReplacesTheRun:
+    """Under --force a run deletes every output it claims, once its inputs are valid."""
+
+    @staticmethod
+    def rerun(cfg_path, edit, *argv):
+        doc = json.loads(cfg_path.read_text())
+        edit(doc)
+        cfg_path.write_text(json.dumps(doc))
+        return main([*argv, "--config", str(cfg_path), "--force"])
+
+    def test_diverged_adapt_leaves_no_output_of_the_run_it_replaced(self, workspace, capsys):
+        cfg_path, run_dir = workspace
+        assert main(["adapt", "--config", str(cfg_path)]) == 0
+        capsys.readouterr()
+        assert self.rerun(cfg_path, lambda d: d["adapt"].update(sam={"rho": 1e308}),
+                          "adapt") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: adaptation diverged at iteration 0") and err.count("\n") == 1
+        assert sorted(p.name for p in run_dir.iterdir()) == [
+            "config.json", "pretrain.log", "source.ckpt"]
+        assert load_config(run_dir / "config.json").adapt.sam.rho == 1e308
+
+    def test_diverged_pretraining_leaves_no_stale_source(self, workspace, capsys):
+        cfg_path, run_dir = workspace
+        assert main(["adapt", "--config", str(cfg_path)]) == 0
+        assert self.rerun(cfg_path, lambda d: d["pretrain"].update(sgd={"lr": 1e200}),
+                          "adapt") == 1
+        assert "error: pretraining diverged" in capsys.readouterr().err
+        assert [p.name for p in run_dir.iterdir()] == ["config.json"]
+
+    def test_pretrain_deletes_the_adapted_outputs_of_its_old_source(self, workspace):
+        cfg_path, run_dir = workspace
+        assert main(["adapt", "--config", str(cfg_path)]) == 0
+        assert self.rerun(cfg_path, lambda d: d["pretrain"].update(seed=9), "pretrain") == 0
+        assert sorted(p.name for p in run_dir.iterdir()) == [
+            "config.json", "pretrain.log", "source.ckpt"]
+
+    @pytest.mark.parametrize("broken", ["support-draw", "source-checkpoint"])
+    def test_an_invalid_run_leaves_the_old_one_in_place(self, workspace, capsys, broken):
+        cfg_path, run_dir = workspace
+        assert main(["adapt", "--config", str(cfg_path)]) == 0
+        if broken == "source-checkpoint":
+            (run_dir / "source.ckpt").write_bytes(b"\xff\xfe{}")
+        before = sorted((p.name, p.read_bytes()) for p in run_dir.iterdir())
+        capsys.readouterr()
+        edit = (lambda d: d.update(k_shot=50)) if broken == "support-draw" \
+            else (lambda d: d.update(split_seed=4))
+        assert self.rerun(cfg_path, edit, "adapt") == 1
+        assert capsys.readouterr().err.count("error:") == 1
+        assert sorted((p.name, p.read_bytes()) for p in run_dir.iterdir()) == before
+
+
 class TestEvalCommand:
     @pytest.fixture
     def adapted(self, workspace):
@@ -296,7 +348,7 @@ class TestErrorPaths:
         doc["adapt"]["seed"] = -1
         cfg_path.write_text(json.dumps(doc))
         assert main(["adapt", "--config", str(cfg_path), "--force"]) == 1
-        assert "adapt: seed must be >= 0" in capsys.readouterr().err
+        assert "error: adapt.seed: must be >= 0, got -1\n" == capsys.readouterr().err
         assert sorted((p.name, p.read_bytes()) for p in run_dir.iterdir()) == before
 
     def test_impossible_support_draw_creates_no_run_dir(self, tmp_path, capsys):
@@ -331,6 +383,36 @@ class TestErrorPaths:
         named = ckpt if broken == "ckpt" else data
         assert capsys.readouterr().err.startswith(f"error: {named}: ")
 
+    @pytest.mark.parametrize("case", ["ckpt-missing", "ckpt-directory", "ckpt-undecodable",
+                                      "data-missing", "adapt-undecodable-source"])
+    def test_unreadable_input_file_is_one_error_line(self, workspace, tmp_path, capsys, case):
+        cfg_path, run_dir = workspace
+        ckpt, data = tmp_path / "m.ckpt", tmp_path / "d.csv"
+        save_checkpoint(build(MlpSpec(2, (4,), 4, 2)), ckpt)
+        save_labeled_set(LabeledSet(np.zeros((2, 2)), np.array([0, 1]), 2, "d"), data)
+        if case == "ckpt-missing":
+            ckpt = tmp_path / "missing.ckpt"
+        elif case == "ckpt-directory":
+            ckpt = tmp_path
+        elif case == "data-missing":
+            data = tmp_path / "missing.csv"
+        elif case == "ckpt-undecodable":
+            ckpt.write_bytes(b"\xff\xfe{}")
+        else:  # a source checkpoint that adapt would reuse
+            run_dir.mkdir(parents=True)
+            (run_dir / "source.ckpt").write_bytes(b"\xff\xfe{}")
+
+        def files():
+            return sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*"))
+
+        before = files()
+        argv = ["adapt", "--config", str(cfg_path)] if case.startswith("adapt") else \
+            ["eval", "--ckpt", str(ckpt), "--data", str(data)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read ") and err.count("\n") == 1
+        assert files() == before
+
     @pytest.mark.parametrize("option", ["--data-seeds", "--model-seeds"])
     def test_negative_sweep_seed_is_a_usage_error(self, workspace, capsys, option):
         cfg_path, run_dir = workspace
@@ -352,12 +434,10 @@ class TestErrorPaths:
         assert "--jobs" in capsys.readouterr().err
         assert not run_dir.exists()
 
-    def test_output_that_dies_midway_keeps_the_old_file(self, workspace, capsys,
-                                                        monkeypatch):
+    def test_output_that_dies_midway_leaves_no_partial_file(self, workspace, capsys,
+                                                            monkeypatch):
         cfg_path, run_dir = workspace
         assert main(["adapt", "--config", str(cfg_path)]) == 0
-        before = (run_dir / "trace.csv").read_bytes()
-        names = sorted(p.name for p in run_dir.iterdir())
 
         def crash(value):
             raise OSError("disk full")
@@ -365,8 +445,10 @@ class TestErrorPaths:
         monkeypatch.setattr(cli, "_fmt", crash)  # trace.csv dies after its header
         with pytest.raises(OSError, match="disk full"):
             main(["adapt", "--config", str(cfg_path), "--force", "--split-seed", "4"])
-        assert (run_dir / "trace.csv").read_bytes() == before
-        assert sorted(p.name for p in run_dir.iterdir()) == names
+        # --force deleted the old run's outputs first; the crash left neither a
+        # truncated trace.csv nor its temporary file, and nothing after it ran
+        assert sorted(p.name for p in run_dir.iterdir()) == [
+            "config.json", "pretrain.log", "source.ckpt", "target.ckpt", "test_set.csv"]
 
     def test_unknown_subcommand_is_a_usage_error(self):
         with pytest.raises(SystemExit) as exc:

@@ -1,6 +1,8 @@
+import dataclasses
 import json
 import math
 import pickle
+import re
 
 import pytest
 from hypothesis import assume, given, settings
@@ -9,6 +11,9 @@ from hypothesis import strategies as st
 from actlab.config import (ExperimentConfig, config_hash, config_to_dict,
                            load_config, parse_config)
 from actlab.errors import ConfigError, ContractViolation, ParseError
+from actlab.optim import SgdConfig
+from actlab.pipeline import PretrainConfig
+from actlab.schema import parse
 
 
 def minimal_doc(**kw):
@@ -106,11 +111,19 @@ class TestParsing:
     def test_semantic_violations_become_config_errors_with_path(self):
         with pytest.raises(ConfigError) as exc:
             parse_config(minimal_doc(adapt={"step_pattern": "13"}))
-        assert exc.value.path == "adapt"
+        assert exc.value.path == "adapt.step_pattern"
         with pytest.raises(ConfigError) as exc:
             parse_config(minimal_doc(model={"input_dim": 5, "hidden_dims": [16],
                                             "feature_dim": 8, "num_classes": 3}))
         assert exc.value.path == "<root>"  # cross-field check at the top level
+
+    def test_omitted_key_takes_the_enclosing_default_block(self):
+        # PretrainConfig's default sgd block is not SgdConfig's own defaults
+        cfg = parse_config(minimal_doc(pretrain={"sgd": {"lr": 0.05}}))
+        assert cfg.pretrain.sgd == SgdConfig(lr=0.05, momentum=0.9, weight_decay=5e-4)
+        cfg = parse_config(minimal_doc(pretrain={"epochs": 3, "sgd": {}}))
+        assert cfg.pretrain.sgd == PretrainConfig().sgd
+        assert config_hash(cfg) == config_hash(parse_config(config_to_dict(cfg)))
 
     def test_unused_sam_base_lr_is_refused(self):
         # adaptation takes every rate from adapt.schedule
@@ -153,11 +166,7 @@ REQUIRED_KEYS = {
     "run_id", "output_dir", "n_way", "k_shot", "domain", "model",
     "domain.generator", "domain.dim", "domain.num_classes", "domain.samples_per_class",
     "model.input_dim", "model.hidden_dims", "model.feature_dim", "model.num_classes",
-    "pretrain.sgd.lr",
 }
-# PretrainConfig's default sgd block has weight_decay 5e-4 where SgdConfig's
-# own default is 0.0, so this key keeps the config only when its block goes too.
-PARENT_DEFAULT_KEYS = {"pretrain.sgd.weight_decay"}
 
 
 def _object_keys(doc, path=""):
@@ -192,7 +201,7 @@ def _delete(doc, path):
 
 FULL_CFG = parse_config(minimal_doc())
 OPTIONAL_KEYS = [k for k in _object_keys(FULL_DOC)
-                 if k not in REQUIRED_KEYS | PARENT_DEFAULT_KEYS]
+                 if k not in REQUIRED_KEYS]
 OBJECT_NODES = [""] + [k for k in _object_keys(FULL_DOC) if isinstance(_get(FULL_DOC, k), dict)]
 
 
@@ -269,9 +278,8 @@ class TestNegativeSeeds:
         _set_leaf(doc, path, -1)
         with pytest.raises(ConfigError) as exc:
             parse_config(doc)
-        owner, _, field = path.rpartition(".")
-        assert exc.value.path == (owner or "<root>")
-        assert f"{field} must be >= 0, got -1" in str(exc.value)
+        assert exc.value.path == path
+        assert str(exc.value) == f"{path}: must be >= 0, got -1"
 
     def test_zero_seeds_are_accepted(self):
         doc = json.loads(json.dumps(FULL_DOC))
@@ -279,6 +287,105 @@ class TestNegativeSeeds:
                      "pretrain.seed", "adapt.seed"):
             _set_leaf(doc, path, 0)
         assert parse_config(doc).adapt.seed == 0
+
+
+TINY = math.ulp(0.0)
+BELOW_ONE = math.nextafter(1.0, 0.0)
+ABOVE_ONE = math.nextafter(1.0, 2.0)
+
+# Written out by hand rather than read from the annotations: each bounded
+# leaf with the first value outside its range at one end, and the value at
+# that end that is inside it.
+NUMERIC_BOUNDS = [
+    ("n_way", 1, 2), ("k_shot", 0, 1), ("split_seed", -1, 0),
+    ("domain.dim", 1, 2), ("domain.num_classes", 1, 2), ("domain.seed", -1, 0),
+    ("domain.shift.noise_sigma", -TINY, 0.0),
+    ("model.input_dim", 0, 1), ("model.feature_dim", 0, 1), ("model.num_classes", 1, 2),
+    ("model.init_seed", -1, 0),
+    ("pretrain.epochs", -1, 0), ("pretrain.batch_size", 0, 1),
+    ("pretrain.sgd.lr", 0.0, TINY), ("pretrain.sgd.momentum", -TINY, 0.0),
+    ("pretrain.sgd.momentum", 1.0, BELOW_ONE), ("pretrain.sgd.weight_decay", -TINY, 0.0),
+    ("pretrain.lr_multiplier_heads", 0.0, TINY), ("pretrain.alpha_smooth", -TINY, 0.0),
+    ("pretrain.alpha_smooth", 1.0, BELOW_ONE), ("pretrain.seed", -1, 0),
+    ("adapt.total_iterations", 0, 1), ("adapt.batch_size", 0, 1),
+    ("adapt.weights.lambda_lsce", -TINY, 0.0), ("adapt.weights.lambda_e", -TINY, 0.0),
+    ("adapt.weights.lambda_rce", -TINY, 0.0), ("adapt.weights.lambda_cdd", -TINY, 0.0),
+    ("adapt.smoothing.alpha_smooth", -TINY, 0.0),
+    ("adapt.smoothing.alpha_smooth", 1.0, BELOW_ONE),
+    ("adapt.smoothing.eps_log", 0.0, TINY), ("adapt.smoothing.eps_log", 1.0, BELOW_ONE),
+    ("adapt.sam.rho", -TINY, 0.0), ("adapt.sam.base.lr", 0.0, TINY),
+    ("adapt.sam.base.beta1", -TINY, 0.0), ("adapt.sam.base.beta1", 1.0, BELOW_ONE),
+    ("adapt.sam.base.beta2", -TINY, 0.0), ("adapt.sam.base.beta2", 1.0, BELOW_ONE),
+    ("adapt.sam.base.eps_adam", 0.0, TINY),
+    ("adapt.schedule.eta0", 0.0, TINY), ("adapt.schedule.head_multiplier", 0.0, TINY),
+    ("adapt.seed", -1, 0),
+    ("augment.weak.jitter_sigma", -TINY, 0.0), ("augment.weak.flip_axis_prob", -TINY, 0.0),
+    ("augment.weak.flip_axis_prob", ABOVE_ONE, 1.0),
+    ("augment.strong.jitter_sigma", -TINY, 0.0),
+    ("augment.strong.feature_drop_prob", -TINY, 0.0),
+    ("augment.strong.feature_drop_prob", ABOVE_ONE, 1.0), ("augment.strong.num_ops", -1, 0),
+]
+NUMERIC_PATHS = [p for p, _, _ in NUMERIC_BOUNDS]
+STRING_RULES = [
+    ("run_id", "bad/run", "r"), ("run_id", "-lead", "0"), ("output_dir", "", "o"),
+    ("domain.generator", "spiral", "two_moons"),
+    ("domain.label_space_mode", "open_set", "closed_set"), ("model.activation", "tanh", "relu"),
+    ("adapt.cdd_sign", "sideways", "flipped"), ("adapt.step_pattern", "13", "2"),
+    ("adapt.step_pattern", "", "1"), ("adapt.view_mode", "mirrored", "both_to_both"),
+    ("adapt.eval_head", "c_t2", "mean_of_heads"),
+]
+# two classes, so that every edge above is consistent with the cross-field checks
+RANGE_DOC = config_to_dict(parse_config(minimal_doc(
+    n_way=2,
+    domain={"generator": "gaussian_blobs", "dim": 2, "num_classes": 2,
+            "samples_per_class": [40, 40]},
+    model={"input_dim": 2, "hidden_dims": [16], "feature_dim": 8, "num_classes": 2})))
+RANGE_CFG = parse_config(RANGE_DOC)
+
+
+def _with_leaf(path, value):
+    doc = json.loads(json.dumps(RANGE_DOC))
+    _set_leaf(doc, path, value)
+    return doc
+
+
+def _owner(path):
+    """(owner path, owning config object, field name) of leaf `path`."""
+    owner_path, _, name = path.rpartition(".")
+    obj = RANGE_CFG
+    for key in owner_path.split(".") if owner_path else []:
+        obj = getattr(obj, key)
+    return owner_path, obj, name
+
+
+class TestParsingAndConstructionAgree:
+    @pytest.mark.parametrize("path, bad", [(p, b) for p, b, _ in NUMERIC_BOUNDS + STRING_RULES]
+                             + [(p, math.nan) for p in dict.fromkeys(NUMERIC_PATHS)])
+    def test_outside_the_range_both_refuse_at_the_field(self, path, bad):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(_with_leaf(path, bad))
+        assert exc.value.path == path
+        _, owner, name = _owner(path)
+        with pytest.raises(ContractViolation) as exc:
+            dataclasses.replace(owner, **{name: bad})
+        assert str(exc.value).startswith(f"{name}: ")
+
+    @pytest.mark.parametrize("path, edge", [(p, e) for p, _, e in NUMERIC_BOUNDS + STRING_RULES])
+    def test_the_edge_inside_the_range_passes_both(self, path, edge):
+        owner_path, owner, name = _owner(path)
+        assert getattr(dataclasses.replace(owner, **{name: edge}), name) == edge
+        block = _with_leaf(path, edge)
+        for key in owner_path.split(".") if owner_path else []:
+            block = block[key]
+        assert getattr(parse(type(owner), block, owner_path), name) == edge
+
+    def test_messages_name_the_range(self):
+        with pytest.raises(ConfigError, match=re.escape(
+                "adapt.smoothing.eps_log: must be in (0, 1), got 0.0")):
+            parse_config(_with_leaf("adapt.smoothing.eps_log", 0.0))
+        with pytest.raises(ContractViolation, match=re.escape(
+                "view_mode: must be one of 'asymmetric', 'both_to_both', got 'x'")):
+            dataclasses.replace(RANGE_CFG.adapt, view_mode="x")
 
 
 class TestCrossChecks:

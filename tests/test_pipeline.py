@@ -87,7 +87,6 @@ class TestPretrain:
         with pytest.raises(ContractViolation):
             pretrain_source(source, spec, PretrainConfig(epochs=1))
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_aborts_with_context(self, domain_pair):
         source, _ = domain_pair
         cfg = PretrainConfig(epochs=2, sgd=SgdConfig(lr=1e200, momentum=0.0))
@@ -286,13 +285,11 @@ class TestAdapt:
         assert [r.lr for r in report.trace[::2]] == applied
         assert [r.lr for r in report.trace[1::2]] == applied
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_aborts_with_last_good_params(self, pretrained, split):
         self.assert_aborts_with_the_source(
             pretrained[0], split, small_adapt_cfg(sam=SamConfig(rho=1e200)), step=1)
 
     # rho 1e200 or 1e300 only underflows a softmax entry, which lsce refuses
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_step2_divergence_aborts_with_last_good_params(self, pretrained, split):
         cfg = small_adapt_cfg(step_pattern="2", sam=SamConfig(rho=1e308))
         self.assert_aborts_with_the_source(pretrained[0], split, cfg, step=2)
