@@ -249,7 +249,11 @@ def cmd_sweep(args) -> int:
     report = seed_sweep(cfg.domain, cfg.model, cfg.pretrain, cfg.adapt, cfg.augment,
                         cfg.n_way, cfg.k_shot, args.data_seeds, args.model_seeds,
                         jobs=args.jobs)
-    _replace_run(run_dir, cfg_text, ("sweep.csv",))
+    config = run_dir / "config.json"  # a changed one takes the run it described with it
+    outputs = ("sweep.csv",)
+    if config.exists() and config.read_bytes() != cfg_text.encode():
+        outputs += ADAPT_OUTPUTS + (() if _same_source(config, cfg) else PRETRAIN_OUTPUTS)
+    _replace_run(run_dir, cfg_text, outputs)
     with atomic_write(run_dir / "sweep.csv", newline="") as f:
         w = csv.writer(f)
         w.writerow(SWEEP_COLUMNS)

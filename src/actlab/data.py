@@ -240,32 +240,37 @@ class AugmentPolicy:
             raise ContractViolation("strong jitter must be at least the weak jitter")
 
 
-def augment(x, policy: AugmentPolicy, tier: str, rng) -> np.ndarray:
-    """One augmented view of one feature vector. Consumes only `rng`."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ContractViolation(f"augment takes one vector, got shape {x.shape}")
-    if tier == "weak":
-        t = policy.weak
-        out = x + rng.normal(0.0, t.jitter_sigma, x.shape)
+def _augment_row(x, t, rng, out):  # one view of row `x` under tier settings `t`
+    np.add(x, rng.normal(0.0, t.jitter_sigma, x.shape), out=out)
+    if isinstance(t, WeakTier):
         if rng.random() < t.flip_axis_prob:
             axis = int(rng.integers(x.size))
             out[axis] = -out[axis]
-        return out
-    if tier == "strong":
-        t = policy.strong
-        out = x + rng.normal(0.0, t.jitter_sigma, x.shape)
-        for _ in range(t.num_ops):
-            if rng.integers(2) == 0:
-                out = out * rng.uniform(t.scale_range[0], t.scale_range[1], x.shape)
-            else:
-                out = np.where(rng.random(x.shape) < t.feature_drop_prob, 0.0, out)
-        return out
-    raise ContractViolation(f"unknown tier {tier!r}")
+        return
+    for _ in range(t.num_ops):
+        if rng.integers(2) == 0:
+            out *= rng.uniform(t.scale_range[0], t.scale_range[1], x.shape)
+        else:
+            out[rng.random(x.shape) < t.feature_drop_prob] = 0.0
+
+
+def augment(x, policy: AugmentPolicy, tier: str, rng) -> np.ndarray:
+    """One augmented view of one feature vector. Consumes only `rng`."""
+    return augment_batch(np.asarray(x, dtype=np.float64)[None], policy, tier, rng)[0]
 
 
 def augment_batch(xs, policy, tier, rng):
-    return np.stack([augment(x, policy, tier, rng) for x in xs])
+    """`augment` of each row of `xs`, in order: the same draws from `rng`, row by row."""
+    xs = np.asarray(xs, dtype=np.float64)
+    if xs.ndim != 2:
+        raise ContractViolation(f"augment takes vectors, got rows of shape {xs.shape[1:]}")
+    if tier not in ("weak", "strong"):
+        raise ContractViolation(f"unknown tier {tier!r}")
+    t = policy.weak if tier == "weak" else policy.strong
+    out = np.empty_like(xs)
+    for x, o in zip(xs, out):
+        _augment_row(x, t, rng, o)
+    return out
 
 
 # -- batching ---------------------------------------------------------------------

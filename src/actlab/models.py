@@ -3,7 +3,10 @@
 A bundle is one network: a feature extractor shared by two classifier heads.
 ``MlpSpec.param_shapes`` is its one parameter layout (names, shapes, checkpoint
 order): ``build`` draws into it, ``bundle_from_params`` checks named arrays
-against it, and the training scopes and checkpoints follow it.
+against it, and the training scopes and checkpoints follow it. The bundle's
+parameters are one float64 vector in that order (an ``optim.ParamVector``):
+each Tensor's ``data`` is a reshaped view into it, and a step binds a new
+vector rather than writing into it. ``classifiers_only`` trains its tail.
 Adaptation trains a clone and reads the caller's untouched bundle as the
 frozen source model whose predictions anchor the losses. The forward pass
 comes in two pieces, features then one head, so a caller that holds the
@@ -40,6 +43,7 @@ import numpy as np
 
 from .errors import ConfigError, ContractViolation, ParseError
 from .fileio import atomic_write, read_text
+from .optim import ParamVector
 from .schema import Classes, Count, Natural, check_fields, parse, to_plain
 from .tensor import Tensor, _result
 
@@ -79,17 +83,22 @@ class ModelBundle:
     """Two-head MLP: one shared extractor and two classifier heads.
 
     ``params`` maps each name of ``spec.param_shapes()``, in that order, to a
-    Tensor with requires_grad set. ``extractor`` / ``head1`` / ``head2`` are
-    lists of (weight, bias) pairs of those same Tensors, as the forward
-    passes read them.
+    Tensor with requires_grad set; ``vector`` binds their data into one vector,
+    and ``head_vector`` is its heads' tail. ``extractor`` / ``head1`` / ``head2``
+    are lists of (weight, bias) pairs of those Tensors, as the forward passes read them.
     """
 
     def __init__(self, spec, params):
         self.spec = spec
         self.params = params
-        tensors = list(params.values())
+        self.vector = ParamVector(params.values())
+        tensors = self.vector.tensors
         layers = list(zip(tensors[0::2], tensors[1::2]))
         self.extractor, self.head1, self.head2 = layers[:-2], layers[-2:-1], layers[-1:]
+        # built once, since optimizer state is keyed by the parameter object
+        self.head_vector = ParamVector(tensors[2 * len(self.extractor):], root=self.vector)
+        n = self.vector.data.size
+        self.is_head = np.arange(n) >= n - self.head_vector.data.size  # per vector entry
 
     def named_params(self, side="target"):
         """(name, Tensor) pairs in checkpoint order. ``side`` may only be "target"."""
@@ -129,7 +138,7 @@ def bundle_from_params(spec, params: dict) -> ModelBundle:
         got = np.asarray(params[name], dtype=np.float64)
         if got.shape != shape:
             raise ContractViolation(f"{name}: expected shape {shape}, got {got.shape}")
-        tensors[name] = Tensor(got.copy(), requires_grad=True)
+        tensors[name] = Tensor(got, requires_grad=True)  # the bundle's vector copies it
     return ModelBundle(spec, tensors)
 
 
@@ -236,9 +245,9 @@ def plain_head(bundle, feats, branch):
 def trainable_params(bundle, scope):
     """The Tensors that `scope` trains, in checkpoint order."""
     if scope == "all_target":
-        return list(bundle.params.values())
+        return list(bundle.vector.tensors)
     if scope == "classifiers_only":
-        return [t for name, t in bundle.params.items() if not name.startswith("extractor.")]
+        return list(bundle.head_vector.tensors)
     raise ContractViolation(f"unknown scope {scope!r}")
 
 

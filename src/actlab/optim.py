@@ -1,8 +1,11 @@
 """Optimizers: SGD with momentum, Adam, a SAM wrapper, and the poly LR decay.
 
 All steps are functional: parameters in, state mutated, nothing returned
-(except SAM, which returns the unperturbed loss for logging). State is keyed
-by parameter object, never by list position, so update order cannot matter.
+(except SAM, which returns the unperturbed loss for logging). A parameter is a
+Tensor or a ``ParamVector``: Tensors stepped at once as one vector, whose rate
+may be an array of per-entry rates; the arithmetic is elementwise, so each entry
+gets its own Tensor's bits. State is keyed by parameter object, never by list
+position, so update order cannot matter.
 
     sgd   v <- momentum * v + (g + wd * w);  w <- w - lr * v
     adam  standard bias-corrected moments, update m_hat / (sqrt(v_hat) + eps)
@@ -53,6 +56,43 @@ class SamConfig:
     __post_init__ = check_fields
 
 
+class ParamVector:
+    """Tensors seen as one float64 vector: each Tensor's ``data`` is a reshaped
+    view into ``data``, in order. Assigning ``data`` binds a new vector and
+    re-points the views; nothing writes into a bound vector, so a reference to
+    ``data`` keeps its values bitwise. Given a `root` whose last Tensors these
+    are, the vector is the root's tail: assigning it binds the root anew.
+    """
+
+    def __init__(self, tensors, root=None):
+        self.tensors = list(tensors)
+        ends = np.cumsum([t.size for t in self.tensors]).tolist()
+        self._slots = [(t, hi - t.size, hi, t.shape) for t, hi in zip(self.tensors, ends)]
+        self._root, self._lo = root, -ends[-1]  # a tail is the last ends[-1] entries
+        if root is None:
+            self.data = np.concatenate([t.data for t in self.tensors], axis=None)
+
+    @property
+    def data(self):
+        return self._data if self._root is None else self._root.data[self._lo:]
+
+    @data.setter
+    def data(self, vector):
+        if self._root is not None:
+            self._root.data = np.concatenate((self._root.data[:self._lo], vector))
+            return
+        self._data = vector
+        for t, lo, hi, shape in self._slots:
+            t.data = vector[lo:hi].reshape(shape)
+
+    def grad(self):  # a Tensor the loss never reached has a zero gradient
+        return np.concatenate([np.zeros(t.shape) if t.grad is None else t.grad
+                               for t in self.tensors], axis=None)
+
+    def split(self, vector):  # one view of `vector` per Tensor, in its shape
+        return [vector[lo:hi].reshape(shape) for _, lo, hi, shape in self._slots]
+
+
 class SgdState:
     def __init__(self):
         self.velocity = {}
@@ -84,13 +124,11 @@ def _check_step_args(params, grads, lr_override, default_lr):
     for i, (p, g) in enumerate(zip(params, grads)):
         if g is None:
             raise ContractViolation(f"param {i} has no gradient")
-        if np.shape(g) != p.shape:
-            raise ContractViolation(f"param {i}: grad shape {np.shape(g)} != {p.shape}")
-    if lr_override is None:
-        return [default_lr] * len(params)
-    if np.isscalar(lr_override):
-        return [float(lr_override)] * len(params)
-    lrs = [float(lr) for lr in lr_override]
+        if np.shape(g) != np.shape(p.data):
+            raise ContractViolation(f"param {i}: grad shape {np.shape(g)} != {np.shape(p.data)}")
+    if lr_override is None or np.isscalar(lr_override):
+        return [default_lr if lr_override is None else float(lr_override)] * len(params)
+    lrs = list(lr_override)
     if len(lrs) != len(params):
         raise ContractViolation(f"{len(params)} params but {len(lrs)} lr overrides")
     return lrs
@@ -121,11 +159,6 @@ def adam_step(params, grads, state: AdamState, cfg: AdamConfig, lr_override=None
         p.data = p.data - lr * (m / bias1) / (np.sqrt(v / bias2) + cfg.eps_adam)
 
 
-def _collect_grads(params):
-    # a parameter the loss never touched gets a zero gradient, not a crash
-    return [np.zeros_like(p.data) if p.grad is None else p.grad for p in params]
-
-
 def global_grad_norm(grads) -> float:
     return float(np.sqrt(sum(float((g * g).sum()) for g in grads)))
 
@@ -137,30 +170,28 @@ def sam_step(params, loss_closure, state: SamState, cfg: SamConfig,
     Phases: (1) gradient at w; (2) ascend to w + rho * g / ||g||; (3) fresh
     gradient there; (4) restore w bitwise; (5) base-optimizer step with the
     perturbed-point gradient. Gradients are zeroed before each phase so no
-    stale state can leak in.
+    stale state can leak in. `params` is a ParamVector or a list of Tensors.
     """
-    zero_grad(params)
+    vec = params if isinstance(params, ParamVector) else ParamVector(params)
+    zero_grad(vec.tensors)
     loss = loss_closure()
     if not isinstance(loss, Tensor) or loss.size != 1:
         raise ContractViolation("loss closure must return a scalar tensor")
     backward(loss)
-    grads = _collect_grads(params)
+    grad = vec.grad()
 
-    # steps rebind p.data and never write into it, so references restore w exactly
-    saved = [p.data for p in params]
-    scale = cfg.rho / (global_grad_norm(grads) + SAM_NORM_FLOOR)
-    for p, g in zip(params, grads):
-        p.data = p.data + scale * g
+    w = vec.data  # steps bind new vectors and never write into one: w stays w
+    scale = cfg.rho / (global_grad_norm(vec.split(grad)) + SAM_NORM_FLOOR)
+    vec.data = w + scale * grad
 
-    zero_grad(params)
+    zero_grad(vec.tensors)
     backward(loss_closure())
-    adv_grads = _collect_grads(params)
+    adv_grad = vec.grad()
+    vec.data = w
 
-    for p, w in zip(params, saved):
-        p.data = w
-
+    params, grads = ([vec], [adv_grad]) if vec is params else (params, vec.split(adv_grad))
     if base_step is not None:
-        base_step(params, adv_grads)
+        base_step(params, grads)
     else:
-        adam_step(params, adv_grads, state.base, cfg.base, lr_override)
+        adam_step(params, grads, state.base, cfg.base, lr_override)
     return float(loss.item())

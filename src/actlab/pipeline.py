@@ -169,11 +169,6 @@ def evaluate(bundle: ModelBundle, test: LabeledSet, eval_head: str = "c_t1") -> 
 # -- source pretraining -------------------------------------------------------------
 
 
-def _rates(params, heads, extractor_lr, head_lr):
-    """Each parameter's learning rate: `head_lr` for one of `heads`, else `extractor_lr`."""
-    return [head_lr if p in heads else extractor_lr for p in params]
-
-
 # a run that overflows reports once, by its DivergenceError, not also by numpy warnings
 @np.errstate(over="ignore", invalid="ignore")
 def pretrain_source(source: LabeledSet, spec: MlpSpec, cfg: PretrainConfig):
@@ -186,9 +181,8 @@ def pretrain_source(source: LabeledSet, spec: MlpSpec, cfg: PretrainConfig):
         raise ContractViolation(f"source has {source.num_classes} classes, "
                                 f"spec expects {spec.num_classes}")
     bundle = build(spec)
-    params = trainable_params(bundle, "all_target")
-    lrs = _rates(params, trainable_params(bundle, "classifiers_only"), cfg.sgd.lr,
-                 cfg.sgd.lr * cfg.lr_multiplier_heads)
+    vector = bundle.vector
+    rates = [np.where(bundle.is_head, cfg.sgd.lr * cfg.lr_multiplier_heads, cfg.sgd.lr)]
     state = SgdState()
     history = []
     for epoch in range(cfg.epochs):
@@ -205,9 +199,9 @@ def pretrain_source(source: LabeledSet, spec: MlpSpec, cfg: PretrainConfig):
             if not np.isfinite(value):
                 raise DivergenceError(f"pretraining diverged at epoch {epoch}",
                                       iteration=epoch, last_loss=value)
-            zero_grad(params)
+            zero_grad(vector.tensors)
             backward(loss)
-            sgd_step(params, [p.grad for p in params], state, cfg.sgd, lr_override=lrs)
+            sgd_step([vector], [vector.grad()], state, cfg.sgd, lr_override=rates)
             epoch_losses.append(value)
         history.append({
             "epoch": epoch,
@@ -257,10 +251,8 @@ def adapt(source_model: ModelBundle, split: SupportSplit, policy: AugmentPolicy,
 
     source_before = params_fingerprint(trainable_params(source_model, "all_target"))
     bundle = clone_for_adaptation(source_model)
-    heads = trainable_params(bundle, "classifiers_only")
-    # step kind -> the parameters it trains and its SAM state
-    steps = {"1": (trainable_params(bundle, "all_target"), SamState()),
-             "2": (heads, SamState())}
+    # step kind -> the vector it trains (all of it, or the heads' tail) and its SAM state
+    steps = {"1": (bundle.vector, SamState()), "2": (bundle.head_vector, SamState())}
     n_t = min(cfg.batch_size, len(support))
     batch_iter = _batch_stream(support, n_t, cfg.seed)
     aug_rng = rng_stream(cfg.seed, "augment")
@@ -269,18 +261,22 @@ def adapt(source_model: ModelBundle, split: SupportSplit, policy: AugmentPolicy,
         feats = plain_features(source_model, view)
         return _softmax(plain_head(source_model, feats, branch))
 
+    def diverged(detail, last_loss):
+        return DivergenceError(
+            f"adaptation diverged at iteration {it} (step {step_kind}){detail}",
+            iteration=it, last_loss=last_loss,
+            last_good_params=dict(zip(bundle.params, bundle.vector.split(last_good))))
+
     trace = []
-    # optimizer steps rebind p.data and never write into it, so references suffice
-    last_good = {name: t.data for name, t in bundle.named_params()}
+    # optimizer steps bind a new vector and never write into one, so a reference suffices
+    last_good = bundle.vector.data
     for it in range(cfg.total_iterations):
         progress = it / cfg.total_iterations
         eta = lr_at(cfg.schedule.eta0, progress)
         lr_ext = eta if cfg.schedule.schedule_extractor else cfg.schedule.eta0
         lr_head = (eta if cfg.schedule.schedule_heads else cfg.schedule.eta0) \
             * cfg.schedule.head_multiplier
-        lrs = {}  # a plain loop: a comprehension would cost a Python call per iteration
-        for kind, (params, _) in steps.items():
-            lrs[kind] = _rates(params, heads, lr_ext, lr_head)
+        rates = {"1": [np.where(bundle.is_head, lr_head, lr_ext)], "2": lr_head}  # per entry
 
         step_inputs = None
         for step_kind in cfg.step_pattern:
@@ -307,10 +303,7 @@ def adapt(source_model: ModelBundle, split: SupportSplit, policy: AugmentPolicy,
                     (forward_features(bundle, view1), forward_features(bundle, view2))
                 l1, l2 = forward_head(bundle, feats1, 1), forward_head(bundle, feats2, 2)
                 if not (np.isfinite(l1.data).all() and np.isfinite(l2.data).all()):
-                    raise DivergenceError(
-                        f"adaptation diverged at iteration {it} (step {step_kind}): "
-                        f"non-finite logits", iteration=it, last_loss=float("nan"),
-                        last_good_params=last_good)
+                    raise diverged(": non-finite logits", float("nan"))
                 if step_kind == "1":
                     total, comps = step1_objective(l1, l2, targets, cfg.weights)
                 else:
@@ -321,13 +314,11 @@ def adapt(source_model: ModelBundle, split: SupportSplit, policy: AugmentPolicy,
 
             params, sam_state = steps[step_kind]
             loss_value = sam_step(params, closure, sam_state, cfg.sam,
-                                  lr_override=lrs[step_kind])
+                                  lr_override=rates[step_kind])
 
             if not np.isfinite(loss_value):
-                raise DivergenceError(
-                    f"adaptation diverged at iteration {it} (step {step_kind})",
-                    iteration=it, last_loss=loss_value, last_good_params=last_good)
-            last_good = {name: t.data for name, t in bundle.named_params()}
+                raise diverged("", loss_value)
+            last_good = bundle.vector.data
             comps = evals[0]
             trace.append(StepRecord(
                 iteration=it, step_kind=f"step{step_kind}", loss_total=loss_value,

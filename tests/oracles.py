@@ -8,7 +8,7 @@ are pinned here as float64 literals.
 
 import numpy as np
 
-from actlab.tensor import Tensor, scalar_mul
+from actlab.tensor import Tensor, backward, scalar_mul, zero_grad
 
 # ln(1e-5), i.e. log_shifted(0, 1e-5)
 LOG_SHIFTED_ZERO_1E5 = -11.512925464970228
@@ -182,4 +182,80 @@ def drawn_params(spec):
     head = rng.uniform(-bound, bound, size=(spec.feature_dim, spec.num_classes))
     for name in ("head1", "head2"):  # one draw, copied into both heads
         out += [(f"{name}.weight", head.copy()), (f"{name}.bias", np.zeros(spec.num_classes))]
+    return out
+
+
+# -- per-parameter optimizer loops -------------------------------------------------
+# actlab.optim steps a model's parameters as one vector. These are the loops it
+# ran before, one parameter array at a time with a rate per parameter; the
+# vector steps must match them bit for bit. The states are actlab.optim's
+# (dicts keyed by parameter, and Adam's step count).
+
+
+def sgd_step(params, grads, state, cfg, lrs):
+    for p, g, lr in zip(params, grads, lrs):
+        step = np.asarray(g, dtype=np.float64) + cfg.weight_decay * p.data
+        v = state.velocity.get(p)
+        v = step if v is None else cfg.momentum * v + step
+        state.velocity[p] = v
+        p.data = p.data - lr * v
+
+
+def adam_step(params, grads, state, cfg, lrs):
+    state.t += 1
+    bias1 = 1.0 - cfg.beta1 ** state.t
+    bias2 = 1.0 - cfg.beta2 ** state.t
+    for p, g, lr in zip(params, grads, lrs):
+        g = np.asarray(g, dtype=np.float64)
+        m = state.m.get(p)
+        v = state.v.get(p)
+        m = (1.0 - cfg.beta1) * g if m is None else cfg.beta1 * m + (1.0 - cfg.beta1) * g
+        v = (1.0 - cfg.beta2) * g * g if v is None else cfg.beta2 * v + (1.0 - cfg.beta2) * g * g
+        state.m[p], state.v[p] = m, v
+        p.data = p.data - lr * (m / bias1) / (np.sqrt(v / bias2) + cfg.eps_adam)
+
+
+def global_grad_norm(grads):
+    return float(np.sqrt(sum(float((g * g).sum()) for g in grads)))
+
+
+def sam_step(params, loss_closure, state, cfg, lrs):
+    """SAM over Adam, perturbing and restoring one parameter at a time."""
+    zero_grad(params)
+    loss = loss_closure()
+    backward(loss)
+    grads = [np.zeros_like(p.data) if p.grad is None else p.grad for p in params]
+    saved = [p.data for p in params]
+    scale = cfg.rho / (global_grad_norm(grads) + 1e-12)
+    for p, g in zip(params, grads):
+        p.data = p.data + scale * g
+    zero_grad(params)
+    backward(loss_closure())
+    adv_grads = [np.zeros_like(p.data) if p.grad is None else p.grad for p in params]
+    for p, w in zip(params, saved):
+        p.data = w
+    adam_step(params, adv_grads, state.base, cfg.base, lrs)
+    return float(loss.item())
+
+
+# -- per-row augmentation, out of place --------------------------------------------
+# actlab.data.augment_batch writes each row into one preallocated array. This is
+# the row function it replaced, drawing from `rng` in the same order.
+
+
+def augment_row(x, policy, tier, rng):
+    if tier == "weak":
+        t = policy.weak
+        out = x + rng.normal(0.0, t.jitter_sigma, x.shape)
+        if rng.random() < t.flip_axis_prob:
+            axis = int(rng.integers(x.size))
+            out[axis] = -out[axis]
+        return out
+    t = policy.strong
+    out = x + rng.normal(0.0, t.jitter_sigma, x.shape)
+    for _ in range(t.num_ops):
+        if rng.integers(2) == 0:
+            out = out * rng.uniform(t.scale_range[0], t.scale_range[1], x.shape)
+        else:
+            out = np.where(rng.random(x.shape) < t.feature_drop_prob, 0.0, out)
     return out

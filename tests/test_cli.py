@@ -254,6 +254,26 @@ class TestForceReplacesTheRun:
         assert capsys.readouterr().err.count("error:") == 1
         assert sorted((p.name, p.read_bytes()) for p in run_dir.iterdir()) == before
 
+    SWEEP = ("sweep", "--data-seeds", "0", "--model-seeds", "0")
+
+    @pytest.mark.parametrize("edit, left", [
+        (lambda d: d["adapt"].update(sam={"rho": 0.2}),
+         ["config.json", "pretrain.log", "source.ckpt", "sweep.csv"]),
+        (lambda d: d["pretrain"].update(seed=9), ["config.json", "sweep.csv"]),
+    ], ids=["adapt-config", "source-config"])
+    def test_sweep_deletes_the_run_its_config_replaces(self, workspace, edit, left):
+        cfg_path, run_dir = workspace
+        assert main(["adapt", "--config", str(cfg_path)]) == 0
+        assert self.rerun(cfg_path, edit, *self.SWEEP) == 0
+        assert sorted(p.name for p in run_dir.iterdir()) == left
+
+    def test_sweep_under_the_same_config_keeps_the_run(self, workspace):
+        cfg_path, run_dir = workspace
+        assert main(["adapt", "--config", str(cfg_path)]) == 0
+        before = sorted(p.name for p in run_dir.iterdir())
+        assert main([*self.SWEEP, "--config", str(cfg_path)]) == 0
+        assert sorted(p.name for p in run_dir.iterdir()) == sorted(before + ["sweep.csv"])
+
 
 class TestEvalCommand:
     @pytest.fixture

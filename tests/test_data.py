@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from actlab.data import (AugmentPolicy, DomainSpec, LabeledSet, ShiftSpec,
-                         StrongTier, WeakTier, augment, batches,
+                         StrongTier, WeakTier, augment, augment_batch, batches,
                          load_labeled_set, make_domain_pair, rng_stream,
                          rotation_matrix_2d, sample_support, save_labeled_set)
 from actlab.errors import ContractViolation, ParseError
+
+import oracles
 
 
 def blob_spec(**kw):
@@ -177,6 +179,22 @@ class TestAugment:
     def test_unknown_tier(self):
         with pytest.raises(ContractViolation):
             augment(np.zeros(2), AugmentPolicy(), "medium", rng_stream(0, "augment"))
+
+    @pytest.mark.parametrize("num_ops", [0, 3])
+    @pytest.mark.parametrize("tier", ["weak", "strong"])
+    def test_batch_draws_what_rows_draw(self, tier, num_ops):
+        policy = AugmentPolicy(WeakTier(jitter_sigma=0.1, flip_axis_prob=0.5),
+                               StrongTier(jitter_sigma=0.2, scale_range=(0.5, 1.5),
+                                          feature_drop_prob=0.3, num_ops=num_ops))
+        xs = np.random.default_rng(1).normal(size=(12, 4))
+        batch_rng, row_rng, oracle_rng = (rng_stream(9, "augment") for _ in range(3))
+        got = [augment_batch(xs, policy, tier, batch_rng) for _ in range(3)]
+        rows = [np.stack([augment(x, policy, tier, row_rng) for x in xs]) for _ in range(3)]
+        old = [np.stack([oracles.augment_row(x, policy, tier, oracle_rng) for x in xs])
+               for _ in range(3)]
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in rows]
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in old]
+        assert batch_rng.random() == row_rng.random() == oracle_rng.random()
 
 
 class TestBatches:

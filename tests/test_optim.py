@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from actlab.errors import ContractViolation
 from actlab.losses import lsce
+from actlab.models import build, forward_target, trainable_params
 from actlab.optim import (AdamConfig, AdamState, SamConfig,
                           SamState, SgdConfig, SgdState, adam_step,
                           global_grad_norm, lr_at, sam_step, sgd_step)
 from actlab.tensor import Tensor, backward, scalar_mul, zero_grad
 
 import oracles
+from test_models import SPECS
 
 
 class TestSgd:
@@ -187,6 +191,75 @@ class TestSam:
 
     def test_global_grad_norm(self):
         assert global_grad_norm([np.array([3.0]), np.array([4.0])]) == 5.0
+
+
+class TestVectorStepsMatchPerParameterLoops:
+    """A bundle's vector stepped at once, with a rate for the extractor and one for
+    the heads, against the per-parameter loops in oracles on a twin bundle."""
+
+    SCOPES = {"1": "all_target", "2": "classifiers_only"}
+
+    @staticmethod
+    def rates(bundle, scope, lr_ext, lr_head):
+        """(the rates as adapt passes them to a vector step, one rate per Tensor)"""
+        heads = [not name.startswith("extractor.") for name, t in bundle.named_params()
+                 if t in trainable_params(bundle, scope)]
+        if scope == "classifiers_only":
+            return lr_head, [lr_head] * len(heads)
+        mask = np.concatenate([np.full(t.size, head)
+                               for t, head in zip(bundle.vector.tensors, heads)])
+        return [np.where(mask, lr_head, lr_ext)], [lr_head if h else lr_ext for h in heads]
+
+    @staticmethod
+    def assert_same_bits(flat, loose):
+        assert flat.vector.data.tobytes() == np.concatenate(
+            [t.data for t in trainable_params(loose, "all_target")], axis=None).tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(spec=SPECS, seed=st.integers(0, 2**32 - 1), steps=st.integers(1, 4))
+    def test_sgd_and_adam(self, spec, seed, steps):
+        rng = np.random.default_rng(seed)
+        for step, oracle, state, cfg in (
+                (sgd_step, oracles.sgd_step, SgdState, SgdConfig(0.02, 0.9, 5e-4)),
+                (adam_step, oracles.adam_step, AdamState, AdamConfig())):
+            flat, loose = build(spec), build(spec)
+            states = state(), state()
+            for _ in range(steps):
+                g = rng.normal(size=flat.vector.data.size) * rng.uniform(0.1, 10.0)
+                rates, lrs = self.rates(flat, "all_target", *rng.uniform(1e-3, 1e-1, 2))
+                step([flat.vector], [g], states[0], cfg, lr_override=rates)
+                oracle(trainable_params(loose, "all_target"),
+                       [a.copy() for a in flat.vector.split(g)], states[1], cfg, lrs)
+                self.assert_same_bits(flat, loose)
+            parts = flat.vector.split(g)
+            assert global_grad_norm(parts) == oracles.global_grad_norm([a.copy() for a in parts])
+
+    @settings(max_examples=30, deadline=None)
+    @given(spec=SPECS, seed=st.integers(0, 2**32 - 1),
+           kinds=st.lists(st.sampled_from("12"), min_size=1, max_size=5))
+    def test_sam_over_both_scopes(self, spec, seed, kinds):
+        rng = np.random.default_rng(seed)
+        x = Tensor(rng.normal(size=(6, spec.input_dim)))
+        y = rng.integers(0, spec.num_classes, size=6)
+        cfg = SamConfig(rho=0.1)
+        flat, loose = build(spec), build(spec)
+        states = {kind: (SamState(), SamState()) for kind in self.SCOPES}
+
+        def closure(bundle):
+            def loss():
+                l1, l2 = forward_target(bundle, x)
+                return lsce(l1, y, 0.1) + lsce(l2, y, 0.1)
+            return loss
+
+        for kind in kinds:
+            scope = self.SCOPES[kind]
+            rates, lrs = self.rates(flat, scope, *rng.uniform(1e-3, 1e-1, 2))
+            vector = flat.vector if kind == "1" else flat.head_vector
+            got = sam_step(vector, closure(flat), states[kind][0], cfg, lr_override=rates)
+            want = oracles.sam_step(trainable_params(loose, scope), closure(loose),
+                                    states[kind][1], cfg, lrs)
+            assert got == want
+            self.assert_same_bits(flat, loose)
 
 
 class TestLrSchedule:

@@ -15,6 +15,7 @@ from actlab.models import MlpSpec, build, params_fingerprint, trainable_params
 from actlab.optim import AdamConfig, SamConfig, SgdConfig, lr_at
 from actlab.pipeline import (AdaptConfig, PretrainConfig, ScheduleConfig,
                              adapt, evaluate, pretrain_source, seed_sweep)
+from actlab.tensor import scalar_mul
 
 SPEC = MlpSpec(input_dim=2, hidden_dims=(16,), feature_dim=8, num_classes=3,
                init_seed=7)
@@ -264,7 +265,10 @@ class TestAdapt:
         calls, sam_step = [], pipeline.sam_step
 
         def recording(params, closure, state, cfg, lr_override=None):
-            calls.append((params, lr_override))
+            # the step's rates (an array over its vector, or one rate) cut per Tensor
+            rates = lr_override[0] if isinstance(lr_override, list) else lr_override
+            rates = params.split(np.broadcast_to(rates, params.data.shape))
+            calls.append([(t, set(r.ravel().tolist())) for t, r in zip(params.tensors, rates)])
             return sam_step(params, closure, state, cfg, lr_override=lr_override)
 
         monkeypatch.setattr(pipeline, "sam_step", recording)
@@ -272,16 +276,16 @@ class TestAdapt:
                                 small_adapt_cfg(total_iterations=3, schedule=schedule))
         names = {id(t): name for name, t in adapted.named_params()}
         assert len(calls) == 6
-        for i, (params, lrs) in enumerate(calls):
+        for i, rates in enumerate(calls):
             eta = lr_at(2e-3, (i // 2) / 3)
             want_ext = eta if schedule_extractor else 2e-3
             want_head = (eta if schedule_heads else 2e-3) * 2.5
-            got = [(names[id(p)].startswith("head"), lr) for p, lr in zip(params, lrs)]
+            got = [(names[id(t)].startswith("head"), r) for t, r in rates]
             assert len(got) == (len(names) if i % 2 == 0 else 4)  # step 1, step 2
-            assert got == [(head, want_head if head else want_ext) for head, _ in got]
+            assert got == [(head, {want_head if head else want_ext}) for head, _ in got]
         # the trace logs the extractor rate step 1 applied, on both steps' records
-        applied = [next(lr for p, lr in zip(params, lrs) if not names[id(p)].startswith("head"))
-                   for params, lrs in calls[::2]]
+        applied = [min(next(r for t, r in rates if not names[id(t)].startswith("head")))
+                   for rates in calls[::2]]
         assert [r.lr for r in report.trace[::2]] == applied
         assert [r.lr for r in report.trace[1::2]] == applied
 
@@ -293,6 +297,36 @@ class TestAdapt:
     def test_step2_divergence_aborts_with_last_good_params(self, pretrained, split):
         cfg = small_adapt_cfg(step_pattern="2", sam=SamConfig(rho=1e308))
         self.assert_aborts_with_the_source(pretrained[0], split, cfg, step=2)
+
+    def test_late_divergence_keeps_the_last_completed_step(self, pretrained, split,
+                                                           monkeypatch):
+        # step 1's loss turns NaN from iteration 2 on, so its perturbed logits are NaN
+        objective, sam_step = pipeline.step1_objective, pipeline.sam_step
+        evals, tensors, snapshots = [], [], []
+
+        def poisoned(*args):
+            total, comps = objective(*args)
+            evals.append(None)
+            return (scalar_mul(float("nan"), total) if len(evals) > 4 else total), comps
+
+        def recording(params, *args, **kwargs):
+            tensors[:] = tensors or params.tensors  # step 1 comes first and trains them all
+            loss = sam_step(params, *args, **kwargs)
+            snapshots.append([t.data.copy() for t in tensors])
+            return loss
+
+        monkeypatch.setattr(pipeline, "step1_objective", poisoned)
+        monkeypatch.setattr(pipeline, "sam_step", recording)
+        with pytest.raises(DivergenceError, match="iteration 2 .step 1.: non-finite") as exc:
+            adapt(pretrained[0], split, AugmentPolicy(), small_adapt_cfg())
+        err = exc.value
+        assert err.iteration == 2 and len(snapshots) == 4
+        source = dict(pretrained[0].named_params())
+        assert list(err.last_good_params) == list(source)
+        for (name, value), after in zip(err.last_good_params.items(), snapshots[-1]):
+            assert value.tobytes() == after.tobytes(), name
+        assert any(after.tobytes() != source[name].data.tobytes()
+                   for name, after in zip(source, snapshots[-1]))
 
     @staticmethod
     def assert_aborts_with_the_source(bundle, split, cfg, step):
