@@ -1,11 +1,11 @@
 """Command line front end: pretrain, adapt, eval, sweep.
 
-Every run lands in <output_dir>/<run_id>/. Existing files are never replaced
-silently: rewriting requires --force, except config.json, which may be
-rewritten freely when the content is identical (so pretrain and adapt can
-share a run directory without friction). Under --force a run replaces the one
-before it: after validating every input, a command's first write deletes each
-output it claims.
+Every run lands in <output_dir>/<run_id>/. No file is replaced silently: that
+takes --force, and config.json is replaced only when its text changes. A
+command replaces the run files it writes; when config.json's text changes, all
+the others, except the source files (source.ckpt, pretrain.log) when the old
+config pretrains the same source; and adapt's outputs whenever the source
+files are replaced. After validating every input, its first write deletes them.
 
 Exit codes: 0 success, 1 failed run or bad inputs, 2 refused overwrite
 (argparse also uses 2 for usage errors).
@@ -32,6 +32,7 @@ from .pipeline import EVAL_HEADS, StepRecord, SweepCell, evaluate, pretrain_sour
 TRACE_COLUMNS = tuple(f.name for f in fields(StepRecord))
 PRETRAIN_OUTPUTS = ("source.ckpt", "pretrain.log")
 ADAPT_OUTPUTS = ("target.ckpt", "report.json", "trace.csv", "test_set.csv")
+RUN_FILES = PRETRAIN_OUTPUTS + ADAPT_OUTPUTS + ("sweep.csv",)
 SWEEP_COLUMNS = ("kind",) + tuple(f.name for f in fields(SweepCell))
 SEED_FLAGS = {"split_seed": "split_seed", "adapt_seed": "adapt.seed",
               "pretrain_seed": "pretrain.seed", "init_seed": "model.init_seed"}
@@ -41,12 +42,8 @@ class _OverwriteRefused(Exception):
     pass
 
 
-def _claim(path: Path, force: bool, expect_text: str | None = None):
-    if not path.exists():
-        return
-    if expect_text is not None and path.read_bytes() == expect_text.encode():
-        return
-    if not force:
+def _claim(path: Path, force: bool):
+    if path.exists() and not force:
         raise _OverwriteRefused(f"{path} already exists; pass --force to overwrite")
 
 
@@ -92,12 +89,13 @@ def _effective_config(args) -> ExperimentConfig:
     return parse_config(doc)
 
 
-def _start_run(args, outputs):
-    """The effective config, with the run directory's `outputs` claimed.
+def _start_run(args, writes, source_if_missing=False):
+    """The effective config, and the run files the command replaces, claimed.
 
     Under --print-config, prints the config and returns None before touching
-    anything. Otherwise claims config.json (identical text is allowed) and
-    each named output, and returns (cfg, run_dir, config text).
+    anything. Otherwise returns (cfg, run_dir, config text, replaced files):
+    `writes`, plus the source files when `source_if_missing` finds no
+    source.ckpt, extended by the module docstring's rule.
     """
     cfg = _effective_config(args)
     cfg_text = json.dumps(config_to_dict(cfg), indent=1, sort_keys=True) + "\n"
@@ -105,16 +103,24 @@ def _start_run(args, outputs):
         print(cfg_text, end="")
         return None
     run_dir = Path(cfg.output_dir) / cfg.run_id
-    _claim(run_dir / "config.json", args.force, expect_text=cfg_text)
+    replaced = set(writes)
+    if source_if_missing and not (run_dir / "source.ckpt").exists():
+        replaced.update(PRETRAIN_OUTPUTS)
+    config = run_dir / "config.json"
+    if config.exists() and config.read_bytes() != cfg_text.encode():
+        _claim(config, args.force)
+        kept = PRETRAIN_OUTPUTS if _same_source(config, cfg) else ()
+        replaced.update(set(RUN_FILES) - set(kept))
+    if "source.ckpt" in replaced:  # adapt's outputs derive from the source
+        replaced.update(ADAPT_OUTPUTS)
+    outputs = tuple(name for name in RUN_FILES if name in replaced)
     for name in outputs:
         _claim(run_dir / name, args.force)
-    return cfg, run_dir, cfg_text
+    return cfg, run_dir, cfg_text, outputs
 
 
 def _same_source(path, cfg) -> bool:
-    """Whether the config at `path` is missing or pretrains the source `cfg` does."""
-    if not path.exists():
-        return True
+    """Whether the config at `path` pretrains the source `cfg` does."""
     try:
         old = load_config(path)
     except ParseError:  # unreadable or malformed: nothing vouches for source.ckpt
@@ -143,12 +149,10 @@ def _write_pretrain_outputs(run_dir, bundle, history):
 
 
 def cmd_pretrain(args) -> int:
-    # adapt's outputs derive from the source checkpoint this replaces
-    outputs = PRETRAIN_OUTPUTS + ADAPT_OUTPUTS
-    run = _start_run(args, outputs)
+    run = _start_run(args, PRETRAIN_OUTPUTS)
     if run is None:
         return 0
-    cfg, run_dir, cfg_text = run
+    cfg, run_dir, cfg_text, outputs = run
     source, _ = make_domain_pair(cfg.domain)
     bundle, history = pretrain_source(source, cfg.model, cfg.pretrain)
     _replace_run(run_dir, cfg_text, outputs)
@@ -167,15 +171,12 @@ def _write_trace_csv(path, trace):
 
 
 def cmd_adapt(args) -> int:
-    run = _start_run(args, ())  # which outputs it claims depends on the run directory
+    run = _start_run(args, ADAPT_OUTPUTS, source_if_missing=True)
     if run is None:
         return 0
-    cfg, run_dir, cfg_text = run
+    cfg, run_dir, cfg_text, outputs = run
     source_ckpt = run_dir / "source.ckpt"
-    will_pretrain = not (source_ckpt.exists() and _same_source(run_dir / "config.json", cfg))
-    outputs = ADAPT_OUTPUTS + (PRETRAIN_OUTPUTS if will_pretrain else ())
-    for name in outputs:
-        _claim(run_dir / name, args.force)
+    will_pretrain = "source.ckpt" in outputs
 
     # validate the support draw and an existing source checkpoint before any write;
     # the split draws from its own seeded stream, so moving it first changes no bit
@@ -245,14 +246,10 @@ def cmd_sweep(args) -> int:
     run = _start_run(args, ("sweep.csv",))
     if run is None:
         return 0
-    cfg, run_dir, cfg_text = run
+    cfg, run_dir, cfg_text, outputs = run
     report = seed_sweep(cfg.domain, cfg.model, cfg.pretrain, cfg.adapt, cfg.augment,
                         cfg.n_way, cfg.k_shot, args.data_seeds, args.model_seeds,
                         jobs=args.jobs)
-    config = run_dir / "config.json"  # a changed one takes the run it described with it
-    outputs = ("sweep.csv",)
-    if config.exists() and config.read_bytes() != cfg_text.encode():
-        outputs += ADAPT_OUTPUTS + (() if _same_source(config, cfg) else PRETRAIN_OUTPUTS)
     _replace_run(run_dir, cfg_text, outputs)
     with atomic_write(run_dir / "sweep.csv", newline="") as f:
         w = csv.writer(f)

@@ -159,10 +159,6 @@ def adam_step(params, grads, state: AdamState, cfg: AdamConfig, lr_override=None
         p.data = p.data - lr * (m / bias1) / (np.sqrt(v / bias2) + cfg.eps_adam)
 
 
-def global_grad_norm(grads) -> float:
-    return float(np.sqrt(sum(float((g * g).sum()) for g in grads)))
-
-
 def sam_step(params, loss_closure, state: SamState, cfg: SamConfig,
              lr_override=None, base_step=None) -> float:
     """One sharpness-aware step. Returns the loss at the unperturbed point.
@@ -181,7 +177,9 @@ def sam_step(params, loss_closure, state: SamState, cfg: SamConfig,
     grad = vec.grad()
 
     w = vec.data  # steps bind new vectors and never write into one: w stays w
-    scale = cfg.rho / (global_grad_norm(vec.split(grad)) + SAM_NORM_FLOOR)
+    # square once, sum per Tensor, add in layout order: the bits of a per-Tensor norm
+    norm = float(np.sqrt(sum(float(sq.sum()) for sq in vec.split(grad * grad))))
+    scale = cfg.rho / (norm + SAM_NORM_FLOOR)
     vec.data = w + scale * grad
 
     zero_grad(vec.tensors)

@@ -394,19 +394,24 @@ def seed_sweep(domain, spec, pretrain_cfg, adapt_cfg, policy, n_way, k_shot,
                data_seeds, model_seeds, jobs: int = 1) -> SweepReport:
     """Cross-product of data seeds (support draw) and model seeds (init + pretrain).
 
-    Pretraining happens once per model seed. With ``jobs > 1`` one process
-    pool does all the work: each model seed's pretraining is a task, and its
-    cells are submitted as soon as it finishes, so cells of one seed run while
-    another still pretrains. Every task is deterministic and independent, so
-    the report is the same for every ``jobs``. A cell that fails with a
-    ContractViolation or a DivergenceError is recorded with its error and
-    skipped by the aggregates; any other exception in a cell, and any
-    exception in pretraining, propagates, and queued tasks are cancelled.
-    Spread and variance are computed across data seeds after averaging over
-    model seeds within each data seed.
+    Pretraining happens once per model seed, and a repeated seed is refused.
+    With ``jobs > 1`` one process pool, of at most one worker per cell (fork
+    starts them all at the first submit), does all the work: each model seed's
+    pretraining is a task, and its cells are submitted as soon as it finishes,
+    so cells of one seed run while another still pretrains. Every task is
+    deterministic and independent, so the report is the same for every
+    ``jobs``. A cell that fails with a ContractViolation or a DivergenceError
+    is recorded with its error and skipped by the aggregates; any other
+    exception in a cell, and any exception in pretraining, propagates, and
+    queued tasks are cancelled. Spread and variance are computed across data
+    seeds after averaging over model seeds within each data seed.
     """
     if not data_seeds or not model_seeds:
         raise ContractViolation("need at least one data seed and one model seed")
+    for kind, seeds in (("data", data_seeds), ("model", model_seeds)):
+        repeats = [s for i, s in enumerate(seeds) if s in seeds[:i]]
+        if repeats:
+            raise ContractViolation(f"{kind} seed {repeats[0]} is repeated")
     if jobs < 1:
         raise ContractViolation(f"jobs must be >= 1, got {jobs}")
     source, target = make_domain_pair(domain)
@@ -422,7 +427,7 @@ def seed_sweep(domain, spec, pretrain_cfg, adapt_cfg, policy, n_way, k_shot,
         cells = [_run_cell(*args) for ms in model_seeds
                  for args in cell_args(ms, _pretrain_params(*pretrain_args(ms)))]
     else:
-        pool = ProcessPoolExecutor(max_workers=jobs)
+        pool = ProcessPoolExecutor(max_workers=min(jobs, len(data_seeds) * len(model_seeds)))
         try:
             pretraining = {pool.submit(_pretrain_params, *pretrain_args(ms)): ms
                            for ms in model_seeds}

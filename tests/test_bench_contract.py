@@ -27,9 +27,10 @@ def bench(monkeypatch):
         os.environ.update(environ)
 
 
-def test_count_run_on_moons_ref_gives_finite_counts(bench, tmp_path):
+@pytest.mark.parametrize("workload", ["moons_ref", "wide_cli", "sweep_seeds"])
+def test_count_run_gives_finite_counts(bench, tmp_path, workload):
     run, workloads = bench
-    wl = workloads.WORKLOADS["moons_ref"](0)
+    wl = workloads.WORKLOADS[workload](0)
     counts = run.count_run(wl, wl.setup(tmp_path))
     assert set(counts) == {"pipeline.python_calls_per_iter", "tensor.tape_nodes_per_backward"}
     assert all(math.isfinite(v) for v in counts.values()), counts

@@ -1,4 +1,5 @@
 import json
+import os
 import re
 from dataclasses import fields
 
@@ -275,6 +276,56 @@ class TestForceReplacesTheRun:
         assert sorted(p.name for p in run_dir.iterdir()) == sorted(before + ["sweep.csv"])
 
 
+class TestRunDirectoryDescribesOneRun:
+    """After any two commands under --force, every run file present belongs to the
+    run config.json describes. The oracle stamps every file before a command and
+    reads which ones the command wrote, and under which config.json text."""
+
+    COMMANDS = {"pretrain": ["pretrain"], "adapt": ["adapt"],
+                "sweep": ["sweep", "--data-seeds", "1", "--model-seeds", "5"]}
+    CHANGES = {"same-config": lambda d: None,
+               "adapt-seed": lambda d: d["adapt"].update(seed=12),
+               "pretrain-seed": lambda d: d["pretrain"].update(seed=9)}
+    SOURCE_FILES = ("source.ckpt", "pretrain.log")
+    UNWRITTEN = 0  # the mtime every file gets before a command; a write sets the clock's
+
+    @staticmethod
+    def source_blocks(config_text):
+        doc = json.loads(config_text)
+        return [doc[block] for block in ("domain", "model", "pretrain")]
+
+    @pytest.mark.parametrize("change", CHANGES)
+    @pytest.mark.parametrize("second", COMMANDS)
+    @pytest.mark.parametrize("first", COMMANDS)
+    def test_any_two_commands(self, tmp_path, capsys, first, second, change):
+        doc = config_doc(tmp_path / "runs", n_way=2, k_shot=2, domain={
+            "generator": "two_moons", "dim": 2, "num_classes": 2,
+            "samples_per_class": [12, 12], "shift": {"rotation_deg": 30.0}, "seed": 3})
+        doc["model"].update(num_classes=2)
+        doc["adapt"].update(seed=11)
+        cfg_path, run_dir = tmp_path / "exp.json", tmp_path / "runs" / "t1"
+        written = {}  # run file -> (config.json text it was written under, command number)
+        for number, (command, edit) in enumerate([(first, None), (second, self.CHANGES[change])]):
+            if edit is not None:
+                edit(doc)
+            cfg_path.write_text(json.dumps(doc))
+            for path in run_dir.glob("*"):
+                os.utime(path, ns=(self.UNWRITTEN, self.UNWRITTEN))
+            assert main([*self.COMMANDS[command], "--config", str(cfg_path), "--force"]) == 0
+            config = (run_dir / "config.json").read_text()
+            written = {p.name: written[p.name] if p.stat().st_mtime_ns == self.UNWRITTEN
+                       else (config, number) for p in run_dir.iterdir()}
+
+            for name, (text, _) in written.items():
+                if name in self.SOURCE_FILES:
+                    assert self.source_blocks(text) == self.source_blocks(config), name
+                else:
+                    assert text == config, f"{name} was written under another config"
+            for name in cli.ADAPT_OUTPUTS:
+                if name in written:
+                    assert written[name][1] >= written["source.ckpt"][1], name
+
+
 class TestEvalCommand:
     @pytest.fixture
     def adapted(self, workspace):
@@ -442,6 +493,16 @@ class TestErrorPaths:
                  + [arg for pair in seeds.items() for arg in pair])
         assert exc.value.code == 2
         assert "seeds must be >= 0" in capsys.readouterr().err
+        assert not run_dir.exists()
+
+    @pytest.mark.parametrize("option", ["--data-seeds", "--model-seeds"])
+    def test_repeated_sweep_seed_writes_nothing(self, workspace, capsys, option):
+        cfg_path, run_dir = workspace
+        seeds = {"--data-seeds": "1", "--model-seeds": "5", option: "3,2,3,2"}
+        assert main(["sweep", "--config", str(cfg_path)]
+                    + [arg for pair in seeds.items() for arg in pair]) == 1
+        kind = option[2:-6]
+        assert capsys.readouterr().err == f"error: {kind} seed 3 is repeated\n"
         assert not run_dir.exists()
 
     @pytest.mark.parametrize("jobs", ["0", "-1", "two"])

@@ -8,7 +8,7 @@ from actlab.losses import lsce
 from actlab.models import build, forward_target, trainable_params
 from actlab.optim import (AdamConfig, AdamState, SamConfig,
                           SamState, SgdConfig, SgdState, adam_step,
-                          global_grad_norm, lr_at, sam_step, sgd_step)
+                          lr_at, sam_step, sgd_step)
 from actlab.tensor import Tensor, backward, scalar_mul, zero_grad
 
 import oracles
@@ -189,9 +189,6 @@ class TestSam:
         with pytest.raises(ContractViolation):
             SamConfig(rho=-0.1)
 
-    def test_global_grad_norm(self):
-        assert global_grad_norm([np.array([3.0]), np.array([4.0])]) == 5.0
-
 
 class TestVectorStepsMatchPerParameterLoops:
     """A bundle's vector stepped at once, with a rate for the extractor and one for
@@ -231,8 +228,6 @@ class TestVectorStepsMatchPerParameterLoops:
                 oracle(trainable_params(loose, "all_target"),
                        [a.copy() for a in flat.vector.split(g)], states[1], cfg, lrs)
                 self.assert_same_bits(flat, loose)
-            parts = flat.vector.split(g)
-            assert global_grad_norm(parts) == oracles.global_grad_norm([a.copy() for a in parts])
 
     @settings(max_examples=30, deadline=None)
     @given(spec=SPECS, seed=st.integers(0, 2**32 - 1),

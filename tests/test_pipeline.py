@@ -1,6 +1,7 @@
 import json
 import re
 import time
+from concurrent.futures import Future
 from dataclasses import asdict, fields
 
 import numpy as np
@@ -494,6 +495,41 @@ class TestSeedSweep:
         monkeypatch.setattr(pipeline, "pretrain_source", pretrain)
         with pytest.raises(ContractViolation, match=f"jobs must be >= 1, got {jobs}"):
             self.sweep(jobs=jobs)
+
+    @pytest.mark.parametrize("data_seeds, model_seeds, repeated", [
+        ([1, 1, 2], [5], "data seed 1"), ([2, 0, 1, 0, 2], [5], "data seed 0"),
+        ([1, 2], [6, 5, 6], "model seed 6")], ids=["data", "data-first-repeat", "model"])
+    def test_repeated_seeds_rejected_before_pretraining(self, monkeypatch, data_seeds,
+                                                        model_seeds, repeated):
+        def pretrain(*args, **kwargs):
+            raise AssertionError("pretraining started")
+
+        monkeypatch.setattr(pipeline, "pretrain_source", pretrain)
+        with pytest.raises(ContractViolation, match=f"^{repeated} is repeated$"):
+            seed_sweep(DOMAIN, SPEC, PretrainConfig(epochs=1), small_adapt_cfg(),
+                       AugmentPolicy(), 3, 5, data_seeds, model_seeds)
+
+    def test_pool_has_at_most_one_worker_per_cell(self, monkeypatch):
+        # an inline pool: no process starts, each task runs at submit
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+            def shutdown(self, cancel_futures):
+                pass
+
+        serial = self.sweep(jobs=1).to_dict()
+        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", InlinePool)
+        assert self.sweep(jobs=64).to_dict() == serial
+        assert self.sweep(jobs=3).to_dict() == serial
+        assert sizes == [4, 3]  # 2 data seeds x 2 model seeds
 
     def test_empty_seed_lists_rejected(self):
         with pytest.raises(ContractViolation):
