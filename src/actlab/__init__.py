@@ -25,7 +25,7 @@ from .optim import (AdamConfig, AdamState, SamConfig, SamState, SgdConfig,
                     SgdState, adam_step, lr_at, sam_step, sgd_step)
 from .pipeline import (AdaptConfig, EvalResult, PretrainConfig, RunReport,
                        ScheduleConfig, StepRecord, SweepCell, SweepReport,
-                       adapt, evaluate, pretrain_source, seed_sweep)
+                       adapt, adapt_cells, evaluate, pretrain_source, seed_sweep)
 from .tensor import Tensor, backward, zero_grad
 
 __version__ = "0.1.0"
@@ -38,7 +38,7 @@ __all__ = [
     "ModelBundle", "ParseError", "PretrainConfig", "RunReport", "SamConfig",
     "SamState", "ScheduleConfig", "SgdConfig", "SgdState", "ShiftSpec",
     "SmoothingParams", "StepRecord", "StrongTier", "SupportSplit", "SweepCell",
-    "SweepReport", "Tensor", "WeakTier", "adam_step", "adapt", "augment",
+    "SweepReport", "Tensor", "WeakTier", "adam_step", "adapt", "adapt_cells", "augment",
     "augment_batch", "backward", "batch_targets", "batches", "build",
     "bundle_from_params",
     "cdd_batch", "cdd_pair", "clone_for_adaptation", "cond_entropy",

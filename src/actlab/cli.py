@@ -4,8 +4,10 @@ Every run lands in <output_dir>/<run_id>/. No file is replaced silently: that
 takes --force, and config.json is replaced only when its text changes. A
 command replaces the run files it writes; when config.json's text changes, all
 the others, except the source files (source.ckpt, pretrain.log) when the old
-config pretrains the same source; and adapt's outputs whenever the source
-files are replaced. After validating every input, its first write deletes them.
+config pretrains the same source; when there is no config.json, all the others
+but the source files (adapt reuses a lone source.ckpt); and adapt's outputs
+whenever the source files are replaced. After validating every input, its
+first write deletes them.
 
 Exit codes: 0 success, 1 failed run or bad inputs, 2 refused overwrite
 (argparse also uses 2 for usage errors).
@@ -107,7 +109,9 @@ def _start_run(args, writes, source_if_missing=False):
     if source_if_missing and not (run_dir / "source.ckpt").exists():
         replaced.update(PRETRAIN_OUTPUTS)
     config = run_dir / "config.json"
-    if config.exists() and config.read_bytes() != cfg_text.encode():
+    if not config.exists():  # nothing vouches for a run file but a lone source
+        replaced.update(set(RUN_FILES) - set(PRETRAIN_OUTPUTS))
+    elif config.read_bytes() != cfg_text.encode():
         _claim(config, args.force)
         kept = PRETRAIN_OUTPUTS if _same_source(config, cfg) else ()
         replaced.update(set(RUN_FILES) - set(kept))

@@ -240,29 +240,37 @@ class AugmentPolicy:
             raise ContractViolation("strong jitter must be at least the weak jitter")
 
 
-def _augment_row(x, t, rng, out):  # one view of row `x` under tier settings `t`
-    np.add(x, rng.normal(0.0, t.jitter_sigma, x.shape), out=out)
+def _augment_row(x, t, rng, out):
+    """One view of row `x` under tier settings `t`: a vector [d], or S cells' rows
+    [S, d], which all take the same draws (no draw depends on a row's values)."""
+    d = x.shape[-1]
+    np.add(x, rng.normal(0.0, t.jitter_sigma, d), out=out)
     if isinstance(t, WeakTier):
         if rng.random() < t.flip_axis_prob:
-            axis = int(rng.integers(x.size))
-            out[axis] = -out[axis]
+            axis = int(rng.integers(d))
+            out[..., axis] = -out[..., axis]
         return
     for _ in range(t.num_ops):
         if rng.integers(2) == 0:
-            out *= rng.uniform(t.scale_range[0], t.scale_range[1], x.shape)
+            out *= rng.uniform(t.scale_range[0], t.scale_range[1], d)
         else:
-            out[rng.random(x.shape) < t.feature_drop_prob] = 0.0
+            np.copyto(out, 0.0, where=rng.random(d) < t.feature_drop_prob)
 
 
 def augment(x, policy: AugmentPolicy, tier: str, rng) -> np.ndarray:
-    """One augmented view of one feature vector. Consumes only `rng`."""
+    """One augmented view of one feature vector (or of S cells' rows [S, d], which
+    share its draws). Consumes only `rng`."""
     return augment_batch(np.asarray(x, dtype=np.float64)[None], policy, tier, rng)[0]
 
 
 def augment_batch(xs, policy, tier, rng):
-    """`augment` of each row of `xs`, in order: the same draws from `rng`, row by row."""
+    """`augment` of each row of `xs`, in order: the same draws from `rng`, row by row.
+
+    `xs` is [n, d], or [n, S, d] for S cells in lockstep: row i of every cell
+    then takes row i's draws, so each cell's [n, d] slice is what it alone gets.
+    """
     xs = np.asarray(xs, dtype=np.float64)
-    if xs.ndim != 2:
+    if xs.ndim not in (2, 3):
         raise ContractViolation(f"augment takes vectors, got rows of shape {xs.shape[1:]}")
     if tier not in ("weak", "strong"):
         raise ContractViolation(f"unknown tier {tier!r}")

@@ -34,6 +34,11 @@ depend only on the batch, so ``batch_targets`` builds and checks them once
 per batch (labels in range, source rows on the simplex), and every objective
 call on that batch reuses them: SAM evaluates each objective twice, and the
 adaptation loop evaluates both steps on one batch when it reuses batches.
+
+The step objectives and ``batch_targets`` also take the batches of S cells
+stacked, as [S, n, K] arrays (``pipeline.adapt_cells``). Every reduction runs
+over the last axes, one cell at a time, so each cell's values, components and
+logit gradients are bitwise those of its [n, K] slice scored alone.
 """
 
 from __future__ import annotations
@@ -68,19 +73,21 @@ class SmoothingParams:
     __post_init__ = check_fields
 
 
-def _check_logits(logits, who):
-    if not isinstance(logits, Tensor) or logits.ndim != 2:
-        raise ContractViolation(f"{who} needs [n, K] logits")
-    n, k = logits.shape
+def _check_logits(logits, who, stacked=False):
+    """(n, K) of [n, K] logits, or, where `stacked` allows it, of [S, n, K] ones."""
+    if not isinstance(logits, Tensor) or logits.ndim not in ((2, 3) if stacked else (2,)):
+        raise ContractViolation(f"{who} needs [n, K] logits" + (" or [S, n, K] stacked ones"
+                                                                 if stacked else ""))
+    n, k = logits.shape[-2:]
     if n < 1 or k < 2:
         raise ContractViolation(f"{who}: degenerate logits shape {logits.shape}")
     return n, k
 
 
-def _check_labels(labels, n, k):
+def _check_labels(labels, shape, k):
     labels = np.asarray(labels)
-    if labels.shape != (n,):
-        raise ContractViolation(f"labels must be [{n}], got shape {labels.shape}")
+    if labels.shape != shape:
+        raise ContractViolation(f"labels must be of shape {shape}, got shape {labels.shape}")
     if not np.issubdtype(labels.dtype, np.integer):
         raise ContractViolation(f"labels must be integers, got dtype {labels.dtype}")
     bad = (labels < 0) | (labels >= k)
@@ -92,51 +99,54 @@ def _check_labels(labels, n, k):
 
 def _check_simplex(probs, who):
     probs = np.asarray(probs, dtype=np.float64)
-    rows = probs if probs.ndim == 2 else probs[None, :]
-    if (rows < -SIMPLEX_TOL).any():
+    if (probs < -SIMPLEX_TOL).any():
         raise ContractViolation(f"{who}: negative probability entry")
-    sums = rows.sum(axis=1)
+    sums = probs.sum(axis=-1)
     off = np.abs(sums - 1.0)
     if (off > SIMPLEX_TOL).any():
-        i = int(np.argmax(off))
-        raise ContractViolation(f"{who}: row {i} sums to {sums[i]!r}, not 1")
+        i = int(np.argmax(off))  # counting the rows of every cell in order
+        raise ContractViolation(f"{who}: row {i} sums to {sums.flat[i]!r}, not 1")
     return probs
 
 
-def _smoothed_targets(labels, n, k, alpha_smooth):
-    smoothed = np.full((n, k), alpha_smooth / k)
-    smoothed[np.arange(n), labels] += 1.0 - alpha_smooth
-    return smoothed
+def _smoothed_targets(labels, k, alpha_smooth):
+    off = alpha_smooth / k
+    return np.where(labels[..., None] == np.arange(k), off + (1.0 - alpha_smooth), off)
 
 
-def _log_source(source_probs, n, k, eps_log, who):
+def _log_source(source_probs, shape, eps_log, who):
     source_probs = _check_simplex(source_probs, who)
-    if source_probs.shape != (n, k):
-        raise ContractViolation(f"{who}: shape {source_probs.shape} != batch shape {(n, k)}")
+    if source_probs.shape != shape:
+        raise ContractViolation(f"{who}: shape {source_probs.shape} != batch shape {shape}")
     return np.log(source_probs + eps_log)
 
 
 # Each term takes softmax rows p and returns (s, grad): the term's value is
 # (-1/n) * s, and grad(c) is its logit gradient under an upstream gradient g,
-# given c = g * (-1/n) (times the term's weight inside an objective).
+# given c = g * (-1/n) (times the term's weight inside an objective). The sum
+# s runs over a batch's [n, K] entries: one per cell of [S, n, K] rows.
+
+
+def _batch_sum(x):
+    return np.add.reduce(x, axis=(-2, -1))  # x.sum(axis=(-2, -1)) without its wrapper
 
 
 def _lsce_term(p, smoothed):
     shifted, logp = _log_shifted(p, 0.0)
-    return (smoothed * logp).sum(), lambda c: _softmax_grad(p, c * smoothed / shifted)
+    return _batch_sum(smoothed * logp), lambda c: _softmax_grad(p, c * smoothed / shifted)
 
 
 def _entropy_term(p, eps_log):
     shifted, logp = _log_shifted(p, eps_log)
-    return (p * logp).sum(), lambda c: _softmax_grad(p, c * logp + c * p / shifted)
+    return _batch_sum(p * logp), lambda c: _softmax_grad(p, c * logp + c * p / shifted)
 
 
 def _rce_term(p, log_q):
-    return (p * log_q).sum(), lambda c: _softmax_grad(p, c * log_q)
+    return _batch_sum(p * log_q), lambda c: _softmax_grad(p, c * log_q)
 
 
 def _cdd_term(p1, p2):
-    return (p1 * p2).sum(), lambda c: (_softmax_grad(p1, c * p2), _softmax_grad(p2, c * p1))
+    return _batch_sum(p1 * p2), lambda c: (_softmax_grad(p1, c * p2), _softmax_grad(p2, c * p1))
 
 
 def _single_node(logits, term, n):
@@ -148,10 +158,10 @@ def _single_node(logits, term, n):
 def lsce(logits: Tensor, labels, alpha_smooth: float) -> Tensor:
     """Label-smoothed cross-entropy against hard labels."""
     n, k = _check_logits(logits, "lsce")
-    labels = _check_labels(labels, n, k)
+    labels = _check_labels(labels, (n,), k)
     if not 0.0 <= alpha_smooth < 1.0:
         raise ContractViolation(f"alpha_smooth must be in [0, 1), got {alpha_smooth}")
-    smoothed = _smoothed_targets(labels, n, k, alpha_smooth)
+    smoothed = _smoothed_targets(labels, k, alpha_smooth)
     return _single_node(logits, _lsce_term(_softmax(logits.data), smoothed), n)
 
 
@@ -171,7 +181,7 @@ def rce(target_logits: Tensor, source_probs, eps_log: float) -> Tensor:
     ``source_probs`` is a plain array; no gradient ever flows into it.
     """
     n, k = _check_logits(target_logits, "rce")
-    log_q = _log_source(source_probs, n, k, eps_log, "rce source_probs")
+    log_q = _log_source(source_probs, (n, k), eps_log, "rce source_probs")
     return _single_node(target_logits, _rce_term(_softmax(target_logits.data), log_q), n)
 
 
@@ -189,13 +199,13 @@ def cdd_pair(p1, p2) -> float:
     return float(1.0 - np.dot(p1, p2))
 
 
-def _check_branches(logits1, logits2, who):
-    n1, k1 = _check_logits(logits1, who)
-    n2, k2 = _check_logits(logits2, who)
-    if (n1, k1) != (n2, k2):
+def _check_branches(logits1, logits2, who, stacked=False):
+    n, k = _check_logits(logits1, who, stacked)
+    _check_logits(logits2, who, stacked)
+    if logits1.data.shape != logits2.data.shape:
         raise ContractViolation(f"{who}: branch shapes differ, {logits1.shape} "
                                 f"vs {logits2.shape}")
-    return n1, k1
+    return n, k
 
 
 def cdd_batch(logits1: Tensor, logits2: Tensor) -> Tensor:
@@ -241,26 +251,31 @@ def batch_targets(labels, source_probs1, source_probs2,
     """Smoothed label targets and ln(q + eps) of both branches' source probs.
 
     Checks the labels and that each source-probability array is a batch of
-    simplex rows; the batch shape [n, K] comes from ``source_probs1``.
+    simplex rows; the batch shape, [n, K] or S cells' [S, n, K], comes from
+    ``source_probs1``, and the labels' shape is its leading part.
     """
     q1 = np.asarray(source_probs1, dtype=np.float64)
-    if q1.ndim != 2 or q1.shape[0] < 1 or q1.shape[1] < 2:
-        raise ContractViolation(f"source_probs must be [n, K] with n >= 1 and K >= 2, "
-                                f"got shape {q1.shape}")
-    n, k = q1.shape
-    labels = _check_labels(labels, n, k)
+    if q1.ndim not in (2, 3) or 0 in q1.shape or q1.shape[-1] < 2:
+        raise ContractViolation(f"source_probs must be [n, K] or [S, n, K] with n >= 1 and "
+                                f"K >= 2, got shape {q1.shape}")
+    labels = _check_labels(labels, q1.shape[:-1], q1.shape[-1])
     eps = smoothing.eps_log
-    return BatchTargets(_smoothed_targets(labels, n, k, smoothing.alpha_smooth),
-                        _log_source(q1, n, k, eps, "source_probs1"),
-                        _log_source(source_probs2, n, k, eps, "source_probs2"),
+    return BatchTargets(_smoothed_targets(labels, q1.shape[-1], smoothing.alpha_smooth),
+                        _log_source(q1, q1.shape, eps, "source_probs1"),
+                        _log_source(source_probs2, q1.shape, eps, "source_probs2"),
                         smoothing)
 
 
 def _objective(logits1, logits2, targets, weights, cdd_weight, who):
-    """One node over both branches; cdd_weight None leaves the CDD term out."""
-    n, k = _check_branches(logits1, logits2, who)
-    if targets.smoothed.shape != (n, k):
-        raise ContractViolation(f"{who}: logits shape {(n, k)} != batch targets shape "
+    """One node over both branches; cdd_weight None leaves the CDD term out.
+
+    On [S, n, K] logits each cell's terms and total are its own, and the node's
+    value is the sum of the cells' totals: each cell's total gets the upstream
+    gradient unchanged, as it would alone.
+    """
+    n, _ = _check_branches(logits1, logits2, who, stacked=True)
+    if targets.smoothed.shape != logits1.data.shape:
+        raise ContractViolation(f"{who}: logits shape {logits1.shape} != batch targets shape "
                                 f"{targets.smoothed.shape}")
     smoothed, m, eps = targets.smoothed, -1.0 / n, targets.smoothing.eps_log
     p1, p2 = _softmax(logits1.data), _softmax(logits2.data)
@@ -270,25 +285,30 @@ def _objective(logits1, logits2, targets, weights, cdd_weight, who):
     parts = {name: m * a + m * b for name, a, b in zip(("lsce", "entropy", "rce"), sums1, sums2)}
     parts["cdd"] = m * s_cdd + 1.0
     lambdas = (weights.lambda_lsce, weights.lambda_e, weights.lambda_rce)
-    total = (lambdas[0] * parts["lsce"] + lambdas[1] * parts["entropy"]) \
+    parts["total"] = (lambdas[0] * parts["lsce"] + lambdas[1] * parts["entropy"]) \
         + lambdas[2] * parts["rce"]
     if cdd_weight is not None:
-        total = total + cdd_weight * parts["cdd"]
+        parts["total"] = parts["total"] + cdd_weight * parts["cdd"]
 
     def backward(g):
         cs = [(g * lam) * m for lam in lambdas]
         dz_cdd = (None, None) if cdd_weight is None else grad_cdd((g * cdd_weight) * m)
         return ((logits1, grad1(*cs, dz_cdd[0])), (logits2, grad2(*cs, dz_cdd[1])))
 
-    comps = {name: float(v) for name, v in parts.items()}
-    return _result(total, (logits1, logits2), backward), comps
+    total = parts["total"]
+    if logits1.data.ndim == 2:
+        return _result(total, (logits1, logits2), backward), \
+            {name: float(v) for name, v in parts.items()}
+    # S cells: a list of S floats per name, and a node worth the sum of the cells' totals
+    return _result(total.sum(), (logits1, logits2), backward), \
+        {name: v.tolist() for name, v in parts.items()}
 
 
 def step1_objective(logits1, logits2, targets: BatchTargets, weights: LossWeights):
     """Supervision + entropy + source anchoring, summed over both branches.
 
-    Returns (scalar tensor, component values). The CDD value is computed for
-    the log but takes no part in this objective.
+    Returns (scalar tensor, component values and their weighted "total"). The
+    CDD value is computed for the log but takes no part in this objective.
     """
     return _objective(logits1, logits2, targets, weights, None, "step1_objective")
 

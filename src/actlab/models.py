@@ -30,6 +30,14 @@ same order as the composed tape's, so logits and every parameter gradient are
 bitwise those of the composed form; tests/test_models.py holds the node to
 that form (kept in tests/oracles.py). The rule skips ``g @ W.T`` for an input
 that needs no gradient, and such an input is not a parent of the node.
+
+A stacked bundle (``clone_for_adaptation(bundle, cells=S)``) is S models
+trained in lockstep: every parameter has a leading cell axis, the vector is an
+[S, P] matrix, and the passes take [S, n, d] inputs (a 2-D weight, as of a
+frozen source, serves every cell). The same code runs both: ``@`` and the
+transpose of the last two axes stack, a bias adds over ``[..., None, :]`` and
+its gradient sums over axis -2, so each cell's slice computes what the cell
+alone would, bit for bit.
 """
 
 from __future__ import annotations
@@ -86,19 +94,21 @@ class ModelBundle:
     Tensor with requires_grad set; ``vector`` binds their data into one vector,
     and ``head_vector`` is its heads' tail. ``extractor`` / ``head1`` / ``head2``
     are lists of (weight, bias) pairs of those Tensors, as the forward passes read them.
+    A ``stacked`` bundle holds S models: every Tensor has a leading cell axis.
     """
 
-    def __init__(self, spec, params):
+    def __init__(self, spec, params, stacked=False):
         self.spec = spec
         self.params = params
-        self.vector = ParamVector(params.values())
+        self.vector = ParamVector(params.values(), stacked=stacked)
         tensors = self.vector.tensors
         layers = list(zip(tensors[0::2], tensors[1::2]))
         self.extractor, self.head1, self.head2 = layers[:-2], layers[-2:-1], layers[-1:]
         # built once, since optimizer state is keyed by the parameter object
-        self.head_vector = ParamVector(tensors[2 * len(self.extractor):], root=self.vector)
-        n = self.vector.data.size
-        self.is_head = np.arange(n) >= n - self.head_vector.data.size  # per vector entry
+        self.head_vector = ParamVector(tensors[2 * len(self.extractor):], root=self.vector,
+                                       stacked=stacked)
+        n = self.vector.data.shape[-1]
+        self.is_head = np.arange(n) >= n - self.head_vector.data.shape[-1]  # per vector entry
 
     def named_params(self, side="target"):
         """(name, Tensor) pairs in checkpoint order. ``side`` may only be "target"."""
@@ -142,9 +152,18 @@ def bundle_from_params(spec, params: dict) -> ModelBundle:
     return ModelBundle(spec, tensors)
 
 
-def clone_for_adaptation(bundle: ModelBundle) -> ModelBundle:
-    """New bundle with its own copies of `bundle`'s parameters."""
-    return bundle_from_params(bundle.spec, {name: t.data for name, t in bundle.named_params()})
+def clone_for_adaptation(bundle: ModelBundle, cells: int | None = None) -> ModelBundle:
+    """New bundle with its own copies of `bundle`'s parameters.
+
+    Given `cells`, a stacked bundle of that many copies: each parameter gains a
+    leading cell axis, and the vector is one row per cell.
+    """
+    params = {name: t.data for name, t in bundle.named_params()}
+    if cells is None:
+        return bundle_from_params(bundle.spec, params)
+    return ModelBundle(bundle.spec, {  # the stacked vector copies the broadcast views
+        name: Tensor(np.broadcast_to(a, (cells,) + a.shape), requires_grad=True)
+        for name, a in params.items()}, stacked=True)
 
 
 # -- forward passes -------------------------------------------------------------
@@ -154,8 +173,8 @@ def _check_rows(x, dim, who):
     if not isinstance(x, Tensor):
         x = Tensor(x)
     shape = x.data.shape
-    if len(shape) != 2 or shape[1] != dim:
-        raise ContractViolation(f"{who} must be [n, {dim}], got shape {shape}")
+    if len(shape) not in (2, 3) or shape[-1] != dim:
+        raise ContractViolation(f"{who} must be [n, {dim}] or [S, n, {dim}], got shape {shape}")
     return x
 
 
@@ -169,7 +188,7 @@ def _stack_forward(a, layers):
     for i, (w, b) in enumerate(layers):
         inputs.append(a)
         a = a @ w.data
-        a = a + b.data[None, :]
+        a = a + b.data[..., None, :]
         if i < last:
             mask = a > 0.0  # subgradient at exactly 0 is 0
             masks.append(mask)
@@ -192,18 +211,18 @@ def _layer_stack(x, layers):
         grads = []
         for i in range(last, -1, -1):
             w, b = layers[i]
-            grads += [(w, inputs[i].T @ g), (b, g.sum(axis=0))]
+            grads += [(w, inputs[i].swapaxes(-1, -2) @ g), (b, g.sum(axis=-2))]
             if i > 0:
-                g = (g @ w.data.T) * masks[i - 1]
+                g = (g @ w.data.swapaxes(-1, -2)) * masks[i - 1]
             elif input_grad:
-                grads.append((x, g @ w.data.T))
+                grads.append((x, g @ w.data.swapaxes(-1, -2)))
         return grads
 
     return _result(out, params, backward)
 
 
 def forward_features(bundle, x):
-    """Extractor output for inputs of shape [n, input_dim]."""
+    """Extractor output for inputs of shape [n, input_dim], or [S, n, input_dim]."""
     return _layer_stack(_check_rows(x, bundle.spec.input_dim, "input"), bundle.extractor)
 
 

@@ -4,8 +4,10 @@ All steps are functional: parameters in, state mutated, nothing returned
 (except SAM, which returns the unperturbed loss for logging). A parameter is a
 Tensor or a ``ParamVector``: Tensors stepped at once as one vector, whose rate
 may be an array of per-entry rates; the arithmetic is elementwise, so each entry
-gets its own Tensor's bits. State is keyed by parameter object, never by list
-position, so update order cannot matter.
+gets its own Tensor's bits. A stacked ParamVector holds S models' vectors as
+the rows of one matrix and steps them all at once; SAM takes one norm and one
+scale per row, so each row gets the bits of its own step. State is keyed by
+parameter object, never by list position, so update order cannot matter.
 
     sgd   v <- momentum * v + (g + wd * w);  w <- w - lr * v
     adam  standard bias-corrected moments, update m_hat / (sqrt(v_hat) + eps)
@@ -16,6 +18,7 @@ position, so update order cannot matter.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,35 +65,51 @@ class ParamVector:
     re-points the views; nothing writes into a bound vector, so a reference to
     ``data`` keeps its values bitwise. Given a `root` whose last Tensors these
     are, the vector is the root's tail: assigning it binds the root anew.
+
+    With ``stacked``, every Tensor's data has a leading cell axis of one length
+    S, and ``data`` is an [S, P] matrix: row s is cell s's vector. Every method
+    works on the last axis, so it treats each row as the vector of one model.
     """
 
-    def __init__(self, tensors, root=None):
+    def __init__(self, tensors, root=None, stacked=False):
         self.tensors = list(tensors)
-        ends = np.cumsum([t.size for t in self.tensors]).tolist()
-        self._slots = [(t, hi - t.size, hi, t.shape) for t, hi in zip(self.tensors, ends)]
-        self._root, self._lo = root, -ends[-1]  # a tail is the last ends[-1] entries
-        if root is None:
-            self.data = np.concatenate([t.data for t in self.tensors], axis=None)
+        self._lead = self.tensors[0].shape[:1] if stacked else ()
+        cells = (slice(None),) * len(self._lead)  # an index prefix that keeps the cell axis
+        shapes = [t.shape[len(self._lead):] for t in self.tensors]
+        ends = np.cumsum([math.prod(shape) for shape in shapes]).tolist()
+        self._slots = [(cells + (slice(hi - math.prod(shape), hi),), self._lead + shape)
+                       for shape, hi in zip(shapes, ends)]
+        # a tail is the root's last ends[-1] entries; the rest is the root's head
+        self._root, self._tail = root, cells + (slice(-ends[-1], None),)
+        self._rest = cells + (slice(None, -ends[-1]),)
+        if root is None:  # row-major, whatever the Tensors' layout: each row is contiguous
+            self.data = np.ascontiguousarray(np.concatenate(
+                [t.data.reshape(self._lead + (-1,)) for t in self.tensors], axis=-1))
 
     @property
     def data(self):
-        return self._data if self._root is None else self._root.data[self._lo:]
+        return self._data if self._root is None else self._root.data[self._tail]
 
     @data.setter
     def data(self, vector):
         if self._root is not None:
-            self._root.data = np.concatenate((self._root.data[:self._lo], vector))
+            self._root.data = np.concatenate((self._root.data[self._rest], vector), axis=-1)
             return
         self._data = vector
-        for t, lo, hi, shape in self._slots:
-            t.data = vector[lo:hi].reshape(shape)
+        for t, (index, shape) in zip(self.tensors, self._slots):
+            t.data = vector[index].reshape(shape)
 
     def grad(self):  # a Tensor the loss never reached has a zero gradient
-        return np.concatenate([np.zeros(t.shape) if t.grad is None else t.grad
-                               for t in self.tensors], axis=None)
+        grads = [np.zeros(t.shape) if t.grad is None else t.grad for t in self.tensors]
+        if not self._lead:
+            return np.concatenate(grads, axis=None)
+        return np.concatenate([g.reshape(self._lead + (-1,)) for g in grads], axis=-1)
+
+    def segments(self, vector):  # one flat slice of `vector`'s last axis per Tensor
+        return [vector[index] for index, _ in self._slots]
 
     def split(self, vector):  # one view of `vector` per Tensor, in its shape
-        return [vector[lo:hi].reshape(shape) for _, lo, hi, shape in self._slots]
+        return [vector[index].reshape(shape) for index, shape in self._slots]
 
 
 class SgdState:
@@ -177,10 +196,11 @@ def sam_step(params, loss_closure, state: SamState, cfg: SamConfig,
     grad = vec.grad()
 
     w = vec.data  # steps bind new vectors and never write into one: w stays w
-    # square once, sum per Tensor, add in layout order: the bits of a per-Tensor norm
-    norm = float(np.sqrt(sum(float(sq.sum()) for sq in vec.split(grad * grad))))
+    # square once, sum per Tensor, add in layout order: the bits of a per-Tensor norm;
+    # a stacked vector gets one norm and one scale per row
+    norm = np.sqrt(sum(sq.sum(axis=-1) for sq in vec.segments(grad * grad)))
     scale = cfg.rho / (norm + SAM_NORM_FLOOR)
-    vec.data = w + scale * grad
+    vec.data = w + (scale[:, None] if w.ndim > 1 else scale) * grad
 
     zero_grad(vec.tensors)
     backward(loss_closure())

@@ -10,11 +10,18 @@ The adaptation loop alternates two loss-driven steps per outer iteration:
 Branch 1 consumes weakly augmented views, branch 2 strongly augmented ones.
 Every optimizer step goes through SAM wrapping Adam; the learning rate decays
 as eta0 * (1 + 10 p)^-0.75 over outer-iteration progress p.
+
+``adapt_cells`` runs this loop for several support splits of one size in
+lockstep, as one stacked computation: the cells share every batch-index and
+augmentation draw, and each cell's numbers are bitwise those of ``adapt`` on
+its split alone, which is the one-split case. ``seed_sweep`` runs each model
+seed's cells in such groups, one group per pool worker.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor, as_completed
+import math
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from dataclasses import asdict, dataclass, field, replace
 from typing import Annotated, Literal, get_args
 
@@ -225,11 +232,10 @@ def _batch_stream(support, batch_size, seed):
 def _route_views(view_mode, weak, strong, ys):
     if view_mode == "asymmetric":
         return weak, strong, ys
-    both = np.vstack([weak, strong])
-    return both, both, np.concatenate([ys, ys])
+    both = np.concatenate([weak, strong], axis=-2)
+    return both, both, np.concatenate([ys, ys], axis=-1)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # as for pretrain_source
 def adapt(source_model: ModelBundle, split: SupportSplit, policy: AugmentPolicy,
           cfg: AdaptConfig):
     """Run the two-step loop from a pretrained model. Returns (bundle, report).
@@ -238,36 +244,73 @@ def adapt(source_model: ModelBundle, split: SupportSplit, policy: AugmentPolicy,
     probabilities anchor the losses, and it is left bitwise unchanged. Only
     the labeled `split.support` is drawn from; `split.test` is used for
     evaluation alone. A non-finite loss aborts with the iteration index and
-    the last finite parameter snapshot attached.
+    the last finite parameter snapshot attached. This is `adapt_cells` on one
+    split.
+    """
+    return adapt_cells(source_model, [split], policy, cfg)[0]
+
+
+@np.errstate(over="ignore", invalid="ignore")  # as for pretrain_source
+def adapt_cells(source_model: ModelBundle, splits, policy: AugmentPolicy, cfg: AdaptConfig):
+    """`adapt` on each of `splits` at once: one (bundle, report) per split, in order.
+
+    The cells share the source model, `policy`, `cfg` and so `cfg.seed`, and
+    their supports must have one size: then their batch-index and augmentation
+    draws are the same draws (no draw depends on a row's values), and each
+    stream is drawn once for all cells. Their parameters are the rows of one
+    stacked vector that every step moves at once. Each cell's bundle and
+    report are bitwise what `adapt` gives on its split alone. A non-finite loss
+    in any cell aborts the run: with several cells, the error names the first
+    such cell, by its position in `splits`, and attaches its parameters.
+
+    Several cells carry a leading cell axis on every array (a stacked bundle,
+    [S, n, d] batches). One cell runs the same code on plain [n, d] arrays,
+    which numpy serves faster.
     """
     spec = source_model.spec
-    support = split.support
-    if support.num_classes != spec.num_classes:
-        raise ContractViolation(f"support labels span {support.num_classes} classes, "
-                                f"model expects {spec.num_classes}")
-    if support.xs.shape[1] != spec.input_dim:
-        raise ContractViolation(f"support dim {support.xs.shape[1]} != model "
-                                f"input dim {spec.input_dim}")
+    sizes = sorted({len(split.support) for split in splits})
+    if len(sizes) != 1:
+        raise ContractViolation(f"cells in lockstep need one support size, got sizes {sizes}")
+    for split in splits:
+        support = split.support
+        if support.num_classes != spec.num_classes:
+            raise ContractViolation(f"support labels span {support.num_classes} classes, "
+                                    f"model expects {spec.num_classes}")
+        if support.xs.shape[1] != spec.input_dim:
+            raise ContractViolation(f"support dim {support.xs.shape[1]} != model "
+                                    f"input dim {spec.input_dim}")
 
     source_before = params_fingerprint(trainable_params(source_model, "all_target"))
-    bundle = clone_for_adaptation(source_model)
+    stacked = len(splits) > 1
+    if stacked:
+        bundle = clone_for_adaptation(source_model, len(splits))
+        support_xs = np.stack([split.support.xs for split in splits], axis=1)  # [m, S, d]
+        support_ys = np.stack([split.support.ys for split in splits])  # [S, m]
+    else:
+        bundle = clone_for_adaptation(source_model)
+        support_xs, support_ys = splits[0].support.xs, splits[0].support.ys
+
     # step kind -> the vector it trains (all of it, or the heads' tail) and its SAM state
     steps = {"1": (bundle.vector, SamState()), "2": (bundle.head_vector, SamState())}
-    n_t = min(cfg.batch_size, len(support))
-    batch_iter = _batch_stream(support, n_t, cfg.seed)
+    batch_iter = _batch_stream(splits[0].support, min(cfg.batch_size, sizes[0]), cfg.seed)
     aug_rng = rng_stream(cfg.seed, "augment")
+
+    def augmented(rows, tier):  # [n, (S,) d] rows -> the batch, [(S,) n, d]
+        return np.ascontiguousarray(augment_batch(rows, policy, tier, aug_rng).swapaxes(0, -2))
 
     def source_probs(view, branch):
         feats = plain_features(source_model, view)
         return _softmax(plain_head(source_model, feats, branch))
 
-    def diverged(detail, last_loss):
+    def diverged(detail, last_loss, cell):
+        where = f" in cell {cell}" if stacked else ""
         return DivergenceError(
-            f"adaptation diverged at iteration {it} (step {step_kind}){detail}",
+            f"adaptation diverged at iteration {it} (step {step_kind}){where}{detail}",
             iteration=it, last_loss=last_loss,
-            last_good_params=dict(zip(bundle.params, bundle.vector.split(last_good))))
+            last_good_params={name: p[cell] if stacked else p for name, p in
+                              zip(bundle.params, bundle.vector.split(last_good))})
 
-    trace = []
+    traces = [[] for _ in splits]
     # optimizer steps bind a new vector and never write into one, so a reference suffices
     last_good = bundle.vector.data
     for it in range(cfg.total_iterations):
@@ -282,9 +325,8 @@ def adapt(source_model: ModelBundle, split: SupportSplit, policy: AugmentPolicy,
         for step_kind in cfg.step_pattern:
             if step_inputs is None or cfg.fresh_batch_per_step:
                 idx = next(batch_iter)
-                xs, ys = support.xs[idx], support.ys[idx]
-                weak = augment_batch(xs, policy, "weak", aug_rng)
-                strong = augment_batch(xs, policy, "strong", aug_rng)
+                rows, ys = support_xs[idx], support_ys[..., idx]
+                weak, strong = augmented(rows, "weak"), augmented(rows, "strong")
                 view1, view2, labels = _route_views(cfg.view_mode, weak, strong, ys)
                 view1, view2 = Tensor(view1), Tensor(view2)
                 targets = batch_targets(labels, source_probs(view1, 1),
@@ -303,44 +345,49 @@ def adapt(source_model: ModelBundle, split: SupportSplit, policy: AugmentPolicy,
                     (forward_features(bundle, view1), forward_features(bundle, view2))
                 l1, l2 = forward_head(bundle, feats1, 1), forward_head(bundle, feats2, 2)
                 if not (np.isfinite(l1.data).all() and np.isfinite(l2.data).all()):
-                    raise diverged(": non-finite logits", float("nan"))
+                    finite = np.isfinite(l1.data).all(axis=(-2, -1)) \
+                        & np.isfinite(l2.data).all(axis=(-2, -1))  # per cell
+                    raise diverged(": non-finite logits", float("nan"), int(np.argmin(finite)))
                 if step_kind == "1":
                     total, comps = step1_objective(l1, l2, targets, cfg.weights)
                 else:
                     total, comps = step2_objective(l1, l2, targets, cfg.weights,
                                                    cfg.cdd_sign)
                 evals.append(comps)
-                return total
+                return total  # the sum of the cells' totals
 
             params, sam_state = steps[step_kind]
-            loss_value = sam_step(params, closure, sam_state, cfg.sam,
-                                  lr_override=rates[step_kind])
+            sam_step(params, closure, sam_state, cfg.sam, lr_override=rates[step_kind])
 
-            if not np.isfinite(loss_value):
-                raise diverged("", loss_value)
+            comps = {name: v if stacked else [v] for name, v in evals[0].items()}
+            for cell, loss in enumerate(comps["total"]):
+                if not math.isfinite(loss):
+                    raise diverged("", loss, cell)
             last_good = bundle.vector.data
-            comps = evals[0]
-            trace.append(StepRecord(
-                iteration=it, step_kind=f"step{step_kind}", loss_total=loss_value,
-                loss_lsce=comps["lsce"], loss_entropy=comps["entropy"],
-                loss_rce=comps["rce"], loss_cdd=comps["cdd"], lr=lr_ext))
+            for trace, *losses in zip(traces, comps["total"], comps["lsce"],
+                                      comps["entropy"], comps["rce"], comps["cdd"]):
+                trace.append(StepRecord(it, f"step{step_kind}", *losses, lr=lr_ext))
 
     if params_fingerprint(trainable_params(source_model, "all_target")) != source_before:
         raise RuntimeError("source model changed during adaptation")
 
-    final = evaluate(bundle, split.test, cfg.eval_head)
-    baseline = evaluate(source_model, split.test, cfg.eval_head)
-    report = RunReport(
-        trace=trace,
-        accuracy=final.accuracy,
-        per_class=final.per_class,
-        macro_accuracy=final.macro_accuracy,
-        confusion=final.confusion.tolist(),
-        no_adapt_accuracy=baseline.accuracy,
-        no_adapt_per_class=baseline.per_class,
-        no_adapt_macro_accuracy=baseline.macro_accuracy,
-    )
-    return bundle, report
+    runs = []
+    for cell, (split, trace) in enumerate(zip(splits, traces)):
+        adapted = bundle_from_params(spec, {name: t.data[cell] for name, t in
+                                            bundle.params.items()}) if stacked else bundle
+        final = evaluate(adapted, split.test, cfg.eval_head)
+        baseline = evaluate(source_model, split.test, cfg.eval_head)
+        runs.append((adapted, RunReport(
+            trace=trace,
+            accuracy=final.accuracy,
+            per_class=final.per_class,
+            macro_accuracy=final.macro_accuracy,
+            confusion=final.confusion.tolist(),
+            no_adapt_accuracy=baseline.accuracy,
+            no_adapt_per_class=baseline.per_class,
+            no_adapt_macro_accuracy=baseline.macro_accuracy,
+        )))
+    return runs
 
 
 # -- seed sweeps ---------------------------------------------------------------------
@@ -375,19 +422,38 @@ def _pretrain_params(source, spec, cfg):
     return {name: t.data for name, t in bundle.named_params()}
 
 
-def _run_cell(spec, source_params, target, n_way, k_shot, data_seed, model_seed,
-              policy, adapt_cfg):
+def _run_cells(spec, source_params, target, n_way, k_shot, data_seeds, model_seed,
+               policy, adapt_cfg):
+    """One group's cells, in lockstep: a SweepCell per data seed, or None when a
+    group of several cells fails, so that its cells re-run one at a time."""
     try:
         pretrained = bundle_from_params(spec, source_params)
-        split = sample_support(target, n_way, k_shot, seed=data_seed)
-        _, report = adapt(pretrained, split, policy, adapt_cfg)
-        return SweepCell(data_seed, model_seed, "ok",
-                         report.no_adapt_accuracy, report.accuracy,
-                         report.no_adapt_macro_accuracy, report.macro_accuracy)
+        splits = [sample_support(target, n_way, k_shot, seed=ds) for ds in data_seeds]
+        runs = adapt_cells(pretrained, splits, policy, adapt_cfg)
     except (ContractViolation, DivergenceError) as e:
         # a bad draw or a diverged run is data; any other error is a bug and propagates
-        return SweepCell(data_seed, model_seed, f"error: {type(e).__name__}: {e}",
-                         None, None, None, None)
+        if len(data_seeds) > 1:
+            return None
+        return [SweepCell(data_seeds[0], model_seed, f"error: {type(e).__name__}: {e}",
+                          None, None, None, None)]
+    return [SweepCell(ds, model_seed, "ok", report.no_adapt_accuracy, report.accuracy,
+                      report.no_adapt_macro_accuracy, report.macro_accuracy)
+            for ds, (_, report) in zip(data_seeds, runs)]
+
+
+class _InlinePool:
+    """The pool of ``jobs=1``: each task runs at submit, in this process."""
+
+    def submit(self, fn, *args):
+        future = Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as e:
+            future.set_exception(e)
+        return future
+
+    def shutdown(self, cancel_futures):
+        pass
 
 
 def seed_sweep(domain, spec, pretrain_cfg, adapt_cfg, policy, n_way, k_shot,
@@ -395,13 +461,17 @@ def seed_sweep(domain, spec, pretrain_cfg, adapt_cfg, policy, n_way, k_shot,
     """Cross-product of data seeds (support draw) and model seeds (init + pretrain).
 
     Pretraining happens once per model seed, and a repeated seed is refused.
-    With ``jobs > 1`` one process pool, of at most one worker per cell (fork
-    starts them all at the first submit), does all the work: each model seed's
-    pretraining is a task, and its cells are submitted as soon as it finishes,
-    so cells of one seed run while another still pretrains. Every task is
-    deterministic and independent, so the report is the same for every
-    ``jobs``. A cell that fails with a ContractViolation or a DivergenceError
-    is recorded with its error and skipped by the aggregates; any other
+    Each model seed's cells run in groups, one `adapt_cells` call each: its
+    data seeds, as listed, are cut into min(cells, ceil(jobs / model seeds))
+    near-equal runs of consecutive seeds, so one group per worker. With
+    ``jobs > 1`` one process pool, of at most one worker per cell (fork starts
+    them all at the first submit), does all the work: each model seed's
+    pretraining is a task, and its groups are submitted as soon as it
+    finishes, so groups of one seed run while another still pretrains. A cell
+    in lockstep gets the bits it gets alone, so the report is the same for
+    every ``jobs``. A group that fails with a ContractViolation or a
+    DivergenceError re-runs its cells one task each, and a cell that fails so
+    alone is recorded with its error and skipped by the aggregates; any other
     exception in a cell, and any exception in pretraining, propagates, and
     queued tasks are cancelled. Spread and variance are computed across data
     seeds after averaging over model seeds within each data seed.
@@ -415,30 +485,32 @@ def seed_sweep(domain, spec, pretrain_cfg, adapt_cfg, policy, n_way, k_shot,
     if jobs < 1:
         raise ContractViolation(f"jobs must be >= 1, got {jobs}")
     source, target = make_domain_pair(domain)
+    parts = min(len(data_seeds), -(-jobs // len(model_seeds)))
+    cuts = [len(data_seeds) * i // parts for i in range(parts + 1)]
+    groups = [list(data_seeds[a:b]) for a, b in zip(cuts, cuts[1:])]
 
-    def pretrain_args(ms):
-        return source, replace(spec, init_seed=ms), replace(pretrain_cfg, seed=ms)
-
-    def cell_args(ms, params):
-        return [(replace(spec, init_seed=ms), params, target, n_way, k_shot, ds, ms,
-                 policy, adapt_cfg) for ds in data_seeds]
-
-    if jobs == 1:
-        cells = [_run_cell(*args) for ms in model_seeds
-                 for args in cell_args(ms, _pretrain_params(*pretrain_args(ms)))]
-    else:
-        pool = ProcessPoolExecutor(max_workers=min(jobs, len(data_seeds) * len(model_seeds)))
-        try:
-            pretraining = {pool.submit(_pretrain_params, *pretrain_args(ms)): ms
-                           for ms in model_seeds}
-            cell_futures = []
-            for done in as_completed(pretraining):
-                params = done.result()
-                cell_futures += [pool.submit(_run_cell, *args)
-                                 for args in cell_args(pretraining[done], params)]
-            cells = [f.result() for f in cell_futures]
-        finally:
-            pool.shutdown(cancel_futures=True)
+    pool = _InlinePool() if jobs == 1 else \
+        ProcessPoolExecutor(max_workers=min(jobs, len(data_seeds) * len(model_seeds)))
+    try:
+        # future -> (model seed, its group's data seeds, or None for its pretraining)
+        tasks = {pool.submit(_pretrain_params, source, replace(spec, init_seed=ms),
+                             replace(pretrain_cfg, seed=ms)): (ms, None) for ms in model_seeds}
+        params, cells = {}, []
+        while tasks:
+            done, _ = wait(tasks, return_when=FIRST_COMPLETED)
+            for future in done:
+                ms, seeds = tasks.pop(future)
+                result = future.result()
+                if seeds is None:
+                    params[ms], queue = result, groups
+                else:  # a failed group re-runs its cells one at a time
+                    queue = [[ds] for ds in seeds] if result is None else []
+                    cells += result or []
+                tasks.update({pool.submit(_run_cells, replace(spec, init_seed=ms), params[ms],
+                                          target, n_way, k_shot, group, ms, policy,
+                                          adapt_cfg): (ms, group) for group in queue})
+    finally:
+        pool.shutdown(cancel_futures=True)
     cells.sort(key=lambda c: (c.data_seed, c.model_seed))
 
     ok = [c for c in cells if c.status == "ok"]

@@ -167,14 +167,14 @@ def _log_shifted(x, eps):
 
 
 def _softmax(x):
-    """Row softmax of a [n, K] array, max-subtracted for stability."""
-    e = np.exp(x - x.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
+    """Softmax over the last axis ([n, K] rows, or [S, n, K]), max-subtracted for stability."""
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def _softmax_grad(p, g):
     """d/dx of a row softmax p = softmax(x), given g = d/dp: p * (g - sum_k g_k p_k)."""
-    return p * (g - (g * p).sum(axis=1, keepdims=True))
+    return p * (g - (g * p).sum(axis=-1, keepdims=True))
 
 
 def _wrap(value):

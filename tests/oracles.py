@@ -124,8 +124,8 @@ def tape_step1_objective(logits1, logits2, labels, source_probs1, source_probs2,
                          weights, smoothing):
     parts = _tape_components(logits1, logits2, labels, source_probs1, source_probs2,
                              smoothing)
-    return (_tape_weighted_base(parts, weights),
-            {name: t.item() for name, t in parts.items()})
+    total = _tape_weighted_base(parts, weights)
+    return total, {**{name: t.item() for name, t in parts.items()}, "total": total.item()}
 
 
 def tape_step2_objective(logits1, logits2, labels, source_probs1, source_probs2,
@@ -135,7 +135,7 @@ def tape_step2_objective(logits1, logits2, labels, source_probs1, source_probs2,
     sign = -1.0 if cdd_sign == "as_printed" else 1.0
     total = (_tape_weighted_base(parts, weights)
              + scalar_mul(sign * weights.lambda_cdd, parts["cdd"]))
-    return total, {name: t.item() for name, t in parts.items()}
+    return total, {**{name: t.item() for name, t in parts.items()}, "total": total.item()}
 
 
 # -- composed-tape reference for the fused layer-stack nodes --------------------

@@ -25,7 +25,7 @@ from actlab.optim import (AdamConfig, AdamState, SamConfig, SamState,
                           SgdConfig, SgdState, adam_step, lr_at, sam_step,
                           sgd_step)
 from actlab.pipeline import (AdaptConfig, PretrainConfig, ScheduleConfig,
-                             adapt, pretrain_source)
+                             adapt_cells, pretrain_source)
 from actlab.tensor import Tensor, backward, scalar_mul, zero_grad
 
 # ---------------------------------------------------------------------------
@@ -93,13 +93,11 @@ PIN_BLOBS_ADAPTED_MACRO = (0.99505376344086027, 0.9851612903225806,
 
 
 def _run_seeds(bundle, target, cfg, policy, n_way, k_shot):
-    rows = []
-    for ds in DATA_SEEDS:
-        split = sample_support(target, n_way, k_shot, seed=ds)
-        t0 = time.perf_counter()
-        _, report = adapt(bundle, split, policy, cfg)
-        rows.append({"report": report, "secs": time.perf_counter() - t0})
-    return rows
+    splits = [sample_support(target, n_way, k_shot, seed=ds) for ds in DATA_SEEDS]
+    t0 = time.perf_counter()
+    runs = adapt_cells(bundle, splits, policy, cfg)  # the seeds in lockstep
+    secs = time.perf_counter() - t0
+    return [{"report": report, "secs": secs} for _, report in runs]
 
 
 @pytest.fixture(scope="module")

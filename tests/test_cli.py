@@ -268,6 +268,23 @@ class TestForceReplacesTheRun:
         assert self.rerun(cfg_path, edit, *self.SWEEP) == 0
         assert sorted(p.name for p in run_dir.iterdir()) == left
 
+    def test_without_config_json_only_the_source_files_are_kept(self, workspace, capsys):
+        # a sweep.csv of adapt.seed 11 may not stay beside an adapt run of adapt.seed 12
+        cfg_path, run_dir = workspace
+        assert self.rerun(cfg_path, lambda d: d["adapt"].update(seed=11), *self.SWEEP) == 0
+        (run_dir / "config.json").unlink()
+        doc = json.loads(cfg_path.read_text())
+        doc["adapt"]["seed"] = 12
+        cfg_path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["adapt", "--config", str(cfg_path)]) == 2
+        assert "sweep.csv already exists" in capsys.readouterr().err
+        assert [p.name for p in run_dir.iterdir()] == ["sweep.csv"]
+        assert main(["adapt", "--config", str(cfg_path), "--force"]) == 0
+        assert load_config(run_dir / "config.json").adapt.seed == 12
+        assert sorted(p.name for p in run_dir.iterdir()) == sorted(
+            ["config.json", *cli.PRETRAIN_OUTPUTS, *cli.ADAPT_OUTPUTS])
+
     def test_sweep_under_the_same_config_keeps_the_run(self, workspace):
         cfg_path, run_dir = workspace
         assert main(["adapt", "--config", str(cfg_path)]) == 0

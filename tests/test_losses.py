@@ -243,9 +243,10 @@ class TestStepObjectives:
     def test_components_always_reported(self):
         w = LossWeights(0.0, 0.0, 0.0, 0.0)
         total, comps = step1_objective(self.l1, self.l2, self.targets, w)
-        assert set(comps) == {"lsce", "entropy", "rce", "cdd"}
-        assert all(np.isfinite(v) and v != 0.0 for v in comps.values())
-        assert total.item() == 0.0
+        assert set(comps) == {"lsce", "entropy", "rce", "cdd", "total"}
+        assert all(np.isfinite(comps[name]) and comps[name] != 0.0
+                   for name in ("lsce", "entropy", "rce", "cdd"))
+        assert total.item() == comps["total"] == 0.0
 
     def test_all_zero_weights_give_exactly_zero_gradients(self):
         w = LossWeights(0.0, 0.0, 0.0, 0.0)

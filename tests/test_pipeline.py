@@ -6,17 +6,22 @@ from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from actlab import pipeline
-from actlab.data import (AugmentPolicy, DomainSpec, LabeledSet, ShiftSpec,
+from actlab.data import (AugmentPolicy, DomainSpec, LabeledSet, ShiftSpec, StrongTier,
+                         SupportSplit, WeakTier,
                          make_domain_pair, sample_support)
 from actlab.errors import ContractViolation, DivergenceError
 from actlab.losses import LossWeights
 from actlab.models import MlpSpec, build, params_fingerprint, trainable_params
 from actlab.optim import AdamConfig, SamConfig, SgdConfig, lr_at
 from actlab.pipeline import (AdaptConfig, PretrainConfig, ScheduleConfig,
-                             adapt, evaluate, pretrain_source, seed_sweep)
+                             adapt, adapt_cells, evaluate, pretrain_source, seed_sweep)
 from actlab.tensor import scalar_mul
+
+from test_models import SPECS
 
 SPEC = MlpSpec(input_dim=2, hidden_dims=(16,), feature_dim=8, num_classes=3,
                init_seed=7)
@@ -346,6 +351,106 @@ class TestAdapt:
             assert value.tobytes() == source[name].data.tobytes(), name
 
 
+def fingerprint(bundle):
+    return params_fingerprint(trainable_params(bundle, "all_target"))
+
+
+class InlinePool:
+    """A stand-in for the sweep's process pool: no process starts, each task runs at submit."""
+
+    @staticmethod
+    def recording(sizes):  # the pool class, appending each pool's max_workers to `sizes`
+        return lambda max_workers: sizes.append(max_workers) or InlinePool()
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+    def shutdown(self, cancel_futures):
+        pass
+
+
+@st.composite
+def lockstep_cases(draw):
+    """A model, 1-3 splits of one support size (test sets of any size), a policy
+    and an adaptation config reaching every branch of the loop."""
+    spec = draw(st.one_of(st.just(MlpSpec(2, (32, 32), 16, 4, init_seed=7)), SPECS))
+    k, size = spec.num_classes, draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def labeled(n, name):
+        return LabeledSet(rng.normal(size=(n, spec.input_dim)) * 2.0,
+                          rng.integers(0, k, size=n), k, name)
+
+    splits = [SupportSplit(labeled(size, "support"), labeled(draw(st.integers(1, 9)), "test"),
+                           k, 1, seed) for seed in range(draw(st.integers(1, 3)))]
+    policy = AugmentPolicy(WeakTier(0.05, draw(st.sampled_from([0.0, 0.5]))),
+                           StrongTier(0.15, (0.8, 1.2), draw(st.sampled_from([0.0, 0.3])),
+                                      draw(st.integers(0, 3))))
+    cfg = AdaptConfig(
+        total_iterations=draw(st.integers(1, 3)), batch_size=draw(st.integers(1, size + 1)),
+        sam=SamConfig(rho=draw(st.sampled_from([0.0, 0.05]))),
+        schedule=ScheduleConfig(eta0=draw(st.sampled_from([1e-3, 1e-2]))),
+        cdd_sign=draw(st.sampled_from(["as_printed", "flipped"])),
+        step_pattern=draw(st.sampled_from(["12", "1", "2", "1221"])),
+        fresh_batch_per_step=draw(st.booleans()),
+        view_mode=draw(st.sampled_from(["asymmetric", "both_to_both"])),
+        eval_head=draw(st.sampled_from(["c_t1", "mean_of_heads"])),
+        seed=draw(st.integers(0, 2**16)))
+    return build(spec), splits, policy, cfg
+
+
+def one_row_cells():
+    """Two one-row supports on the [32, 32] blobs model: one-row matmuls are where
+    a stacked vector laid out column-major gave other bits than a cell alone."""
+    def split(xs, ys, seed):
+        return SupportSplit(LabeledSet(np.array([xs]), np.array([ys]), 4, "support"),
+                            LabeledSet(np.array([[0.2, -1.1]]), np.array([0]), 4, "test"),
+                            4, 1, seed)
+
+    return (build(MlpSpec(2, (32, 32), 16, 4, init_seed=7)),
+            [split([0.25, -0.26], 1, 0), split([0.72, 2.61], 3, 1)],
+            AugmentPolicy(),
+            small_adapt_cfg(total_iterations=1, batch_size=1, step_pattern="2"))
+
+
+class TestLockstep:
+    @settings(max_examples=60, deadline=None)
+    @given(lockstep_cases())
+    @example(one_row_cells())
+    def test_cells_in_lockstep_are_their_solo_runs_bit_for_bit(self, case):
+        model, splits, policy, cfg = case
+        runs = adapt_cells(model, splits, policy, cfg)
+        assert len(runs) == len(splits)
+        for split, (bundle, report) in zip(splits, runs):
+            alone, alone_report = adapt(model, split, policy, cfg)
+            assert fingerprint(bundle) == fingerprint(alone)
+            # repr tells every float bit apart (0.0 from -0.0 too): each StepRecord and field
+            assert repr(asdict(report)) == repr(asdict(alone_report))
+
+    def test_splits_must_share_one_support_size(self, pretrained, domain_pair):
+        _, target = domain_pair
+        splits = [sample_support(target, 3, 5, seed=1), sample_support(target, 3, 4, seed=2)]
+        with pytest.raises(ContractViolation, match=re.escape("one support size, got sizes "
+                                                              "[12, 15]")):
+            adapt_cells(pretrained[0], splits, AugmentPolicy(), small_adapt_cfg())
+        with pytest.raises(ContractViolation, match=re.escape("got sizes []")):
+            adapt_cells(pretrained[0], [], AugmentPolicy(), small_adapt_cfg())
+
+    def test_divergence_names_the_cell_and_keeps_its_parameters(self, pretrained, split,
+                                                                 domain_pair):
+        bad = sample_support(domain_pair[1], 3, 5, seed=2)
+        bad.support.xs = np.full_like(bad.support.xs, np.nan)
+        message = "adaptation diverged at iteration 0 (step 1) in cell 1: non-finite logits"
+        with pytest.raises(DivergenceError, match=re.escape(message)) as exc:
+            adapt_cells(pretrained[0], [split, bad, split], AugmentPolicy(), small_adapt_cfg())
+        source = dict(pretrained[0].named_params())
+        assert list(exc.value.last_good_params) == list(source)
+        for name, value in exc.value.last_good_params.items():
+            assert value.tobytes() == source[name].data.tobytes(), name
+
+
 class TestAdaptConfigValidation:
     def test_bad_fields_rejected(self):
         with pytest.raises(ContractViolation):
@@ -404,7 +509,7 @@ class TestSeedSweep:
         def diverge(*args, **kwargs):
             raise DivergenceError("loss went non-finite", iteration=0)
 
-        monkeypatch.setattr(pipeline, "adapt", diverge)
+        monkeypatch.setattr(pipeline, "adapt_cells", diverge)
         report = self.sweep()
         assert all(c.status == "error: DivergenceError: loss went non-finite"
                    for c in report.cells)
@@ -414,7 +519,7 @@ class TestSeedSweep:
         def broken(*args, **kwargs):
             raise TypeError("adapt() got an unexpected keyword argument")
 
-        monkeypatch.setattr(pipeline, "adapt", broken)
+        monkeypatch.setattr(pipeline, "adapt_cells", broken)
         with pytest.raises(TypeError, match="unexpected keyword"):
             self.sweep()
 
@@ -445,7 +550,7 @@ class TestSeedSweep:
         def broken(*args, **kwargs):
             raise TypeError("adapt() got an unexpected keyword argument")
 
-        monkeypatch.setattr(pipeline, "adapt", broken)
+        monkeypatch.setattr(pipeline, "adapt_cells", broken)
         with pytest.raises(TypeError, match="unexpected keyword"):
             self.sweep(jobs=2)
 
@@ -453,7 +558,7 @@ class TestSeedSweep:
         def diverge(*args, **kwargs):
             raise DivergenceError("loss went non-finite", iteration=0)
 
-        monkeypatch.setattr(pipeline, "adapt", diverge)
+        monkeypatch.setattr(pipeline, "adapt_cells", diverge)
         report = self.sweep(jobs=2)
         assert [(c.data_seed, c.model_seed) for c in report.cells] == \
             [(1, 5), (1, 6), (2, 5), (2, 6)]
@@ -461,8 +566,9 @@ class TestSeedSweep:
                    for c in report.cells)
 
     def test_pretraining_error_cancels_queued_cells(self, monkeypatch, tmp_path):
-        # seed 5 pretrains normally and queues 24 cells of 50 ms each on the
-        # one free worker; seed 6 fails after 0.3 s, so most cells never start
+        # seed 5 pretrains normally, and its one group of 24 cells fails at once,
+        # which queues its 24 cells, one task of 50 ms each, on the one free
+        # worker; seed 6 fails after 0.3 s, so most cells never start
         real_pretrain = pipeline.pretrain_source
 
         def pretrain(source, spec, cfg):
@@ -471,13 +577,15 @@ class TestSeedSweep:
                 raise DivergenceError("seed 6 diverged", iteration=1)
             return real_pretrain(source, spec, cfg)
 
-        def slow_cell(pretrained, split, policy, cfg):
-            (tmp_path / f"cell-{split.seed}").touch()
+        def slow_cells(pretrained, splits, policy, cfg):
+            if len(splits) > 1:
+                raise DivergenceError("group stop", iteration=0)
+            (tmp_path / f"cell-{splits[0].seed}").touch()
             time.sleep(0.05)
             raise DivergenceError("stop", iteration=0)
 
         monkeypatch.setattr(pipeline, "pretrain_source", pretrain)
-        monkeypatch.setattr(pipeline, "adapt", slow_cell)
+        monkeypatch.setattr(pipeline, "adapt_cells", slow_cells)
         with pytest.raises(DivergenceError, match="seed 6 diverged"):
             seed_sweep(DOMAIN, SPEC, PretrainConfig(epochs=2, seed=5),
                        small_adapt_cfg(), AugmentPolicy(), n_way=3, k_shot=5,
@@ -510,26 +618,41 @@ class TestSeedSweep:
                        AugmentPolicy(), 3, 5, data_seeds, model_seeds)
 
     def test_pool_has_at_most_one_worker_per_cell(self, monkeypatch):
-        # an inline pool: no process starts, each task runs at submit
         sizes = []
-
-        class InlinePool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def submit(self, fn, *args):
-                future = Future()
-                future.set_result(fn(*args))
-                return future
-
-            def shutdown(self, cancel_futures):
-                pass
-
         serial = self.sweep(jobs=1).to_dict()
-        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", InlinePool.recording(sizes))
         assert self.sweep(jobs=64).to_dict() == serial
         assert self.sweep(jobs=3).to_dict() == serial
         assert sizes == [4, 3]  # 2 data seeds x 2 model seeds
+
+    def test_a_cell_that_diverges_in_a_group_keeps_its_solo_row(self, monkeypatch):
+        # data seed 2's support is all NaN, so its cells diverge at iteration 0
+        real_draw, real_cells = pipeline.sample_support, pipeline.adapt_cells
+        groups = []  # the number of cells of each adapt_cells call made in this process
+
+        def draw(target, n_way, k_shot, seed):
+            split = real_draw(target, n_way, k_shot, seed=seed)
+            if seed == 2:
+                split.support.xs = np.full_like(split.support.xs, np.nan)
+            return split
+
+        def recording(model, splits, *args):
+            groups.append(len(splits))
+            return real_cells(model, splits, *args)
+
+        monkeypatch.setattr(pipeline, "sample_support", draw)
+        monkeypatch.setattr(pipeline, "adapt_cells", recording)
+        grouped = self.sweep(jobs=1).to_dict()
+        assert sorted(groups) == [1, 1, 1, 1, 2, 2]  # each seed's group fails, then its cells
+        in_workers = self.sweep(jobs=2).to_dict()  # one group per seed, in two workers
+        groups.clear()
+        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", InlinePool.recording([]))
+        alone = self.sweep(jobs=4).to_dict()  # every cell its own group: solo runs
+        assert groups == [1, 1, 1, 1]
+        assert grouped == in_workers == alone
+        assert [c["status"] for c in alone["cells"]] == ["ok", "ok"] + 2 * [
+            "error: DivergenceError: adaptation diverged at iteration 0 (step 1): "
+            "non-finite logits"]
 
     def test_empty_seed_lists_rejected(self):
         with pytest.raises(ContractViolation):
