@@ -26,7 +26,8 @@ logit gradient adds them as ((cdd + rce) + entropy) + lsce, the order in which
 the tape reaches the four softmax nodes. tests/test_losses.py holds the fused
 nodes to the composed form (kept in tests/oracles.py) bit for bit, for two
 distinct logits tensors; the same tensor passed as both branches accumulates
-in another order.
+in another order. Pretraining builds no node: it calls ``_lsce_targets``
+(lsce's checks) once and ``_lsce_term`` per batch.
 
 The step objectives score logits against ``BatchTargets``: the smoothed label
 targets and ln(q + eps) of each branch's frozen source probabilities. These
@@ -155,13 +156,22 @@ def _single_node(logits, term, n):
                    lambda g: ((logits, grad(g * (-1.0 / n))),))
 
 
-def lsce(logits: Tensor, labels, alpha_smooth: float) -> Tensor:
-    """Label-smoothed cross-entropy against hard labels."""
-    n, k = _check_logits(logits, "lsce")
+def _lsce_targets(shape, labels, alpha_smooth):
+    """The smoothed targets of `lsce` on [n, K] logits of `shape`, after its checks
+    of that shape, the labels and alpha_smooth."""
+    n, k = shape
+    if n < 1 or k < 2:  # `_check_logits`' test, for a caller that holds no Tensor
+        raise ContractViolation(f"lsce: degenerate logits shape {shape}")
     labels = _check_labels(labels, (n,), k)
     if not 0.0 <= alpha_smooth < 1.0:
         raise ContractViolation(f"alpha_smooth must be in [0, 1), got {alpha_smooth}")
-    smoothed = _smoothed_targets(labels, k, alpha_smooth)
+    return _smoothed_targets(labels, k, alpha_smooth)
+
+
+def lsce(logits: Tensor, labels, alpha_smooth: float) -> Tensor:
+    """Label-smoothed cross-entropy against hard labels."""
+    n, _ = _check_logits(logits, "lsce")
+    smoothed = _lsce_targets(logits.shape, labels, alpha_smooth)
     return _single_node(logits, _lsce_term(_softmax(logits.data), smoothed), n)
 
 

@@ -19,25 +19,30 @@ truncated one. A checkpoint's spec block is read by ``schema.parse`` from
 ``MlpSpec``'s fields, as strictly as a config's ``model`` block.
 
 Each piece is one tape node over its whole layer stack (affine layers with a
-ReLU between consecutive ones). Its forward runs ``a @ W``, ``+ b`` and
-``np.where(a > 0, a, 0)`` layer by layer, and its backward rule runs, from
-the last layer down, the numpy operations the tape runs over the same stack
-composed from ``Tensor.matmul`` / ``add_bias`` / ``relu``: ``g.sum(axis=0)``
-for a bias, ``a.T @ g`` for a weight, ``g @ W.T`` for the layer input and
-``g * mask`` through a ReLU. Gradients reaching a parameter shared by two
-nodes (one extractor applied to two views) meet in ``tensor.backward`` in the
-same order as the composed tape's, so logits and every parameter gradient are
-bitwise those of the composed form; tests/test_models.py holds the node to
-that form (kept in tests/oracles.py). The rule skips ``g @ W.T`` for an input
-that needs no gradient, and such an input is not a parent of the node.
+ReLU between consecutive ones). Its forward, ``_stack_forward``, runs
+``a @ W``, ``+ b`` and ``np.where(a > 0, a, 0)`` layer by layer. Its backward,
+``_stack_backward``, runs from the last layer down the numpy operations the
+tape runs over the same stack composed from ``Tensor.matmul`` / ``add_bias``
+/ ``relu``: ``g.sum(axis=0)`` for a bias, ``a.T @ g`` for a weight,
+``g @ W.T`` for the layer input and ``g * mask`` through a ReLU. Gradients
+reaching a parameter shared by two nodes (one extractor applied to two views)
+meet in ``tensor.backward`` in the same order as the composed tape's, so
+logits and every parameter gradient are bitwise those of the composed form;
+tests/test_models.py holds the node to that form (kept in tests/oracles.py).
+The rule skips ``g @ W.T`` for an input that needs no gradient, and such an
+input is not a parent of the node. ``_stack_backward`` is a plain function:
+the tape rule calls it, and so does pretraining, which chains it by hand
+(``pipeline.pretrain_source``) and builds no tape. Pretraining trains one
+head: the two heads start as one draw and get the same gradient every step,
+so ``head2`` gets ``head1``'s.
 
 A stacked bundle (``clone_for_adaptation(bundle, cells=S)``) is S models
 trained in lockstep: every parameter has a leading cell axis, the vector is an
 [S, P] matrix, and the passes take [S, n, d] inputs (a 2-D weight, as of a
 frozen source, serves every cell). The same code runs both: ``@`` and the
-transpose of the last two axes stack, a bias adds over ``[..., None, :]`` and
-its gradient sums over axis -2, so each cell's slice computes what the cell
-alone would, bit for bit.
+transpose of the last two axes (``.mT``) stack, a bias adds over
+``[..., None, :]`` and its gradient sums over axis -2, so each cell's slice
+computes what the cell alone would, bit for bit.
 """
 
 from __future__ import annotations
@@ -196,27 +201,37 @@ def _stack_forward(a, layers):
     return a, inputs, masks
 
 
+def _stack_backward(g, layers, inputs, masks, input_grad=False):
+    """Backward of `_stack_forward`, given g = d/d(output) and its inputs and masks.
+
+    Returns the gradients of every weight and bias in layer order (w0, b0, w1,
+    b1, ...), computed from the last layer down, then, given `input_grad`, the
+    input's gradient.
+    """
+    last = len(layers) - 1
+    grads = [None] * (2 * last + 2)
+    for i in range(last, -1, -1):
+        grads[2 * i] = inputs[i].mT @ g
+        grads[2 * i + 1] = g.sum(axis=-2)
+        if i > 0:
+            g = (g @ layers[i][0].data.mT) * masks[i - 1]
+    if input_grad:
+        grads.append(g @ layers[0][0].data.mT)
+    return grads
+
+
 def _layer_stack(x, layers):
-    """One tape node over `_stack_forward`."""
+    """One tape node over `_stack_forward`, with `_stack_backward` as its rule."""
     out, inputs, masks = _stack_forward(x.data, layers)
     params = []
-    for w, b in layers:
+    for w, b in layers:  # a loop, not a comprehension: that is one more Python call
         params += (w, b)
-    last = len(layers) - 1
     input_grad = x.requires_grad
     if input_grad:
         params.append(x)
 
     def backward(g):
-        grads = []
-        for i in range(last, -1, -1):
-            w, b = layers[i]
-            grads += [(w, inputs[i].swapaxes(-1, -2) @ g), (b, g.sum(axis=-2))]
-            if i > 0:
-                g = (g @ w.data.swapaxes(-1, -2)) * masks[i - 1]
-            elif input_grad:
-                grads.append((x, g @ w.data.swapaxes(-1, -2)))
-        return grads
+        return zip(params, _stack_backward(g, layers, inputs, masks, input_grad))
 
     return _result(out, params, backward)
 

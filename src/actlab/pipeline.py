@@ -30,16 +30,16 @@ import numpy as np
 from .data import (AugmentPolicy, LabeledSet, SupportSplit, augment_batch,
                    batches, make_domain_pair, rng_stream, sample_support)
 from .errors import ContractViolation, DivergenceError
-from .losses import (LossWeights, SmoothingParams, batch_targets, lsce,
-                     step1_objective, step2_objective)
-from .models import (MlpSpec, ModelBundle, build, bundle_from_params,
-                     clone_for_adaptation, forward_features, forward_head,
-                     forward_target, params_fingerprint, plain_features, plain_head,
+from .losses import (LossWeights, SmoothingParams, _lsce_targets, _lsce_term,
+                     batch_targets, step1_objective, step2_objective)
+from .models import (MlpSpec, ModelBundle, _check_rows, _stack_backward, _stack_forward,
+                     build, bundle_from_params, clone_for_adaptation, forward_features,
+                     forward_head, params_fingerprint, plain_features, plain_head,
                      trainable_params)
 from .optim import (AdamConfig, SamConfig, SamState, SgdConfig, SgdState, lr_at,
                     sam_step, sgd_step)
 from .schema import Count, Fraction, Match, Natural, Positive, check_fields
-from .tensor import Tensor, _softmax, backward, zero_grad
+from .tensor import Tensor, _softmax
 
 EvalHead = Literal["c_t1", "mean_of_heads"]
 EVAL_HEADS = get_args(EvalHead)
@@ -181,34 +181,53 @@ def evaluate(bundle: ModelBundle, test: LabeledSet, eval_head: str = "c_t1") -> 
 def pretrain_source(source: LabeledSet, spec: MlpSpec, cfg: PretrainConfig):
     """Train extractor plus both heads with label-smoothed CE under SGD-momentum.
 
+    The loss is lsce(head1) + lsce(head2) on one shared feature pass. The heads
+    start as one draw (``build``) and see the same features, labels and rates,
+    so their logits, gradients and steps are bitwise equal all the way through.
+    So each batch runs ``head1`` alone, in plain numpy: its lsce value v makes
+    the loss v + v, its input gradient g_f makes the extractor's upstream
+    gradient g_f + g_f (the sum a tape forms where two heads meet), and
+    ``head2`` gets ``head1``'s gradient. The bits are those of the two-head
+    loss on the tape, which tests/oracles.py keeps as the reference.
+
     Returns (bundle, history); history holds one record per epoch. Zero epochs
     returns the untouched initialization.
     """
     if source.num_classes != spec.num_classes:
         raise ContractViolation(f"source has {source.num_classes} classes, "
                                 f"spec expects {spec.num_classes}")
+    xs = _check_rows(source.xs, spec.input_dim, "input").data
+    smoothed = _lsce_targets((len(source), spec.num_classes), source.ys, cfg.alpha_smooth)
     bundle = build(spec)
-    vector = bundle.vector
+    extractor, head = bundle.extractor, bundle.head1
     rates = [np.where(bundle.is_head, cfg.sgd.lr * cfg.lr_multiplier_heads, cfg.sgd.lr)]
     state = SgdState()
     history = []
     for epoch in range(cfg.epochs):
         epoch_losses = []
         for idx in batches(source, cfg.batch_size, cfg.seed, epoch):
-            x, y = Tensor(source.xs[idx]), source.ys[idx]
-            l1, l2 = forward_target(bundle, x)
-            if not (np.isfinite(l1.data).all() and np.isfinite(l2.data).all()):
+            feats, inputs, masks = _stack_forward(xs[idx], extractor)
+            logits, head_inputs, _ = _stack_forward(feats, head)
+            if not np.isfinite(logits).all():
                 raise DivergenceError(f"pretraining diverged at epoch {epoch}: "
                                       f"non-finite logits", iteration=epoch,
                                       last_loss=float("nan"))
-            loss = lsce(l1, y, cfg.alpha_smooth) + lsce(l2, y, cfg.alpha_smooth)
-            value = loss.item()
+            m = -1.0 / len(idx)  # lsce's mean over the batch, and its gradient's scale
+            try:
+                s, logit_grad = _lsce_term(_softmax(logits), smoothed[idx])
+            except ContractViolation:  # a softmax entry underflowed to 0: ln 0 is no loss
+                raise DivergenceError(f"pretraining diverged at epoch {epoch}",
+                                      iteration=epoch, last_loss=float("nan")) from None
+            v = m * s
+            value = float(v + v)
             if not np.isfinite(value):
                 raise DivergenceError(f"pretraining diverged at epoch {epoch}",
                                       iteration=epoch, last_loss=value)
-            zero_grad(vector.tensors)
-            backward(loss)
-            sgd_step([vector], [vector.grad()], state, cfg.sgd, lr_override=rates)
+            *head_grads, g_f = _stack_backward(logit_grad(m), head, head_inputs, [],
+                                               input_grad=True)
+            grads = _stack_backward(g_f + g_f, extractor, inputs, masks)
+            grad = np.concatenate(grads + head_grads + head_grads, axis=None)
+            sgd_step([bundle.vector], [grad], state, cfg.sgd, lr_override=rates)
             epoch_losses.append(value)
         history.append({
             "epoch": epoch,
@@ -348,11 +367,19 @@ def adapt_cells(source_model: ModelBundle, splits, policy: AugmentPolicy, cfg: A
                     finite = np.isfinite(l1.data).all(axis=(-2, -1)) \
                         & np.isfinite(l2.data).all(axis=(-2, -1))  # per cell
                     raise diverged(": non-finite logits", float("nan"), int(np.argmin(finite)))
-                if step_kind == "1":
-                    total, comps = step1_objective(l1, l2, targets, cfg.weights)
-                else:
-                    total, comps = step2_objective(l1, l2, targets, cfg.weights,
-                                                   cfg.cdd_sign)
+                try:
+                    if step_kind == "1":
+                        total, comps = step1_objective(l1, l2, targets, cfg.weights)
+                    else:
+                        total, comps = step2_objective(l1, l2, targets, cfg.weights,
+                                                       cfg.cdd_sign)
+                except ContractViolation:
+                    # lsce refuses a softmax entry that underflowed to 0: ln 0 is no loss
+                    saturated = (_softmax(l1.data) == 0.0).any(axis=(-2, -1)) \
+                        | (_softmax(l2.data) == 0.0).any(axis=(-2, -1))  # per cell
+                    if not saturated.any():
+                        raise
+                    raise diverged("", float("nan"), int(np.argmax(saturated))) from None
                 evals.append(comps)
                 return total  # the sum of the cells' totals
 

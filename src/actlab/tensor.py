@@ -11,11 +11,12 @@ shape, or one operand that is a scalar (a Python number, or a tensor of size
 one). Matrix ops are rank-2 only. Everything is float64.
 
 The package's hot paths build fused nodes through ``_result`` (models.py per
-layer stack, losses.py per loss) and use only ``+``, ``backward`` and
-``zero_grad`` besides. The rest of the op set (``*``, ``matmul``, ``add_bias``,
-``relu``, ``log_shifted``, ``softmax_rows``, the full ``sum`` and
-``scalar_mul``) is exactly what the composed reference in ``tests/oracles.py``
-needs: the tests hold the fused nodes to it, bit for bit.
+layer stack, losses.py per loss) and use only ``backward`` and ``zero_grad``
+besides, in adaptation's ``sam_step``; pretraining builds no tape. The rest of
+the op set (``+``, ``*``, ``matmul``, ``add_bias``, ``relu``, ``log_shifted``,
+``softmax_rows``, the full ``sum`` and ``scalar_mul``) is what the composed
+references in ``tests/oracles.py`` need: the tests hold the fused nodes and
+pretraining to them, bit for bit.
 """
 
 from __future__ import annotations

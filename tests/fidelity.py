@@ -3,7 +3,9 @@
     PYTHONPATH=src python3 tests/fidelity.py > fidelity.txt
 
 Prints one line per adaptation run: the pretrained and the adapted
-`params_fingerprint`, and a sha256 over the run's `StepRecord` trace. A change
+`params_fingerprint`, and a sha256 over the run's `StepRecord` trace. Before
+the first run on each pretrained model comes a line with a sha256 over its
+pretraining `history`, the per-epoch mean loss and train accuracy. A change
 that must keep every bit prints exactly the same lines as its parent commit,
 so diff the two outputs. The configurations are the ones `test_acceptance.py`
 pins: moons and blobs at data seeds 2, 3 and 4 for 800 iterations, plus seven
@@ -84,24 +86,29 @@ def trace_hash(report):
 
 
 def runs():
-    """(label, domain spec, model spec, n_way, data seed, adapt config) per run."""
+    """(label, model label, domain spec, model spec, n_way, data seed, adapt config)
+    per run; the model label names the pretrained model the run adapts."""
     for name, domain, model, n_way in (("moons", MOONS, MOONS_MODEL, 2),
                                        ("blobs", BLOBS, BLOBS_MODEL, 4)):
         for seed in DATA_SEEDS:
-            yield f"{name}/seed{seed}", domain, model, n_way, seed, reference_adapt_config()
+            yield (f"{name}/seed{seed}", name, domain, model, n_way, seed,
+                   reference_adapt_config())
     for tag, overrides in VARIANTS.items():
-        yield (f"moons/seed2/{tag}", MOONS, MOONS_MODEL, 2, 2,
+        yield (f"moons/seed2/{tag}", "moons", MOONS, MOONS_MODEL, 2, 2,
                reference_adapt_config(total_iterations=200, **overrides))
-    yield ("blobs/seed2/hidden_32x32", BLOBS, replace(BLOBS_MODEL, hidden_dims=(32, 32)),
-           4, 2, reference_adapt_config(total_iterations=200))
+    yield ("blobs/seed2/hidden_32x32", "blobs/hidden_32x32", BLOBS,
+           replace(BLOBS_MODEL, hidden_dims=(32, 32)), 4, 2,
+           reference_adapt_config(total_iterations=200))
 
 
 def main():
     pretrained = {}
-    for label, domain, model, n_way, seed, cfg in runs():
+    for label, model_label, domain, model, n_way, seed, cfg in runs():
         if (domain, model) not in pretrained:
             source, target = make_domain_pair(domain)
-            bundle, _ = pretrain_source(source, model, PRETRAIN)
+            bundle, history = pretrain_source(source, model, PRETRAIN)
+            print(f"{model_label}/pretrain history={sha256(json.dumps(history).encode())}",
+                  flush=True)
             pretrained[domain, model] = (bundle, target)
         bundle, target = pretrained[domain, model]
         split = sample_support(target, n_way, 5, seed=seed)

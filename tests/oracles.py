@@ -8,6 +8,11 @@ are pinned here as float64 literals.
 
 import numpy as np
 
+from actlab import optim
+from actlab.data import batches
+from actlab.losses import lsce
+from actlab.models import build, forward_target
+from actlab.pipeline import evaluate
 from actlab.tensor import Tensor, backward, scalar_mul, zero_grad
 
 # ln(1e-5), i.e. log_shifted(0, 1e-5)
@@ -259,3 +264,34 @@ def augment_row(x, policy, tier, rng):
         else:
             out = np.where(rng.random(x.shape) < t.feature_drop_prob, 0.0, out)
     return out
+
+
+# -- pretraining on the tape ---------------------------------------------------------
+# actlab.pipeline.pretrain_source runs head1 alone in plain numpy and gives head2
+# its gradient. This is the loop it replaced: both heads forward, the loss
+# lsce + lsce on the tape and one backward per batch, then one SGD step of the
+# whole vector. The plain loop must match it bit for bit, parameters and history.
+
+
+def tape_pretrain_source(source, spec, cfg):
+    bundle = build(spec)
+    vector = bundle.vector
+    rates = [np.where(bundle.is_head, cfg.sgd.lr * cfg.lr_multiplier_heads, cfg.sgd.lr)]
+    state = optim.SgdState()
+    history = []
+    for epoch in range(cfg.epochs):
+        epoch_losses = []
+        for idx in batches(source, cfg.batch_size, cfg.seed, epoch):
+            l1, l2 = forward_target(bundle, Tensor(source.xs[idx]))
+            y = source.ys[idx]
+            loss = lsce(l1, y, cfg.alpha_smooth) + lsce(l2, y, cfg.alpha_smooth)
+            zero_grad(vector.tensors)
+            backward(loss)
+            optim.sgd_step([vector], [vector.grad()], state, cfg.sgd, lr_override=rates)
+            epoch_losses.append(loss.item())
+        history.append({
+            "epoch": epoch,
+            "mean_loss": float(np.mean(epoch_losses)),
+            "train_accuracy": evaluate(bundle, source).accuracy,
+        })
+    return bundle, history

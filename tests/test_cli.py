@@ -234,6 +234,15 @@ class TestForceReplacesTheRun:
         assert "error: pretraining diverged" in capsys.readouterr().err
         assert [p.name for p in run_dir.iterdir()] == ["config.json"]
 
+    def test_a_saturated_softmax_in_pretraining_is_divergence(self, workspace, capsys):
+        # lr 100 leaves the logits finite, but a softmax entry underflows to 0
+        cfg_path, run_dir = workspace
+        doc = json.loads(cfg_path.read_text())
+        doc["pretrain"]["sgd"] = {"lr": 100.0}
+        cfg_path.write_text(json.dumps(doc))
+        assert main(["pretrain", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err == "error: pretraining diverged at epoch 0 (iteration 0)\n"
+
     def test_pretrain_deletes_the_adapted_outputs_of_its_old_source(self, workspace):
         cfg_path, run_dir = workspace
         assert main(["adapt", "--config", str(cfg_path)]) == 0

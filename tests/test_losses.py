@@ -404,7 +404,7 @@ class TestBitwiseAgainstTape:
                        [l1, l2], up)
 
     def test_scaled_lsce_under_a_sum(self):
-        """The pretraining loss shape: two lsce nodes under a sum, scaled by 0.7."""
+        """The tape pretraining loop's loss: two lsce nodes under a sum, scaled by 0.7."""
         rng = np.random.default_rng(53)
         l1, l2 = rng.normal(size=(9, 3)) * 4.0, rng.normal(size=(9, 3)) * 4.0
         labels = rng.integers(0, 3, size=9)

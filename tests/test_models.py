@@ -385,8 +385,8 @@ class TestClone:
 # -- the fused layer-stack node against the composed tape --------------------------
 
 # how the two heads see the extractor: two views through one shared extractor
-# (adaptation step 1), one feature tensor read by both heads (pretraining), or
-# features detached into constants (adaptation step 2)
+# (adaptation step 1), one feature tensor read by both heads (pretraining on the
+# tape, tests/oracles.py), or features detached into constants (adaptation step 2)
 WIRINGS = ("two_views", "shared_features", "constant_features")
 
 

@@ -1,8 +1,9 @@
 import json
+import math
 import re
 import time
 from concurrent.futures import Future
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -21,6 +22,8 @@ from actlab.pipeline import (AdaptConfig, PretrainConfig, ScheduleConfig,
                              adapt, adapt_cells, evaluate, pretrain_source, seed_sweep)
 from actlab.tensor import scalar_mul
 
+import oracles
+from test_acceptance import BLOBS, BLOBS_MODEL, MOONS, MOONS_MODEL, PRETRAIN
 from test_models import SPECS
 
 SPEC = MlpSpec(input_dim=2, hidden_dims=(16,), feature_dim=8, num_classes=3,
@@ -100,6 +103,36 @@ class TestPretrain:
         with pytest.raises(DivergenceError) as exc:
             pretrain_source(source, SPEC, cfg)
         assert exc.value.iteration == 0
+
+    @pytest.mark.parametrize("lr", [1.0, 100.0, 1e100])
+    def test_a_saturated_softmax_is_divergence(self, domain_pair, lr):
+        # the logits stay finite, but a softmax entry underflows to 0, which lsce refuses
+        source, _ = domain_pair
+        cfg = PretrainConfig(epochs=2, sgd=SgdConfig(lr=lr, momentum=0.0))
+        with pytest.raises(DivergenceError, match="^pretraining diverged at epoch 0$") as exc:
+            pretrain_source(source, SPEC, cfg)
+        assert exc.value.iteration == 0 and math.isnan(exc.value.last_loss)
+
+    @pytest.mark.parametrize("case", ["moons", "blobs", "blobs_32x32", "one_row_tail"])
+    def test_matches_the_tape_loop_bit_for_bit(self, case):
+        domain, spec, cfg = {
+            "moons": (MOONS, MOONS_MODEL, PRETRAIN),
+            "blobs": (BLOBS, BLOBS_MODEL, PRETRAIN),
+            "blobs_32x32": (BLOBS, replace(BLOBS_MODEL, hidden_dims=(32, 32)), PRETRAIN),
+            "one_row_tail": (MOONS, MOONS_MODEL, replace(PRETRAIN, epochs=8, batch_size=7)),
+        }[case]
+        source, _ = make_domain_pair(domain)
+        if case == "one_row_tail":
+            assert len(source) % cfg.batch_size == 1
+        bundle, history = pretrain_source(source, spec, cfg)
+        ref_bundle, ref_history = oracles.tape_pretrain_source(source, spec, cfg)
+        assert repr(history) == repr(ref_history)  # repr tells every float bit apart
+        ref = dict(ref_bundle.named_params())
+        for name, t in bundle.named_params():
+            assert t.data.tobytes() == ref[name].data.tobytes(), name
+        for (w1, b1), (w2, b2) in zip(bundle.head1, bundle.head2):
+            assert w1.data.tobytes() == w2.data.tobytes()
+            assert b1.data.tobytes() == b2.data.tobytes()
 
 
 class TestEvaluate:
@@ -299,7 +332,7 @@ class TestAdapt:
         self.assert_aborts_with_the_source(
             pretrained[0], split, small_adapt_cfg(sam=SamConfig(rho=1e200)), step=1)
 
-    # rho 1e200 or 1e300 only underflows a softmax entry, which lsce refuses
+    # rho 1e200 or 1e300 only saturates a softmax, and the logits stay finite
     def test_step2_divergence_aborts_with_last_good_params(self, pretrained, split):
         cfg = small_adapt_cfg(step_pattern="2", sam=SamConfig(rho=1e308))
         self.assert_aborts_with_the_source(pretrained[0], split, cfg, step=2)
@@ -333,6 +366,21 @@ class TestAdapt:
             assert value.tobytes() == after.tobytes(), name
         assert any(after.tobytes() != source[name].data.tobytes()
                    for name, after in zip(source, snapshots[-1]))
+
+    def test_a_saturated_softmax_is_divergence(self, pretrained, split):
+        # eta0 1.0 moves iteration 0 so far that iteration 1's logits are finite
+        # but a softmax entry underflows to 0, which lsce refuses
+        cfg = small_adapt_cfg(step_pattern="1", schedule=ScheduleConfig(eta0=1.0))
+        with pytest.raises(DivergenceError, match=r"^adaptation diverged at iteration 1 "
+                                                  r"\(step 1\)$") as exc:
+            adapt(pretrained[0], split, AugmentPolicy(), cfg)
+        err = exc.value
+        assert err.iteration == 1 and math.isnan(err.last_loss)
+        # the parameters after iteration 0 are those of a one-iteration run
+        one, _ = adapt(pretrained[0], split, AugmentPolicy(), replace(cfg, total_iterations=1))
+        assert list(err.last_good_params) == [name for name, _ in one.named_params()]
+        for name, t in one.named_params():
+            assert err.last_good_params[name].tobytes() == t.data.tobytes(), name
 
     @staticmethod
     def assert_aborts_with_the_source(bundle, split, cfg, step):
@@ -445,6 +493,18 @@ class TestLockstep:
         message = "adaptation diverged at iteration 0 (step 1) in cell 1: non-finite logits"
         with pytest.raises(DivergenceError, match=re.escape(message)) as exc:
             adapt_cells(pretrained[0], [split, bad, split], AugmentPolicy(), small_adapt_cfg())
+        source = dict(pretrained[0].named_params())
+        assert list(exc.value.last_good_params) == list(source)
+        for name, value in exc.value.last_good_params.items():
+            assert value.tobytes() == source[name].data.tobytes(), name
+
+    def test_a_saturated_softmax_names_the_cell(self, pretrained, split, domain_pair):
+        # scaled inputs give cell 2 finite logits whose softmax underflows at once
+        bad = sample_support(domain_pair[1], 3, 5, seed=2)
+        bad.support.xs = bad.support.xs * 1e4
+        message = "adaptation diverged at iteration 0 (step 1) in cell 2"
+        with pytest.raises(DivergenceError, match=re.escape(message) + "$") as exc:
+            adapt_cells(pretrained[0], [split, split, bad], AugmentPolicy(), small_adapt_cfg())
         source = dict(pretrained[0].named_params())
         assert list(exc.value.last_good_params) == list(source)
         for name, value in exc.value.last_good_params.items():
@@ -653,6 +713,21 @@ class TestSeedSweep:
         assert [c["status"] for c in alone["cells"]] == ["ok", "ok"] + 2 * [
             "error: DivergenceError: adaptation diverged at iteration 0 (step 1): "
             "non-finite logits"]
+
+    def test_a_saturated_cell_is_recorded_as_divergence(self, monkeypatch):
+        # data seed 2's support is scaled so far that its softmax underflows at once
+        real_draw = pipeline.sample_support
+
+        def draw(target, n_way, k_shot, seed):
+            split = real_draw(target, n_way, k_shot, seed=seed)
+            if seed == 2:
+                split.support.xs = split.support.xs * 1e4
+            return split
+
+        monkeypatch.setattr(pipeline, "sample_support", draw)
+        report = self.sweep(jobs=1).to_dict()
+        assert [c["status"] for c in report["cells"]] == ["ok", "ok"] + 2 * [
+            "error: DivergenceError: adaptation diverged at iteration 0 (step 1)"]
 
     def test_empty_seed_lists_rejected(self):
         with pytest.raises(ContractViolation):
