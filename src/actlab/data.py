@@ -5,6 +5,12 @@ passed through a fixed shift (rotate in the first two dims, translate, add
 Gaussian noise, in that order). All randomness flows through named child
 streams of one seed so that data, split, augmentation and batch order never
 share a stream.
+
+Augmentation draws row by row but computes batch-wise: ``augment_batch``
+makes every Generator call in the order a row-at-a-time loop makes it,
+writing the draws into [n, d] buffers, then applies jitter, flips, scales
+and drops once over the batch, and over every lockstep cell of [n, S, d]
+rows, which share each row's draws.
 """
 
 from __future__ import annotations
@@ -240,23 +246,6 @@ class AugmentPolicy:
             raise ContractViolation("strong jitter must be at least the weak jitter")
 
 
-def _augment_row(x, t, rng, out):
-    """One view of row `x` under tier settings `t`: a vector [d], or S cells' rows
-    [S, d], which all take the same draws (no draw depends on a row's values)."""
-    d = x.shape[-1]
-    np.add(x, rng.normal(0.0, t.jitter_sigma, d), out=out)
-    if isinstance(t, WeakTier):
-        if rng.random() < t.flip_axis_prob:
-            axis = int(rng.integers(d))
-            out[..., axis] = -out[..., axis]
-        return
-    for _ in range(t.num_ops):
-        if rng.integers(2) == 0:
-            out *= rng.uniform(t.scale_range[0], t.scale_range[1], d)
-        else:
-            np.copyto(out, 0.0, where=rng.random(d) < t.feature_drop_prob)
-
-
 def augment(x, policy: AugmentPolicy, tier: str, rng) -> np.ndarray:
     """One augmented view of one feature vector (or of S cells' rows [S, d], which
     share its draws). Consumes only `rng`."""
@@ -268,16 +257,49 @@ def augment_batch(xs, policy, tier, rng):
 
     `xs` is [n, d], or [n, S, d] for S cells in lockstep: row i of every cell
     then takes row i's draws, so each cell's [n, d] slice is what it alone gets.
+
+    The row loop only draws, in the order a row-at-a-time loop would: the
+    jitter's standard normals, then the weak tier's flip draw and axis, or
+    each strong op's kind and its [d] uniforms (the scale's or the drop's).
+    The arithmetic then runs once over the batch, as ``normal`` and
+    ``uniform`` do it per draw: jitter 0 + sigma * z, scale lo + (hi - lo) * u.
     """
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim not in (2, 3):
         raise ContractViolation(f"augment takes vectors, got rows of shape {xs.shape[1:]}")
     if tier not in ("weak", "strong"):
         raise ContractViolation(f"unknown tier {tier!r}")
-    t = policy.weak if tier == "weak" else policy.strong
-    out = np.empty_like(xs)
-    for x, o in zip(xs, out):
-        _augment_row(x, t, rng, o)
+    n, d = len(xs), xs.shape[-1]
+    normal, random, integers = rng.standard_normal, rng.random, rng.integers
+    z = np.empty((n, d))
+    if tier == "weak":
+        t = policy.weak
+        flipped, axes = [], []  # the rows that flip, and the axis each flips
+        for i, row in enumerate(z):
+            normal(out=row)
+            if random() < t.flip_axis_prob:
+                flipped.append(i)
+                axes.append(integers(d))
+    else:
+        t = policy.strong
+        kinds, u = [], np.empty((n, t.num_ops, d))
+        for row, draws in zip(z, u):
+            normal(out=row)
+            for draw in draws:
+                kinds.append(integers(2))
+                random(out=draw)
+        scales = (np.array(kinds) == 0).reshape(n, t.num_ops, 1)  # op k on row i: scale or drop
+    cells = (slice(None), None) if xs.ndim == 3 else (slice(None),)  # a draw serves every cell
+    out = xs + (t.jitter_sigma * z + 0.0)[cells]
+    if tier == "weak":
+        out[flipped, ..., axes] = -out[flipped, ..., axes]
+        return out
+    lo, hi = t.scale_range
+    for k in range(t.num_ops):
+        scale, draws = scales[:, k], u[:, k]
+        factor = np.where(scale, lo + (hi - lo) * draws, 1.0)
+        drop = ~scale & (draws < t.feature_drop_prob)
+        out = np.where(drop[cells], 0.0, out * factor[cells])
     return out
 
 

@@ -29,17 +29,28 @@ distinct logits tensors; the same tensor passed as both branches accumulates
 in another order. Pretraining builds no node: it calls ``_lsce_targets``
 (lsce's checks) once and ``_lsce_term`` per batch.
 
+The step objective has one implementation, ``_branch_objective``, over both
+branches' logits stacked on a leading axis of size 2: [2, n, K]. Every term
+runs elementwise or per row over that array, so each branch's numbers are
+those it gets alone, and CDD's gradient for branch b takes the other
+branch's rows as ``p[::-1]``. It returns the value, the components and the
+d/dlogits rule as plain numpy, which adaptation chains into its one node per
+step (``pipeline._step_closure``). ``step1_objective`` and ``step2_objective``
+wrap it as a node over two logits Tensors.
+
 The step objectives score logits against ``BatchTargets``: the smoothed label
-targets and ln(q + eps) of each branch's frozen source probabilities. These
-depend only on the batch, so ``batch_targets`` builds and checks them once
-per batch (labels in range, source rows on the simplex), and every objective
-call on that batch reuses them: SAM evaluates each objective twice, and the
-adaptation loop evaluates both steps on one batch when it reuses batches.
+targets and ln(q + eps) of both branches' frozen source probabilities,
+stacked like the logits. These depend only on the batch, so
+``batch_targets`` builds and checks them once per batch (labels in range,
+source rows on the simplex), and every objective call on that batch reuses
+them: SAM evaluates each objective twice, and the adaptation loop evaluates
+both steps on one batch when it reuses batches.
 
 The step objectives and ``batch_targets`` also take the batches of S cells
-stacked, as [S, n, K] arrays (``pipeline.adapt_cells``). Every reduction runs
-over the last axes, one cell at a time, so each cell's values, components and
-logit gradients are bitwise those of its [n, K] slice scored alone.
+stacked, as [S, n, K] arrays, or [2, S, n, K] with the branch axis
+(``pipeline.adapt_cells``). Every reduction runs over the last axes, one cell
+at a time, so each cell's values, components and logit gradients are bitwise
+those of its [n, K] slice scored alone.
 """
 
 from __future__ import annotations
@@ -146,8 +157,9 @@ def _rce_term(p, log_q):
     return _batch_sum(p * log_q), lambda c: _softmax_grad(p, c * log_q)
 
 
-def _cdd_term(p1, p2):
-    return _batch_sum(p1 * p2), lambda c: (_softmax_grad(p1, c * p2), _softmax_grad(p2, c * p1))
+def _cdd_term(p):
+    # p is both branches' rows [2, ...]: branch b's gradient takes the other's rows
+    return _batch_sum(p[0] * p[1]), lambda c: _softmax_grad(p, c * p[::-1])
 
 
 def _single_node(logits, term, n):
@@ -221,26 +233,13 @@ def _check_branches(logits1, logits2, who, stacked=False):
 def cdd_batch(logits1: Tensor, logits2: Tensor) -> Tensor:
     """Batch-mean CDD between the two branches' softmax rows."""
     n, _ = _check_branches(logits1, logits2, "cdd_batch")
-    s, grad = _cdd_term(_softmax(logits1.data), _softmax(logits2.data))
+    s, grad = _cdd_term(_softmax(np.array((logits1.data, logits2.data))))
 
     def backward(g):
-        dz1, dz2 = grad(g * (-1.0 / n))
-        return ((logits1, dz1), (logits2, dz2))
+        dz = grad(g * (-1.0 / n))
+        return ((logits1, dz[0]), (logits2, dz[1]))
 
     return _result((-1.0 / n) * s + 1.0, (logits1, logits2), backward)
-
-
-def _branch(p, smoothed, log_q, eps_log):
-    """One head's lsce, entropy and rce sums, and its logit gradient."""
-    s_lsce, d_lsce = _lsce_term(p, smoothed)
-    s_entropy, d_entropy = _entropy_term(p, eps_log)
-    s_rce, d_rce = _rce_term(p, log_q)
-
-    def grad(c_lsce, c_entropy, c_rce, dz_cdd):
-        dz = d_rce(c_rce) if dz_cdd is None else dz_cdd + d_rce(c_rce)
-        return (dz + d_entropy(c_entropy)) + d_lsce(c_lsce)
-
-    return (s_lsce, s_entropy, s_rce), grad
 
 
 @dataclass(frozen=True)
@@ -251,8 +250,7 @@ class BatchTargets:
     call on that batch, SAM's perturbed re-evaluation included.
     """
     smoothed: np.ndarray
-    log_q1: np.ndarray
-    log_q2: np.ndarray
+    log_q: np.ndarray  # ln(q + eps) of both branches, stacked: [2, n, K] or [2, S, n, K]
     smoothing: SmoothingParams
 
 
@@ -271,47 +269,66 @@ def batch_targets(labels, source_probs1, source_probs2,
     labels = _check_labels(labels, q1.shape[:-1], q1.shape[-1])
     eps = smoothing.eps_log
     return BatchTargets(_smoothed_targets(labels, q1.shape[-1], smoothing.alpha_smooth),
-                        _log_source(q1, q1.shape, eps, "source_probs1"),
-                        _log_source(source_probs2, q1.shape, eps, "source_probs2"),
+                        np.array((_log_source(q1, q1.shape, eps, "source_probs1"),
+                                  _log_source(source_probs2, q1.shape, eps, "source_probs2"))),
                         smoothing)
 
 
-def _objective(logits1, logits2, targets, weights, cdd_weight, who):
-    """One node over both branches; cdd_weight None leaves the CDD term out.
+def _branch_objective(logits, targets, weights, cdd_sign=None):
+    """The step objective on both branches' logits, stacked: [2, n, K] or [2, S, n, K].
 
-    On [S, n, K] logits each cell's terms and total are its own, and the node's
-    value is the sum of the cells' totals: each cell's total gets the upstream
-    gradient unchanged, as it would alone.
+    Branch 0 is head 1 on view 1, branch 1 head 2 on view 2. ``cdd_sign`` None
+    is step 1, which leaves the CDD term out of the total; otherwise step 2's
+    sign. Returns (value, components, grad): the value is the sum of the
+    cells' totals, the components are floats (lists of S floats for S cells),
+    and grad(g) is d/dlogits, [2, ...], when each cell's total gets upstream
+    gradient g. Each branch's terms and gradient are computed elementwise or
+    per [n, K] slice, so they are bitwise those of the branch scored alone.
     """
-    n, _ = _check_branches(logits1, logits2, who, stacked=True)
+    m, eps = -1.0 / logits.shape[-2], targets.smoothing.eps_log
+    p = _softmax(logits)
+    s_lsce, d_lsce = _lsce_term(p, targets.smoothed)
+    s_entropy, d_entropy = _entropy_term(p, eps)
+    s_rce, d_rce = _rce_term(p, targets.log_q)
+    s_cdd, d_cdd = _cdd_term(p)
+    parts = {"lsce": m * s_lsce[0] + m * s_lsce[1],
+             "entropy": m * s_entropy[0] + m * s_entropy[1],
+             "rce": m * s_rce[0] + m * s_rce[1],
+             "cdd": m * s_cdd + 1.0}
+    lambdas = (weights.lambda_lsce, weights.lambda_e, weights.lambda_rce)
+    total = (lambdas[0] * parts["lsce"] + lambdas[1] * parts["entropy"]) \
+        + lambdas[2] * parts["rce"]
+    cdd_weight = None
+    if cdd_sign is not None:
+        cdd_weight = (-1.0 if cdd_sign == "as_printed" else 1.0) * weights.lambda_cdd
+        total = total + cdd_weight * parts["cdd"]
+    parts["total"] = total
+
+    def grad(g):
+        c_lsce, c_entropy, c_rce = [(g * lam) * m for lam in lambdas]
+        dz = d_rce(c_rce) if cdd_weight is None else d_cdd((g * cdd_weight) * m) + d_rce(c_rce)
+        return (dz + d_entropy(c_entropy)) + d_lsce(c_lsce)
+
+    if logits.ndim == 3:
+        return total, {name: float(v) for name, v in parts.items()}, grad
+    # S cells: a list of S floats per name, and a value worth the sum of the cells' totals
+    return total.sum(), {name: v.tolist() for name, v in parts.items()}, grad
+
+
+def _objective(logits1, logits2, targets, weights, cdd_sign, who):
+    """`_branch_objective` on two [n, K] (or [S, n, K]) logits Tensors, as one node."""
+    _check_branches(logits1, logits2, who, stacked=True)
     if targets.smoothed.shape != logits1.data.shape:
         raise ContractViolation(f"{who}: logits shape {logits1.shape} != batch targets shape "
                                 f"{targets.smoothed.shape}")
-    smoothed, m, eps = targets.smoothed, -1.0 / n, targets.smoothing.eps_log
-    p1, p2 = _softmax(logits1.data), _softmax(logits2.data)
-    sums1, grad1 = _branch(p1, smoothed, targets.log_q1, eps)
-    sums2, grad2 = _branch(p2, smoothed, targets.log_q2, eps)
-    s_cdd, grad_cdd = _cdd_term(p1, p2)
-    parts = {name: m * a + m * b for name, a, b in zip(("lsce", "entropy", "rce"), sums1, sums2)}
-    parts["cdd"] = m * s_cdd + 1.0
-    lambdas = (weights.lambda_lsce, weights.lambda_e, weights.lambda_rce)
-    parts["total"] = (lambdas[0] * parts["lsce"] + lambdas[1] * parts["entropy"]) \
-        + lambdas[2] * parts["rce"]
-    if cdd_weight is not None:
-        parts["total"] = parts["total"] + cdd_weight * parts["cdd"]
+    value, parts, grad = _branch_objective(np.array((logits1.data, logits2.data)), targets,
+                                           weights, cdd_sign)
 
     def backward(g):
-        cs = [(g * lam) * m for lam in lambdas]
-        dz_cdd = (None, None) if cdd_weight is None else grad_cdd((g * cdd_weight) * m)
-        return ((logits1, grad1(*cs, dz_cdd[0])), (logits2, grad2(*cs, dz_cdd[1])))
+        dz = grad(g)
+        return ((logits1, dz[0]), (logits2, dz[1]))
 
-    total = parts["total"]
-    if logits1.data.ndim == 2:
-        return _result(total, (logits1, logits2), backward), \
-            {name: float(v) for name, v in parts.items()}
-    # S cells: a list of S floats per name, and a node worth the sum of the cells' totals
-    return _result(total.sum(), (logits1, logits2), backward), \
-        {name: v.tolist() for name, v in parts.items()}
+    return _result(value, (logits1, logits2), backward), parts
 
 
 def step1_objective(logits1, logits2, targets: BatchTargets, weights: LossWeights):
@@ -332,6 +349,4 @@ def step2_objective(logits1, logits2, targets: BatchTargets, weights: LossWeight
     """
     if cdd_sign not in ("as_printed", "flipped"):
         raise ContractViolation(f"cdd_sign must be as_printed or flipped, got {cdd_sign!r}")
-    sign = -1.0 if cdd_sign == "as_printed" else 1.0
-    return _objective(logits1, logits2, targets, weights, sign * weights.lambda_cdd,
-                      "step2_objective")
+    return _objective(logits1, logits2, targets, weights, cdd_sign, "step2_objective")

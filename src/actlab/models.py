@@ -30,11 +30,21 @@ meet in ``tensor.backward`` in the same order as the composed tape's, so
 logits and every parameter gradient are bitwise those of the composed form;
 tests/test_models.py holds the node to that form (kept in tests/oracles.py).
 The rule skips ``g @ W.T`` for an input that needs no gradient, and such an
-input is not a parent of the node. ``_stack_backward`` is a plain function:
-the tape rule calls it, and so does pretraining, which chains it by hand
-(``pipeline.pretrain_source``) and builds no tape. Pretraining trains one
+input is not a parent of the node. ``_stack_forward`` and ``_stack_backward``
+are plain functions: the tape rule calls them, and so do pretraining and
+adaptation, which chain them by hand (``pipeline.pretrain_source`` builds no
+tape, and each adaptation step builds one node). Pretraining trains one
 head: the two heads start as one draw and get the same gradient every step,
-so ``head2`` gets ``head1``'s.
+so ``head2`` gets ``head1``'s. ``forward_features`` and ``forward_head`` are
+the building blocks of the exported ``forward_target``; the package's
+training loops do not call them.
+
+Adaptation runs its two branches as a leading axis of size 2: the extractor
+once over [2, (S,) n, d] views (each weight serves both branches), then one
+pass of ``_branch_heads``, ``head1`` and ``head2`` stacked as [2, (S,) f, K],
+so branch b's logits are head b's. Its backward gives each head its branch's
+slice, and the extractor the sum of the two branch slices, the two-term sum
+``tensor.backward`` forms where two extractor passes meet.
 
 A stacked bundle (``clone_for_adaptation(bundle, cells=S)``) is S models
 trained in lockstep: every parameter has a leading cell axis, the vector is an
@@ -234,6 +244,22 @@ def _layer_stack(x, layers):
         return zip(params, _stack_backward(g, layers, inputs, masks, input_grad))
 
     return _result(out, params, backward)
+
+
+def _branch_heads(bundle, rank):
+    """`head1`'s and `head2`'s layers stacked on a leading branch axis, as
+    `_stack_forward` reads them, for branch-stacked features of `rank` axes.
+
+    Weights are [2, f, K], or [2, S, f, K] for a stacked bundle; a 2-D weight
+    (a plain bundle's) under S cells' [2, S, n, f] features gains a cell axis of 1.
+    """
+    layers = []
+    for (w1, b1), (w2, b2) in zip(bundle.head1, bundle.head2):
+        w, b = np.array((w1.data, w2.data)), np.array((b1.data, b2.data))
+        if w.ndim < rank:
+            w, b = w[:, None], b[:, None]
+        layers.append((Tensor(w), Tensor(b)))
+    return layers
 
 
 def forward_features(bundle, x):

@@ -11,6 +11,16 @@ Branch 1 consumes weakly augmented views, branch 2 strongly augmented ones.
 Every optimizer step goes through SAM wrapping Adam; the learning rate decays
 as eta0 * (1 + 10 p)^-0.75 over outer-iteration progress p.
 
+The two branches are a leading axis of size 2: a batch's views are one
+[2, (S,) n, d] array, and the extractor runs once over both, then one pass of
+the two heads stacked as [2, (S,) f, K] gives both heads' logits (the frozen
+source model's probabilities and step 2's fixed features come the same way).
+Each SAM closure (``_step_closure``) returns one tape node whose parents are
+the Tensors the step trains; its rule chains ``losses._branch_objective``'s
+logit gradient through ``models._stack_backward`` and adds the extractor's
+two branch gradients. The bits are those of separate passes and nodes per
+branch, which tests/oracles.py keeps as the reference.
+
 ``adapt_cells`` runs this loop for several support splits of one size in
 lockstep, as one stacked computation: the cells share every batch-index and
 augmentation draw, and each cell's numbers are bitwise those of ``adapt`` on
@@ -30,16 +40,15 @@ import numpy as np
 from .data import (AugmentPolicy, LabeledSet, SupportSplit, augment_batch,
                    batches, make_domain_pair, rng_stream, sample_support)
 from .errors import ContractViolation, DivergenceError
-from .losses import (LossWeights, SmoothingParams, _lsce_targets, _lsce_term,
-                     batch_targets, step1_objective, step2_objective)
-from .models import (MlpSpec, ModelBundle, _check_rows, _stack_backward, _stack_forward,
-                     build, bundle_from_params, clone_for_adaptation, forward_features,
-                     forward_head, params_fingerprint, plain_features, plain_head,
-                     trainable_params)
+from .losses import (LossWeights, SmoothingParams, _branch_objective, _lsce_targets,
+                     _lsce_term, batch_targets)
+from .models import (MlpSpec, ModelBundle, _branch_heads, _check_rows, _stack_backward,
+                     _stack_forward, build, bundle_from_params, clone_for_adaptation,
+                     params_fingerprint, plain_features, plain_head, trainable_params)
 from .optim import (AdamConfig, SamConfig, SamState, SgdConfig, SgdState, lr_at,
                     sam_step, sgd_step)
 from .schema import Count, Fraction, Match, Natural, Positive, check_fields
-from .tensor import Tensor, _softmax
+from .tensor import _result, _softmax
 
 EvalHead = Literal["c_t1", "mean_of_heads"]
 EVAL_HEADS = get_args(EvalHead)
@@ -255,6 +264,60 @@ def _route_views(view_mode, weak, strong, ys):
     return both, both, np.concatenate([ys, ys], axis=-1)
 
 
+def _step_closure(bundle, step_kind, views, targets, weights, cdd_sign, diverged, evals):
+    """SAM's closure for one step on branch-stacked views [2, (S,) n, d]: view b feeds head b.
+
+    Each call runs both branches in one pass (step 1 through the extractor,
+    step 2 from features fixed at the step's start), scores them with
+    `losses._branch_objective` (step 2 adds the CDD term with `cdd_sign`),
+    appends the components to `evals` and returns one tape node: its parents
+    are the Tensors the step trains, and its rule runs the heads' and then
+    the extractor's backward (`models._stack_backward`) and adds the
+    extractor's two branch gradients, the sum the tape forms where two
+    extractor passes meet. ``diverged(detail, last_loss, cell)`` makes the
+    error for non-finite logits or an underflowed softmax.
+    """
+    extractor = bundle.extractor
+    train_extractor = step_kind == "1"
+    trained = (bundle.vector if train_extractor else bundle.head_vector).tensors
+    # step 2 moves only the heads: its features are constants, and it adds the CDD term
+    fixed = None if train_extractor else _stack_forward(views, extractor)[0]
+    cdd_sign = None if train_extractor else cdd_sign
+
+    def closure():
+        heads = _branch_heads(bundle, views.ndim)
+        if train_extractor:
+            feats, inputs, masks = _stack_forward(views, extractor)
+        else:
+            feats = fixed
+        logits, head_inputs, _ = _stack_forward(feats, heads)
+        if not np.isfinite(logits).all():
+            finite = np.isfinite(logits).all(axis=(0, -2, -1))  # per cell
+            raise diverged(": non-finite logits", float("nan"), int(np.argmin(finite)))
+        try:
+            value, comps, logit_grad = _branch_objective(logits, targets, weights, cdd_sign)
+        except ContractViolation:
+            # lsce refuses a softmax entry that underflowed to 0: ln 0 is no loss
+            saturated = (_softmax(logits) == 0.0).any(axis=(0, -2, -1))  # per cell
+            if not saturated.any():
+                raise
+            raise diverged("", float("nan"), int(np.argmax(saturated))) from None
+        evals.append(comps)
+
+        def backward(g):
+            grads = _stack_backward(logit_grad(g), heads, head_inputs, [],
+                                    input_grad=train_extractor)
+            if train_extractor:  # the extractor's gradient: branch 1's plus branch 2's
+                ext = _stack_backward(grads.pop(), extractor, inputs, masks)
+                grads = [e[0] + e[1] for e in ext] + [h[0] for h in grads] + [h[1] for h in grads]
+                return zip(trained, grads)
+            return zip(trained, [h[0] for h in grads] + [h[1] for h in grads])
+
+        return _result(value, trained, backward)  # the sum of the cells' totals
+
+    return closure
+
+
 def adapt(source_model: ModelBundle, split: SupportSplit, policy: AugmentPolicy,
           cfg: AdaptConfig):
     """Run the two-step loop from a pretrained model. Returns (bundle, report).
@@ -311,15 +374,12 @@ def adapt_cells(source_model: ModelBundle, splits, policy: AugmentPolicy, cfg: A
 
     # step kind -> the vector it trains (all of it, or the heads' tail) and its SAM state
     steps = {"1": (bundle.vector, SamState()), "2": (bundle.head_vector, SamState())}
+    source_heads = _branch_heads(source_model, 4 if stacked else 3)
     batch_iter = _batch_stream(splits[0].support, min(cfg.batch_size, sizes[0]), cfg.seed)
     aug_rng = rng_stream(cfg.seed, "augment")
 
     def augmented(rows, tier):  # [n, (S,) d] rows -> the batch, [(S,) n, d]
-        return np.ascontiguousarray(augment_batch(rows, policy, tier, aug_rng).swapaxes(0, -2))
-
-    def source_probs(view, branch):
-        feats = plain_features(source_model, view)
-        return _softmax(plain_head(source_model, feats, branch))
+        return augment_batch(rows, policy, tier, aug_rng).swapaxes(0, -2)
 
     def diverged(detail, last_loss, cell):
         where = f" in cell {cell}" if stacked else ""
@@ -347,44 +407,17 @@ def adapt_cells(source_model: ModelBundle, splits, policy: AugmentPolicy, cfg: A
                 rows, ys = support_xs[idx], support_ys[..., idx]
                 weak, strong = augmented(rows, "weak"), augmented(rows, "strong")
                 view1, view2, labels = _route_views(cfg.view_mode, weak, strong, ys)
-                view1, view2 = Tensor(view1), Tensor(view2)
-                targets = batch_targets(labels, source_probs(view1, 1),
-                                        source_probs(view2, 2), cfg.smoothing)
-                step_inputs = (view1, view2, targets)
-            view1, view2, targets = step_inputs
+                views = np.array((view1, view2))  # [2, (S,) n, d]: branch b feeds head b
+                source_feats = _stack_forward(views, source_model.extractor)[0]
+                q = _softmax(_stack_forward(source_feats, source_heads)[0])
+                step_inputs = (views, batch_targets(labels, q[0], q[1], cfg.smoothing))
+            views, targets = step_inputs
 
-            if step_kind == "2":
-                # step 2 moves only the heads: its features are constants
-                fixed = (Tensor(plain_features(bundle, view1)),
-                         Tensor(plain_features(bundle, view2)))
             evals = []  # SAM calls the closure twice; the trace logs the first, unperturbed one
-
-            def closure():
-                feats1, feats2 = fixed if step_kind == "2" else \
-                    (forward_features(bundle, view1), forward_features(bundle, view2))
-                l1, l2 = forward_head(bundle, feats1, 1), forward_head(bundle, feats2, 2)
-                if not (np.isfinite(l1.data).all() and np.isfinite(l2.data).all()):
-                    finite = np.isfinite(l1.data).all(axis=(-2, -1)) \
-                        & np.isfinite(l2.data).all(axis=(-2, -1))  # per cell
-                    raise diverged(": non-finite logits", float("nan"), int(np.argmin(finite)))
-                try:
-                    if step_kind == "1":
-                        total, comps = step1_objective(l1, l2, targets, cfg.weights)
-                    else:
-                        total, comps = step2_objective(l1, l2, targets, cfg.weights,
-                                                       cfg.cdd_sign)
-                except ContractViolation:
-                    # lsce refuses a softmax entry that underflowed to 0: ln 0 is no loss
-                    saturated = (_softmax(l1.data) == 0.0).any(axis=(-2, -1)) \
-                        | (_softmax(l2.data) == 0.0).any(axis=(-2, -1))  # per cell
-                    if not saturated.any():
-                        raise
-                    raise diverged("", float("nan"), int(np.argmax(saturated))) from None
-                evals.append(comps)
-                return total  # the sum of the cells' totals
-
-            params, sam_state = steps[step_kind]
-            sam_step(params, closure, sam_state, cfg.sam, lr_override=rates[step_kind])
+            closure = _step_closure(bundle, step_kind, views, targets, cfg.weights,
+                                    cfg.cdd_sign, diverged, evals)
+            vector, sam_state = steps[step_kind]
+            sam_step(vector, closure, sam_state, cfg.sam, lr_override=rates[step_kind])
 
             comps = {name: v if stacked else [v] for name, v in evals[0].items()}
             for cell, loss in enumerate(comps["total"]):

@@ -167,6 +167,34 @@ def tape_forward_head(bundle, feats, branch):
     return tape_layer_stack(feats, bundle.head1 if branch == 1 else bundle.head2)
 
 
+def tape_adapt_step(bundle, step_kind, view1, view2, labels, source_probs1, source_probs2,
+                    weights, smoothing, cdd_sign, sam_cfg, rates):
+    """One SAM step of adaptation's `step_kind` ("1" or "2") on the composed tape.
+
+    actlab.pipeline runs both branches as one stacked pass behind one node per
+    step. This is the step as separate tape nodes: an extractor pass per view
+    (for step 2, constant features taken before the step), a head pass per
+    branch, and the composed step objective. Returns (loss, components).
+    """
+    x1, x2 = Tensor(view1), Tensor(view2)
+    fixed = [Tensor(tape_forward_features(bundle, x).data) for x in (x1, x2)]
+    comps = []
+
+    def closure():
+        f1, f2 = fixed if step_kind == "2" else \
+            (tape_forward_features(bundle, x1), tape_forward_features(bundle, x2))
+        l1, l2 = tape_forward_head(bundle, f1, 1), tape_forward_head(bundle, f2, 2)
+        args = (l1, l2, labels, source_probs1, source_probs2, weights, smoothing)
+        total, parts = tape_step1_objective(*args) if step_kind == "1" else \
+            tape_step2_objective(*args, cdd_sign)
+        comps.append(parts)
+        return total
+
+    vector = bundle.vector if step_kind == "1" else bundle.head_vector
+    loss = optim.sam_step(vector, closure, optim.SamState(), sam_cfg, lr_override=rates)
+    return loss, comps[0]
+
+
 # -- the parameter draw, spelled out ---------------------------------------------
 # actlab.models.build draws into the layout `MlpSpec.param_shapes` declares.
 # This is the same draw written layer by layer, with every name and shape by

@@ -180,21 +180,35 @@ class TestAugment:
         with pytest.raises(ContractViolation):
             augment(np.zeros(2), AugmentPolicy(), "medium", rng_stream(0, "augment"))
 
-    @pytest.mark.parametrize("num_ops", [0, 3])
+    @pytest.mark.parametrize("cells", [None, 3])
+    @pytest.mark.parametrize("flip", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("num_ops", [0, 1, 2, 3])
     @pytest.mark.parametrize("tier", ["weak", "strong"])
-    def test_batch_draws_what_rows_draw(self, tier, num_ops):
-        policy = AugmentPolicy(WeakTier(jitter_sigma=0.1, flip_axis_prob=0.5),
+    def test_batch_draws_what_rows_draw(self, tier, num_ops, flip, cells):
+        policy = AugmentPolicy(WeakTier(jitter_sigma=0.1, flip_axis_prob=flip),
                                StrongTier(jitter_sigma=0.2, scale_range=(0.5, 1.5),
                                           feature_drop_prob=0.3, num_ops=num_ops))
-        xs = np.random.default_rng(1).normal(size=(12, 4))
-        batch_rng, row_rng, oracle_rng = (rng_stream(9, "augment") for _ in range(3))
-        got = [augment_batch(xs, policy, tier, batch_rng) for _ in range(3)]
+        # 7 rows: one integers draw per row (a flip, or one op) leaves PCG64 a cached
+        # 32-bit half, which the state comparison below then checks
+        xs = np.random.default_rng(1).normal(size=(7, 4) if cells is None else (7, cells, 4))
+        batch_rng, row_rng = rng_stream(9, "augment"), rng_stream(9, "augment")
+        got, states = [], []
+        for _ in range(3):
+            got.append(augment_batch(xs, policy, tier, batch_rng))
+            states.append(batch_rng.bit_generator.state)
+        if (tier == "weak" and flip == 1.0) or (tier == "strong" and num_ops % 2):
+            assert states[0]["has_uint32"] == 1
         rows = [np.stack([augment(x, policy, tier, row_rng) for x in xs]) for _ in range(3)]
-        old = [np.stack([oracles.augment_row(x, policy, tier, oracle_rng) for x in xs])
-               for _ in range(3)]
         assert [a.tobytes() for a in got] == [a.tobytes() for a in rows]
-        assert [a.tobytes() for a in got] == [a.tobytes() for a in old]
-        assert batch_rng.random() == row_rng.random() == oracle_rng.random()
+        # each cell's [n, d] slice is, byte for byte, what the row-at-a-time loop gives
+        for cell in [(...,)] if cells is None else [(slice(None), s) for s in range(cells)]:
+            oracle_rng = rng_stream(9, "augment")
+            for batch, state in zip(got, states):
+                old = np.stack([oracles.augment_row(x, policy, tier, oracle_rng)
+                                for x in xs[cell]])
+                assert batch[cell].tobytes() == old.tobytes()
+                assert oracle_rng.bit_generator.state == state
+        assert batch_rng.random() == row_rng.random()
 
 
 class TestBatches:

@@ -15,12 +15,12 @@ from actlab.data import (AugmentPolicy, DomainSpec, LabeledSet, ShiftSpec, Stron
                          SupportSplit, WeakTier,
                          make_domain_pair, sample_support)
 from actlab.errors import ContractViolation, DivergenceError
-from actlab.losses import LossWeights
-from actlab.models import MlpSpec, build, params_fingerprint, trainable_params
-from actlab.optim import AdamConfig, SamConfig, SgdConfig, lr_at
+from actlab.losses import LossWeights, SmoothingParams, batch_targets
+from actlab.models import (MlpSpec, build, bundle_from_params, clone_for_adaptation,
+                           params_fingerprint, trainable_params)
+from actlab.optim import AdamConfig, SamConfig, SamState, SgdConfig, lr_at, sam_step
 from actlab.pipeline import (AdaptConfig, PretrainConfig, ScheduleConfig,
                              adapt, adapt_cells, evaluate, pretrain_source, seed_sweep)
-from actlab.tensor import scalar_mul
 
 import oracles
 from test_acceptance import BLOBS, BLOBS_MODEL, MOONS, MOONS_MODEL, PRETRAIN
@@ -340,13 +340,17 @@ class TestAdapt:
     def test_late_divergence_keeps_the_last_completed_step(self, pretrained, split,
                                                            monkeypatch):
         # step 1's loss turns NaN from iteration 2 on, so its perturbed logits are NaN
-        objective, sam_step = pipeline.step1_objective, pipeline.sam_step
+        objective, sam_step = pipeline._branch_objective, pipeline.sam_step
         evals, tensors, snapshots = [], [], []
 
-        def poisoned(*args):
-            total, comps = objective(*args)
+        def poisoned(logits, targets, weights, cdd_sign):
+            value, comps, grad = objective(logits, targets, weights, cdd_sign)
+            if cdd_sign is not None:  # step 2's objective is left as it is
+                return value, comps, grad
             evals.append(None)
-            return (scalar_mul(float("nan"), total) if len(evals) > 4 else total), comps
+            if len(evals) <= 4:
+                return value, comps, grad
+            return value * float("nan"), comps, lambda g: grad(g * float("nan"))
 
         def recording(params, *args, **kwargs):
             tensors[:] = tensors or params.tensors  # step 1 comes first and trains them all
@@ -354,7 +358,7 @@ class TestAdapt:
             snapshots.append([t.data.copy() for t in tensors])
             return loss
 
-        monkeypatch.setattr(pipeline, "step1_objective", poisoned)
+        monkeypatch.setattr(pipeline, "_branch_objective", poisoned)
         monkeypatch.setattr(pipeline, "sam_step", recording)
         with pytest.raises(DivergenceError, match="iteration 2 .step 1.: non-finite") as exc:
             adapt(pretrained[0], split, AugmentPolicy(), small_adapt_cfg())
@@ -509,6 +513,70 @@ class TestLockstep:
         assert list(exc.value.last_good_params) == list(source)
         for name, value in exc.value.last_good_params.items():
             assert value.tobytes() == source[name].data.tobytes(), name
+
+
+@st.composite
+def step_cases(draw):
+    """A source model with 0-2 hidden layers and two distinct heads, S in {1, 3} cells'
+    views of either view mode, their batch targets, the weights and the SAM config."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    spec = MlpSpec(draw(st.integers(1, 4)), tuple(draw(st.lists(st.integers(1, 12),
+                                                                 max_size=2))),
+                   draw(st.integers(1, 8)), draw(st.integers(2, 4)), init_seed=seed)
+    # the drawn model, every parameter moved a little, so that head1 != head2
+    source = bundle_from_params(spec, {name: t.data + 0.1 * rng.normal(size=t.shape)
+                                       for name, t in build(spec).named_params()})
+    cells = draw(st.sampled_from([1, 3]))
+    lead, n = ((cells,) if cells > 1 else ()), draw(st.integers(1, 5))
+    weak, strong = (rng.normal(size=lead + (n, spec.input_dim)) * 2.0 for _ in range(2))
+    labels = rng.integers(0, spec.num_classes, size=lead + (n,))
+    if draw(st.sampled_from(["asymmetric", "both_to_both"])) == "asymmetric":
+        view1, view2 = weak, strong
+    else:  # both views to both heads
+        view1 = view2 = np.concatenate([weak, strong], axis=-2)
+        labels = np.concatenate([labels, labels], axis=-1)
+    q1, q2 = (oracles.softmax_np(rng.normal(size=(labels.size, spec.num_classes)))
+              .reshape(labels.shape + (-1,)) for _ in range(2))
+    weights = LossWeights(*(draw(st.sampled_from([0.0, 0.3, 1.0])) for _ in range(4)))
+    return (source, cells, view1, view2, labels, q1, q2, weights,
+            SmoothingParams(draw(st.sampled_from([0.0, 0.1])), 1e-5),
+            draw(st.sampled_from(["as_printed", "flipped"])),
+            SamConfig(rho=draw(st.sampled_from([0.0, 0.05, 2.0]))))
+
+
+class TestStepNode:
+    @settings(max_examples=80, deadline=None)
+    @given(step_cases())
+    def test_one_sam_step_of_each_kind_is_the_composed_tape_bit_for_bit(self, case):
+        source, cells, view1, view2, labels, q1, q2, weights, smoothing, cdd_sign, sam = case
+        stacked = clone_for_adaptation(source, cells if cells > 1 else None)
+        alone = [clone_for_adaptation(source) for _ in range(cells)]
+        views = np.array((view1, view2))
+        targets = batch_targets(labels, q1, q2, smoothing)
+        rates = {"1": [np.where(source.is_head, 0.02, 0.005)], "2": 0.02}
+        cell = (lambda a, c: a[c]) if cells > 1 else (lambda a, c: a)  # cell c's slice
+        for step_kind in "12":
+            evals = []
+            closure = pipeline._step_closure(stacked, step_kind, views, targets, weights,
+                                             cdd_sign, lambda *why: AssertionError(why), evals)
+            vector = stacked.vector if step_kind == "1" else stacked.head_vector
+            loss = sam_step(vector, closure, SamState(), sam, lr_override=rates[step_kind])
+            tape = [oracles.tape_adapt_step(b, step_kind, cell(view1, c), cell(view2, c),
+                                            cell(labels, c), cell(q1, c), cell(q2, c),
+                                            weights, smoothing, cdd_sign, sam,
+                                            rates[step_kind])
+                    for c, b in enumerate(alone)]
+            if cells > 1:  # the node is worth the sum of the cells' totals
+                assert loss == np.array([t[1]["total"] for t in tape]).sum()
+                expected = {name: [t[1][name] for t in tape] for name in tape[0][1]}
+            else:
+                assert loss == tape[0][0]
+                expected = tape[0][1]
+            # repr tells every float bit apart (0.0 from -0.0 too)
+            assert repr(sorted(evals[0].items())) == repr(sorted(expected.items()))
+            for c, b in enumerate(alone):
+                assert cell(stacked.vector.data, c).tobytes() == b.vector.data.tobytes()
 
 
 class TestAdaptConfigValidation:
