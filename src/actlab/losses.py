@@ -36,7 +36,7 @@ those it gets alone, and CDD's gradient for branch b takes the other
 branch's rows as ``p[::-1]``. It returns the value, the components and the
 d/dlogits rule as plain numpy, which adaptation chains into its one node per
 step (``pipeline._step_closure``). ``step1_objective`` and ``step2_objective``
-wrap it as a node over two logits Tensors.
+wrap it as a node over two [n, K] logits Tensors.
 
 The step objectives score logits against ``BatchTargets``: the smoothed label
 targets and ln(q + eps) of both branches' frozen source probabilities,
@@ -46,11 +46,12 @@ source rows on the simplex), and every objective call on that batch reuses
 them: SAM evaluates each objective twice, and the adaptation loop evaluates
 both steps on one batch when it reuses batches.
 
-The step objectives and ``batch_targets`` also take the batches of S cells
-stacked, as [S, n, K] arrays, or [2, S, n, K] with the branch axis
+``batch_targets`` and ``_branch_objective`` also take the batches of S cells
+stacked: [S, n, K] arrays, and [2, S, n, K] logits with the branch axis
 (``pipeline.adapt_cells``). Every reduction runs over the last axes, one cell
 at a time, so each cell's values, components and logit gradients are bitwise
-those of its [n, K] slice scored alone.
+those of its [n, K] slice scored alone. The public losses and step objectives
+take [n, K] logits only.
 """
 
 from __future__ import annotations
@@ -85,12 +86,11 @@ class SmoothingParams:
     __post_init__ = check_fields
 
 
-def _check_logits(logits, who, stacked=False):
-    """(n, K) of [n, K] logits, or, where `stacked` allows it, of [S, n, K] ones."""
-    if not isinstance(logits, Tensor) or logits.ndim not in ((2, 3) if stacked else (2,)):
-        raise ContractViolation(f"{who} needs [n, K] logits" + (" or [S, n, K] stacked ones"
-                                                                 if stacked else ""))
-    n, k = logits.shape[-2:]
+def _check_logits(logits, who):
+    """(n, K) of [n, K] logits."""
+    if not isinstance(logits, Tensor) or logits.ndim != 2:
+        raise ContractViolation(f"{who} needs [n, K] logits")
+    n, k = logits.shape
     if n < 1 or k < 2:
         raise ContractViolation(f"{who}: degenerate logits shape {logits.shape}")
     return n, k
@@ -221,9 +221,9 @@ def cdd_pair(p1, p2) -> float:
     return float(1.0 - np.dot(p1, p2))
 
 
-def _check_branches(logits1, logits2, who, stacked=False):
-    n, k = _check_logits(logits1, who, stacked)
-    _check_logits(logits2, who, stacked)
+def _check_branches(logits1, logits2, who):
+    n, k = _check_logits(logits1, who)
+    _check_logits(logits2, who)
     if logits1.data.shape != logits2.data.shape:
         raise ContractViolation(f"{who}: branch shapes differ, {logits1.shape} "
                                 f"vs {logits2.shape}")
@@ -316,8 +316,8 @@ def _branch_objective(logits, targets, weights, cdd_sign=None):
 
 
 def _objective(logits1, logits2, targets, weights, cdd_sign, who):
-    """`_branch_objective` on two [n, K] (or [S, n, K]) logits Tensors, as one node."""
-    _check_branches(logits1, logits2, who, stacked=True)
+    """`_branch_objective` on two [n, K] logits Tensors, as one node."""
+    _check_branches(logits1, logits2, who)
     if targets.smoothed.shape != logits1.data.shape:
         raise ContractViolation(f"{who}: logits shape {logits1.shape} != batch targets shape "
                                 f"{targets.smoothed.shape}")

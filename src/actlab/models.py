@@ -10,34 +10,28 @@ vector rather than writing into it. ``classifiers_only`` trains its tail.
 Adaptation trains a clone and reads the caller's untouched bundle as the
 frozen source model whose predictions anchor the losses. The forward pass
 comes in two pieces, features then one head, so a caller that holds the
-extractor fixed can compute its features once. ``plain_features`` and
-``plain_head`` run the same numpy loop on plain arrays and record no tape
-node, for the passes nothing differentiates. Checkpoints are JSON with
+extractor fixed can compute its features once. Checkpoints are JSON with
 decimal parameter text, which round-trips float64 exactly; they are written
 through a temporary file and renamed into place, so a crash never leaves a
 truncated one. A checkpoint's spec block is read by ``schema.parse`` from
 ``MlpSpec``'s fields, as strictly as a config's ``model`` block.
 
-Each piece is one tape node over its whole layer stack (affine layers with a
-ReLU between consecutive ones). Its forward, ``_stack_forward``, runs
-``a @ W``, ``+ b`` and ``np.where(a > 0, a, 0)`` layer by layer. Its backward,
-``_stack_backward``, runs from the last layer down the numpy operations the
-tape runs over the same stack composed from ``Tensor.matmul`` / ``add_bias``
-/ ``relu``: ``g.sum(axis=0)`` for a bias, ``a.T @ g`` for a weight,
-``g @ W.T`` for the layer input and ``g * mask`` through a ReLU. Gradients
-reaching a parameter shared by two nodes (one extractor applied to two views)
-meet in ``tensor.backward`` in the same order as the composed tape's, so
-logits and every parameter gradient are bitwise those of the composed form;
-tests/test_models.py holds the node to that form (kept in tests/oracles.py).
-The rule skips ``g @ W.T`` for an input that needs no gradient, and such an
-input is not a parent of the node. ``_stack_forward`` and ``_stack_backward``
-are plain functions: the tape rule calls them, and so do pretraining and
-adaptation, which chain them by hand (``pipeline.pretrain_source`` builds no
-tape, and each adaptation step builds one node). Pretraining trains one
-head: the two heads start as one draw and get the same gradient every step,
-so ``head2`` gets ``head1``'s. ``forward_features`` and ``forward_head`` are
-the building blocks of the exported ``forward_target``; the package's
-training loops do not call them.
+Each piece runs its layer stack (affine layers with a ReLU between
+consecutive ones) on plain arrays and records no tape node. Its forward,
+``_stack_forward``, runs ``a @ W``, ``+ b`` and ``np.where(a > 0, a, 0)``
+layer by layer, and keeps each layer's input and each ReLU's mask. Its
+backward, ``_stack_backward``, runs from the last layer down the numpy
+operations the tape runs over the same stack composed from ``Tensor.matmul``
+/ ``add_bias`` / ``relu``: ``g.sum(axis=0)`` for a bias, ``a.T @ g`` for a
+weight, ``g @ W.T`` for the layer input (only when asked) and ``g * mask``
+through a ReLU. So logits and every parameter gradient are bitwise those of
+the composed form; tests/test_models.py holds the pair to that form (kept in
+tests/oracles.py). Training chains the pair by hand: pretraining runs
+``head1`` alone (the two heads start as one draw and get the same gradient
+every step, so ``head2`` gets ``head1``'s), and each adaptation step wraps
+its pass in one tape node (``pipeline._step_closure``). ``forward_features``,
+``forward_head`` and ``forward_target`` are the forward alone, for
+evaluation and for callers outside the package.
 
 Adaptation runs its two branches as a leading axis of size 2: the extractor
 once over [2, (S,) n, d] views (each weight serves both branches), then one
@@ -68,7 +62,7 @@ from .errors import ConfigError, ContractViolation, ParseError
 from .fileio import atomic_write, read_text
 from .optim import ParamVector
 from .schema import Classes, Count, Natural, check_fields, parse, to_plain
-from .tensor import Tensor, _result
+from .tensor import Tensor
 
 CHECKPOINT_FORMAT_VERSION = 1
 
@@ -185,12 +179,17 @@ def clone_for_adaptation(bundle: ModelBundle, cells: int | None = None) -> Model
 
 
 def _check_rows(x, dim, who):
-    if not isinstance(x, Tensor):
-        x = Tensor(x)
-    shape = x.data.shape
-    if len(shape) not in (2, 3) or shape[-1] != dim:
-        raise ContractViolation(f"{who} must be [n, {dim}] or [S, n, {dim}], got shape {shape}")
-    return x
+    """`x` as a float64 array, checked to be real numbers of shape [n, dim] or [S, n, dim]."""
+    try:
+        a = np.asarray(x)
+    except ValueError as e:  # ragged rows
+        raise ContractViolation(f"{who} must be an array of real numbers ({e})") from None
+    if a.dtype.kind not in "iuf":  # a Tensor, bools, strings, complex numbers
+        raise ContractViolation(f"{who} must be an array of real numbers, got "
+                                f"{type(x).__name__} of dtype {a.dtype}")
+    if a.ndim not in (2, 3) or a.shape[-1] != dim:
+        raise ContractViolation(f"{who} must be [n, {dim}] or [S, n, {dim}], got shape {a.shape}")
+    return a.astype(np.float64, copy=False)
 
 
 def _stack_forward(a, layers):
@@ -230,22 +229,6 @@ def _stack_backward(g, layers, inputs, masks, input_grad=False):
     return grads
 
 
-def _layer_stack(x, layers):
-    """One tape node over `_stack_forward`, with `_stack_backward` as its rule."""
-    out, inputs, masks = _stack_forward(x.data, layers)
-    params = []
-    for w, b in layers:  # a loop, not a comprehension: that is one more Python call
-        params += (w, b)
-    input_grad = x.requires_grad
-    if input_grad:
-        params.append(x)
-
-    def backward(g):
-        return zip(params, _stack_backward(g, layers, inputs, masks, input_grad))
-
-    return _result(out, params, backward)
-
-
 def _branch_heads(bundle, rank):
     """`head1`'s and `head2`'s layers stacked on a leading branch axis, as
     `_stack_forward` reads them, for branch-stacked features of `rank` axes.
@@ -264,7 +247,7 @@ def _branch_heads(bundle, rank):
 
 def forward_features(bundle, x):
     """Extractor output for inputs of shape [n, input_dim], or [S, n, input_dim]."""
-    return _layer_stack(_check_rows(x, bundle.spec.input_dim, "input"), bundle.extractor)
+    return _stack_forward(_check_rows(x, bundle.spec.input_dim, "input"), bundle.extractor)[0]
 
 
 def forward_head(bundle, feats, branch):
@@ -272,31 +255,13 @@ def forward_head(bundle, feats, branch):
     if branch not in (1, 2):
         raise ContractViolation(f"branch must be 1 or 2, got {branch!r}")
     feats = _check_rows(feats, bundle.spec.feature_dim, "features")
-    return _layer_stack(feats, bundle.head1 if branch == 1 else bundle.head2)
+    return _stack_forward(feats, bundle.head1 if branch == 1 else bundle.head2)[0]
 
 
 def forward_target(bundle, x):
     """Logits of both heads from one shared extractor pass."""
     feats = forward_features(bundle, x)
     return forward_head(bundle, feats, 1), forward_head(bundle, feats, 2)
-
-
-def plain_features(bundle, x):
-    """`forward_features` as a plain array, recording no tape node.
-
-    For the passes nothing differentiates (a frozen model, constant features,
-    evaluation). The arithmetic, and so every bit, is `forward_features`'.
-    """
-    x = _check_rows(x, bundle.spec.input_dim, "input")
-    return _stack_forward(x.data, bundle.extractor)[0]
-
-
-def plain_head(bundle, feats, branch):
-    """`forward_head` as a plain array, recording no tape node."""
-    if branch not in (1, 2):
-        raise ContractViolation(f"branch must be 1 or 2, got {branch!r}")
-    feats = _check_rows(feats, bundle.spec.feature_dim, "features")
-    return _stack_forward(feats.data, bundle.head1 if branch == 1 else bundle.head2)[0]
 
 
 # -- parameter access -----------------------------------------------------------

@@ -44,7 +44,7 @@ from .losses import (LossWeights, SmoothingParams, _branch_objective, _lsce_targ
                      _lsce_term, batch_targets)
 from .models import (MlpSpec, ModelBundle, _branch_heads, _check_rows, _stack_backward,
                      _stack_forward, build, bundle_from_params, clone_for_adaptation,
-                     params_fingerprint, plain_features, plain_head, trainable_params)
+                     forward_features, forward_head, params_fingerprint, trainable_params)
 from .optim import (AdamConfig, SamConfig, SamState, SgdConfig, SgdState, lr_at,
                     sam_step, sgd_step)
 from .schema import Count, Fraction, Match, Natural, Positive, check_fields
@@ -156,10 +156,10 @@ def evaluate(bundle: ModelBundle, test: LabeledSet, eval_head: str = "c_t1") -> 
     if test.num_classes != bundle.spec.num_classes:
         raise ContractViolation(f"test set has {test.num_classes} classes, "
                                 f"model expects {bundle.spec.num_classes}")
-    feats = plain_features(bundle, test.xs)
-    probs = _softmax(plain_head(bundle, feats, 1))
+    feats = forward_features(bundle, test.xs)
+    probs = _softmax(forward_head(bundle, feats, 1))
     if eval_head == "mean_of_heads":
-        probs = 0.5 * (probs + _softmax(plain_head(bundle, feats, 2)))
+        probs = 0.5 * (probs + _softmax(forward_head(bundle, feats, 2)))
     preds = np.argmax(probs, axis=1)
     k = test.num_classes
     confusion = np.zeros((k, k), dtype=np.int64)
@@ -205,7 +205,7 @@ def pretrain_source(source: LabeledSet, spec: MlpSpec, cfg: PretrainConfig):
     if source.num_classes != spec.num_classes:
         raise ContractViolation(f"source has {source.num_classes} classes, "
                                 f"spec expects {spec.num_classes}")
-    xs = _check_rows(source.xs, spec.input_dim, "input").data
+    xs = _check_rows(source.xs, spec.input_dim, "input")
     smoothed = _lsce_targets((len(source), spec.num_classes), source.ys, cfg.alpha_smooth)
     bundle = build(spec)
     extractor, head = bundle.extractor, bundle.head1

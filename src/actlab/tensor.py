@@ -10,16 +10,17 @@ There is no general broadcasting. Elementwise ops take operands of identical
 shape, or one operand that is a scalar (a Python number, or a tensor of size
 one). Matrix ops are rank-2 only. Everything is float64.
 
-The package builds fused nodes through ``_result`` (models.py per layer
-stack, losses.py per loss) and uses only ``backward`` and ``zero_grad``
-besides, in adaptation's ``sam_step``. Adaptation's hot path builds one node
-per step (``pipeline._step_closure``), whose parents are the Tensors the step
-trains and whose rule is plain numpy, so each ``backward`` walks that node
-and its leaves; pretraining builds no tape. The rest of the op set (``+``,
-``*``, ``matmul``, ``add_bias``, ``relu``, ``log_shifted``, ``softmax_rows``,
-the full ``sum`` and ``scalar_mul``) is what the composed references in
-``tests/oracles.py`` need: the tests hold the fused nodes, adaptation's step
-node and pretraining to them, bit for bit.
+The package builds nodes through ``_result`` in two places only: one per
+loss in losses.py, and one per adaptation step in ``pipeline._step_closure``,
+whose parents are the Tensors the step trains and whose rule is plain numpy,
+so each ``backward`` in adaptation's ``sam_step`` walks that node and its
+leaves. Besides, it uses only ``backward`` and ``zero_grad``; the forward
+passes in models.py and pretraining build no tape. The rest of the op set
+(``+``, ``*``, ``matmul``, ``add_bias``, ``relu``, ``log_shifted``,
+``softmax_rows``, the full ``sum`` and ``scalar_mul``) is what the composed
+references in ``tests/oracles.py`` need: the tests hold the fused loss nodes,
+the layer-stack kernels, adaptation's step node and pretraining to them, bit
+for bit.
 """
 
 from __future__ import annotations

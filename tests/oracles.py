@@ -10,8 +10,7 @@ import numpy as np
 
 from actlab import optim
 from actlab.data import batches
-from actlab.losses import lsce
-from actlab.models import build, forward_target
+from actlab.models import build
 from actlab.pipeline import evaluate
 from actlab.tensor import Tensor, backward, scalar_mul, zero_grad
 
@@ -143,10 +142,11 @@ def tape_step2_objective(logits1, logits2, labels, source_probs1, source_probs2,
     return total, {**{name: t.item() for name, t in parts.items()}, "total": total.item()}
 
 
-# -- composed-tape reference for the fused layer-stack nodes --------------------
-# actlab.models runs each forward piece as one tape node over its layer stack.
-# These build the same pieces from Tensor.matmul / add_bias / relu, one tape
-# node per op; the fused nodes must match them bit for bit.
+# -- composed-tape reference for the layer-stack kernels ------------------------
+# actlab.models runs each forward piece over its whole layer stack in plain
+# numpy (`_stack_forward`), and training chains its backward by hand
+# (`_stack_backward`). These build the same pieces from Tensor.matmul /
+# add_bias / relu, one tape node per op; the kernels must match them bit for bit.
 
 
 def tape_layer_stack(x, layers):
@@ -296,9 +296,10 @@ def augment_row(x, policy, tier, rng):
 
 # -- pretraining on the tape ---------------------------------------------------------
 # actlab.pipeline.pretrain_source runs head1 alone in plain numpy and gives head2
-# its gradient. This is the loop it replaced: both heads forward, the loss
-# lsce + lsce on the tape and one backward per batch, then one SGD step of the
-# whole vector. The plain loop must match it bit for bit, parameters and history.
+# its gradient. This is the loop it replaced, on the composed tape alone: both
+# heads forward, the loss lsce + lsce and one backward per batch, then one SGD
+# step of the whole vector. The plain loop must match it bit for bit, parameters
+# and history.
 
 
 def tape_pretrain_source(source, spec, cfg):
@@ -310,9 +311,10 @@ def tape_pretrain_source(source, spec, cfg):
     for epoch in range(cfg.epochs):
         epoch_losses = []
         for idx in batches(source, cfg.batch_size, cfg.seed, epoch):
-            l1, l2 = forward_target(bundle, Tensor(source.xs[idx]))
+            feats = tape_forward_features(bundle, Tensor(source.xs[idx]))
+            l1, l2 = tape_forward_head(bundle, feats, 1), tape_forward_head(bundle, feats, 2)
             y = source.ys[idx]
-            loss = lsce(l1, y, cfg.alpha_smooth) + lsce(l2, y, cfg.alpha_smooth)
+            loss = tape_lsce(l1, y, cfg.alpha_smooth) + tape_lsce(l2, y, cfg.alpha_smooth)
             zero_grad(vector.tensors)
             backward(loss)
             optim.sgd_step([vector], [vector.grad()], state, cfg.sgd, lr_override=rates)

@@ -316,6 +316,15 @@ class TestBatchTargets:
         with pytest.raises(ContractViolation, match="batch targets shape"):
             step1_objective(logits, logits, t, LossWeights())
 
+    @pytest.mark.parametrize("objective", [step1_objective, step2_objective])
+    def test_objectives_refuse_stacked_cells(self, objective):
+        # S cells' [S, n, K] logits are scored only inside adaptation's step node
+        t = batch_targets(np.array([self.labels] * 2), np.array([self.q] * 2),
+                          np.array([self.q] * 2), self.sm)
+        logits = Tensor(np.zeros((2, 4, 3)))
+        with pytest.raises(ContractViolation, match=r"needs \[n, K\] logits$"):
+            objective(logits, logits, t, LossWeights())
+
 
 class TestErrorPaths:
     """A softmax entry that underflows to 0 has no finite log; the checks must fire."""
@@ -404,7 +413,7 @@ class TestBitwiseAgainstTape:
                        [l1, l2], up)
 
     def test_scaled_lsce_under_a_sum(self):
-        """The tape pretraining loop's loss: two lsce nodes under a sum, scaled by 0.7."""
+        """Two lsce nodes under a sum, with an upstream gradient of 0.7 rather than 1."""
         rng = np.random.default_rng(53)
         l1, l2 = rng.normal(size=(9, 3)) * 4.0, rng.normal(size=(9, 3)) * 4.0
         labels = rng.integers(0, 3, size=9)

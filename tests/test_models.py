@@ -10,10 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from actlab.errors import ContractViolation, ParseError
-from actlab.models import (MlpSpec, build, bundle_from_params, clone_for_adaptation,
-                           forward_features, forward_head, forward_target,
-                           load_checkpoint, params_fingerprint, plain_features,
-                           plain_head, save_checkpoint, trainable_params)
+from actlab.models import (MlpSpec, _stack_backward, _stack_forward, build,
+                           bundle_from_params, clone_for_adaptation, forward_features,
+                           forward_head, forward_target, load_checkpoint,
+                           params_fingerprint, save_checkpoint, trainable_params)
 from actlab.tensor import Tensor, backward
 
 import oracles
@@ -83,25 +83,36 @@ class TestBuild:
 class TestForward:
     def test_shapes(self):
         bundle = build(small_spec())
-        l1, l2 = forward_target(bundle, Tensor(np.zeros((4, 2))))
+        l1, l2 = forward_target(bundle, np.zeros((4, 2)))
         assert l1.shape == (4, 3) and l2.shape == (4, 3)
 
     def test_input_dim_checked(self):
         bundle = build(small_spec())
         with pytest.raises(ContractViolation):
-            forward_target(bundle, Tensor(np.zeros((4, 3))))
+            forward_target(bundle, np.zeros((4, 3)))
+
+    @pytest.mark.parametrize("bad", [
+        Tensor(np.zeros((4, 2))), np.array([["a", "b"]]), np.ones((4, 2), dtype=bool),
+        np.zeros((4, 2), dtype=complex), [[0.0, 1.0], [2.0]], None])
+    def test_non_numeric_input_is_a_contract_violation(self, bad):
+        bundle = build(small_spec())
+        with pytest.raises(ContractViolation, match="^input must be an array of real numbers"):
+            forward_target(bundle, bad)
+        with pytest.raises(ContractViolation,
+                           match="^features must be an array of real numbers"):
+            forward_head(bundle, bad, 1)
 
     def test_target_is_features_then_heads(self):
         bundle = build(small_spec())
         for w, _ in bundle.head2:
             w.data = w.data + 1.0  # so the two heads differ
         x = np.random.default_rng(0).normal(size=(5, 2))
-        l1, l2 = forward_target(bundle, Tensor(x))
+        l1, l2 = forward_target(bundle, x)
         feats = forward_features(bundle, x)
         assert feats.shape == (5, 8)
-        np.testing.assert_array_equal(l1.data, forward_head(bundle, feats, 1).data)
-        np.testing.assert_array_equal(l2.data, forward_head(bundle, feats, 2).data)
-        assert not np.array_equal(l1.data, l2.data)
+        np.testing.assert_array_equal(l1, forward_head(bundle, feats, 1))
+        np.testing.assert_array_equal(l2, forward_head(bundle, feats, 2))
+        assert not np.array_equal(l1, l2)
 
     def test_head_branch_checked(self):
         bundle = build(small_spec())
@@ -382,7 +393,7 @@ class TestClone:
                                   bundle.extractor[0][0].data)
 
 
-# -- the fused layer-stack node against the composed tape --------------------------
+# -- the layer-stack kernels against the composed tape ------------------------------
 
 # how the two heads see the extractor: two views through one shared extractor
 # (adaptation step 1), one feature tensor read by both heads (pretraining on the
@@ -407,11 +418,13 @@ def stack_cases(draw):
     }
 
 
-def run_stack(case, features, head):
-    """Logits, then the gradient of every parameter and input, after one backward."""
+def run_stack(case):
+    """Logits, then the gradient of every parameter and input, after one backward
+    of sum(l1 * c1) + sum(l2 * c2) on the composed tape."""
     bundle = bundle_from_params(case["spec"], case["params"])
     x1 = Tensor(case["x1"].copy(), requires_grad=case["input_grad"])
     x2 = Tensor(case["x2"].copy(), requires_grad=case["input_grad"])
+    features, head = oracles.tape_forward_features, oracles.tape_forward_head
     if case["wiring"] == "two_views":
         l1 = head(bundle, features(bundle, x1), 1)
         l2 = head(bundle, features(bundle, x2), 2)
@@ -424,25 +437,65 @@ def run_stack(case, features, head):
     return [l1.data, l2.data] + [t.grad for _, t in bundle.named_params()] + [x1.grad, x2.grad]
 
 
+def run_kernels(case):
+    """`run_stack`'s numbers from `_stack_forward` and `_stack_backward`, chained
+    by hand; d/dl1 = c1 and d/dl2 = c2. None stands for a gradient nothing
+    takes, as the tape leaves it."""
+    bundle = bundle_from_params(case["spec"], case["params"])
+    extractor, input_grad = bundle.extractor, case["input_grad"]
+    if case["wiring"] == "two_views":
+        passes = [_stack_forward(case["x1"], extractor), _stack_forward(case["x2"], extractor)]
+    else:
+        passes = [_stack_forward(case["x1"], extractor)] * 2
+    logits, head_grads, feat_grads = [], [], []
+    for (feats, _, _), head, c in zip(passes, (bundle.head1, bundle.head2),
+                                      (case["c1"], case["c2"])):
+        out, inputs, masks = _stack_forward(feats, head)
+        *grads, g_f = _stack_backward(c, head, inputs, masks, input_grad=True)
+        logits.append(out)
+        head_grads += grads
+        feat_grads.append(g_f)
+    ext_grads, input_grads = [None] * (2 * len(extractor)), [None, None]
+    if case["wiring"] == "two_views":  # the extractor's gradient: view 1's plus view 2's
+        g1, g2 = (_stack_backward(g, extractor, inputs, masks, input_grad)
+                  for g, (_, inputs, masks) in zip(feat_grads, passes))
+        ext_grads = [a + b for a, b in zip(g1, g2)][:len(ext_grads)]
+        if input_grad:
+            input_grads = [g1[-1], g2[-1]]
+    elif case["wiring"] == "shared_features":  # the features' gradient: head 1's plus head 2's
+        _, inputs, masks = passes[0]
+        grads = _stack_backward(feat_grads[0] + feat_grads[1], extractor, inputs, masks,
+                                input_grad)
+        ext_grads = grads[:len(ext_grads)]
+        if input_grad:
+            input_grads[0] = grads[-1]
+    return logits + ext_grads + head_grads + input_grads
+
+
 class TestFusedLayerStack:
     @settings(max_examples=200, deadline=None)
     @given(stack_cases())
     def test_matches_the_composed_tape_bit_for_bit(self, case):
-        fused = run_stack(case, forward_features, forward_head)
-        composed = run_stack(case, oracles.tape_forward_features, oracles.tape_forward_head)
-        for got, want in zip(fused, composed):
-            if want is None:
-                assert got is None
+        got, want = run_kernels(case), run_stack(case)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            if b is None:
+                assert a is None
             else:
-                assert np.array_equal(got, want)
+                assert type(a) is np.ndarray and np.array_equal(a, b)
 
     def test_input_gradient_only_when_asked(self):
-        bundle = build(small_spec())
-        x = Tensor(np.ones((3, 2)))
-        feats = forward_features(bundle, x)
-        assert all(p is not x for p in feats._parents)
-        backward(forward_head(bundle, feats, 1).sum())
-        assert x.grad is None
+        spec = MlpSpec(input_dim=2, hidden_dims=(5, 4), feature_dim=3, num_classes=2)
+        layers = build(spec).extractor
+        out, inputs, masks = _stack_forward(np.ones((3, 2)), layers)
+        g = np.random.default_rng(0).normal(size=out.shape)
+        without = _stack_backward(g, layers, inputs, masks)
+        with_input = _stack_backward(g, layers, inputs, masks, input_grad=True)
+        assert len(without) == 2 * len(layers) == 6
+        assert len(with_input) == 2 * len(layers) + 1
+        assert with_input[-1].shape == (3, 2)
+        for a, b in zip(without, with_input):
+            assert np.array_equal(a, b)
 
     def test_gradients_match_finite_differences(self):
         spec = MlpSpec(input_dim=3, hidden_dims=(5, 4), feature_dim=4, num_classes=3)
@@ -452,20 +505,17 @@ class TestFusedLayerStack:
         arrays += [rng.normal(size=(6, 3)), rng.normal(size=(6, 3))]
         c1, c2 = rng.normal(size=(6, 3)), rng.normal(size=(6, 3))
 
-        def loss(*arrs, requires_grad=False):
+        def loss(*arrs):
             bundle = bundle_from_params(spec, dict(zip(names, arrs[:-2])))
-            for _, t in bundle.named_params():
-                t.requires_grad = requires_grad
-            x1, x2 = (Tensor(a, requires_grad=requires_grad) for a in arrs[-2:])
-            l1 = forward_head(bundle, forward_features(bundle, x1), 1)
-            l2 = forward_head(bundle, forward_features(bundle, x2), 2)
-            return bundle, (x1, x2), (l1 * Tensor(c1)).sum() + (l2 * Tensor(c2)).sum()
+            l1 = forward_head(bundle, forward_features(bundle, arrs[-2]), 1)
+            l2 = forward_head(bundle, forward_features(bundle, arrs[-1]), 2)
+            return float((l1 * c1).sum() + (l2 * c2).sum())
 
-        bundle, xs, total = loss(*[a.copy() for a in arrays], requires_grad=True)
-        backward(total)
-        analytic = [t.grad for _, t in bundle.named_params()] + [x.grad for x in xs]
-        numeric = oracles.fd_grad(lambda *arrs: loss(*arrs)[2].item(),
-                                  [a.copy() for a in arrays])
+        case = {"spec": spec, "params": dict(zip(names, arrays[:-2])), "x1": arrays[-2],
+                "x2": arrays[-1], "c1": c1, "c2": c2, "input_grad": True,
+                "wiring": "two_views"}
+        analytic = run_kernels(case)[2:]
+        numeric = oracles.fd_grad(loss, [a.copy() for a in arrays])
         assert oracles.max_rel_err(analytic, numeric) < 1e-4
 
 
@@ -475,20 +525,21 @@ class TestPlainForward:
     def test_matches_the_tape_path_bit_for_bit(self, case):
         bundle = bundle_from_params(case["spec"], case["params"])
         x = case["x1"]
-        feats = plain_features(bundle, x)
-        tape_feats = forward_features(bundle, Tensor(x))
+        feats = forward_features(bundle, x)
+        tape_feats = oracles.tape_forward_features(bundle, Tensor(x))
         assert type(feats) is np.ndarray
         assert np.array_equal(feats, tape_feats.data)
-        for branch in (1, 2):
-            logits = plain_head(bundle, feats, branch)
+        for branch, logits in zip((1, 2), forward_target(bundle, x)):
             assert type(logits) is np.ndarray
-            assert np.array_equal(logits, forward_head(bundle, tape_feats, branch).data)
+            assert np.array_equal(logits, forward_head(bundle, feats, branch))
+            assert np.array_equal(logits,
+                                  oracles.tape_forward_head(bundle, tape_feats, branch).data)
 
     def test_shapes_and_branch_checked(self):
         bundle = build(small_spec())
         with pytest.raises(ContractViolation, match="input must be"):
-            plain_features(bundle, np.zeros((4, 3)))
+            forward_features(bundle, np.zeros((4, 3)))
         with pytest.raises(ContractViolation, match="features must be"):
-            plain_head(bundle, np.zeros((4, 2)), 1)
+            forward_head(bundle, np.zeros((4, 2)), 1)
         with pytest.raises(ContractViolation, match="branch"):
-            plain_head(bundle, np.zeros((4, 8)), 3)
+            forward_head(bundle, np.zeros((4, 8)), 3)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from actlab.errors import ContractViolation
 from actlab.losses import lsce
-from actlab.models import build, forward_target, trainable_params
+from actlab.models import build, trainable_params
 from actlab.optim import (AdamConfig, AdamState, SamConfig,
                           SamState, SgdConfig, SgdState, adam_step,
                           lr_at, sam_step, sgd_step)
@@ -242,7 +242,9 @@ class TestVectorStepsMatchPerParameterLoops:
 
         def closure(bundle):
             def loss():
-                l1, l2 = forward_target(bundle, x)
+                feats = oracles.tape_forward_features(bundle, x)
+                l1 = oracles.tape_forward_head(bundle, feats, 1)
+                l2 = oracles.tape_forward_head(bundle, feats, 2)
                 return lsce(l1, y, 0.1) + lsce(l2, y, 0.1)
             return loss
 
