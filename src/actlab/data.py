@@ -6,11 +6,13 @@ Gaussian noise, in that order). All randomness flows through named child
 streams of one seed so that data, split, augmentation and batch order never
 share a stream.
 
-Augmentation draws row by row but computes batch-wise: ``augment_batch``
-makes every Generator call in the order a row-at-a-time loop makes it,
-writing the draws into [n, d] buffers, then applies jitter, flips, scales
-and drops once over the batch, and over every lockstep cell of [n, S, d]
-rows, which share each row's draws.
+Augmentation is two steps. ``_augment_draws`` makes every Generator call
+of one view in the order a row-at-a-time loop makes it, writing the draws
+into [n, d] buffers; ``_augment_apply`` then applies jitter, flips, scales
+and drops elementwise, once over any leading axes of batches, and over every
+lockstep cell of [n, S, d] rows, which share each row's draws.
+``augment_batch`` is the two on one batch; adaptation draws the rows of a
+block of batches in order and applies them once per block.
 """
 
 from __future__ import annotations
@@ -257,48 +259,65 @@ def augment_batch(xs, policy, tier, rng):
 
     `xs` is [n, d], or [n, S, d] for S cells in lockstep: row i of every cell
     then takes row i's draws, so each cell's [n, d] slice is what it alone gets.
-
-    The row loop only draws, in the order a row-at-a-time loop would: the
-    jitter's standard normals, then the weak tier's flip draw and axis, or
-    each strong op's kind and its [d] uniforms (the scale's or the drop's).
-    The arithmetic then runs once over the batch, as ``normal`` and
-    ``uniform`` do it per draw: jitter 0 + sigma * z, scale lo + (hi - lo) * u.
+    This is ``_augment_apply`` of ``_augment_draws``.
     """
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim not in (2, 3):
         raise ContractViolation(f"augment takes vectors, got rows of shape {xs.shape[1:]}")
     if tier not in ("weak", "strong"):
         raise ContractViolation(f"unknown tier {tier!r}")
-    n, d = len(xs), xs.shape[-1]
+    return _augment_apply(xs, _augment_draws(len(xs), xs.shape[-1], policy, tier, rng),
+                          policy, tier)
+
+
+def _augment_draws(n, d, policy, tier, rng):
+    """The draws of one `tier` view of n rows of d features, in a row-at-a-time order.
+
+    Row by row: the jitter's standard normals, then the weak tier's flip draw
+    and axis, or each strong op's kind and its [d] uniforms (the scale's or the
+    drop's). Returns arrays with a leading row axis: the normals z [n, d], then
+    the weak tier's flip mask [n, d], or the strong tier's scale mask
+    [n, ops, 1] (op k on row i: scale, else drop) and uniforms u [n, ops, d].
+    """
     normal, random, integers = rng.standard_normal, rng.random, rng.integers
     z = np.empty((n, d))
     if tier == "weak":
-        t = policy.weak
-        flipped, axes = [], []  # the rows that flip, and the axis each flips
-        for i, row in enumerate(z):
+        flip = np.zeros((n, d), dtype=bool)
+        for row, flips in zip(z, flip):
             normal(out=row)
-            if random() < t.flip_axis_prob:
-                flipped.append(i)
-                axes.append(integers(d))
-    else:
-        t = policy.strong
-        kinds, u = [], np.empty((n, t.num_ops, d))
-        for row, draws in zip(z, u):
-            normal(out=row)
-            for draw in draws:
-                kinds.append(integers(2))
-                random(out=draw)
-        scales = (np.array(kinds) == 0).reshape(n, t.num_ops, 1)  # op k on row i: scale or drop
-    cells = (slice(None), None) if xs.ndim == 3 else (slice(None),)  # a draw serves every cell
+            if random() < policy.weak.flip_axis_prob:
+                flips[integers(d)] = True
+        return z, flip
+    ops = policy.strong.num_ops
+    kinds, u = [], np.empty((n, ops, d))
+    for row, draws in zip(z, u):
+        normal(out=row)
+        for draw in draws:
+            kinds.append(integers(2))
+            random(out=draw)
+    return z, (np.array(kinds) == 0).reshape(n, ops, 1), u
+
+
+def _augment_apply(xs, draws, policy, tier):
+    """Rows xs [..., n, (S,) d] augmented with `_augment_draws`' draws, [..., n, ...] each.
+
+    Any leading axes are carried through, and a cell axis S shares its row's
+    draws. Every operation is elementwise, as ``normal`` and ``uniform`` form
+    a draw: jitter 0 + sigma * z, flips, scale lo + (hi - lo) * u, drops; so
+    each row gets the bits it gets alone.
+    """
+    z = draws[0]
+    cells = (..., slice(None), None, slice(None)) if xs.ndim > z.ndim else (...,)
+    t = policy.weak if tier == "weak" else policy.strong
     out = xs + (t.jitter_sigma * z + 0.0)[cells]
     if tier == "weak":
-        out[flipped, ..., axes] = -out[flipped, ..., axes]
-        return out
+        return np.where(draws[1][cells], -out, out)
+    _, scales, u = draws
     lo, hi = t.scale_range
     for k in range(t.num_ops):
-        scale, draws = scales[:, k], u[:, k]
-        factor = np.where(scale, lo + (hi - lo) * draws, 1.0)
-        drop = ~scale & (draws < t.feature_drop_prob)
+        scale, draw = scales[..., k, :], u[..., k, :]
+        factor = np.where(scale, lo + (hi - lo) * draw, 1.0)
+        drop = ~scale & (draw < t.feature_drop_prob)
         out = np.where(drop[cells], 0.0, out * factor[cells])
     return out
 

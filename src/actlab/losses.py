@@ -50,7 +50,9 @@ both steps on one batch when it reuses batches.
 stacked: [S, n, K] arrays, and [2, S, n, K] logits with the branch axis
 (``pipeline.adapt_cells``). Every reduction runs over the last axes, one cell
 at a time, so each cell's values, components and logit gradients are bitwise
-those of its [n, K] slice scored alone. The public losses and step objectives
+those of its [n, K] slice scored alone. ``batch_targets`` takes any leading
+axes, [..., n, K]: adaptation builds the targets of a block of batches in one
+call and gives each step its slice. The public losses and step objectives
 take [n, K] logits only.
 """
 
@@ -104,8 +106,8 @@ def _check_labels(labels, shape, k):
         raise ContractViolation(f"labels must be integers, got dtype {labels.dtype}")
     bad = (labels < 0) | (labels >= k)
     if bad.any():
-        i = int(np.flatnonzero(bad)[0])
-        raise ContractViolation(f"label at row {i} is {labels[i]}, outside [0, {k})")
+        i = int(np.flatnonzero(bad)[0])  # counting the rows of every cell in order
+        raise ContractViolation(f"label at row {i} is {labels.flat[i]}, outside [0, {k})")
     return labels
 
 
@@ -250,7 +252,7 @@ class BatchTargets:
     call on that batch, SAM's perturbed re-evaluation included.
     """
     smoothed: np.ndarray
-    log_q: np.ndarray  # ln(q + eps) of both branches, stacked: [2, n, K] or [2, S, n, K]
+    log_q: np.ndarray  # ln(q + eps) of both branches, stacked: [2, ..., n, K]
     smoothing: SmoothingParams
 
 
@@ -259,13 +261,16 @@ def batch_targets(labels, source_probs1, source_probs2,
     """Smoothed label targets and ln(q + eps) of both branches' source probs.
 
     Checks the labels and that each source-probability array is a batch of
-    simplex rows; the batch shape, [n, K] or S cells' [S, n, K], comes from
-    ``source_probs1``, and the labels' shape is its leading part.
+    simplex rows. The batch shape comes from ``source_probs1``: [n, K], S
+    cells' [S, n, K], or any leading axes over those, [..., n, K], as when
+    adaptation prepares a block of batches at once; the labels' shape is its
+    leading part. Every operation is elementwise, so each [n, K] slice gets
+    the bits it gets alone.
     """
     q1 = np.asarray(source_probs1, dtype=np.float64)
-    if q1.ndim not in (2, 3) or 0 in q1.shape or q1.shape[-1] < 2:
-        raise ContractViolation(f"source_probs must be [n, K] or [S, n, K] with n >= 1 and "
-                                f"K >= 2, got shape {q1.shape}")
+    if q1.ndim < 2 or 0 in q1.shape or q1.shape[-1] < 2:
+        raise ContractViolation(f"source_probs must be [..., n, K] with n >= 1 and K >= 2, "
+                                f"got shape {q1.shape}")
     labels = _check_labels(labels, q1.shape[:-1], q1.shape[-1])
     eps = smoothing.eps_log
     return BatchTargets(_smoothed_targets(labels, q1.shape[-1], smoothing.alpha_smooth),

@@ -21,6 +21,16 @@ logit gradient through ``models._stack_backward`` and adds the extractor's
 two branch gradients. The bits are those of separate passes and nodes per
 branch, which tests/oracles.py keeps as the reference.
 
+A step's inputs (its views, and the frozen source model's probabilities on
+them as ``losses.batch_targets``) do not depend on the trained parameters,
+so ``_prepared_batches`` makes them a block of batches at a time: the rows
+of every batch in the block are drawn in the per-batch order (weak, then
+strong), then augmented, routed, passed through the source model and given
+their targets once over a leading block axis, and the loop takes one step's
+slice at a time. Each of those operations is elementwise or per [n, .]
+slice, so the bits are those of one batch at a time, which tests/oracles.py
+keeps as the reference.
+
 ``adapt_cells`` runs this loop for several support splits of one size in
 lockstep, as one stacked computation: the cells share every batch-index and
 augmentation draw, and each cell's numbers are bitwise those of ``adapt`` on
@@ -33,15 +43,16 @@ from __future__ import annotations
 import math
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from dataclasses import asdict, dataclass, field, replace
+from itertools import groupby, islice
 from typing import Annotated, Literal, get_args
 
 import numpy as np
 
-from .data import (AugmentPolicy, LabeledSet, SupportSplit, augment_batch,
+from .data import (AugmentPolicy, LabeledSet, SupportSplit, _augment_apply, _augment_draws,
                    batches, make_domain_pair, rng_stream, sample_support)
 from .errors import ContractViolation, DivergenceError
-from .losses import (LossWeights, SmoothingParams, _branch_objective, _lsce_targets,
-                     _lsce_term, batch_targets)
+from .losses import (BatchTargets, LossWeights, SmoothingParams, _branch_objective,
+                     _lsce_targets, _lsce_term, batch_targets)
 from .models import (MlpSpec, ModelBundle, _branch_heads, _check_rows, _stack_backward,
                      _stack_forward, build, bundle_from_params, clone_for_adaptation,
                      forward_features, forward_head, params_fingerprint, trainable_params)
@@ -52,6 +63,10 @@ from .tensor import _result, _softmax
 
 EvalHead = Literal["c_t1", "mean_of_heads"]
 EVAL_HEADS = get_args(EvalHead)
+
+# view rows per block of batches that adaptation prepares at once: 25 batches
+# of a 10-row support, and a source pass of at most 512 rows per layer
+BLOCK_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -257,11 +272,51 @@ def _batch_stream(support, batch_size, seed):
         epoch += 1
 
 
-def _route_views(view_mode, weak, strong, ys):
-    if view_mode == "asymmetric":
-        return weak, strong, ys
-    both = np.concatenate([weak, strong], axis=-2)
-    return both, both, np.concatenate([ys, ys], axis=-1)
+def _prepared_batches(source_model, xs, ys, batch_iter, policy, cfg, aug_rng):
+    """Each step's (views, targets), in the order the loop consumes them, a block at a time.
+
+    `xs` [m, (S,) d] and `ys` [m, (S,)] are the support rows of every cell,
+    `batch_iter` yields index batches. A block is consecutive batches of one
+    size, as many as fit `BLOCK_ROWS` view rows ([B, 2, (S,) n', d], n' = n, or
+    2n under both_to_both), at least one and no more than the run still
+    needs. Each batch's weak rows are drawn from `aug_rng`, then its strong
+    rows, as one batch at a time draws them; then the block is augmented,
+    routed, scored by the frozen source model and given its targets at once.
+    Each of those operations is elementwise, or a matmul or row reduction per
+    [n, .] slice, so step j's views and targets are bitwise those of its batch
+    prepared alone.
+    """
+    count = cfg.total_iterations * (len(cfg.step_pattern) if cfg.fresh_batch_per_step else 1)
+    both = cfg.view_mode == "both_to_both"
+    view_rows = 2 * (2 if both else 1) * (xs.shape[1] if xs.ndim == 3 else 1)  # per batch row
+    source_heads = _branch_heads(source_model, xs.ndim + 1)
+    for n, group in groupby(batch_iter, len):  # a short tail starts a new group
+        while count:
+            block = list(islice(group, min(count, max(1, BLOCK_ROWS // (n * view_rows)))))
+            if not block:
+                break
+            count -= len(block)
+            idx = np.array(block)  # [B, n]
+            rows, labels = xs[idx], ys[idx].swapaxes(1, -1)  # [B, n, (S,) d], [B, (S,) n]
+            draws = {"weak": [], "strong": []}
+            for _ in block:  # batch by batch: its weak rows, then its strong rows
+                for tier, tier_draws in draws.items():
+                    tier_draws.append(_augment_draws(n, xs.shape[-1], policy, tier, aug_rng))
+            weak, strong = (_augment_apply(rows, [np.array(d) for d in zip(*tier_draws)], policy,
+                                           tier).swapaxes(1, -2)  # [B, (S,) n, d]
+                            for tier, tier_draws in draws.items())
+            if both:
+                weak = strong = np.concatenate([weak, strong], axis=-2)
+                labels = np.concatenate([labels, labels], axis=-1)
+            views = np.stack((weak, strong), axis=1)  # branch b feeds head b
+            source_feats = _stack_forward(views, source_model.extractor)[0]
+            q = _softmax(_stack_forward(source_feats, source_heads)[0])
+            targets = batch_targets(labels, q[:, 0], q[:, 1], cfg.smoothing)
+            for j in range(len(block)):
+                yield views[j], BatchTargets(targets.smoothed[j], targets.log_q[:, j],
+                                             cfg.smoothing)
+        if not count:
+            return
 
 
 def _step_closure(bundle, step_kind, views, targets, weights, cdd_sign, diverged, evals):
@@ -367,19 +422,16 @@ def adapt_cells(source_model: ModelBundle, splits, policy: AugmentPolicy, cfg: A
     if stacked:
         bundle = clone_for_adaptation(source_model, len(splits))
         support_xs = np.stack([split.support.xs for split in splits], axis=1)  # [m, S, d]
-        support_ys = np.stack([split.support.ys for split in splits])  # [S, m]
+        support_ys = np.stack([split.support.ys for split in splits], axis=1)  # [m, S]
     else:
         bundle = clone_for_adaptation(source_model)
         support_xs, support_ys = splits[0].support.xs, splits[0].support.ys
 
     # step kind -> the vector it trains (all of it, or the heads' tail) and its SAM state
     steps = {"1": (bundle.vector, SamState()), "2": (bundle.head_vector, SamState())}
-    source_heads = _branch_heads(source_model, 4 if stacked else 3)
     batch_iter = _batch_stream(splits[0].support, min(cfg.batch_size, sizes[0]), cfg.seed)
-    aug_rng = rng_stream(cfg.seed, "augment")
-
-    def augmented(rows, tier):  # [n, (S,) d] rows -> the batch, [(S,) n, d]
-        return augment_batch(rows, policy, tier, aug_rng).swapaxes(0, -2)
+    prepared = _prepared_batches(source_model, support_xs, support_ys, batch_iter, policy, cfg,
+                                 rng_stream(cfg.seed, "augment"))
 
     def diverged(detail, last_loss, cell):
         where = f" in cell {cell}" if stacked else ""
@@ -400,18 +452,9 @@ def adapt_cells(source_model: ModelBundle, splits, policy: AugmentPolicy, cfg: A
             * cfg.schedule.head_multiplier
         rates = {"1": [np.where(bundle.is_head, lr_head, lr_ext)], "2": lr_head}  # per entry
 
-        step_inputs = None
-        for step_kind in cfg.step_pattern:
-            if step_inputs is None or cfg.fresh_batch_per_step:
-                idx = next(batch_iter)
-                rows, ys = support_xs[idx], support_ys[..., idx]
-                weak, strong = augmented(rows, "weak"), augmented(rows, "strong")
-                view1, view2, labels = _route_views(cfg.view_mode, weak, strong, ys)
-                views = np.array((view1, view2))  # [2, (S,) n, d]: branch b feeds head b
-                source_feats = _stack_forward(views, source_model.extractor)[0]
-                q = _softmax(_stack_forward(source_feats, source_heads)[0])
-                step_inputs = (views, batch_targets(labels, q[0], q[1], cfg.smoothing))
-            views, targets = step_inputs
+        for i, step_kind in enumerate(cfg.step_pattern):
+            if i == 0 or cfg.fresh_batch_per_step:
+                views, targets = next(prepared)  # [2, (S,) n, d]: branch b feeds head b
 
             evals = []  # SAM calls the closure twice; the trace logs the first, unperturbed one
             closure = _step_closure(bundle, step_kind, views, targets, cfg.weights,

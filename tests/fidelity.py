@@ -8,10 +8,12 @@ the first run on each pretrained model comes a line with a sha256 over its
 pretraining `history`, the per-epoch mean loss and train accuracy. A change
 that must keep every bit prints exactly the same lines as its parent commit,
 so diff the two outputs. The configurations are the ones `test_acceptance.py`
-pins: moons and blobs at data seeds 2, 3 and 4 for 800 iterations, plus seven
+pins: moons and blobs at data seeds 2, 3 and 4 for 800 iterations, plus eight
 200-iteration variants of moons seed 2 that reach the other code paths, and
 one 200-iteration blobs run on a model with two hidden layers, so that the
-multi-layer backward of the extractor is covered too. Last come two lines
+multi-layer backward of the extractor is covered too. The reference runs
+have one batch per epoch, so ``tail_batch`` cuts the 10-row support into
+batches of 4, 4 and 2, to reach short tail batches. Last come two lines
 for a small moons `seed_sweep` (model seeds 7 and 8 x data seeds 2 and 3, 100
 adaptation iterations), one at ``jobs=1`` and one at ``jobs=2``: each is a
 sha256 of the sweep report's `to_dict()`, so the two lines must also match
@@ -61,6 +63,7 @@ VARIANTS = {
     "rho_0": {"sam": SamConfig(rho=0.0)},
     "unscheduled": {"schedule": ScheduleConfig(eta0=1e-3, schedule_extractor=False,
                                                schedule_heads=False)},
+    "tail_batch": {"batch_size": 4},  # batches of 4, 4 and a short tail of 2 per epoch
 }
 
 

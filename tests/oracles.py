@@ -9,10 +9,11 @@ are pinned here as float64 literals.
 import numpy as np
 
 from actlab import optim
-from actlab.data import batches
-from actlab.models import build
+from actlab.data import augment_batch, batches
+from actlab.losses import batch_targets
+from actlab.models import _branch_heads, _stack_forward, build
 from actlab.pipeline import evaluate
-from actlab.tensor import Tensor, backward, scalar_mul, zero_grad
+from actlab.tensor import Tensor, _softmax, backward, scalar_mul, zero_grad
 
 # ln(1e-5), i.e. log_shifted(0, 1e-5)
 LOG_SHIFTED_ZERO_1E5 = -11.512925464970228
@@ -325,3 +326,32 @@ def tape_pretrain_source(source, spec, cfg):
             "train_accuracy": evaluate(bundle, source).accuracy,
         })
     return bundle, history
+
+
+# -- adaptation's inputs, one batch at a time -------------------------------------------
+# actlab.pipeline._prepared_batches prepares the views and batch targets of a
+# block of batches at once. This is the loop it replaced, one batch per step:
+# the weak, then the strong augmented batch, the routing of the views to the
+# branches, the frozen source model's pass and the batch's targets. The
+# blocks must give every step the same bits and leave the augmentation
+# stream in the same state.
+
+
+def prepared_steps(source_model, xs, ys, batch_iter, policy, cfg, aug_rng):
+    """Each step's (views [2, (S,) n', d], targets), for `_prepared_batches`' arguments."""
+    count = cfg.total_iterations * (len(cfg.step_pattern) if cfg.fresh_batch_per_step else 1)
+    source_heads = _branch_heads(source_model, xs.ndim + 1)
+    for _ in range(count):
+        idx = next(batch_iter)
+        rows, labels = xs[idx], ys[idx].T  # [n, (S,) d], [(S,) n]
+        weak = augment_batch(rows, policy, "weak", aug_rng).swapaxes(0, -2)
+        strong = augment_batch(rows, policy, "strong", aug_rng).swapaxes(0, -2)
+        if cfg.view_mode == "asymmetric":
+            view1, view2 = weak, strong
+        else:
+            view1 = view2 = np.concatenate([weak, strong], axis=-2)
+            labels = np.concatenate([labels, labels], axis=-1)
+        views = np.array((view1, view2))
+        source_feats = _stack_forward(views, source_model.extractor)[0]
+        q = _softmax(_stack_forward(source_feats, source_heads)[0])
+        yield views, batch_targets(labels, q[0], q[1], cfg.smoothing)

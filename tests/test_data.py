@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from actlab.data import (AugmentPolicy, DomainSpec, LabeledSet, ShiftSpec,
-                         StrongTier, WeakTier, augment, augment_batch, batches,
+                         StrongTier, WeakTier, _augment_apply, _augment_draws,
+                         augment, augment_batch, batches,
                          load_labeled_set, make_domain_pair, rng_stream,
                          rotation_matrix_2d, sample_support, save_labeled_set)
 from actlab.errors import ContractViolation, ParseError
@@ -209,6 +210,23 @@ class TestAugment:
                 assert batch[cell].tobytes() == old.tobytes()
                 assert oracle_rng.bit_generator.state == state
         assert batch_rng.random() == row_rng.random()
+
+    @pytest.mark.parametrize("cells", [None, 3])
+    @pytest.mark.parametrize("tier", ["weak", "strong"])
+    def test_apply_over_a_block_is_each_batch_alone(self, tier, cells):
+        policy = AugmentPolicy(WeakTier(jitter_sigma=0.1, flip_axis_prob=0.5),
+                               StrongTier(jitter_sigma=0.2, scale_range=(0.5, 1.5),
+                                          feature_drop_prob=0.3, num_ops=3))
+        # a block of 5 batches of 7 rows: [5, 7, 4], or [5, 7, S, 4] for S cells
+        xs = np.random.default_rng(2).normal(size=(5, 7, 4) if cells is None
+                                             else (5, 7, cells, 4))
+        block_rng, batch_rng = rng_stream(9, "augment"), rng_stream(9, "augment")
+        draws = [_augment_draws(7, 4, policy, tier, block_rng) for _ in xs]
+        block = _augment_apply(xs, [np.array(d) for d in zip(*draws)], policy, tier)
+        assert block.shape == xs.shape
+        for got, rows in zip(block, xs):
+            assert got.tobytes() == augment_batch(rows, policy, tier, batch_rng).tobytes()
+        assert block_rng.bit_generator.state == batch_rng.bit_generator.state
 
 
 class TestBatches:

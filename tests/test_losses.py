@@ -310,6 +310,37 @@ class TestBatchTargets:
         with pytest.raises(ContractViolation, match="source_probs2: shape"):
             batch_targets(self.labels, self.q, self.q[:3], self.sm)
 
+    def test_a_block_of_batches_is_each_batch_alone(self):
+        # [B, S, n, K]: a block of 4 batches of 3 cells' 5 rows
+        rng = np.random.default_rng(5)
+        q1, q2 = (oracles.softmax_np(rng.normal(size=(60, 3))).reshape(4, 3, 5, 3)
+                  for _ in range(2))
+        labels = rng.integers(0, 3, size=(4, 3, 5))
+        block = batch_targets(labels, q1, q2, self.sm)
+        assert block.smoothed.shape == q1.shape and block.log_q.shape == (2,) + q1.shape
+        for b in range(4):
+            alone = batch_targets(labels[b], q1[b], q2[b], self.sm)
+            assert block.smoothed[b].tobytes() == alone.smoothed.tobytes()
+            assert block.log_q[:, b].tobytes() == alone.log_q.tobytes()
+
+    def test_a_block_keeps_the_checks(self):
+        q = np.array([[[self.q] * 3] * 2])  # [1, 2, 3, 4, 3]
+        labels = np.array([[[self.labels] * 3] * 2])
+        bad = labels.copy()
+        bad[0, 1, 2, 3] = 3  # row (1 * 3 + 2) * 4 + 3 of the block
+        with pytest.raises(ContractViolation, match=r"label at row 23 is 3, outside \[0, 3\)"):
+            batch_targets(bad, q, q, self.sm)
+        with pytest.raises(ContractViolation, match="labels must be of shape"):
+            batch_targets(labels[..., :3], q, q, self.sm)
+        off = q.copy()
+        off[0, 1, 0, 2] *= 2.0
+        with pytest.raises(ContractViolation, match="source_probs2: row 14 sums"):
+            batch_targets(labels, q, off, self.sm)
+        with pytest.raises(ContractViolation, match="source_probs2: shape"):
+            batch_targets(labels, q, q[:, :1], self.sm)
+        with pytest.raises(ContractViolation, match="source_probs must be"):  # n = 0
+            batch_targets(labels[..., :0], q[..., :0, :], q[..., :0, :], self.sm)
+
     def test_objective_rejects_targets_of_another_batch(self):
         t = batch_targets(self.labels, self.q, self.q, self.sm)
         logits = Tensor(np.zeros((5, 3)))

@@ -337,9 +337,12 @@ class TestAdapt:
         cfg = small_adapt_cfg(step_pattern="2", sam=SamConfig(rho=1e308))
         self.assert_aborts_with_the_source(pretrained[0], split, cfg, step=2)
 
+    # 15-row batches make blocks of 17 batches, so iteration 20 (batches 40 and 41)
+    # runs in the third block, with later steps' batches already prepared
+    @pytest.mark.parametrize("iteration, iterations", [(2, 4), (20, 24)])
     def test_late_divergence_keeps_the_last_completed_step(self, pretrained, split,
-                                                           monkeypatch):
-        # step 1's loss turns NaN from iteration 2 on, so its perturbed logits are NaN
+                                                           monkeypatch, iteration, iterations):
+        # step 1's loss turns NaN from `iteration` on, so its perturbed logits are NaN
         objective, sam_step = pipeline._branch_objective, pipeline.sam_step
         evals, tensors, snapshots = [], [], []
 
@@ -348,7 +351,7 @@ class TestAdapt:
             if cdd_sign is not None:  # step 2's objective is left as it is
                 return value, comps, grad
             evals.append(None)
-            if len(evals) <= 4:
+            if len(evals) <= 2 * iteration:  # SAM evaluates it twice per step
                 return value, comps, grad
             return value * float("nan"), comps, lambda g: grad(g * float("nan"))
 
@@ -360,10 +363,13 @@ class TestAdapt:
 
         monkeypatch.setattr(pipeline, "_branch_objective", poisoned)
         monkeypatch.setattr(pipeline, "sam_step", recording)
-        with pytest.raises(DivergenceError, match="iteration 2 .step 1.: non-finite") as exc:
-            adapt(pretrained[0], split, AugmentPolicy(), small_adapt_cfg())
+        with pytest.raises(DivergenceError,
+                           match=f"iteration {iteration} .step 1.: non-finite") as exc:
+            adapt(pretrained[0], split, AugmentPolicy(),
+                  small_adapt_cfg(total_iterations=iterations))
         err = exc.value
-        assert err.iteration == 2 and len(snapshots) == 4
+        assert err.iteration == iteration and len(snapshots) == 2 * iteration
+        assert math.isnan(err.last_loss)
         source = dict(pretrained[0].named_params())
         assert list(err.last_good_params) == list(source)
         for (name, value), after in zip(err.last_good_params.items(), snapshots[-1]):
@@ -513,6 +519,90 @@ class TestLockstep:
         assert list(exc.value.last_good_params) == list(source)
         for name, value in exc.value.last_good_params.items():
             assert value.tobytes() == source[name].data.tobytes(), name
+
+
+@st.composite
+def preparation_cases(draw):
+    """A source model with two distinct heads, S in {1, 3} cells' support rows, a batch
+    size that may leave a short tail, a policy, a config of either view mode, fresh or
+    reused batches and step pattern 12, 112 or 2, and a row budget that gives blocks
+    of one batch or of many."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    spec = draw(SPECS)
+    # the drawn model, every parameter moved a little, so that head1 != head2
+    source = bundle_from_params(spec, {name: t.data + 0.1 * rng.normal(size=t.shape)
+                                       for name, t in build(spec).named_params()})
+    size, cells = draw(st.integers(1, 9)), draw(st.sampled_from([1, 3]))
+    lead = (size, cells) if cells > 1 else (size,)
+    xs = rng.normal(size=lead + (spec.input_dim,)) * 2.0
+    ys = rng.integers(0, spec.num_classes, size=lead)
+    policy = AugmentPolicy(WeakTier(0.05, draw(st.sampled_from([0.0, 0.5]))),
+                           StrongTier(0.15, (0.8, 1.2), draw(st.sampled_from([0.0, 0.3])),
+                                      draw(st.integers(0, 3))))
+    cfg = AdaptConfig(
+        total_iterations=draw(st.integers(1, 8)), batch_size=draw(st.integers(1, size)),
+        smoothing=SmoothingParams(draw(st.sampled_from([0.0, 0.1])), 1e-5),
+        step_pattern=draw(st.sampled_from(["12", "112", "2"])),
+        fresh_batch_per_step=draw(st.booleans()),
+        view_mode=draw(st.sampled_from(["asymmetric", "both_to_both"])),
+        seed=draw(st.integers(0, 2**16)))
+    return source, xs, ys, policy, cfg, draw(st.sampled_from([1, 24, 100, 512]))
+
+
+def prepare(producer, source, xs, ys, policy, cfg):
+    """`producer`'s steps on the support rows, with the batch stream and
+    augmentation stream it drew from."""
+    support = LabeledSet(xs if xs.ndim == 2 else xs[:, 0], ys if ys.ndim == 1 else ys[:, 0],
+                         source.spec.num_classes, "support")
+    stream = pipeline._batch_stream(support, cfg.batch_size, cfg.seed)
+    aug_rng = pipeline.rng_stream(cfg.seed, "augment")
+    return list(producer(source, xs, ys, stream, policy, cfg, aug_rng)), stream, aug_rng
+
+
+class TestPreparedBatches:
+    @settings(max_examples=80, deadline=None)
+    @given(preparation_cases())
+    def test_blocks_give_each_step_its_batch_prepared_alone(self, case):
+        *inputs, block_rows = case
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(pipeline, "BLOCK_ROWS", block_rows)
+            steps, stream, aug_rng = prepare(pipeline._prepared_batches, *inputs)
+        ref_steps, ref_stream, ref_aug_rng = prepare(oracles.prepared_steps, *inputs)
+        assert len(steps) == len(ref_steps)
+        for (views, targets), (ref_views, ref_targets) in zip(steps, ref_steps):
+            for got, ref in ((views, ref_views), (targets.smoothed, ref_targets.smoothed),
+                             (targets.log_q, ref_targets.log_q)):
+                assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+            assert targets.smoothing == ref_targets.smoothing
+        assert aug_rng.bit_generator.state == ref_aug_rng.bit_generator.state
+        # and no batch was taken from the stream beyond those the steps used
+        assert next(stream).tobytes() == next(ref_stream).tobytes()
+
+    @pytest.mark.parametrize("size, batch_size, cells, view_mode, pattern, fresh, "
+                             "iterations, blocks", [
+        (10, 32, 1, "asymmetric", "12", True, 30, [25, 25, 10]),  # the moons reference
+        (10, 4, 1, "asymmetric", "12", True, 3, [2, 1, 2, 1]),  # batches 4, 4, 2 per epoch
+        (10, 10, 3, "both_to_both", "12", True, 5, [4, 4, 2]),  # 120 view rows a batch
+        (10, 10, 1, "asymmetric", "112", False, 7, [7]),  # one batch per iteration
+        (64, 64, 1, "asymmetric", "12", True, 5, [4, 4, 2]),  # 128 view rows, as in wide_cli
+        (300, 300, 1, "asymmetric", "2", True, 2, [1, 1]),  # 600 rows: over the budget
+    ])
+    def test_block_rule(self, monkeypatch, size, batch_size, cells, view_mode, pattern,
+                        fresh, iterations, blocks):
+        recorded, targets = [], pipeline.batch_targets
+        monkeypatch.setattr(pipeline, "batch_targets",
+                            lambda labels, *args: recorded.append(len(labels))
+                            or targets(labels, *args))
+        rng = np.random.default_rng(0)
+        lead = (size, cells) if cells > 1 else (size,)
+        cfg = small_adapt_cfg(total_iterations=iterations, batch_size=batch_size,
+                              view_mode=view_mode, step_pattern=pattern,
+                              fresh_batch_per_step=fresh)
+        steps, *_ = prepare(pipeline._prepared_batches, build(SPEC),
+                            rng.normal(size=lead + (2,)), rng.integers(0, 3, size=lead),
+                            AugmentPolicy(), cfg)
+        assert recorded == blocks and len(steps) == sum(blocks)
 
 
 @st.composite
