@@ -187,7 +187,8 @@ def make_domain_pair(spec: DomainSpec):
 
 
 def sample_support(target: LabeledSet, n_way: int, k_shot: int, seed: int) -> SupportSplit:
-    """Uniform without-replacement support draw; everything else is the test set."""
+    """Uniform without-replacement support draw; everything else is the test set,
+    which must keep at least one row."""
     if k_shot < 1:
         raise ContractViolation(f"k_shot must be >= 1, got {k_shot}")
     classes = np.unique(target.ys)
@@ -203,6 +204,9 @@ def sample_support(target: LabeledSet, n_way: int, k_shot: int, seed: int) -> Su
                                     f"cannot draw K={k_shot}")
         chosen.append(np.sort(rng.choice(idx, size=k_shot, replace=False)))
     support_idx = np.concatenate(chosen)
+    if support_idx.size == len(target):
+        raise ContractViolation(f"K={k_shot} takes every row of each class into the support, "
+                                "which leaves no test rows")
     mask = np.zeros(len(target), dtype=bool)
     mask[support_idx] = True
     support = LabeledSet(target.xs[support_idx], target.ys[support_idx],
@@ -340,8 +344,9 @@ def batches(labeled_set: LabeledSet, batch_size: int, shuffle_seed: int, epoch: 
 
 
 def save_labeled_set(ls: LabeledSet, path):
-    if "," in ls.name or "\n" in ls.name:
-        raise ContractViolation(f"set name {ls.name!r} cannot contain ',' or newlines")
+    # ',' splits the header, and load_labeled_set's splitlines() breaks a line at each of these
+    if any(c in ls.name for c in ",\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"):
+        raise ContractViolation(f"set name {ls.name!r} cannot contain ',' or a line break")
     with atomic_write(path) as f:
         f.write(f"{ls.xs.shape[1]},{ls.num_classes},{ls.name}\n")
         for row, y in zip(ls.xs, ls.ys):

@@ -12,11 +12,14 @@ The CDD closed form is the collapsed off-diagonal sum of the K x K relevance
 matrix p1 p2^T; the tests verify the algebra against explicit enumeration.
 
 Each loss, and each step objective, is one tape node whose backward rule
-computes d/dlogits in plain numpy. That rule repeats, operation for operation
-and in the same association order, what the tape's backward does over the
-same loss composed from generic ops (softmax_rows, log_shifted, *, sum,
-scalar_mul), so values, gradients and trained fingerprints are bitwise those
-of the composed form. With c = (upstream * weight) * (-1/n), d/dp of a term is
+computes d/dlogits in plain numpy and returns one gradient per logits parent:
+the two-branch nodes (``cdd_batch`` and the step objectives) return their
+branch-stacked [2, n, K] gradient as it is, its first axis being the pair of
+parents. That rule repeats, operation for operation and in the same
+association order, what the tape's backward does over the same loss composed
+from generic ops (softmax_rows, log_shifted, *, sum, scalar_mul), so values,
+gradients and trained fingerprints are bitwise those of the composed form.
+With c = (upstream * weight) * (-1/n), d/dp of a term is
 
     lsce     c * smoothed / (p + 0)         entropy  c * ln(p + eps) + c * p / (p + eps)
     rce      c * ln(q + eps)                cdd      c * p_other
@@ -166,8 +169,7 @@ def _cdd_term(p):
 
 def _single_node(logits, term, n):
     s, grad = term
-    return _result((-1.0 / n) * s, (logits,),
-                   lambda g: ((logits, grad(g * (-1.0 / n))),))
+    return _result((-1.0 / n) * s, (logits,), lambda g: (grad(g * (-1.0 / n)),))
 
 
 def _lsce_targets(shape, labels, alpha_smooth):
@@ -236,12 +238,7 @@ def cdd_batch(logits1: Tensor, logits2: Tensor) -> Tensor:
     """Batch-mean CDD between the two branches' softmax rows."""
     n, _ = _check_branches(logits1, logits2, "cdd_batch")
     s, grad = _cdd_term(_softmax(np.array((logits1.data, logits2.data))))
-
-    def backward(g):
-        dz = grad(g * (-1.0 / n))
-        return ((logits1, dz[0]), (logits2, dz[1]))
-
-    return _result((-1.0 / n) * s + 1.0, (logits1, logits2), backward)
+    return _result((-1.0 / n) * s + 1.0, (logits1, logits2), lambda g: grad(g * (-1.0 / n)))
 
 
 @dataclass(frozen=True)
@@ -328,12 +325,7 @@ def _objective(logits1, logits2, targets, weights, cdd_sign, who):
                                 f"{targets.smoothed.shape}")
     value, parts, grad = _branch_objective(np.array((logits1.data, logits2.data)), targets,
                                            weights, cdd_sign)
-
-    def backward(g):
-        dz = grad(g)
-        return ((logits1, dz[0]), (logits2, dz[1]))
-
-    return _result(value, (logits1, logits2), backward), parts
+    return _result(value, (logits1, logits2), grad), parts  # grad's [2, n, K]: one per branch
 
 
 def step1_objective(logits1, logits2, targets: BatchTargets, weights: LossWeights):

@@ -290,11 +290,16 @@ def params_fingerprint(tensors):
 def save_checkpoint(bundle: ModelBundle, path):
     """Write `bundle` to `path` atomically (`fileio.atomic_write`).
 
-    Refuses a NaN or infinite parameter before touching the filesystem, since
+    Refuses a parameter whose shape is not the spec's (a stacked bundle's, say)
+    and a NaN or infinite one before touching the filesystem, since
     ``load_checkpoint`` would refuse the file.
     """
     named = dict(bundle.named_params("target"))
+    layout = dict(bundle.spec.param_shapes())
     for name, t in named.items():
+        if t.data.shape != layout.get(name):
+            raise ContractViolation(f"cannot save parameter {name!r}: its shape {t.data.shape} "
+                                    f"is not the spec's {layout.get(name)}")
         if not np.isfinite(t.data).all():
             raise ContractViolation(f"cannot save parameter {name!r}: it has a non-finite value")
     # the bytes of json.dumps(doc, sort_keys=True), one parameter at a time: the C

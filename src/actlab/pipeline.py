@@ -327,10 +327,12 @@ def _step_closure(bundle, step_kind, views, targets, weights, cdd_sign, diverged
     `losses._branch_objective` (step 2 adds the CDD term with `cdd_sign`),
     appends the components to `evals` and returns one tape node: its parents
     are the Tensors the step trains, and its rule runs the heads' and then
-    the extractor's backward (`models._stack_backward`) and adds the
+    the extractor's backward (`models._stack_backward`), adds the
     extractor's two branch gradients, the sum the tape forms where two
-    extractor passes meet. ``diverged(detail, last_loss, cell)`` makes the
-    error for non-finite logits or an underflowed softmax.
+    extractor passes meet, and returns the gradients as a list in the order
+    of those Tensors: the extractor's (step 1 only), head 1's, head 2's.
+    ``diverged(detail, last_loss, cell)`` makes the error for non-finite
+    logits or an underflowed softmax.
     """
     extractor = bundle.extractor
     train_extractor = step_kind == "1"
@@ -364,9 +366,8 @@ def _step_closure(bundle, step_kind, views, targets, weights, cdd_sign, diverged
                                     input_grad=train_extractor)
             if train_extractor:  # the extractor's gradient: branch 1's plus branch 2's
                 ext = _stack_backward(grads.pop(), extractor, inputs, masks)
-                grads = [e[0] + e[1] for e in ext] + [h[0] for h in grads] + [h[1] for h in grads]
-                return zip(trained, grads)
-            return zip(trained, [h[0] for h in grads] + [h[1] for h in grads])
+                return [e[0] + e[1] for e in ext] + [h[0] for h in grads] + [h[1] for h in grads]
+            return [h[0] for h in grads] + [h[1] for h in grads]
 
         return _result(value, trained, backward)  # the sum of the cells' totals
 
@@ -416,6 +417,8 @@ def adapt_cells(source_model: ModelBundle, splits, policy: AugmentPolicy, cfg: A
         if support.xs.shape[1] != spec.input_dim:
             raise ContractViolation(f"support dim {support.xs.shape[1]} != model "
                                     f"input dim {spec.input_dim}")
+    # read-only and drawing nothing: an empty test set is refused before any step
+    baselines = [evaluate(source_model, split.test, cfg.eval_head) for split in splits]
 
     source_before = params_fingerprint(trainable_params(source_model, "all_target"))
     stacked = len(splits) > 1
@@ -475,11 +478,10 @@ def adapt_cells(source_model: ModelBundle, splits, policy: AugmentPolicy, cfg: A
         raise RuntimeError("source model changed during adaptation")
 
     runs = []
-    for cell, (split, trace) in enumerate(zip(splits, traces)):
+    for cell, (split, trace, baseline) in enumerate(zip(splits, traces, baselines)):
         adapted = bundle_from_params(spec, {name: t.data[cell] for name, t in
                                             bundle.params.items()}) if stacked else bundle
         final = evaluate(adapted, split.test, cfg.eval_head)
-        baseline = evaluate(source_model, split.test, cfg.eval_head)
         runs.append((adapted, RunReport(
             trace=trace,
             accuracy=final.accuracy,

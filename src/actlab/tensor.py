@@ -2,9 +2,12 @@
 
 Define-by-run: every op that touches a gradient-requiring tensor records its
 parents and a backward rule on the result, so the graph (the tape) is rebuilt
-on every forward pass. ``backward`` walks that graph once in reverse
-topological order and accumulates gradients additively into ``.grad`` of every
-reachable tensor that requires one.
+on every forward pass. A rule names no Tensor: given the upstream gradient, it
+returns one gradient per parent, in the order the node was given its parents
+(``_result``). ``backward`` walks that graph once in reverse topological
+order, is the one place that pairs each parent with its gradient (a rule that
+returns too few or too many raises ValueError), and accumulates gradients
+additively into ``.grad`` of every reachable tensor that requires one.
 
 There is no general broadcasting. Elementwise ops take operands of identical
 shape, or one operand that is a scalar (a Python number, or a tensor of size
@@ -89,70 +92,39 @@ class Tensor:
             raise ContractViolation(f"matmul needs two rank-2 tensors, got {a.shape} @ {b.shape}")
         if a.shape[1] != b.shape[0]:
             raise ContractViolation(f"matmul inner dims differ: {a.shape} @ {b.shape}")
-        out_data = a.data @ b.data
-
-        def backward(g):
-            return ((a, g @ b.data.T), (b, a.data.T @ g))
-
-        return _result(out_data, (a, b), backward)
+        return _result(a.data @ b.data, (a, b), lambda g: (g @ b.data.T, a.data.T @ g))
 
     def add_bias(self, bias: "Tensor") -> "Tensor":
         """Row-broadcast add: [n, k] + [k]. The one broadcast affine layers need."""
         mat, vec = self, bias
         if mat.ndim != 2 or vec.ndim != 1 or mat.shape[1] != vec.shape[0]:
             raise ContractViolation(f"add_bias needs [n,k] and [k], got {mat.shape} and {vec.shape}")
-        out_data = mat.data + vec.data[None, :]
-
-        def backward(g):
-            return ((mat, g), (vec, g.sum(axis=0)))
-
-        return _result(out_data, (mat, vec), backward)
+        return _result(mat.data + vec.data[None, :], (mat, vec), lambda g: (g, g.sum(axis=0)))
 
     # -- nonlinearities --------------------------------------------------------
 
     def relu(self) -> "Tensor":
-        x = self
-        mask = x.data > 0.0  # subgradient at exactly 0 is 0
-        out_data = np.where(mask, x.data, 0.0)
-
-        def backward(g):
-            return ((x, g * mask),)
-
-        return _result(out_data, (x,), backward)
+        mask = self.data > 0.0  # subgradient at exactly 0 is 0
+        return _result(np.where(mask, self.data, 0.0), (self,), lambda g: (g * mask,))
 
     def log_shifted(self, eps: float) -> "Tensor":
         """ln(x + eps). Every entry of x + eps must be strictly positive."""
-        x = self
-        shifted, out_data = _log_shifted(x.data, eps)
-
-        def backward(g):
-            return ((x, g / shifted),)
-
-        return _result(out_data, (x,), backward)
+        shifted, out_data = _log_shifted(self.data, eps)
+        return _result(out_data, (self,), lambda g: (g / shifted,))
 
     # -- reductions ------------------------------------------------------------
 
     def sum(self) -> "Tensor":
         """The sum of every entry, as a scalar tensor."""
-        x = self
-        out_data = x.data.sum()
-
-        def backward(g):
-            return ((x, np.broadcast_to(g, x.shape).copy()),)
-
-        return _result(out_data, (x,), backward)
+        return _result(self.data.sum(), (self,),
+                       lambda g: (np.broadcast_to(g, self.shape).copy(),))
 
     def softmax_rows(self) -> "Tensor":
         """Row softmax of a [n, K] tensor, max-subtracted for stability."""
-        x = self
-        if x.ndim != 2:
-            raise ContractViolation(f"softmax_rows needs a rank-2 tensor, got shape {x.shape}")
-        p = _softmax(x.data)
-
-        def backward(g):
-            return ((x, _softmax_grad(p, g)),)
-
-        return _result(p, (x,), backward)
+        if self.ndim != 2:
+            raise ContractViolation(f"softmax_rows needs a rank-2 tensor, got shape {self.shape}")
+        p = _softmax(self.data)
+        return _result(p, (self,), lambda g: (_softmax_grad(p, g),))
 
 
 # -- numpy kernels shared with the fused loss nodes in losses.py ----------------
@@ -191,6 +163,12 @@ def _wrap(value):
 
 
 def _result(data, parents, backward_rule):
+    """A Tensor of `data`; on the tape if any parent requires a gradient.
+
+    ``backward_rule(g)`` takes the upstream gradient and returns one gradient
+    per parent, in the order of `parents`. ``backward`` pairs them with the
+    parents and raises ValueError if the counts differ.
+    """
     out = Tensor(data)
     for p in parents:  # not any(genexpr): the generator costs two Python calls per op
         if p.requires_grad:
@@ -213,13 +191,9 @@ def _elementwise(name, a, b, fwd, da, db):
     if a.shape != b.shape and a.size != 1 and b.size != 1:
         raise ContractViolation(f"{name}: shapes {a.shape} and {b.shape} differ "
                                 "and neither operand is a scalar")
-    out_data = fwd(a.data, b.data)
-
-    def backward(g):
-        return ((a, _reduce_to(da(g, a.data, b.data), a.shape)),
-                (b, _reduce_to(db(g, a.data, b.data), b.shape)))
-
-    return _result(out_data, (a, b), backward)
+    return _result(fwd(a.data, b.data), (a, b),
+                   lambda g: (_reduce_to(da(g, a.data, b.data), a.shape),
+                              _reduce_to(db(g, a.data, b.data), b.shape)))
 
 
 def scalar_mul(c: float, t: Tensor) -> Tensor:
@@ -265,7 +239,7 @@ def backward(loss: Tensor):
             t.grad = g.copy() if t.grad is None else t.grad + g
         if t._backward is None:
             continue
-        for parent, pg in t._backward(g):
+        for parent, pg in zip(t._parents, t._backward(g), strict=True):
             if not parent.requires_grad:
                 continue
             held = pass_grads.get(id(parent))

@@ -250,7 +250,7 @@ class TestForceReplacesTheRun:
         assert sorted(p.name for p in run_dir.iterdir()) == [
             "config.json", "pretrain.log", "source.ckpt"]
 
-    @pytest.mark.parametrize("broken", ["support-draw", "source-checkpoint"])
+    @pytest.mark.parametrize("broken", ["support-draw", "source-checkpoint", "no-test-rows"])
     def test_an_invalid_run_leaves_the_old_one_in_place(self, workspace, capsys, broken):
         cfg_path, run_dir = workspace
         assert main(["adapt", "--config", str(cfg_path)]) == 0
@@ -258,8 +258,10 @@ class TestForceReplacesTheRun:
             (run_dir / "source.ckpt").write_bytes(b"\xff\xfe{}")
         before = sorted((p.name, p.read_bytes()) for p in run_dir.iterdir())
         capsys.readouterr()
-        edit = (lambda d: d.update(k_shot=50)) if broken == "support-draw" \
-            else (lambda d: d.update(split_seed=4))
+        # 12 rows per class: K=12 takes them all into the support
+        edit = {"support-draw": lambda d: d.update(k_shot=50),
+                "source-checkpoint": lambda d: d.update(split_seed=4),
+                "no-test-rows": lambda d: d.update(k_shot=12)}[broken]
         assert self.rerun(cfg_path, edit, "adapt") == 1
         assert capsys.readouterr().err.count("error:") == 1
         assert sorted((p.name, p.read_bytes()) for p in run_dir.iterdir()) == before
@@ -455,6 +457,23 @@ class TestErrorPaths:
         assert main(["adapt", "--config", str(cfg_path)]) == 1
         assert "cannot draw K=50" in capsys.readouterr().err
         assert not (out / "t1").exists()
+
+    def test_a_support_of_every_row_creates_no_run_dir(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "runs"
+        cfg_path = tmp_path / "exp.json"
+        # the two-moons case: 5 rows per class, all of them drawn into the support
+        cfg_path.write_text(json.dumps(config_doc(
+            out, n_way=2, k_shot=5,
+            domain={"generator": "two_moons", "dim": 2, "num_classes": 2,
+                    "samples_per_class": [5, 5], "seed": 3},
+            model={"input_dim": 2, "hidden_dims": [8], "feature_dim": 4,
+                   "num_classes": 2, "init_seed": 7})))
+        pretrained = []
+        monkeypatch.setattr(cli, "pretrain_source", lambda *args: pretrained.append(args))
+        assert main(["adapt", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err == ("error: K=5 takes every row of each class into "
+                                           "the support, which leaves no test rows\n")
+        assert not (out / "t1").exists() and pretrained == []
 
     def test_mismatched_source_checkpoint_writes_nothing(self, workspace, capsys):
         cfg_path, run_dir = workspace

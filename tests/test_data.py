@@ -1,5 +1,10 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from actlab.data import (AugmentPolicy, DomainSpec, LabeledSet, ShiftSpec,
                          StrongTier, WeakTier, _augment_apply, _augment_draws,
@@ -136,6 +141,13 @@ class TestSupportSplit:
         _, tgt = make_domain_pair(blob_spec())
         with pytest.raises(ContractViolation):
             sample_support(tgt, 2, 5, seed=13)
+
+    def test_a_support_of_every_row_is_refused(self):
+        _, tgt = make_domain_pair(blob_spec(samples_per_class=(5, 5, 5)))
+        with pytest.raises(ContractViolation, match="no test rows"):
+            sample_support(tgt, 3, 5, seed=13)
+        _, tgt = make_domain_pair(blob_spec(samples_per_class=(5, 6, 5)))
+        assert len(sample_support(tgt, 3, 5, seed=13).test) == 1
 
 
 class TestAugment:
@@ -294,6 +306,22 @@ class TestExport:
         path.write_text("")
         with pytest.raises(ParseError):
             load_labeled_set(path)
+
+    # line separators (Cc holds \n, \r, \v, \f, \x1c-\x1e and \x85) mixed into any text
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(st.one_of(st.characters(categories=["Cc", "Zl", "Zp"]), st.characters())))
+    @example("a\rb")
+    @example("a\x85b")
+    @example("a,b")
+    def test_a_saved_name_loads_back_and_a_refused_one_writes_nothing(self, name):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "d.csv"
+            try:
+                save_labeled_set(LabeledSet([[1.0, 2.0]], [0], 2, name), path)
+            except ContractViolation:
+                assert list(Path(tmp).iterdir()) == []
+            else:
+                assert load_labeled_set(path).name == name
 
 
 class TestRngStreams:

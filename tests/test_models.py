@@ -339,6 +339,13 @@ class TestCheckpoint:
             save_checkpoint(bundle, path)
         assert list(tmp_path.iterdir()) == []
 
+    def test_stacked_bundle_is_refused_before_any_write(self, tmp_path):
+        # load_checkpoint would refuse its [3, ...] parameters
+        stacked = clone_for_adaptation(build(small_spec()), cells=3)
+        with pytest.raises(ContractViolation, match="'extractor.0.weight'.*spec's"):
+            save_checkpoint(stacked, tmp_path / "m.ckpt")
+        assert list(tmp_path.iterdir()) == []
+
     def test_refused_save_keeps_the_existing_file(self, tmp_path):
         path = tmp_path / "m.ckpt"
         save_checkpoint(build(small_spec()), path)

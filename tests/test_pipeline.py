@@ -294,6 +294,18 @@ class TestAdapt:
         with pytest.raises(ContractViolation):
             adapt(bundle, bad_split, AugmentPolicy(), small_adapt_cfg())
 
+    @pytest.mark.parametrize("cells", [1, 2])
+    def test_an_empty_test_set_is_refused_before_any_step(self, pretrained, split,
+                                                          monkeypatch, cells):
+        bundle, _ = pretrained
+        empty = LabeledSet(np.zeros((0, 2)), np.zeros(0, dtype=np.int64), 3, "empty")
+        splits = [split] * (cells - 1) + [SupportSplit(split.support, empty, 3, 5, 21)]
+        steps = []
+        monkeypatch.setattr(pipeline, "sam_step", lambda *args, **kwargs: steps.append(args))
+        with pytest.raises(ContractViolation, match="empty test set"):
+            adapt_cells(bundle, splits, AugmentPolicy(), small_adapt_cfg())
+        assert steps == []
+
     @pytest.mark.parametrize("schedule_extractor", [True, False])
     @pytest.mark.parametrize("schedule_heads", [True, False])
     def test_lr_switches_set_each_groups_rate(self, pretrained, split, monkeypatch,
@@ -722,6 +734,15 @@ class TestSeedSweep:
                    for c in report.cells)
         assert report.mean_adapted is None
         assert report.spread_adapted is None
+
+    def test_a_support_of_every_row_is_a_failed_cell_with_no_training(self, monkeypatch):
+        # DOMAIN has 40 rows per class: K=40 leaves no test row
+        steps = []
+        monkeypatch.setattr(pipeline, "sam_step", lambda *args, **kwargs: steps.append(args))
+        report = self.sweep(k_shot=40)
+        assert all(c.status.startswith("error: ContractViolation: K=40 takes every row")
+                   for c in report.cells)
+        assert steps == []
 
     def test_divergence_is_recorded_as_a_failed_cell(self, monkeypatch):
         def diverge(*args, **kwargs):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from actlab.errors import ContractViolation
-from actlab.tensor import Tensor, backward, scalar_mul, zero_grad
+from actlab.tensor import Tensor, _result, backward, scalar_mul, zero_grad
 
 import oracles
 
@@ -164,3 +164,33 @@ class TestContracts:
     def test_softmax_needs_rank2(self):
         with pytest.raises(ContractViolation):
             Tensor([1.0, 2.0]).softmax_rows()
+
+
+class TestRuleContract:
+    """A node's rule returns one gradient per parent, in the order `_result` got them."""
+
+    @pytest.mark.parametrize("op, shapes", [
+        (lambda a, b: a + b, [(3, 2), (3, 2)]),
+        (lambda a, b: a * b, [(3, 2), (1,)]),
+        (lambda a: a * 2.0, [(3, 2)]),
+        (lambda a, b: a.matmul(b), [(3, 2), (2, 4)]),
+        (lambda a, b: a.add_bias(b), [(3, 2), (2,)]),
+        (lambda a: a.relu(), [(3, 2)]),
+        (lambda a: a.log_shifted(4.0), [(3, 2)]),
+        (lambda a: a.sum(), [(3, 2)]),
+        (lambda a: a.softmax_rows(), [(3, 2)]),
+    ], ids=["add", "mul", "mul-scalar", "matmul", "add_bias", "relu", "log_shifted", "sum",
+            "softmax_rows"])
+    def test_every_op_returns_one_gradient_per_parent(self, op, shapes):
+        rng = np.random.default_rng(0)
+        out = op(*[Tensor(rng.uniform(-3, 3, size=s), requires_grad=True) for s in shapes])
+        grads = out._backward(np.ones(out.shape))
+        assert len(grads) == len(out._parents)
+        assert [g.shape for g in grads] == [p.shape for p in out._parents]
+
+    @pytest.mark.parametrize("count", [0, 1, 3])
+    def test_a_rule_with_the_wrong_count_raises(self, count):
+        a, b = Tensor([1.0], requires_grad=True), Tensor([2.0], requires_grad=True)
+        node = _result(np.float64(3.0), (a, b), lambda g: (g,) * count)
+        with pytest.raises(ValueError):
+            backward(node)
