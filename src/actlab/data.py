@@ -191,6 +191,8 @@ def sample_support(target: LabeledSet, n_way: int, k_shot: int, seed: int) -> Su
     which must keep at least one row."""
     if k_shot < 1:
         raise ContractViolation(f"k_shot must be >= 1, got {k_shot}")
+    if seed < 0:
+        raise ContractViolation(f"seed must be >= 0, got {seed}")
     classes = np.unique(target.ys)
     if n_way != len(classes):
         raise ContractViolation(f"n_way is {n_way} but the target set has "
@@ -347,6 +349,10 @@ def save_labeled_set(ls: LabeledSet, path):
     # ',' splits the header, and load_labeled_set's splitlines() breaks a line at each of these
     if any(c in ls.name for c in ",\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"):
         raise ContractViolation(f"set name {ls.name!r} cannot contain ',' or a line break")
+    try:
+        ls.name.encode("utf-8")
+    except UnicodeEncodeError as e:
+        raise ContractViolation(f"set name {ls.name!r} cannot be written as UTF-8: {e}") from e
     with atomic_write(path) as f:
         f.write(f"{ls.xs.shape[1]},{ls.num_classes},{ls.name}\n")
         for row, y in zip(ls.xs, ls.ys):

@@ -19,13 +19,13 @@ def atomic_write(path, newline=None):
     """Open a text file that replaces `path` only if the block exits cleanly.
 
     The temporary file sits in the target's directory, so `os.replace` is a
-    rename within one filesystem. It is removed on any error. `newline` is
-    passed to `open`.
+    rename within one filesystem. It is removed on any error. The text is
+    encoded as UTF-8, and `newline` is passed to `open`.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w", newline=newline) as f:
+        with open(tmp, "w", encoding="utf-8", newline=newline) as f:
             yield f
         os.replace(tmp, path)
     finally:
@@ -33,8 +33,8 @@ def atomic_write(path, newline=None):
 
 
 def read_text(path, what):
-    """The text of the `what` file at `path`, or a `ParseError` naming both."""
+    """The UTF-8 text of the `what` file at `path`, or a `ParseError` naming both."""
     try:
-        return Path(path).read_text()
+        return Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as e:
         raise ParseError(f"cannot read {what} {path}: {e}") from e

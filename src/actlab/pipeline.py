@@ -41,8 +41,9 @@ seed's cells in such groups, one group per pool worker.
 from __future__ import annotations
 
 import math
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 from itertools import groupby, islice
 from typing import Annotated, Literal, get_args
 
@@ -521,18 +522,20 @@ class SweepReport:
         return asdict(self)
 
 
-def _pretrain_params(source, spec, cfg):
+def _pretrain_params(source, spec, cfg, model_seed):
     """Pretrain one model seed; its named parameter arrays."""
-    bundle, _ = pretrain_source(source, spec, cfg)
+    bundle, _ = pretrain_source(source, replace(spec, init_seed=model_seed),
+                                replace(cfg, seed=model_seed))
     return {name: t.data for name, t in bundle.named_params()}
 
 
-def _run_cells(spec, source_params, target, n_way, k_shot, data_seeds, model_seed,
-               policy, adapt_cfg):
-    """One group's cells, in lockstep: a SweepCell per data seed, or None when a
-    group of several cells fails, so that its cells re-run one at a time."""
+def _run_cells(spec, target, n_way, k_shot, policy, adapt_cfg, task):
+    """One group's cells, in lockstep. `task` is (model seed, its pretrained
+    parameters, data seeds); the result is a SweepCell per data seed, or None
+    when a group of several cells fails, so that its cells re-run one at a time."""
+    model_seed, source_params, data_seeds = task
     try:
-        pretrained = bundle_from_params(spec, source_params)
+        pretrained = bundle_from_params(replace(spec, init_seed=model_seed), source_params)
         splits = [sample_support(target, n_way, k_shot, seed=ds) for ds in data_seeds]
         runs = adapt_cells(pretrained, splits, policy, adapt_cfg)
     except (ContractViolation, DivergenceError) as e:
@@ -546,40 +549,26 @@ def _run_cells(spec, source_params, target, n_way, k_shot, data_seeds, model_see
             for ds, (_, report) in zip(data_seeds, runs)]
 
 
-class _InlinePool:
-    """The pool of ``jobs=1``: each task runs at submit, in this process."""
-
-    def submit(self, fn, *args):
-        future = Future()
-        try:
-            future.set_result(fn(*args))
-        except Exception as e:
-            future.set_exception(e)
-        return future
-
-    def shutdown(self, cancel_futures):
-        pass
-
-
 def seed_sweep(domain, spec, pretrain_cfg, adapt_cfg, policy, n_way, k_shot,
                data_seeds, model_seeds, jobs: int = 1) -> SweepReport:
     """Cross-product of data seeds (support draw) and model seeds (init + pretrain).
 
-    Pretraining happens once per model seed, and a repeated seed is refused.
-    Each model seed's cells run in groups, one `adapt_cells` call each: its
-    data seeds, as listed, are cut into min(cells, ceil(jobs / model seeds))
-    near-equal runs of consecutive seeds, so one group per worker. With
-    ``jobs > 1`` one process pool, of at most one worker per cell (fork starts
-    them all at the first submit), does all the work: each model seed's
-    pretraining is a task, and its groups are submitted as soon as it
-    finishes, so groups of one seed run while another still pretrains. A cell
-    in lockstep gets the bits it gets alone, so the report is the same for
-    every ``jobs``. A group that fails with a ContractViolation or a
-    DivergenceError re-runs its cells one task each, and a cell that fails so
-    alone is recorded with its error and skipped by the aggregates; any other
-    exception in a cell, and any exception in pretraining, propagates, and
-    queued tasks are cancelled. Spread and variance are computed across data
-    seeds after averaging over model seeds within each data seed.
+    A repeated or negative seed is refused before any work. Each model seed's
+    cells run in groups, one `adapt_cells` call each: its data seeds, as
+    listed, are cut into min(cells, ceil(jobs / model seeds)) near-equal runs
+    of consecutive seeds, so one group per worker. The work runs in three
+    rounds, each a `map` over its tasks: the builtin one for ``jobs=1``, else
+    that of one process pool of at most one worker per cell (fork starts them
+    all at the first task). Round one pretrains each model seed, round two
+    runs every group, and round three re-runs, one task each, the cells of
+    every group that failed with a ContractViolation or a DivergenceError. A
+    cell that fails so alone is recorded with its error and skipped by the
+    aggregates. A cell in lockstep gets the bits it gets alone, so the report
+    is the same for every ``jobs``. Any other exception in a cell, and any
+    exception in pretraining, propagates: the first in task order is raised,
+    for every ``jobs``, and queued tasks are cancelled. Spread and variance
+    are computed across data seeds after averaging over model seeds within
+    each data seed.
     """
     if not data_seeds or not model_seeds:
         raise ContractViolation("need at least one data seed and one model seed")
@@ -587,6 +576,8 @@ def seed_sweep(domain, spec, pretrain_cfg, adapt_cfg, policy, n_way, k_shot,
         repeats = [s for i, s in enumerate(seeds) if s in seeds[:i]]
         if repeats:
             raise ContractViolation(f"{kind} seed {repeats[0]} is repeated")
+        if min(seeds) < 0:
+            raise ContractViolation(f"{kind} seed {min(seeds)} must be >= 0")
     if jobs < 1:
         raise ContractViolation(f"jobs must be >= 1, got {jobs}")
     source, target = make_domain_pair(domain)
@@ -594,28 +585,21 @@ def seed_sweep(domain, spec, pretrain_cfg, adapt_cfg, policy, n_way, k_shot,
     cuts = [len(data_seeds) * i // parts for i in range(parts + 1)]
     groups = [list(data_seeds[a:b]) for a, b in zip(cuts, cuts[1:])]
 
-    pool = _InlinePool() if jobs == 1 else \
+    pool = None if jobs == 1 else \
         ProcessPoolExecutor(max_workers=min(jobs, len(data_seeds) * len(model_seeds)))
+    run = map if pool is None else pool.map
     try:
-        # future -> (model seed, its group's data seeds, or None for its pretraining)
-        tasks = {pool.submit(_pretrain_params, source, replace(spec, init_seed=ms),
-                             replace(pretrain_cfg, seed=ms)): (ms, None) for ms in model_seeds}
-        params, cells = {}, []
-        while tasks:
-            done, _ = wait(tasks, return_when=FIRST_COMPLETED)
-            for future in done:
-                ms, seeds = tasks.pop(future)
-                result = future.result()
-                if seeds is None:
-                    params[ms], queue = result, groups
-                else:  # a failed group re-runs its cells one at a time
-                    queue = [[ds] for ds in seeds] if result is None else []
-                    cells += result or []
-                tasks.update({pool.submit(_run_cells, replace(spec, init_seed=ms), params[ms],
-                                          target, n_way, k_shot, group, ms, policy,
-                                          adapt_cfg): (ms, group) for group in queue})
+        params = run(partial(_pretrain_params, source, spec, pretrain_cfg), model_seeds)
+        tasks = [(ms, p, group) for ms, p in zip(model_seeds, params) for group in groups]
+        run_group = partial(_run_cells, spec, target, n_way, k_shot, policy, adapt_cfg)
+        results = list(run(run_group, tasks))
+        retries = [(ms, p, [ds]) for (ms, p, group), result in zip(tasks, results)
+                   if result is None for ds in group]
+        results += run(run_group, retries)
     finally:
-        pool.shutdown(cancel_futures=True)
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+    cells = [c for result in results if result is not None for c in result]
     cells.sort(key=lambda c: (c.data_seed, c.model_seed))
 
     ok = [c for c in cells if c.status == "ok"]

@@ -13,11 +13,12 @@ pins: moons and blobs at data seeds 2, 3 and 4 for 800 iterations, plus eight
 one 200-iteration blobs run on a model with two hidden layers, so that the
 multi-layer backward of the extractor is covered too. The reference runs
 have one batch per epoch, so ``tail_batch`` cuts the 10-row support into
-batches of 4, 4 and 2, to reach short tail batches. Last come two lines
+batches of 4, 4 and 2, to reach short tail batches. Last come three lines
 for a small moons `seed_sweep` (model seeds 7 and 8 x data seeds 2 and 3, 100
-adaptation iterations), one at ``jobs=1`` and one at ``jobs=2``: each is a
-sha256 of the sweep report's `to_dict()`, so the two lines must also match
-each other. Three lines cover the file formats: the `config_hash` of the
+adaptation iterations), at ``jobs=1``, ``jobs=2`` and ``jobs=4``: one group
+per model seed, then two, so only ``jobs=4`` cuts a seed's data seeds. Each
+is a sha256 of the sweep report's `to_dict()`, so the three lines must also
+match each other. Three lines cover the file formats: the `config_hash` of the
 README quickstart config, loaded through `load_config`, a sha256 of the bytes
 `save_checkpoint` writes for the pretrained moons source model, and the
 `params_fingerprint` of that file loaded back. The reload line does not
@@ -118,7 +119,7 @@ def main():
         adapted, report = adapt(bundle, split, reference_policy(), cfg)
         print(f"{label} pretrained={fingerprint(bundle)} adapted={fingerprint(adapted)} "
               f"trace={trace_hash(report)}", flush=True)
-    for jobs in (1, 2):
+    for jobs in (1, 2, 4):
         report = seed_sweep(MOONS, MOONS_MODEL, PRETRAIN,
                             reference_adapt_config(total_iterations=100),
                             reference_policy(), 2, 5, data_seeds=[2, 3],

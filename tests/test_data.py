@@ -142,6 +142,11 @@ class TestSupportSplit:
         with pytest.raises(ContractViolation):
             sample_support(tgt, 2, 5, seed=13)
 
+    def test_a_negative_seed_is_refused(self):
+        _, tgt = make_domain_pair(blob_spec())
+        with pytest.raises(ContractViolation, match="seed must be >= 0, got -1"):
+            sample_support(tgt, 3, 5, seed=-1)
+
     def test_a_support_of_every_row_is_refused(self):
         _, tgt = make_domain_pair(blob_spec(samples_per_class=(5, 5, 5)))
         with pytest.raises(ContractViolation, match="no test rows"):
@@ -307,12 +312,15 @@ class TestExport:
         with pytest.raises(ParseError):
             load_labeled_set(path)
 
-    # line separators (Cc holds \n, \r, \v, \f, \x1c-\x1e and \x85) mixed into any text
+    # line separators (Cc holds \n, \r, \v, \f, \x1c-\x1e and \x85) and lone
+    # surrogates (Cs), which UTF-8 cannot encode, mixed into any text
     @settings(max_examples=300, deadline=None)
-    @given(st.text(st.one_of(st.characters(categories=["Cc", "Zl", "Zp"]), st.characters())))
+    @given(st.text(st.one_of(st.characters(categories=["Cc", "Cs", "Zl", "Zp"]),
+                             st.characters())))
     @example("a\rb")
     @example("a\x85b")
     @example("a,b")
+    @example("a\ud800")
     def test_a_saved_name_loads_back_and_a_refused_one_writes_nothing(self, name):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "d.csv"

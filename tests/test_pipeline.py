@@ -2,7 +2,6 @@ import json
 import math
 import re
 import time
-from concurrent.futures import Future
 from dataclasses import asdict, fields, replace
 
 import numpy as np
@@ -426,16 +425,14 @@ def fingerprint(bundle):
 
 
 class InlinePool:
-    """A stand-in for the sweep's process pool: no process starts, each task runs at submit."""
+    """A stand-in for the sweep's process pool: no process starts, tasks run in this one."""
 
     @staticmethod
     def recording(sizes):  # the pool class, appending each pool's max_workers to `sizes`
         return lambda max_workers: sizes.append(max_workers) or InlinePool()
 
-    def submit(self, fn, *args):
-        future = Future()
-        future.set_result(fn(*args))
-        return future
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
 
     def shutdown(self, cancel_futures):
         pass
@@ -804,35 +801,44 @@ class TestSeedSweep:
         assert all(c.status == "error: DivergenceError: loss went non-finite"
                    for c in report.cells)
 
-    def test_pretraining_error_cancels_queued_cells(self, monkeypatch, tmp_path):
-        # seed 5 pretrains normally, and its one group of 24 cells fails at once,
-        # which queues its 24 cells, one task of 50 ms each, on the one free
-        # worker; seed 6 fails after 0.3 s, so most cells never start
-        real_pretrain = pipeline.pretrain_source
-
-        def pretrain(source, spec, cfg):
-            if spec.init_seed == 6:
-                time.sleep(0.3)
-                raise DivergenceError("seed 6 diverged", iteration=1)
-            return real_pretrain(source, spec, cfg)
-
+    def test_an_error_in_a_cell_cancels_queued_cells(self, monkeypatch, tmp_path):
+        # each seed's one group of 24 cells fails at once, which queues 48 cells,
+        # one task of 50 ms each, on two workers; the first of them, data seed 0
+        # of model seed 5, raises a programming error after 0.1 s, so most cells
+        # never start
         def slow_cells(pretrained, splits, policy, cfg):
             if len(splits) > 1:
                 raise DivergenceError("group stop", iteration=0)
-            (tmp_path / f"cell-{splits[0].seed}").touch()
+            cell = (splits[0].seed, pretrained.spec.init_seed)
+            (tmp_path / f"cell-{cell[0]}-{cell[1]}").touch()
+            if cell == (0, 5):
+                time.sleep(0.1)
+                raise TypeError("cell (0, 5) broke")
             time.sleep(0.05)
             raise DivergenceError("stop", iteration=0)
 
-        monkeypatch.setattr(pipeline, "pretrain_source", pretrain)
         monkeypatch.setattr(pipeline, "adapt_cells", slow_cells)
-        with pytest.raises(DivergenceError, match="seed 6 diverged"):
+        with pytest.raises(TypeError, match=re.escape("cell (0, 5) broke")):
             seed_sweep(DOMAIN, SPEC, PretrainConfig(epochs=2, seed=5),
                        small_adapt_cfg(), AugmentPolicy(), n_way=3, k_shot=5,
                        data_seeds=list(range(24)), model_seeds=[5, 6], jobs=2)
         started = len(list(tmp_path.iterdir()))
-        assert started < 24
+        assert started < 48
         time.sleep(0.2)  # the pool is shut down: nothing starts afterwards
         assert len(list(tmp_path.iterdir())) == started
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_the_first_error_in_task_order_is_raised(self, monkeypatch, jobs):
+        # model seed 5's group is the first task of its round, and it raises last
+        def broken(pretrained, splits, policy, cfg):
+            if pretrained.spec.init_seed == 5:
+                time.sleep(0.3)
+                raise TypeError("seed 5's group broke")
+            raise ValueError("seed 6's group broke")
+
+        monkeypatch.setattr(pipeline, "adapt_cells", broken)
+        with pytest.raises(TypeError, match="seed 5's group broke"):
+            self.sweep(jobs=jobs)
 
     @pytest.mark.parametrize("jobs", [0, -4])
     def test_jobs_below_one_rejected_before_pretraining(self, monkeypatch, jobs):
@@ -843,16 +849,20 @@ class TestSeedSweep:
         with pytest.raises(ContractViolation, match=f"jobs must be >= 1, got {jobs}"):
             self.sweep(jobs=jobs)
 
-    @pytest.mark.parametrize("data_seeds, model_seeds, repeated", [
-        ([1, 1, 2], [5], "data seed 1"), ([2, 0, 1, 0, 2], [5], "data seed 0"),
-        ([1, 2], [6, 5, 6], "model seed 6")], ids=["data", "data-first-repeat", "model"])
+    @pytest.mark.parametrize("data_seeds, model_seeds, message", [
+        ([1, 1, 2], [5], "data seed 1 is repeated"),
+        ([2, 0, 1, 0, 2], [5], "data seed 0 is repeated"),
+        ([1, 2], [6, 5, 6], "model seed 6 is repeated"),
+        ([2, -1, -3], [5], "data seed -3 must be >= 0"),
+        ([1, 2], [5, -1], "model seed -1 must be >= 0"),
+    ], ids=["data", "data-first-repeat", "model", "negative-data", "negative-model"])
     def test_repeated_seeds_rejected_before_pretraining(self, monkeypatch, data_seeds,
-                                                        model_seeds, repeated):
+                                                        model_seeds, message):
         def pretrain(*args, **kwargs):
             raise AssertionError("pretraining started")
 
         monkeypatch.setattr(pipeline, "pretrain_source", pretrain)
-        with pytest.raises(ContractViolation, match=f"^{repeated} is repeated$"):
+        with pytest.raises(ContractViolation, match=f"^{re.escape(message)}$"):
             seed_sweep(DOMAIN, SPEC, PretrainConfig(epochs=1), small_adapt_cfg(),
                        AugmentPolicy(), 3, 5, data_seeds, model_seeds)
 
