@@ -16,15 +16,16 @@ through a temporary file and renamed into place, so a crash never leaves a
 truncated one. A checkpoint's spec block is read by ``schema.parse`` from
 ``MlpSpec``'s fields, as strictly as a config's ``model`` block.
 
-Each piece runs its layer stack (affine layers with a ReLU between
-consecutive ones) on plain arrays and records no tape node. Its forward,
-``_stack_forward``, runs ``a @ W``, ``+ b`` and ``np.where(a > 0, a, 0)``
-layer by layer, and keeps each layer's input and each ReLU's mask. Its
-backward, ``_stack_backward``, runs from the last layer down the numpy
-operations the tape runs over the same stack composed from ``Tensor.matmul``
-/ ``add_bias`` / ``relu``: ``g.sum(axis=0)`` for a bias, ``a.T @ g`` for a
-weight, ``g @ W.T`` for the layer input (only when asked) and ``g * mask``
-through a ReLU. So logits and every parameter gradient are bitwise those of
+Each piece runs its layer stack (affine layers with a ReLU between consecutive
+ones) on plain arrays and records no tape node. Its forward, ``_stack_forward``,
+writes each activation once, in place: ``a @ W``, ``+= b``, then the ReLU as
+``fmax(a, 0)`` and ``+= 0.0``, bitwise the tape's ``np.where(a > 0, a, 0)``.
+It keeps each layer's input. Its backward, ``_stack_backward``, runs from the
+last layer down the numpy operations the tape runs over the same stack composed
+from ``Tensor.matmul`` / ``add_bias`` / ``relu``: ``g.sum(axis=0)`` for a bias,
+``a.T @ g`` for a weight, ``g @ W.T`` for the layer input (only when asked) and
+``g * (a > 0)`` through a ReLU of output a, which is > 0 exactly where the
+ReLU's input was. So logits and every parameter gradient are bitwise those of
 the composed form; tests/test_models.py holds the pair to that form (kept in
 tests/oracles.py). Training chains the pair by hand: pretraining runs
 ``head1`` alone (the two heads start as one draw and get the same gradient
@@ -116,8 +117,12 @@ class ModelBundle:
         # built once, since optimizer state is keyed by the parameter object
         self.head_vector = ParamVector(tensors[2 * len(self.extractor):], root=self.vector,
                                        stacked=stacked)
-        n = self.vector.data.shape[-1]
-        self.is_head = np.arange(n) >= n - self.head_vector.data.shape[-1]  # per vector entry
+        heads = self.head_vector.data.shape[-1]  # entries in the heads' tail
+        self._rate_counts = (self.vector.data.shape[-1] - heads, heads)
+
+    def entry_rates(self, lr_extractor, lr_heads):
+        """A learning rate per entry of ``vector``'s last axis: the heads' tail gets `lr_heads`."""
+        return np.array((lr_extractor, lr_heads), dtype=np.float64).repeat(self._rate_counts)
 
     def named_params(self, side="target"):
         """(name, Tensor) pairs in checkpoint order. ``side`` may only be "target"."""
@@ -195,23 +200,21 @@ def _check_rows(x, dim, who):
 def _stack_forward(a, layers):
     """Affine layers with a ReLU between consecutive ones, on plain arrays.
 
-    Returns the output, each layer's input and each ReLU's mask.
+    Returns the output and each layer's input. Writes only the arrays it makes.
     """
-    inputs, masks = [], []
-    last = len(layers) - 1
-    for i, (w, b) in enumerate(layers):
+    inputs = []
+    for w, b in layers:
+        if inputs:  # the ReLU, bitwise np.where(a > 0, a, 0.0): fmax maps NaN and -inf
+            np.fmax(a, 0.0, out=a)  # to 0, and + 0.0 turns -0.0 into +0.0
+            a += 0.0
         inputs.append(a)
         a = a @ w.data
-        a = a + b.data[..., None, :]
-        if i < last:
-            mask = a > 0.0  # subgradient at exactly 0 is 0
-            masks.append(mask)
-            a = np.where(mask, a, 0.0)
-    return a, inputs, masks
+        a += b.data[..., None, :]
+    return a, inputs
 
 
-def _stack_backward(g, layers, inputs, masks, input_grad=False):
-    """Backward of `_stack_forward`, given g = d/d(output) and its inputs and masks.
+def _stack_backward(g, layers, inputs, input_grad=False):
+    """Backward of `_stack_forward`, given g = d/d(output) and its inputs; writes neither.
 
     Returns the gradients of every weight and bias in layer order (w0, b0, w1,
     b1, ...), computed from the last layer down, then, given `input_grad`, the
@@ -223,7 +226,8 @@ def _stack_backward(g, layers, inputs, masks, input_grad=False):
         grads[2 * i] = inputs[i].mT @ g
         grads[2 * i + 1] = g.sum(axis=-2)
         if i > 0:
-            g = (g @ layers[i][0].data.mT) * masks[i - 1]
+            g = g @ layers[i][0].data.mT
+            g *= inputs[i] > 0.0  # the ReLU's mask; its subgradient at exactly 0 is 0
     if input_grad:
         grads.append(g @ layers[0][0].data.mT)
     return grads

@@ -225,14 +225,14 @@ def pretrain_source(source: LabeledSet, spec: MlpSpec, cfg: PretrainConfig):
     smoothed = _lsce_targets((len(source), spec.num_classes), source.ys, cfg.alpha_smooth)
     bundle = build(spec)
     extractor, head = bundle.extractor, bundle.head1
-    rates = [np.where(bundle.is_head, cfg.sgd.lr * cfg.lr_multiplier_heads, cfg.sgd.lr)]
+    rates = [bundle.entry_rates(cfg.sgd.lr, cfg.sgd.lr * cfg.lr_multiplier_heads)]
     state = SgdState()
     history = []
     for epoch in range(cfg.epochs):
         epoch_losses = []
         for idx in batches(source, cfg.batch_size, cfg.seed, epoch):
-            feats, inputs, masks = _stack_forward(xs[idx], extractor)
-            logits, head_inputs, _ = _stack_forward(feats, head)
+            feats, inputs = _stack_forward(xs[idx], extractor)
+            logits, head_inputs = _stack_forward(feats, head)
             if not np.isfinite(logits).all():
                 raise DivergenceError(f"pretraining diverged at epoch {epoch}: "
                                       f"non-finite logits", iteration=epoch,
@@ -248,9 +248,8 @@ def pretrain_source(source: LabeledSet, spec: MlpSpec, cfg: PretrainConfig):
             if not np.isfinite(value):
                 raise DivergenceError(f"pretraining diverged at epoch {epoch}",
                                       iteration=epoch, last_loss=value)
-            *head_grads, g_f = _stack_backward(logit_grad(m), head, head_inputs, [],
-                                               input_grad=True)
-            grads = _stack_backward(g_f + g_f, extractor, inputs, masks)
+            *head_grads, g_f = _stack_backward(logit_grad(m), head, head_inputs, input_grad=True)
+            grads = _stack_backward(g_f + g_f, extractor, inputs)
             grad = np.concatenate(grads + head_grads + head_grads, axis=None)
             sgd_step([bundle.vector], [grad], state, cfg.sgd, lr_override=rates)
             epoch_losses.append(value)
@@ -285,7 +284,8 @@ def _prepared_batches(source_model, xs, ys, batch_iter, policy, cfg, aug_rng):
     routed, scored by the frozen source model and given its targets at once.
     Each of those operations is elementwise, or a matmul or row reduction per
     [n, .] slice, so step j's views and targets are bitwise those of its batch
-    prepared alone.
+    prepared alone. The views are in C order, as one cell's alone are: numpy
+    sums a dot product over rows in another order when they are strided.
     """
     count = cfg.total_iterations * (len(cfg.step_pattern) if cfg.fresh_batch_per_step else 1)
     both = cfg.view_mode == "both_to_both"
@@ -309,7 +309,7 @@ def _prepared_batches(source_model, xs, ys, batch_iter, policy, cfg, aug_rng):
             if both:
                 weak = strong = np.concatenate([weak, strong], axis=-2)
                 labels = np.concatenate([labels, labels], axis=-1)
-            views = np.stack((weak, strong), axis=1)  # branch b feeds head b
+            views = np.ascontiguousarray(np.stack((weak, strong), axis=1))  # view b feeds head b
             source_feats = _stack_forward(views, source_model.extractor)[0]
             q = _softmax(_stack_forward(source_feats, source_heads)[0])
             targets = batch_targets(labels, q[:, 0], q[:, 1], cfg.smoothing)
@@ -344,11 +344,8 @@ def _step_closure(bundle, step_kind, views, targets, weights, cdd_sign, diverged
 
     def closure():
         heads = _branch_heads(bundle, views.ndim)
-        if train_extractor:
-            feats, inputs, masks = _stack_forward(views, extractor)
-        else:
-            feats = fixed
-        logits, head_inputs, _ = _stack_forward(feats, heads)
+        feats, inputs = _stack_forward(views, extractor) if train_extractor else (fixed, None)
+        logits, head_inputs = _stack_forward(feats, heads)
         if not np.isfinite(logits).all():
             finite = np.isfinite(logits).all(axis=(0, -2, -1))  # per cell
             raise diverged(": non-finite logits", float("nan"), int(np.argmin(finite)))
@@ -363,10 +360,9 @@ def _step_closure(bundle, step_kind, views, targets, weights, cdd_sign, diverged
         evals.append(comps)
 
         def backward(g):
-            grads = _stack_backward(logit_grad(g), heads, head_inputs, [],
-                                    input_grad=train_extractor)
+            grads = _stack_backward(logit_grad(g), heads, head_inputs, input_grad=train_extractor)
             if train_extractor:  # the extractor's gradient: branch 1's plus branch 2's
-                ext = _stack_backward(grads.pop(), extractor, inputs, masks)
+                ext = _stack_backward(grads.pop(), extractor, inputs)
                 return [e[0] + e[1] for e in ext] + [h[0] for h in grads] + [h[1] for h in grads]
             return [h[0] for h in grads] + [h[1] for h in grads]
 
@@ -454,7 +450,7 @@ def adapt_cells(source_model: ModelBundle, splits, policy: AugmentPolicy, cfg: A
         lr_ext = eta if cfg.schedule.schedule_extractor else cfg.schedule.eta0
         lr_head = (eta if cfg.schedule.schedule_heads else cfg.schedule.eta0) \
             * cfg.schedule.head_multiplier
-        rates = {"1": [np.where(bundle.is_head, lr_head, lr_ext)], "2": lr_head}  # per entry
+        rates = {"1": [bundle.entry_rates(lr_ext, lr_head)], "2": lr_head}
 
         for i, step_kind in enumerate(cfg.step_pattern):
             if i == 0 or cfg.fresh_batch_per_step:
@@ -557,8 +553,8 @@ def seed_sweep(domain, spec, pretrain_cfg, adapt_cfg, policy, n_way, k_shot,
     cells run in groups, one `adapt_cells` call each: its data seeds, as
     listed, are cut into min(cells, ceil(jobs / model seeds)) near-equal runs
     of consecutive seeds, so one group per worker. The work runs in three
-    rounds, each a `map` over its tasks: the builtin one for ``jobs=1``, else
-    that of one process pool of at most one worker per cell (fork starts them
+    rounds, each a `map` over its tasks: the builtin one when min(jobs, cells)
+    is 1, else that of one process pool of that many workers (fork starts them
     all at the first task). Round one pretrains each model seed, round two
     runs every group, and round three re-runs, one task each, the cells of
     every group that failed with a ContractViolation or a DivergenceError. A
@@ -585,8 +581,8 @@ def seed_sweep(domain, spec, pretrain_cfg, adapt_cfg, policy, n_way, k_shot,
     cuts = [len(data_seeds) * i // parts for i in range(parts + 1)]
     groups = [list(data_seeds[a:b]) for a, b in zip(cuts, cuts[1:])]
 
-    pool = None if jobs == 1 else \
-        ProcessPoolExecutor(max_workers=min(jobs, len(data_seeds) * len(model_seeds)))
+    workers = min(jobs, len(data_seeds) * len(model_seeds))
+    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     run = map if pool is None else pool.map
     try:
         params = run(partial(_pretrain_params, source, spec, pretrain_cfg), model_seeds)

@@ -306,7 +306,9 @@ def augment_row(x, policy, tier, rng):
 def tape_pretrain_source(source, spec, cfg):
     bundle = build(spec)
     vector = bundle.vector
-    rates = [np.where(bundle.is_head, cfg.sgd.lr * cfg.lr_multiplier_heads, cfg.sgd.lr)]
+    is_head = np.concatenate([np.full(t.size, name.startswith("head"))
+                              for name, t in bundle.named_params()])
+    rates = [np.where(is_head, cfg.sgd.lr * cfg.lr_multiplier_heads, cfg.sgd.lr)]
     state = optim.SgdState()
     history = []
     for epoch in range(cfg.epochs):

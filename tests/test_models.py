@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import tempfile
 from dataclasses import asdict
@@ -153,6 +154,18 @@ class TestLayout:
                                                "head2.weight", "head2.bias"]
         assert all(a is b for a, b in zip(trainable_params(bundle, "classifiers_only"),
                                           [t for _, t in heads], strict=True))
+
+    @settings(max_examples=50, deadline=None)
+    @given(SPECS, st.sampled_from([None, 3]))
+    def test_entry_rates_give_the_heads_their_own(self, spec, cells):
+        bundle = clone_for_adaptation(build(spec), cells)
+        is_head = np.concatenate([np.full(math.prod(shape), name.startswith("head"))
+                                  for name, shape in spec.param_shapes()])
+        for lr_extractor, lr_heads in ((0.001, 0.0033), (1, 3)):  # ints become float64
+            rates = bundle.entry_rates(lr_extractor, lr_heads)
+            assert rates.dtype == np.float64
+            assert rates.tobytes() == np.where(is_head, float(lr_heads),
+                                               float(lr_extractor)).tobytes()
 
     def test_names_and_shapes_checked(self):
         spec = small_spec()
@@ -455,24 +468,23 @@ def run_kernels(case):
     else:
         passes = [_stack_forward(case["x1"], extractor)] * 2
     logits, head_grads, feat_grads = [], [], []
-    for (feats, _, _), head, c in zip(passes, (bundle.head1, bundle.head2),
-                                      (case["c1"], case["c2"])):
-        out, inputs, masks = _stack_forward(feats, head)
-        *grads, g_f = _stack_backward(c, head, inputs, masks, input_grad=True)
+    for (feats, _), head, c in zip(passes, (bundle.head1, bundle.head2),
+                                   (case["c1"], case["c2"])):
+        out, inputs = _stack_forward(feats, head)
+        *grads, g_f = _stack_backward(c, head, inputs, input_grad=True)
         logits.append(out)
         head_grads += grads
         feat_grads.append(g_f)
     ext_grads, input_grads = [None] * (2 * len(extractor)), [None, None]
     if case["wiring"] == "two_views":  # the extractor's gradient: view 1's plus view 2's
-        g1, g2 = (_stack_backward(g, extractor, inputs, masks, input_grad)
-                  for g, (_, inputs, masks) in zip(feat_grads, passes))
+        g1, g2 = (_stack_backward(g, extractor, inputs, input_grad)
+                  for g, (_, inputs) in zip(feat_grads, passes))
         ext_grads = [a + b for a, b in zip(g1, g2)][:len(ext_grads)]
         if input_grad:
             input_grads = [g1[-1], g2[-1]]
     elif case["wiring"] == "shared_features":  # the features' gradient: head 1's plus head 2's
-        _, inputs, masks = passes[0]
-        grads = _stack_backward(feat_grads[0] + feat_grads[1], extractor, inputs, masks,
-                                input_grad)
+        _, inputs = passes[0]
+        grads = _stack_backward(feat_grads[0] + feat_grads[1], extractor, inputs, input_grad)
         ext_grads = grads[:len(ext_grads)]
         if input_grad:
             input_grads[0] = grads[-1]
@@ -494,15 +506,90 @@ class TestFusedLayerStack:
     def test_input_gradient_only_when_asked(self):
         spec = MlpSpec(input_dim=2, hidden_dims=(5, 4), feature_dim=3, num_classes=2)
         layers = build(spec).extractor
-        out, inputs, masks = _stack_forward(np.ones((3, 2)), layers)
+        out, inputs = _stack_forward(np.ones((3, 2)), layers)
         g = np.random.default_rng(0).normal(size=out.shape)
-        without = _stack_backward(g, layers, inputs, masks)
-        with_input = _stack_backward(g, layers, inputs, masks, input_grad=True)
+        without = _stack_backward(g, layers, inputs)
+        with_input = _stack_backward(g, layers, inputs, input_grad=True)
         assert len(without) == 2 * len(layers) == 6
         assert len(with_input) == 2 * len(layers) + 1
         assert with_input[-1].shape == (3, 2)
         for a, b in zip(without, with_input):
             assert np.array_equal(a, b)
+
+    # every kind of float64: ±0.0, ±NaN, ±inf, ±the smallest subnormal, ±a subnormal,
+    # ±the largest float and ±1
+    SPECIAL = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1e-310, -1e-310,
+               np.finfo(np.float64).max, -np.finfo(np.float64).max, 1.0, -1.0]
+
+    @staticmethod
+    def special_stack(b0):
+        """A 3-layer stack, its input, and layer 0's pre-activations [3, b0.size],
+        each row of which is `b0`: every product in x @ w0 underflows to -0.0, and
+        -0.0 + b0 is b0, -0.0 included."""
+        rng = np.random.default_rng(5)
+        x, w0 = np.full((3, 3), -1e-200), np.full((3, b0.size), 1e-200)
+        layers = [(Tensor(w0), Tensor(b0)),
+                  (Tensor(rng.normal(size=(b0.size, 5))), Tensor(rng.normal(size=5))),
+                  (Tensor(rng.normal(size=(5, 2))), Tensor(rng.normal(size=2)))]
+        pre = x @ w0 + b0
+        assert pre.tobytes() == np.broadcast_to(b0, pre.shape).tobytes()
+        return layers, x, pre
+
+    def test_relu_is_bitwise_where_on_every_kind_of_float(self):
+        # each kind alone over 2-17 columns: numpy's fmax treats some positions of an
+        # array (the first past its last full SIMD block) apart from the rest
+        for value in self.SPECIAL:
+            for width in range(2, 18):
+                layers, x, pre = self.special_stack(np.full(width, value))
+                with np.errstate(all="ignore"):
+                    _, inputs = _stack_forward(x, layers)
+                    pre1 = np.where(pre > 0, pre, 0.0) @ layers[1][0].data + layers[1][1].data
+                assert inputs[1].tobytes() == np.where(pre > 0, pre, 0.0).tobytes(), value
+                assert inputs[2].tobytes() == np.where(pre1 > 0, pre1, 0.0).tobytes()
+
+    def test_backward_masks_where_the_pre_activation_is_positive(self):
+        layers, x, pre0 = self.special_stack(np.array(self.SPECIAL))
+        (w0, _), (w1, b1), (w2, _) = [(w.data, b.data) for w, b in layers]
+        g = np.random.default_rng(6).normal(size=(3, 2))
+        with np.errstate(all="ignore"):
+            _, inputs = _stack_forward(x, layers)
+            a1 = np.where(pre0 > 0, pre0, 0.0)
+            pre1 = a1 @ w1 + b1
+            a2 = np.where(pre1 > 0, pre1, 0.0)
+            got = _stack_backward(g, layers, inputs, input_grad=True)
+            g1 = (g @ w2.T) * (pre1 > 0)
+            g0 = (g1 @ w1.T) * (pre0 > 0)
+            want = [x.T @ g0, g0.sum(axis=0), a1.T @ g1, g1.sum(axis=0), a2.T @ g, g.sum(axis=0),
+                    g0 @ w0.T]
+        assert np.array_equal(inputs[1] > 0.0, pre0 > 0)
+        assert np.array_equal(inputs[2] > 0.0, pre1 > 0)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("layout", ["plain", "branch_stacked", "stacked_bundle"])
+    def test_writes_no_array_of_the_caller(self, layout):
+        # [n, d] and [2, S, n, d] inputs through a plain bundle, and [2, S, n, d] through
+        # a stacked one: each activation and gradient is written in place, and only those
+        rng = np.random.default_rng(8)
+        bundle = build(MlpSpec(input_dim=3, hidden_dims=(5, 4), feature_dim=4, num_classes=3))
+        if layout == "stacked_bundle":
+            bundle = clone_for_adaptation(bundle, cells=3)
+        bundle.vector.data = rng.normal(size=bundle.vector.data.shape)  # some ReLUs clip
+        x = rng.normal(size=(6, 3) if layout == "plain" else (2, 3, 6, 3))
+        layers = bundle.extractor + bundle.head1
+        arrays = [x, bundle.vector.data] + [t.data for layer in layers for t in layer]
+        before = [a.tobytes() for a in arrays]
+        out, inputs = _stack_forward(x, layers)
+        assert inputs[0] is x and out.shape == x.shape[:-1] + (3,)
+        g = rng.normal(size=out.shape)
+        arrays += [out, g] + inputs[1:]
+        before += [a.tobytes() for a in arrays[len(before):]]
+        grads = _stack_backward(g, layers, inputs, input_grad=True)
+        for a, b in zip(arrays, before, strict=True):
+            assert a.tobytes() == b
+        assert not any(np.shares_memory(grad, a) for grad in grads for a in arrays)
+        assert not any(np.shares_memory(a, b) for a in [out] + inputs[1:] for b in arrays[:2])
 
     def test_gradients_match_finite_differences(self):
         spec = MlpSpec(input_dim=3, hidden_dims=(5, 4), feature_dim=4, num_classes=3)

@@ -1,0 +1,163 @@
+"""tools/pairs.py's pure parts on canned result.json files: pairing, the
+statistics, the self-test diff and the fingerprint refusal. No benchmark runs:
+every function that would start a process is replaced, and process creation
+itself fails."""
+
+import importlib.util
+import json
+import statistics
+import subprocess
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "pairs.py"
+
+
+@pytest.fixture
+def pairs(monkeypatch):
+    spec = importlib.util.spec_from_file_location("pairs", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+
+    def no_process(*args, **kwargs):
+        raise AssertionError(f"a process was started: {args}")
+
+    monkeypatch.setattr(subprocess, "run", no_process)
+    monkeypatch.setattr(subprocess, "Popen", no_process)
+    return module
+
+
+def result(iter_ms, accuracy=0.9, fingerprints=None, failed=0):
+    """A result.json of bench/run.py --trace 0, as far as pairs.py reads it."""
+    fingerprints = {2: "a", 3: "b", 4: "c"} if fingerprints is None else fingerprints
+    return {
+        "workload": "moons_ref", "correct": failed == 0, "failed": failed,
+        "metrics": {"setup_s": {"value": 0.3, "unit": "s"},
+                    "adapt_iter_ms": {"value": iter_ms, "unit": "ms/iter"},
+                    "adapted_accuracy": {"value": accuracy, "unit": "ratio"},
+                    "peak_rss_mb": {"value": 36.4, "unit": "MiB"}},
+        "ops": [{"index": i, "data_seed": ds, "ok": True, "fingerprint": fp}
+                for i, (ds, fp) in enumerate(fingerprints.items())],
+        "machine": {"nproc": 2, "python": "3.11.7"},
+    }
+
+
+END_TO_END = json.loads((TOOL.parent.parent / "BENCHMARK.json").read_text())["end_to_end"]
+BASE_MS = [10.0, 10.4, 9.8, 10.2, 10.1, 9.9, 10.3, 10.0, 10.6, 9.7]
+CHANGE_MS = [8.4, 8.5, 8.3, 8.6, 8.2, 8.4, 8.5, 8.3, 8.4, 10.0]  # the last pair is worse
+
+
+def canned_runs(base_ms=BASE_MS, change_ms=CHANGE_MS, change_fingerprints=None):
+    return {"moons_ref": [(seed, result(b), result(c, fingerprints=change_fingerprints))
+                          for seed, (b, c) in enumerate(zip(base_ms, change_ms), start=1)]}
+
+
+def test_pairs_alternate_which_side_runs_first(pairs):
+    assert [pairs.pair_order(s) for s in range(1, 5)] == [
+        ("base", "change"), ("change", "base"), ("base", "change"), ("change", "base")]
+
+
+def test_statistics_of_a_claimed_gain(pairs):
+    report = pairs.summarize(canned_runs(), END_TO_END)["moons_ref"]
+    assert report["fingerprints_match"]
+    assert [r["seed"] for r in report["pairs"]] == list(range(1, 11))
+    assert [r["first"] for r in report["pairs"]] == ["base", "change"] * 5
+    ms = report["metrics"]["adapt_iter_ms"]
+    q1, q2, q3 = statistics.quantiles(BASE_MS, n=4, method="inclusive")
+    assert ms["base"] == {"q1": q1, "median": q2, "q3": q3}
+    assert ms["change"]["median"] == statistics.median(CHANGE_MS)
+    assert (ms["change_better"], ms["change_worse"], ms["ties"]) == (9, 1, 0)
+    assert ms["median_ratio"] == statistics.median(c / b for b, c in zip(BASE_MS, CHANGE_MS))
+    assert ms["gain"] and ms["within_bound"]
+    flat = report["metrics"]["adapted_accuracy"]  # equal on every pair: no gain, no loss
+    assert (flat["change_better"], flat["ties"], flat["gain"]) == (0, 10, False)
+    assert flat["within_bound"]
+
+
+def test_eight_of_ten_or_a_gain_inside_the_spread_is_no_claim(pairs):
+    eight = CHANGE_MS[:8] + [11.0, 11.0]
+    assert not pairs.summarize(canned_runs(change_ms=eight),
+                               END_TO_END)["moons_ref"]["metrics"]["adapt_iter_ms"]["gain"]
+    # better in every pair, but by less than the base's interquartile range
+    slight = [b - 0.01 for b in BASE_MS]
+    m = pairs.summarize(canned_runs(change_ms=slight),
+                        END_TO_END)["moons_ref"]["metrics"]["adapt_iter_ms"]
+    assert m["change_better"] == 10 and not m["gain"]
+
+
+def test_direction_and_bound_follow_the_benchmark(pairs):
+    # accuracy is better higher; its bound is 0.05 of the median
+    m = pairs.metric_summary([(0.90, 0.86)] * 4, "higher", 0.05)
+    assert (m["change_worse"], m["within_bound"]) == (4, True)
+    m = pairs.metric_summary([(0.90, 0.85)] * 4, "higher", 0.05)
+    assert not m["within_bound"]
+    m = pairs.metric_summary([(10.0, 12.6)] * 4, "lower", 0.25)
+    assert (m["change_worse"], m["within_bound"]) == (4, False)
+
+
+def test_fingerprints_compare_on_the_data_seeds_both_runs_reached(pairs):
+    assert pairs.fingerprints_agree({2: "a", 3: "b", 5: "x"}, {2: "a", 3: "b"}) == (True, 2)
+    assert pairs.fingerprints_agree({2: "a", 3: "b"}, {2: "a", 3: "z"}) == (False, 2)
+    assert pairs.fingerprints_agree({2: "a"}, {3: "a"}) == (False, 0)
+    failed = result(1.0)
+    failed["ops"][0] = {"index": 0, "data_seed": 2, "ok": False, "problems": ["boom"]}
+    assert pairs.read_run(failed)[1] == {3: "b", 4: "c"}
+
+
+def test_a_fingerprint_mismatch_is_refused_unless_bits_change(pairs):
+    differ = {2: "a", 3: "CHANGED", 4: "c"}
+    report = {"workloads": pairs.summarize(canned_runs(change_fingerprints=differ), END_TO_END)}
+    assert not report["workloads"]["moons_ref"]["fingerprints_match"]
+    why = pairs.refusal(report, bits_change=False)
+    assert why.startswith("fingerprints differ between base and change on moons_ref seed 1, ")
+    assert pairs.refusal(report, bits_change=True) is None
+    same = {"workloads": pairs.summarize(canned_runs(), END_TO_END)}
+    assert pairs.refusal(same, bits_change=False) is None
+
+
+def test_selftest_counts_that_moved(pairs):
+    stdout = ("moons_ref: counts {'tensor.backward_calls_per_iter': 2.0, "
+              "'pipeline.python_calls_per_iter': 347.0}\n"
+              "moons_ref: fingerprints ['0123456789abcdef']\n"
+              "wide_cli: counts {'models.checkpoint_bytes': 580000.0}\n"
+              "selftest: ok\n")
+    base, verdict = pairs.parse_selftest(stdout)
+    assert verdict == "ok"
+    assert base == {"moons_ref": {"tensor.backward_calls_per_iter": 2.0,
+                                  "pipeline.python_calls_per_iter": 347.0},
+                    "wide_cli": {"models.checkpoint_bytes": 580000.0}}
+    change = {"moons_ref": {**base["moons_ref"], "pipeline.python_calls_per_iter": 344.0},
+              "wide_cli": base["wide_cli"]}
+    assert pairs.moved_counts(base, change) == {
+        "moons_ref": {"pipeline.python_calls_per_iter": [347.0, 344.0]}}
+    assert pairs.moved_counts(base, base) == {}
+
+
+@pytest.mark.parametrize("bits_change", [False, True])
+def test_main_writes_nothing_on_a_mismatch(pairs, monkeypatch, tmp_path, bits_change):
+    calls = []
+
+    def run_bench(checkout, workload, seed, seconds):
+        side = "base" if checkout.parent.name == "a" else "change"
+        calls.append((workload, seed, side))
+        return result(10.0 if side == "base" else 8.0,
+                      fingerprints={2: side, 3: "b", 4: "c"})
+
+    monkeypatch.setattr(pairs, "git", lambda *args, check=True: "f" * 40 + "\n")
+    monkeypatch.setattr(pairs, "copy_working_tree", lambda dest: None)
+    monkeypatch.setattr(pairs, "run_bench", run_bench)
+    monkeypatch.setattr(pairs, "run_selftest",
+                        lambda checkout: {"counts": {}, "verdict": "ok", "exit_code": 0})
+    out = tmp_path / "BENCH.json"
+    argv = ["--base", "HEAD", "--out", str(out), "--workload", "moons_ref", "--pairs", "2"]
+    code = pairs.main(argv + (["--bits-change"] if bits_change else []))
+    assert calls == [("moons_ref", 1, "base"), ("moons_ref", 1, "change"),
+                     ("moons_ref", 2, "change"), ("moons_ref", 2, "base")]
+    assert code == (0 if bits_change else 1)
+    assert out.exists() == bits_change
+    if bits_change:
+        report = json.loads(out.read_text())
+        assert report["workloads"]["moons_ref"]["fingerprints_match"] is False
+        assert report["base"]["commit"] == "f" * 40
+        assert set(report["machine"]) == {"base", "change"}

@@ -482,10 +482,28 @@ def one_row_cells():
             small_adapt_cfg(total_iterations=1, batch_size=1, step_pattern="2"))
 
 
+def one_input_cells():
+    """Two cells of a model with one input and one feature. Step 1's weight gradient is
+    then a dot product over the batch rows, which numpy sums in another order when the
+    rows are strided, as a block's cells interleaved them before its views were copied
+    into C order."""
+    rng = np.random.default_rng(0)
+
+    def split(seed):
+        return SupportSplit(LabeledSet(rng.normal(size=(8, 1)), rng.integers(0, 2, size=8), 2,
+                                       "support"),
+                            LabeledSet(rng.normal(size=(1, 1)), np.array([1]), 2, "test"),
+                            2, 1, seed)
+
+    return (build(MlpSpec(1, (), 1, 2, init_seed=1)), [split(0), split(1)], AugmentPolicy(),
+            small_adapt_cfg(total_iterations=1, batch_size=8, step_pattern="1"))
+
+
 class TestLockstep:
     @settings(max_examples=60, deadline=None)
     @given(lockstep_cases())
     @example(one_row_cells())
+    @example(one_input_cells())
     def test_cells_in_lockstep_are_their_solo_runs_bit_for_bit(self, case):
         model, splits, policy, cfg = case
         runs = adapt_cells(model, splits, policy, cfg)
@@ -653,7 +671,7 @@ class TestStepNode:
         alone = [clone_for_adaptation(source) for _ in range(cells)]
         views = np.array((view1, view2))
         targets = batch_targets(labels, q1, q2, smoothing)
-        rates = {"1": [np.where(source.is_head, 0.02, 0.005)], "2": 0.02}
+        rates = {"1": [source.entry_rates(0.005, 0.02)], "2": 0.02}
         cell = (lambda a, c: a[c]) if cells > 1 else (lambda a, c: a)  # cell c's slice
         for step_kind in "12":
             evals = []
@@ -873,6 +891,20 @@ class TestSeedSweep:
         assert self.sweep(jobs=64).to_dict() == serial
         assert self.sweep(jobs=3).to_dict() == serial
         assert sizes == [4, 3]  # 2 data seeds x 2 model seeds
+
+    def test_a_one_cell_sweep_starts_no_pool(self, monkeypatch):
+        def one_cell(jobs):
+            return seed_sweep(DOMAIN, SPEC, PretrainConfig(epochs=8, seed=5),
+                              small_adapt_cfg(total_iterations=2), AugmentPolicy(), n_way=3,
+                              k_shot=5, data_seeds=[1], model_seeds=[5], jobs=jobs).to_dict()
+
+        def no_pool(max_workers):
+            raise AssertionError(f"a pool of {max_workers} started")
+
+        serial = one_cell(jobs=1)
+        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", no_pool)
+        assert one_cell(jobs=2) == serial
+        assert [c["status"] for c in serial["cells"]] == ["ok"]
 
     def test_a_cell_that_diverges_in_a_group_keeps_its_solo_row(self, monkeypatch):
         # data seed 2's support is all NaN, so its cells diverge at iteration 0
