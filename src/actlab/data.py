@@ -6,13 +6,15 @@ Gaussian noise, in that order). All randomness flows through named child
 streams of one seed so that data, split, augmentation and batch order never
 share a stream.
 
-Augmentation is two steps. ``_augment_draws`` makes every Generator call
-of one view in the order a row-at-a-time loop makes it, writing the draws
-into [n, d] buffers; ``_augment_apply`` then applies jitter, flips, scales
-and drops elementwise, once over any leading axes of batches, and over every
-lockstep cell of [n, S, d] rows, which share each row's draws.
+Augmentation is two steps. ``_augment_draws`` takes every draw of one view
+from the generator in the order a row-at-a-time loop takes it, writing the
+draws into [n, d] buffers; ``_augment_apply`` then applies jitter, flips,
+scales and drops elementwise, once over any leading axes of batches, and over
+every lockstep cell of [n, S, d] rows, which share each row's draws.
 ``augment_batch`` is the two on one batch; adaptation draws the rows of a
-block of batches in order and applies them once per block.
+block of batches in order and applies them once per block. The strong tier
+decodes its op kinds and uniforms from raw PCG64 words, bit for bit, so
+augmentation refuses a generator that is not PCG64, as every ``rng_stream`` is.
 """
 
 from __future__ import annotations
@@ -284,24 +286,53 @@ def _augment_draws(n, d, policy, tier, rng):
     drop's). Returns arrays with a leading row axis: the normals z [n, d], then
     the weak tier's flip mask [n, d], or the strong tier's scale mask
     [n, ops, 1] (op k on row i: scale, else drop) and uniforms u [n, ops, d].
+
+    The strong tier makes two calls per row: ``standard_normal(out=row)``,
+    whose word use depends on its values, and one ``random_raw`` for the
+    row's op words, decoded once per batch as PCG64 hands them out. An op's
+    words are its kind's fresh word, taken only when no 32-bit half is held,
+    then its d uniform words, each ``random()``'s ``(w >> 11) * 2**-53``.
+    ``integers(2)`` is the top bit of the next half: the held one, else a
+    fresh word's low half, whose high half is then held. On exit the held
+    half is set as those calls would leave it. `rng` must be PCG64-backed.
     """
-    normal, random, integers = rng.standard_normal, rng.random, rng.integers
+    bits = rng.bit_generator
+    if not isinstance(bits, np.random.PCG64):
+        raise ContractViolation(f"augmentation decodes PCG64 words, got a "
+                                f"{type(bits).__name__} generator")
+    normal = rng.standard_normal
     z = np.empty((n, d))
     if tier == "weak":
+        random, integers = rng.random, rng.integers
         flip = np.zeros((n, d), dtype=bool)
         for row, flips in zip(z, flip):
             normal(out=row)
             if random() < policy.weak.flip_axis_prob:
                 flips[integers(d)] = True
         return z, flip
-    ops = policy.strong.num_ops
-    kinds, u = [], np.empty((n, ops, d))
-    for row, draws in zip(z, u):
+    ops, state = policy.strong.num_ops, bits.state
+    held = state["has_uint32"]
+    # kind j draws a fresh word exactly when no 32-bit half is held
+    fresh = (np.arange(held, held + n * ops).reshape(n, ops) & 1) == 0
+    words = []
+    for row, k in zip(z, (np.add.reduce(fresh, axis=1) + ops * d).tolist()):
         normal(out=row)
-        for draw in draws:
-            kinds.append(integers(2))
-            random(out=draw)
-    return z, (np.array(kinds) == 0).reshape(n, ops, 1), u
+        words.append(bits.random_raw(k))
+    # each (row, op) block of words: the kind's fresh word, if any, then d uniform words
+    taken = fresh[..., None] | (np.arange(d + 1) > 0)  # [n, ops, d + 1]
+    block = np.empty(taken.shape, np.uint64)
+    block[taken] = np.frombuffer(b"".join(words), np.uint64)
+    kind_words = block[..., 0][fresh]
+    halves = np.empty(held + 2 * len(kind_words), "<u4")  # in hand-out order
+    halves[:held] = state["uinteger"]
+    halves[held:] = kind_words.astype("<u8").view("<u4")  # low half first
+    state = bits.state
+    state["has_uint32"] = len(halves) - n * ops
+    if len(kind_words):
+        state["uinteger"] = int(kind_words[-1] >> 32)
+    bits.state = state
+    scale = (halves[:n * ops] < 1 << 31).reshape(n, ops, 1)  # kind 0: bit 31 is clear
+    return z, scale, (block[..., 1:] >> 11) * 2.0 ** -53
 
 
 def _augment_apply(xs, draws, policy, tier):

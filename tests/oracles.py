@@ -295,6 +295,29 @@ def augment_row(x, policy, tier, rng):
     return out
 
 
+# actlab.data._augment_draws decodes the strong tier's op kinds and uniforms from
+# raw PCG64 words. This is the loop it replaced, one Generator call per draw.
+
+
+def augment_draws(n, d, policy, tier, rng):
+    z = np.empty((n, d))
+    if tier == "weak":
+        flip = np.zeros((n, d), dtype=bool)
+        for row, flips in zip(z, flip):
+            rng.standard_normal(out=row)
+            if rng.random() < policy.weak.flip_axis_prob:
+                flips[rng.integers(d)] = True
+        return z, flip
+    ops = policy.strong.num_ops
+    kinds, u = [], np.empty((n, ops, d))
+    for row, draws in zip(z, u):
+        rng.standard_normal(out=row)
+        for draw in draws:
+            kinds.append(rng.integers(2))
+            rng.random(out=draw)
+    return z, (np.array(kinds) == 0).reshape(n, ops, 1), u
+
+
 # -- pretraining on the tape ---------------------------------------------------------
 # actlab.pipeline.pretrain_source runs head1 alone in plain numpy and gives head2
 # its gradient. This is the loop it replaced, on the composed tape alone: both

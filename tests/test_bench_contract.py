@@ -8,6 +8,7 @@ the Tensors the step trains. The bench modules are imported as they are and
 only read.
 """
 
+import gc
 import importlib
 import math
 import os
@@ -29,13 +30,27 @@ def bench(monkeypatch):
         os.environ.update(environ)
 
 
+@pytest.fixture
+def no_gc_callbacks():
+    """Empty gc.callbacks in place for the test (hypothesis adds one once its tests have run).
+
+    count_python_calls counts every Python call, a gc callback's too, so otherwise the
+    call count moves with the collections that fall inside a counting run. The list
+    must be emptied in place: the collector holds it, so a rebound name is not seen.
+    """
+    saved = gc.callbacks[:]
+    gc.callbacks.clear()
+    yield
+    gc.callbacks[:] = saved
+
+
 # tape nodes per backward: each adaptation step is one node over the Tensors it trains,
 # every parameter for step 1 and the two heads' four for step 2
 TAPE_NODES = {"moons_ref": 7.0, "wide_cli": 8.0, "sweep_seeds": 7.0}
 
 
 @pytest.mark.parametrize("workload", ["moons_ref", "wide_cli", "sweep_seeds"])
-def test_count_run_gives_finite_counts(bench, tmp_path, workload):
+def test_count_run_gives_finite_counts(bench, tmp_path, workload, no_gc_callbacks):
     run, workloads = bench
     wl = workloads.WORKLOADS[workload](0)
     state = wl.setup(tmp_path)

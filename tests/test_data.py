@@ -246,6 +246,51 @@ class TestAugment:
         assert block_rng.bit_generator.state == batch_rng.bit_generator.state
 
 
+class TestAugmentBits:
+    """The strong tier decodes PCG64's raw words; every bit and the generator's state
+    are still those of one Generator call per draw."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(1, 70), d=st.integers(1, 12), num_ops=st.integers(0, 4),
+           flip=st.sampled_from([0.0, 0.5, 1.0]), held=st.integers(0, 2),
+           calls=st.lists(st.tuples(st.sampled_from(["draws", "batch"]),
+                                    st.sampled_from(["weak", "strong"])), min_size=1, max_size=4),
+           seed=st.integers(0, 2**32 - 1))
+    @example(n=7, d=4, num_ops=3, flip=0.5, held=1,
+             calls=[("draws", "strong"), ("batch", "weak"), ("batch", "strong")], seed=9)
+    def test_draws_and_batches_are_the_row_loops_bit_for_bit(self, n, d, num_ops, flip, held,
+                                                             calls, seed):
+        policy = AugmentPolicy(WeakTier(jitter_sigma=0.1, flip_axis_prob=flip),
+                               StrongTier(jitter_sigma=0.2, scale_range=(0.5, 1.5),
+                                          feature_drop_prob=0.3, num_ops=num_ops))
+        xs = np.random.default_rng(seed).normal(size=(n, d))
+        rng, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+        for g in (rng, oracle):  # an odd number of integers(2) leaves a 32-bit half held
+            g.integers(2, size=held)
+        for how, tier in calls:
+            if how == "draws":
+                got = _augment_draws(n, d, policy, tier, rng)
+                want = oracles.augment_draws(n, d, policy, tier, oracle)
+            else:
+                got = [augment_batch(xs, policy, tier, rng)]
+                want = [np.stack([oracles.augment_row(x, policy, tier, oracle) for x in xs])]
+            assert [(a.dtype, a.shape, a.tobytes()) for a in got] == \
+                [(a.dtype, a.shape, a.tobytes()) for a in want]
+            assert rng.bit_generator.state == oracle.bit_generator.state
+        assert rng.integers(2) == oracle.integers(2)
+        assert rng.integers(1000) == oracle.integers(1000)
+        assert rng.random() == oracle.random()
+
+    @pytest.mark.parametrize("tier", ["weak", "strong"])
+    @pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.Philox])
+    def test_a_generator_that_is_not_pcg64_is_refused_before_any_draw(self, bit_generator,
+                                                                       tier):
+        rng = np.random.Generator(bit_generator(5))
+        with pytest.raises(ContractViolation, match=bit_generator.__name__):
+            _augment_draws(3, 2, AugmentPolicy(), tier, rng)
+        assert rng.random() == np.random.Generator(bit_generator(5)).random()
+
+
 class TestBatches:
     def test_partition_retains_short_tail(self):
         ls = LabeledSet(np.zeros((10, 2)), np.zeros(10, dtype=int), 2, "x")

@@ -1,5 +1,5 @@
 """tools/pairs.py's pure parts on canned result.json files: pairing, the
-statistics, the self-test diff and the fingerprint refusal. No benchmark runs:
+statistics, the self-test diff and the refusals. No benchmark runs:
 every function that would start a process is replaced, and process creation
 itself fails."""
 
@@ -51,6 +51,15 @@ CHANGE_MS = [8.4, 8.5, 8.3, 8.6, 8.2, 8.4, 8.5, 8.3, 8.4, 10.0]  # the last pair
 def canned_runs(base_ms=BASE_MS, change_ms=CHANGE_MS, change_fingerprints=None):
     return {"moons_ref": [(seed, result(b), result(c, fingerprints=change_fingerprints))
                           for seed, (b, c) in enumerate(zip(base_ms, change_ms), start=1)]}
+
+
+SELFTEST_OK = {"counts": {}, "verdict": "ok", "exit_code": 0}
+
+
+def canned_report(pairs, runs, selftest=None):
+    """The parts of main's report that `refusal` reads; both self-tests pass by default."""
+    return {"workloads": pairs.summarize(runs, END_TO_END),
+            "selftest": selftest or {"base": SELFTEST_OK, "change": SELFTEST_OK}}
 
 
 def test_pairs_alternate_which_side_runs_first(pairs):
@@ -107,13 +116,49 @@ def test_fingerprints_compare_on_the_data_seeds_both_runs_reached(pairs):
 
 def test_a_fingerprint_mismatch_is_refused_unless_bits_change(pairs):
     differ = {2: "a", 3: "CHANGED", 4: "c"}
-    report = {"workloads": pairs.summarize(canned_runs(change_fingerprints=differ), END_TO_END)}
+    report = canned_report(pairs, canned_runs(change_fingerprints=differ))
     assert not report["workloads"]["moons_ref"]["fingerprints_match"]
     why = pairs.refusal(report, bits_change=False)
     assert why.startswith("fingerprints differ between base and change on moons_ref seed 1, ")
     assert pairs.refusal(report, bits_change=True) is None
-    same = {"workloads": pairs.summarize(canned_runs(), END_TO_END)}
+    same = canned_report(pairs, canned_runs())
     assert pairs.refusal(same, bits_change=False) is None
+
+
+@pytest.mark.parametrize("side", ["base", "change"])
+@pytest.mark.parametrize("fault", ["not_correct", "failed_ops"])
+def test_a_broken_run_is_refused_naming_side_workload_and_seed(pairs, side, fault):
+    runs = canned_runs()
+    seed, base, change = runs["moons_ref"][6]
+    broken = {"base": base, "change": change}[side]
+    if fault == "not_correct":
+        broken["correct"] = False
+    else:
+        broken["failed"] = 2  # bench/run.py sets correct from more than the failures
+    why = pairs.refusal(canned_report(pairs, runs), bits_change=True)
+    assert why == ("runs not correct or with failed operations: "
+                   f"{side} on moons_ref seed {seed}")
+
+
+@pytest.mark.parametrize("side", ["base", "change"])
+@pytest.mark.parametrize("verdict, exit_code", [("FAILED", 1), (None, 1), ("ok", 1)])
+def test_a_side_whose_selftest_did_not_pass_is_refused(pairs, side, verdict, exit_code):
+    failed = {"counts": {}, "verdict": verdict, "exit_code": exit_code}
+    selftest = {"base": SELFTEST_OK, "change": SELFTEST_OK, side: failed}
+    why = pairs.refusal(canned_report(pairs, canned_runs(), selftest), bits_change=True)
+    assert why == (f"bench/selftest.py on the {side} side did not print 'selftest: ok' "
+                   f"(it printed {verdict!r}, exit code {exit_code})")
+
+
+def test_every_reason_is_named(pairs):
+    runs = canned_runs(change_fingerprints={2: "a", 3: "CHANGED", 4: "c"})
+    runs["moons_ref"][0][1]["correct"] = False
+    failed = {"counts": {}, "verdict": "FAILED", "exit_code": 1}
+    report = canned_report(pairs, runs, {"base": SELFTEST_OK, "change": failed})
+    why = pairs.refusal(report, bits_change=False)
+    assert why.startswith("runs not correct or with failed operations: base on moons_ref "
+                          "seed 1; bench/selftest.py on the change side did not print ")
+    assert "; fingerprints differ between base and change on moons_ref seed 1, " in why
 
 
 def test_selftest_counts_that_moved(pairs):
@@ -161,3 +206,16 @@ def test_main_writes_nothing_on_a_mismatch(pairs, monkeypatch, tmp_path, bits_ch
         assert report["workloads"]["moons_ref"]["fingerprints_match"] is False
         assert report["base"]["commit"] == "f" * 40
         assert set(report["machine"]) == {"base", "change"}
+
+
+def test_main_writes_nothing_when_a_selftest_fails(pairs, monkeypatch, tmp_path):
+    monkeypatch.setattr(pairs, "git", lambda *args, check=True: "f" * 40 + "\n")
+    monkeypatch.setattr(pairs, "copy_working_tree", lambda dest: None)
+    monkeypatch.setattr(pairs, "run_bench", lambda checkout, workload, seed, seconds: result(9.0))
+    monkeypatch.setattr(pairs, "run_selftest", lambda checkout: {
+        "counts": {}, "verdict": "FAILED" if checkout.parent.name == "b" else "ok",
+        "exit_code": 1 if checkout.parent.name == "b" else 0})
+    out = tmp_path / "BENCH.json"
+    assert pairs.main(["--base", "HEAD", "--out", str(out), "--workload", "moons_ref",
+                       "--pairs", "1", "--bits-change"]) == 1
+    assert not out.exists()

@@ -21,9 +21,11 @@ quartiles, how many pairs the change was better, worse or tied, the median
 per-pair ratio, whether a gain may be claimed (better in at least nine tenths
 of the pairs, by more than the base's interquartile range) and whether the
 change stays within BENCHMARK.json's bound; both machine blocks; and every
-self-test count that moved. If any fingerprint differs, the report is not
-written and the command exits 1, unless ``--bits-change`` says the change
-alters trained bits on purpose. The command needs no network.
+self-test count that moved. The report is not written, and the command
+exits 1, if a run is not correct or has failed operations, if a side's
+self-test does not print ``selftest: ok``, or if any fingerprint differs,
+unless ``--bits-change`` says the change alters trained bits on purpose.
+The command needs no network.
 """
 
 import argparse
@@ -152,14 +154,30 @@ def moved_counts(base, change):
 
 
 def refusal(report, bits_change):
-    """Why the report may not be written, or None: a fingerprint that differs,
-    unless the change is declared to alter bits."""
+    """Why the report may not be written, or None.
+
+    A run that is not correct or has failed operations, and a side whose
+    bench/selftest.py did not pass, measure nothing worth comparing; a
+    fingerprint that differs is refused unless the change is declared to
+    alter bits.
+    """
+    why = []
+    broken = [f"{side} on {w} seed {r['seed']}" for w, s in report["workloads"].items()
+              for r in s["pairs"] for side in ("base", "change")
+              if not r["correct"][side] or r["failed"][side]]
+    if broken:
+        why.append("runs not correct or with failed operations: " + ", ".join(broken))
+    for side in ("base", "change"):
+        selftest = report["selftest"][side]
+        if selftest["verdict"] != "ok" or selftest["exit_code"]:
+            why.append(f"bench/selftest.py on the {side} side did not print 'selftest: ok' "
+                       f"(it printed {selftest['verdict']!r}, exit code {selftest['exit_code']})")
     differ = [f"{w} seed {r['seed']}" for w, s in report["workloads"].items()
               for r in s["pairs"] if not r["fingerprints_match"]]
     if differ and not bits_change:
-        return ("fingerprints differ between base and change on " + ", ".join(differ)
-                + "; pass --bits-change if the change alters trained bits on purpose")
-    return None
+        why.append("fingerprints differ between base and change on " + ", ".join(differ)
+                   + "; pass --bits-change if the change alters trained bits on purpose")
+    return "; ".join(why) or None
 
 
 # -- the runs ---------------------------------------------------------------------------
