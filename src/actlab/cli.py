@@ -20,7 +20,7 @@ import csv
 import functools
 import json
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from .config import ExperimentConfig, config_hash, config_to_dict, load_config, parse_config
@@ -199,15 +199,7 @@ def cmd_adapt(args) -> int:
     save_labeled_set(split.test, run_dir / "test_set.csv")
     _write_trace_csv(run_dir / "trace.csv", report.trace)
     doc = {
-        "final": {
-            "accuracy": report.accuracy,
-            "per_class_accuracy": report.per_class,
-            "macro_accuracy": report.macro_accuracy,
-            "confusion_matrix": report.confusion,
-            "no_adapt_accuracy": report.no_adapt_accuracy,
-            "no_adapt_per_class_accuracy": report.no_adapt_per_class,
-            "no_adapt_macro_accuracy": report.no_adapt_macro_accuracy,
-        },
+        "final": {f.name: getattr(report, f.name) for f in fields(report)[1:]},  # all but trace
         "provenance": {
             "seeds": {"adapt_seed": cfg.adapt.seed, "split_seed": cfg.split_seed,
                       "init_seed": cfg.model.init_seed, "domain_seed": cfg.domain.seed,
@@ -233,13 +225,7 @@ def cmd_eval(args) -> int:
                                 f"checkpoint expects {bundle.spec.input_dim}")
     result = evaluate(bundle, data, args.head)
     if args.json:
-        print(json.dumps({
-            "accuracy": result.accuracy,
-            "per_class_accuracy": result.per_class,
-            "macro_accuracy": result.macro_accuracy,
-            "confusion_matrix": result.confusion.tolist(),
-            "num_test": result.num_test,
-        }, indent=1))
+        print(json.dumps(asdict(result), indent=1))
     else:
         print(f"accuracy={result.accuracy:.4f} macro={result.macro_accuracy:.4f} "
               f"n={result.num_test}")

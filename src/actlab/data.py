@@ -39,6 +39,9 @@ def rng_stream(seed: int, purpose: str, index: int | None = None):
     """Independent, reproducible child generator for one purpose."""
     if purpose not in _STREAMS:
         raise ContractViolation(f"unknown rng purpose {purpose!r}")
+    for name, value in (("seed", seed), ("index", index)):
+        if value is not None and value < 0:
+            raise ContractViolation(f"{name} must be >= 0, got {value}")
     key = (_STREAMS[purpose],) if index is None else (_STREAMS[purpose], int(index))
     return np.random.default_rng(np.random.SeedSequence(int(seed), spawn_key=key))
 

@@ -61,10 +61,11 @@ class SamConfig:
 
 class ParamVector:
     """Tensors seen as one float64 vector: each Tensor's ``data`` is a reshaped
-    view into ``data``, in order. Assigning ``data`` binds a new vector and
-    re-points the views; nothing writes into a bound vector, so a reference to
-    ``data`` keeps its values bitwise. Given a `root` whose last Tensors these
-    are, the vector is the root's tail: assigning it binds the root anew.
+    view into ``data``, in order. Assigning ``data`` binds a new vector, made
+    read-only, and re-points the views; nothing writes into a bound vector, so
+    a reference to ``data`` keeps its values bitwise. Given a `root` whose last
+    Tensors these are, the vector is the root's tail: assigning it binds the
+    root anew.
 
     With ``stacked``, every Tensor's data has a leading cell axis of one length
     S, and ``data`` is an [S, P] matrix: row s is cell s's vector. Every method
@@ -95,6 +96,7 @@ class ParamVector:
         if self._root is not None:
             self._root.data = np.concatenate((self._root.data[self._rest], vector), axis=-1)
             return
+        vector.flags.writeable = False
         self._data = vector
         for t, (index, shape) in zip(self.tensors, self._slots):
             t.data = vector[index].reshape(shape)
@@ -186,7 +188,10 @@ def sam_step(params, loss_closure, state: SamState, cfg: SamConfig,
     gradient there; (4) restore w bitwise; (5) base-optimizer step with the
     perturbed-point gradient. Gradients are zeroed before each phase so no
     stale state can leak in. `params` is a ParamVector or a list of Tensors.
+    A `base_step(params, grads)` replaces the Adam step, which `lr_override` sets.
     """
+    if base_step is not None and lr_override is not None:
+        raise ContractViolation("lr_override is not used with base_step")
     vec = params if isinstance(params, ParamVector) else ParamVector(params)
     zero_grad(vec.tensors)
     loss = loss_closure()
@@ -195,7 +200,7 @@ def sam_step(params, loss_closure, state: SamState, cfg: SamConfig,
     backward(loss)
     grad = vec.grad()
 
-    w = vec.data  # steps bind new vectors and never write into one: w stays w
+    w = vec.data  # read-only, and steps bind new vectors: w stays w
     # square once, sum per Tensor, add in layout order: the bits of a per-Tensor norm;
     # a stacked vector gets one norm and one scale per row
     norm = np.sqrt(sum(sq.sum(axis=-1) for sq in vec.segments(grad * grad)))

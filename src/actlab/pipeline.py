@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, astuple, dataclass, field, replace
 from functools import partial
 from itertools import groupby, islice
 from typing import Annotated, Literal, get_args
@@ -132,27 +132,33 @@ class StepRecord:
 
 @dataclass
 class EvalResult:
+    """One model's scores on one test set, named as `actlab eval --json` writes them:
+    ``per_class_accuracy`` holds None for a class with no rows, and
+    ``confusion_matrix`` is K lists of K ints, true class by predicted class."""
+
     accuracy: float
-    per_class: list
+    per_class_accuracy: list
     macro_accuracy: float
-    confusion: np.ndarray
+    confusion_matrix: list
     num_test: int
 
 
 @dataclass
 class RunReport:
-    """What `adapt` computed: the step trace and the adapted and no-adapt scores.
+    """What `adapt` computed: the step trace, then report.json's ``final`` keys in
+    order, the adapted model's first four `EvalResult` fields on the split's
+    test set and the source model's first three as ``no_adapt_*``.
 
     The run's provenance is the caller's: the configs and seeds it passed in.
     """
 
     trace: list
     accuracy: float
-    per_class: list
+    per_class_accuracy: list
     macro_accuracy: float
-    confusion: list
+    confusion_matrix: list
     no_adapt_accuracy: float
-    no_adapt_per_class: list
+    no_adapt_per_class_accuracy: list
     no_adapt_macro_accuracy: float
 
 
@@ -160,7 +166,7 @@ class RunReport:
 
 
 def evaluate(bundle: ModelBundle, test: LabeledSet, eval_head: str = "c_t1") -> EvalResult:
-    """Accuracy, per-class accuracy and confusion counts on clean inputs.
+    """Accuracy, per-class and macro accuracy and confusion counts on clean inputs.
 
     Argmax ties resolve to the lowest class index. Classes absent from the
     test set get a None per-class entry and stay out of the macro average.
@@ -176,24 +182,16 @@ def evaluate(bundle: ModelBundle, test: LabeledSet, eval_head: str = "c_t1") -> 
     probs = _softmax(forward_head(bundle, feats, 1))
     if eval_head == "mean_of_heads":
         probs = 0.5 * (probs + _softmax(forward_head(bundle, feats, 2)))
-    preds = np.argmax(probs, axis=1)
     k = test.num_classes
-    confusion = np.zeros((k, k), dtype=np.int64)
-    np.add.at(confusion, (test.ys, preds), 1)
-    per_class, present = [], []
-    for c in range(k):
-        total = int(confusion[c].sum())
-        if total == 0:
-            per_class.append(None)
-        else:
-            acc_c = float(confusion[c, c] / total)
-            per_class.append(acc_c)
-            present.append(acc_c)
+    counts = np.bincount(test.ys * k + np.argmax(probs, axis=1), minlength=k * k).reshape(k, k)
+    totals = counts.sum(axis=1).tolist()
+    scores = (np.diagonal(counts) / np.maximum(totals, 1)).tolist()
+    per_class = [score if total else None for score, total in zip(scores, totals)]
     return EvalResult(
-        accuracy=float((preds == test.ys).mean()),
-        per_class=per_class,
-        macro_accuracy=float(np.mean(present)),
-        confusion=confusion,
+        accuracy=int(np.trace(counts)) / len(test),
+        per_class_accuracy=per_class,
+        macro_accuracy=float(np.mean([score for score in per_class if score is not None])),
+        confusion_matrix=counts.tolist(),
         num_test=len(test),
     )
 
@@ -291,12 +289,8 @@ def _prepared_batches(source_model, xs, ys, batch_iter, policy, cfg, aug_rng):
     both = cfg.view_mode == "both_to_both"
     view_rows = 2 * (2 if both else 1) * (xs.shape[1] if xs.ndim == 3 else 1)  # per batch row
     source_heads = _branch_heads(source_model, xs.ndim + 1)
-    for n, group in groupby(batch_iter, len):  # a short tail starts a new group
-        while count:
-            block = list(islice(group, min(count, max(1, BLOCK_ROWS // (n * view_rows)))))
-            if not block:
-                break
-            count -= len(block)
+    for n, group in groupby(islice(batch_iter, count), len):  # a short tail starts a new group
+        while block := list(islice(group, max(1, BLOCK_ROWS // (n * view_rows)))):
             idx = np.array(block)  # [B, n]
             rows, labels = xs[idx], ys[idx].swapaxes(1, -1)  # [B, n, (S,) d], [B, (S,) n]
             draws = {"weak": [], "strong": []}
@@ -316,8 +310,6 @@ def _prepared_batches(source_model, xs, ys, batch_iter, policy, cfg, aug_rng):
             for j in range(len(block)):
                 yield views[j], BatchTargets(targets.smoothed[j], targets.log_q[:, j],
                                              cfg.smoothing)
-        if not count:
-            return
 
 
 def _step_closure(bundle, step_kind, views, targets, weights, cdd_sign, diverged, evals):
@@ -442,7 +434,7 @@ def adapt_cells(source_model: ModelBundle, splits, policy: AugmentPolicy, cfg: A
                               zip(bundle.params, bundle.vector.split(last_good))})
 
     traces = [[] for _ in splits]
-    # optimizer steps bind a new vector and never write into one, so a reference suffices
+    # a bound vector is read-only and steps bind a new one, so a reference suffices
     last_good = bundle.vector.data
     for it in range(cfg.total_iterations):
         progress = it / cfg.total_iterations
@@ -479,16 +471,7 @@ def adapt_cells(source_model: ModelBundle, splits, policy: AugmentPolicy, cfg: A
         adapted = bundle_from_params(spec, {name: t.data[cell] for name, t in
                                             bundle.params.items()}) if stacked else bundle
         final = evaluate(adapted, split.test, cfg.eval_head)
-        runs.append((adapted, RunReport(
-            trace=trace,
-            accuracy=final.accuracy,
-            per_class=final.per_class,
-            macro_accuracy=final.macro_accuracy,
-            confusion=final.confusion.tolist(),
-            no_adapt_accuracy=baseline.accuracy,
-            no_adapt_per_class=baseline.per_class,
-            no_adapt_macro_accuracy=baseline.macro_accuracy,
-        )))
+        runs.append((adapted, RunReport(trace, *astuple(final)[:4], *astuple(baseline)[:3])))
     return runs
 
 

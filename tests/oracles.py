@@ -12,7 +12,7 @@ from actlab import optim
 from actlab.data import augment_batch, batches
 from actlab.losses import batch_targets
 from actlab.models import _branch_heads, _stack_forward, build
-from actlab.pipeline import evaluate
+from actlab.pipeline import EvalResult, evaluate
 from actlab.tensor import Tensor, _softmax, backward, scalar_mul, zero_grad
 
 # ln(1e-5), i.e. log_shifted(0, 1e-5)
@@ -166,6 +166,26 @@ def tape_forward_features(bundle, x):
 
 def tape_forward_head(bundle, feats, branch):
     return tape_layer_stack(feats, bundle.head1 if branch == 1 else bundle.head2)
+
+
+def evaluate_by_class(bundle, test, eval_head):
+    """`pipeline.evaluate` on the tape: an np.add.at count of (true, predicted)
+    pairs, then one class at a time, with None for an absent class."""
+    feats = tape_forward_features(bundle, Tensor(test.xs))
+    probs = _softmax(tape_forward_head(bundle, feats, 1).data)
+    if eval_head == "mean_of_heads":
+        probs = 0.5 * (probs + _softmax(tape_forward_head(bundle, feats, 2).data))
+    preds = np.argmax(probs, axis=1)
+    k = test.num_classes
+    confusion = np.zeros((k, k), dtype=np.int64)
+    np.add.at(confusion, (test.ys, preds), 1)
+    per_class = []
+    for c in range(k):
+        total = int(confusion[c].sum())
+        per_class.append(float(confusion[c, c] / total) if total else None)
+    present = [acc for acc in per_class if acc is not None]
+    return EvalResult(float((preds == test.ys).mean()), per_class, float(np.mean(present)),
+                      confusion.tolist(), len(test))
 
 
 def tape_adapt_step(bundle, step_kind, view1, view2, labels, source_probs1, source_probs2,

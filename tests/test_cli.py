@@ -11,7 +11,7 @@ from actlab.cli import main
 from actlab.config import config_hash, config_to_dict, load_config
 from actlab.data import LabeledSet, load_labeled_set, save_labeled_set
 from actlab.models import MlpSpec, build, save_checkpoint
-from actlab.pipeline import StepRecord, pretrain_source
+from actlab.pipeline import EvalResult, RunReport, StepRecord, pretrain_source
 
 
 def config_doc(out_dir, **kw):
@@ -377,6 +377,14 @@ class TestEvalCommand:
         assert 0.0 <= doc["accuracy"] <= 1.0
         assert np.array(doc["confusion_matrix"]).shape == (3, 3)
         assert doc["num_test"] == 30
+
+    def test_score_keys_are_the_result_fields(self, adapted, capsys):
+        report = json.loads((adapted / "report.json").read_text())
+        assert list(report["final"]) == [f.name for f in fields(RunReport)][1:]
+        main(["eval", "--ckpt", str(adapted / "target.ckpt"),
+              "--data", str(adapted / "test_set.csv"), "--json"])
+        doc = json.loads(capsys.readouterr().out)
+        assert list(doc) == [f.name for f in fields(EvalResult)]
 
     def test_dimension_mismatch_is_reported(self, adapted, tmp_path, capsys):
         wide = LabeledSet(np.zeros((4, 5)), np.array([0, 1, 2, 0]), 3, "wide")

@@ -395,3 +395,12 @@ class TestRngStreams:
     def test_unknown_purpose(self):
         with pytest.raises(ContractViolation):
             rng_stream(5, "coffee")
+
+    def test_negative_seed_or_index_refused(self):
+        ls = LabeledSet(np.zeros((4, 2)), np.zeros(4, dtype=int), 2, "x")
+        with pytest.raises(ContractViolation, match="seed must be >= 0, got -1"):
+            rng_stream(-1, "batch")
+        with pytest.raises(ContractViolation, match="index must be >= 0, got -2"):
+            rng_stream(1, "batch", index=-2)
+        with pytest.raises(ContractViolation, match="seed must be >= 0, got -3"):
+            batches(ls, 2, -3, 0)

@@ -405,6 +405,20 @@ class TestClone:
         assert params_fingerprint(trainable_params(clone, "all_target")) == \
             params_fingerprint(trainable_params(bundle, "all_target"))
 
+    def test_bound_vector_is_read_only(self):
+        # sam_step's restore of w and adaptation's last_good snapshot keep a
+        # reference to a bound vector: no write may reach it
+        bundle = build(small_spec())
+        before = bundle.vector.data.copy()
+        for array in (bundle.vector.data, bundle.head_vector.data,
+                      bundle.extractor[0][0].data, bundle.head2[0][1].data):
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 1.0
+        bundle.vector.data = bundle.vector.data + 1.0  # binding a new vector is the way
+        assert not bundle.vector.data.flags.writeable
+        assert not bundle.extractor[0][0].data.flags.writeable
+        np.testing.assert_array_equal(bundle.vector.data, before + 1.0)
+
     def test_clone_is_independent_storage(self):
         bundle = build(small_spec())
         clone = clone_for_adaptation(bundle)

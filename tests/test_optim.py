@@ -185,6 +185,20 @@ class TestSam:
                  SamState(), SamConfig(rho=0.05))
         np.testing.assert_array_equal(unused.data, [5.0])
 
+    def test_lr_override_with_base_step_refused(self):
+        w = Tensor([1.0], requires_grad=True)
+        calls = []
+
+        def closure():
+            calls.append(None)
+            return (w * w).sum()
+
+        with pytest.raises(ContractViolation, match="lr_override"):
+            sam_step([w], closure, SamState(), SamConfig(), lr_override=0.5,
+                     base_step=lambda params, grads: None)
+        assert calls == []
+        np.testing.assert_array_equal(w.data, [1.0])
+
     def test_negative_rho_rejected(self):
         with pytest.raises(ContractViolation):
             SamConfig(rho=-0.1)

@@ -134,28 +134,48 @@ class TestPretrain:
             assert b1.data.tobytes() == b2.data.tobytes()
 
 
+@st.composite
+def scored_sets(draw):
+    """A K-class model whose logits are small integers, so argmax ties are
+    common, and a test set whose labels may leave classes out."""
+    k = draw(st.integers(2, 10))
+    n = draw(st.integers(1, 40))
+    present = draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=k, unique=True))
+    ys = draw(st.lists(st.sampled_from(present), min_size=n, max_size=n))
+    xs = draw(st.lists(st.lists(st.integers(0, 2), min_size=k, max_size=k),
+                       min_size=n, max_size=n))
+    heads = [np.array(draw(st.lists(st.integers(-1, 1), min_size=k * k, max_size=k * k)),
+                      dtype=np.float64).reshape(k, k) for _ in range(2)]
+    spec = MlpSpec(input_dim=k, hidden_dims=(k,), feature_dim=k, num_classes=k)
+    eye, zeros = np.eye(k), np.zeros(k)  # the extractor passes the inputs through
+    bundle = bundle_from_params(spec, {
+        "extractor.0.weight": eye, "extractor.0.bias": zeros,
+        "extractor.1.weight": eye, "extractor.1.bias": zeros,
+        "head1.weight": heads[0], "head1.bias": zeros,
+        "head2.weight": heads[1], "head2.bias": zeros})
+    return bundle, LabeledSet(np.array(xs, dtype=np.float64), ys, k, "scored")
+
+
 class TestEvaluate:
     def test_zeroed_heads_predict_class_zero(self, domain_pair):
         # all-zero logits tie on every row; ties must resolve to index 0
         source, _ = domain_pair
         bundle = build(SPEC)
-        for layers in (bundle.head1, bundle.head2):
-            for t in layers[0]:
-                t.data[...] = 0.0
+        bundle.head_vector.data = np.zeros_like(bundle.head_vector.data)  # both one-layer heads
         result = evaluate(bundle, source)
         assert result.accuracy == pytest.approx(1.0 / 3.0)
-        assert result.per_class == [1.0, 0.0, 0.0]
+        assert result.per_class_accuracy == [1.0, 0.0, 0.0]
         assert result.macro_accuracy == pytest.approx(1.0 / 3.0)
-        np.testing.assert_array_equal(result.confusion[:, 0],
+        np.testing.assert_array_equal(np.array(result.confusion_matrix)[:, 0],
                                       source.class_counts())
 
     def test_confusion_rows_sum_to_class_counts(self, pretrained, domain_pair):
         bundle, _ = pretrained
         source, _ = domain_pair
         result = evaluate(bundle, source)
-        np.testing.assert_array_equal(result.confusion.sum(axis=1),
+        np.testing.assert_array_equal(np.array(result.confusion_matrix).sum(axis=1),
                                       source.class_counts())
-        assert result.confusion.sum() == result.num_test == len(source)
+        assert np.sum(result.confusion_matrix) == result.num_test == len(source)
 
     def test_absent_class_gets_none_and_skips_macro(self, pretrained):
         bundle, _ = pretrained
@@ -163,8 +183,8 @@ class TestEvaluate:
         xs = rng.normal(size=(20, 2))
         ys = np.array([0, 1] * 10)
         result = evaluate(bundle, LabeledSet(xs, ys, 3, "partial"))
-        assert result.per_class[2] is None
-        present = [v for v in result.per_class if v is not None]
+        assert result.per_class_accuracy[2] is None
+        present = [v for v in result.per_class_accuracy if v is not None]
         assert result.macro_accuracy == pytest.approx(float(np.mean(present)))
 
     def test_mean_of_heads_equals_head1_when_heads_identical(self, domain_pair):
@@ -173,7 +193,15 @@ class TestEvaluate:
         a = evaluate(bundle, source, "c_t1")
         b = evaluate(bundle, source, "mean_of_heads")
         assert a.accuracy == b.accuracy
-        np.testing.assert_array_equal(a.confusion, b.confusion)
+        np.testing.assert_array_equal(a.confusion_matrix, b.confusion_matrix)
+
+    @settings(max_examples=150, deadline=None)
+    @given(scored_sets(), st.sampled_from(pipeline.EVAL_HEADS))
+    def test_scores_match_the_per_class_loop(self, case, eval_head):
+        bundle, test = case
+        result = evaluate(bundle, test, eval_head)
+        # repr tells every float bit apart, and an int from an np.int64
+        assert repr(result) == repr(oracles.evaluate_by_class(bundle, test, eval_head))
 
     def test_bad_inputs_rejected(self, pretrained, domain_pair):
         bundle, _ = pretrained
@@ -277,9 +305,9 @@ class TestAdapt:
         bundle, _ = pretrained
         _, report = adapt(bundle, split, AugmentPolicy(), small_adapt_cfg())
         doc = json.loads(json.dumps(asdict(report)))
-        assert set(doc) == {"trace", "accuracy", "per_class", "macro_accuracy",
-                            "confusion", "no_adapt_accuracy", "no_adapt_per_class",
-                            "no_adapt_macro_accuracy"}
+        assert set(doc) == {"trace", "accuracy", "per_class_accuracy", "macro_accuracy",
+                            "confusion_matrix", "no_adapt_accuracy",
+                            "no_adapt_per_class_accuracy", "no_adapt_macro_accuracy"}
         assert doc["no_adapt_accuracy"] is not None
         assert [set(r) for r in doc["trace"]] == \
             [{f.name for f in fields(r)} for r in report.trace]
