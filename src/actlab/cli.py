@@ -81,29 +81,25 @@ def _positive_int(text):
     return value
 
 
-def _effective_config(args) -> ExperimentConfig:
-    """The config file with the command line's overrides, parsed as one document."""
+def _effective_config(args) -> tuple[ExperimentConfig, str]:
+    """The config file with the command line's overrides, parsed, and its config.json text."""
     doc = config_to_dict(load_config(args.config))
     for flag, path in [("out", "output_dir"), *SEED_FLAGS.items()]:
         if (value := getattr(args, flag, None)) is not None:
             *parents, key = path.split(".")
             functools.reduce(dict.__getitem__, parents, doc)[key] = value
-    return parse_config(doc)
+    cfg = parse_config(doc)
+    return cfg, json.dumps(config_to_dict(cfg), indent=1, sort_keys=True) + "\n"
 
 
 def _start_run(args, writes, source_if_missing=False):
     """The effective config, and the run files the command replaces, claimed.
 
-    Under --print-config, prints the config and returns None before touching
-    anything. Otherwise returns (cfg, run_dir, config text, replaced files):
-    `writes`, plus the source files when `source_if_missing` finds no
-    source.ckpt, extended by the module docstring's rule.
+    Returns (cfg, run_dir, config text, replaced files): `writes`, plus the
+    source files when `source_if_missing` finds no source.ckpt, extended by
+    the module docstring's rule.
     """
-    cfg = _effective_config(args)
-    cfg_text = json.dumps(config_to_dict(cfg), indent=1, sort_keys=True) + "\n"
-    if args.print_config:
-        print(cfg_text, end="")
-        return None
+    cfg, cfg_text = _effective_config(args)
     run_dir = Path(cfg.output_dir) / cfg.run_id
     replaced = set(writes)
     if source_if_missing and not (run_dir / "source.ckpt").exists():
@@ -153,10 +149,7 @@ def _write_pretrain_outputs(run_dir, bundle, history):
 
 
 def cmd_pretrain(args) -> int:
-    run = _start_run(args, PRETRAIN_OUTPUTS)
-    if run is None:
-        return 0
-    cfg, run_dir, cfg_text, outputs = run
+    cfg, run_dir, cfg_text, outputs = _start_run(args, PRETRAIN_OUTPUTS)
     source, _ = make_domain_pair(cfg.domain)
     bundle, history = pretrain_source(source, cfg.model, cfg.pretrain)
     _replace_run(run_dir, cfg_text, outputs)
@@ -175,10 +168,7 @@ def _write_trace_csv(path, trace):
 
 
 def cmd_adapt(args) -> int:
-    run = _start_run(args, ADAPT_OUTPUTS, source_if_missing=True)
-    if run is None:
-        return 0
-    cfg, run_dir, cfg_text, outputs = run
+    cfg, run_dir, cfg_text, outputs = _start_run(args, ADAPT_OUTPUTS, source_if_missing=True)
     source_ckpt = run_dir / "source.ckpt"
     will_pretrain = "source.ckpt" in outputs
 
@@ -233,10 +223,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    run = _start_run(args, ("sweep.csv",))
-    if run is None:
-        return 0
-    cfg, run_dir, cfg_text, outputs = run
+    cfg, run_dir, cfg_text, outputs = _start_run(args, ("sweep.csv",))
     report = seed_sweep(cfg.domain, cfg.model, cfg.pretrain, cfg.adapt, cfg.augment,
                         cfg.n_way, cfg.k_shot, args.data_seeds, args.model_seeds,
                         jobs=args.jobs)
@@ -311,6 +298,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "print_config", False):  # eval takes no config
+            print(_effective_config(args)[1], end="")
+            return 0
         return args.func(args)
     except _OverwriteRefused as e:
         print(f"error: {e}", file=sys.stderr)

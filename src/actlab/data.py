@@ -113,6 +113,10 @@ class LabeledSet:
             raise ContractViolation(f"bad labeled set shapes {self.xs.shape} / {self.ys.shape}")
         if len(self.ys) and (self.ys.min() < 0 or self.ys.max() >= self.num_classes):
             raise ContractViolation(f"labels outside [0, {self.num_classes})")
+        finite = np.isfinite(self.xs).all(axis=1)
+        if not finite.all():
+            raise ContractViolation(f"set {self.name!r}: row {int(np.argmin(finite))} has a "
+                                    f"NaN or infinite feature")
 
     def __len__(self):
         return len(self.ys)
@@ -196,8 +200,6 @@ def sample_support(target: LabeledSet, n_way: int, k_shot: int, seed: int) -> Su
     which must keep at least one row."""
     if k_shot < 1:
         raise ContractViolation(f"k_shot must be >= 1, got {k_shot}")
-    if seed < 0:
-        raise ContractViolation(f"seed must be >= 0, got {seed}")
     classes = np.unique(target.ys)
     if n_way != len(classes):
         raise ContractViolation(f"n_way is {n_way} but the target set has "

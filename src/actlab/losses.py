@@ -311,9 +311,7 @@ def _branch_objective(logits, targets, weights, cdd_sign=None):
         dz = d_rce(c_rce) if cdd_weight is None else d_cdd((g * cdd_weight) * m) + d_rce(c_rce)
         return (dz + d_entropy(c_entropy)) + d_lsce(c_lsce)
 
-    if logits.ndim == 3:
-        return total, {name: float(v) for name, v in parts.items()}, grad
-    # S cells: a list of S floats per name, and a value worth the sum of the cells' totals
+    # one cell's np.float64 sums to itself and lists as a float; S cells' list S floats
     return total.sum(), {name: v.tolist() for name, v in parts.items()}, grad
 
 

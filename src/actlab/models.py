@@ -175,6 +175,8 @@ def clone_for_adaptation(bundle: ModelBundle, cells: int | None = None) -> Model
     params = {name: t.data for name, t in bundle.named_params()}
     if cells is None:
         return bundle_from_params(bundle.spec, params)
+    if cells < 1:
+        raise ContractViolation(f"cells must be >= 1, got {cells}")
     return ModelBundle(bundle.spec, {  # the stacked vector copies the broadcast views
         name: Tensor(np.broadcast_to(a, (cells,) + a.shape), requires_grad=True)
         for name, a in params.items()}, stacked=True)

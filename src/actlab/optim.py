@@ -68,21 +68,22 @@ class ParamVector:
     root anew.
 
     With ``stacked``, every Tensor's data has a leading cell axis of one length
-    S, and ``data`` is an [S, P] matrix: row s is cell s's vector. Every method
-    works on the last axis, so it treats each row as the vector of one model.
+    S, and ``data`` is an [S, P] matrix: row s is cell s's vector. Slots, tail
+    and rest index the last axis, ``np.s_[..., a:b]``, so every method treats
+    each row as the vector of one model.
     """
 
     def __init__(self, tensors, root=None, stacked=False):
         self.tensors = list(tensors)
+        if not self.tensors:
+            raise ContractViolation("ParamVector needs at least one Tensor in tensors")
         self._lead = self.tensors[0].shape[:1] if stacked else ()
-        cells = (slice(None),) * len(self._lead)  # an index prefix that keeps the cell axis
         shapes = [t.shape[len(self._lead):] for t in self.tensors]
         ends = np.cumsum([math.prod(shape) for shape in shapes]).tolist()
-        self._slots = [(cells + (slice(hi - math.prod(shape), hi),), self._lead + shape)
+        self._slots = [(np.s_[..., hi - math.prod(shape):hi], self._lead + shape)
                        for shape, hi in zip(shapes, ends)]
         # a tail is the root's last ends[-1] entries; the rest is the root's head
-        self._root, self._tail = root, cells + (slice(-ends[-1], None),)
-        self._rest = cells + (slice(None, -ends[-1]),)
+        self._root, self._tail, self._rest = root, np.s_[..., -ends[-1]:], np.s_[..., :-ends[-1]]
         if root is None:  # row-major, whatever the Tensors' layout: each row is contiguous
             self.data = np.ascontiguousarray(np.concatenate(
                 [t.data.reshape(self._lead + (-1,)) for t in self.tensors], axis=-1))
@@ -205,7 +206,7 @@ def sam_step(params, loss_closure, state: SamState, cfg: SamConfig,
     # a stacked vector gets one norm and one scale per row
     norm = np.sqrt(sum(sq.sum(axis=-1) for sq in vec.segments(grad * grad)))
     scale = cfg.rho / (norm + SAM_NORM_FLOOR)
-    vec.data = w + (scale[:, None] if w.ndim > 1 else scale) * grad
+    vec.data = w + scale[..., None] * grad
 
     zero_grad(vec.tensors)
     backward(loss_closure())

@@ -173,6 +173,8 @@ def evaluate(bundle: ModelBundle, test: LabeledSet, eval_head: str = "c_t1") -> 
     """
     if eval_head not in EVAL_HEADS:
         raise ContractViolation(f"eval_head must be one of {EVAL_HEADS}")
+    if bundle.vector.data.ndim != 1:
+        raise ContractViolation("bundle is stacked: evaluate scores one model")
     if len(test) == 0:
         raise ContractViolation("cannot evaluate an empty test set")
     if test.num_classes != bundle.spec.num_classes:
@@ -214,7 +216,8 @@ def pretrain_source(source: LabeledSet, spec: MlpSpec, cfg: PretrainConfig):
     loss on the tape, which tests/oracles.py keeps as the reference.
 
     Returns (bundle, history); history holds one record per epoch. Zero epochs
-    returns the untouched initialization.
+    returns the untouched initialization. A batch whose softmax lsce refuses
+    (an entry NaN or 0) raises a DivergenceError, naming non-finite logits if any.
     """
     if source.num_classes != spec.num_classes:
         raise ContractViolation(f"source has {source.num_classes} classes, "
@@ -231,15 +234,12 @@ def pretrain_source(source: LabeledSet, spec: MlpSpec, cfg: PretrainConfig):
         for idx in batches(source, cfg.batch_size, cfg.seed, epoch):
             feats, inputs = _stack_forward(xs[idx], extractor)
             logits, head_inputs = _stack_forward(feats, head)
-            if not np.isfinite(logits).all():
-                raise DivergenceError(f"pretraining diverged at epoch {epoch}: "
-                                      f"non-finite logits", iteration=epoch,
-                                      last_loss=float("nan"))
             m = -1.0 / len(idx)  # lsce's mean over the batch, and its gradient's scale
             try:
                 s, logit_grad = _lsce_term(_softmax(logits), smoothed[idx])
-            except ContractViolation:  # a softmax entry underflowed to 0: ln 0 is no loss
-                raise DivergenceError(f"pretraining diverged at epoch {epoch}",
+            except ContractViolation:  # ln of a softmax entry that is NaN or 0 is no loss
+                detail = "" if np.isfinite(logits).all() else ": non-finite logits"
+                raise DivergenceError(f"pretraining diverged at epoch {epoch}{detail}",
                                       iteration=epoch, last_loss=float("nan")) from None
             v = m * s
             value = float(v + v)
@@ -324,8 +324,8 @@ def _step_closure(bundle, step_kind, views, targets, weights, cdd_sign, diverged
     extractor's two branch gradients, the sum the tape forms where two
     extractor passes meet, and returns the gradients as a list in the order
     of those Tensors: the extractor's (step 1 only), head 1's, head 2's.
-    ``diverged(detail, last_loss, cell)`` makes the error for non-finite
-    logits or an underflowed softmax.
+    When lsce refuses a softmax entry that is NaN or 0, ``diverged(detail, last_loss,
+    cell)`` names the first cell with non-finite logits, else the first saturated one.
     """
     extractor = bundle.extractor
     train_extractor = step_kind == "1"
@@ -338,14 +338,14 @@ def _step_closure(bundle, step_kind, views, targets, weights, cdd_sign, diverged
         heads = _branch_heads(bundle, views.ndim)
         feats, inputs = _stack_forward(views, extractor) if train_extractor else (fixed, None)
         logits, head_inputs = _stack_forward(feats, heads)
-        if not np.isfinite(logits).all():
-            finite = np.isfinite(logits).all(axis=(0, -2, -1))  # per cell
-            raise diverged(": non-finite logits", float("nan"), int(np.argmin(finite)))
         try:
             value, comps, logit_grad = _branch_objective(logits, targets, weights, cdd_sign)
-        except ContractViolation:
-            # lsce refuses a softmax entry that underflowed to 0: ln 0 is no loss
-            saturated = (_softmax(logits) == 0.0).any(axis=(0, -2, -1))  # per cell
+        except ContractViolation:  # lsce refuses ln of a softmax entry that is NaN or 0
+            finite = np.isfinite(logits).all(axis=(0, -2, -1))  # per cell
+            if not finite.all():
+                raise diverged(": non-finite logits", float("nan"),
+                               int(np.argmin(finite))) from None
+            saturated = (_softmax(logits) == 0.0).any(axis=(0, -2, -1))
             if not saturated.any():
                 raise
             raise diverged("", float("nan"), int(np.argmax(saturated))) from None
@@ -582,11 +582,9 @@ def seed_sweep(domain, spec, pretrain_cfg, adapt_cfg, policy, n_way, k_shot,
     cells.sort(key=lambda c: (c.data_seed, c.model_seed))
 
     ok = [c for c in cells if c.status == "ok"]
-    if ok:
-        by_ds = {}
-        for c in ok:
-            by_ds.setdefault(c.data_seed, []).append(c.adapted_accuracy)
-        ds_means = [float(np.mean(v)) for _, v in sorted(by_ds.items())]
+    if ok:  # sorted by data seed
+        ds_means = [float(np.mean([c.adapted_accuracy for c in group]))
+                    for _, group in groupby(ok, key=lambda c: c.data_seed)]
         report = SweepReport(
             cells=cells,
             mean_adapted=float(np.mean([c.adapted_accuracy for c in ok])),

@@ -394,6 +394,15 @@ class TestEvalCommand:
         assert rc == 1
         assert "dim" in capsys.readouterr().err
 
+    def test_non_finite_features_are_refused(self, adapted, tmp_path, capsys):
+        path = tmp_path / "nan.csv"
+        path.write_text("2,3,nan\n" + "nan,nan,0\n" * 100)
+        rc = main(["eval", "--ckpt", str(adapted / "target.ckpt"), "--data", str(path)])
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {path}: set 'nan': row 0 has a NaN or infinite feature\n"
+
 
 class TestSweepCommand:
     def test_sweep_writes_cells_and_aggregates(self, workspace, capsys):

@@ -316,6 +316,17 @@ class TestBatches:
         assert len(bs) == 1 and len(bs[0]) == 5
 
 
+class TestLabeledSet:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_feature_is_refused_naming_set_and_row(self, value):
+        xs = np.zeros((4, 2))
+        xs[2, 1] = value
+        xs[3, 0] = value
+        with pytest.raises(ContractViolation,
+                           match="^set 'demo': row 2 has a NaN or infinite feature$"):
+            LabeledSet(xs, [0, 1, 0, 1], 2, "demo")
+
+
 class TestExport:
     def test_round_trip_exact(self, tmp_path):
         _, tgt = make_domain_pair(blob_spec(shift=ShiftSpec(noise_sigma=0.3)))
@@ -343,6 +354,14 @@ class TestExport:
         path.write_text("2,2,demo\n1.0,2.0,7\n")
         with pytest.raises(ParseError):
             load_labeled_set(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_a_non_finite_feature_is_a_parse_error(self, tmp_path, value):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"2,2,demo\n1.0,2.0,0\n1.0,{value},1\n")
+        with pytest.raises(ParseError) as exc:
+            load_labeled_set(path)
+        assert str(exc.value) == f"{path}: set 'demo': row 1 has a NaN or infinite feature"
 
     @pytest.mark.parametrize("dim", [-1, 0])
     def test_header_dim_below_one_rejected(self, tmp_path, dim):

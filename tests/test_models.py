@@ -426,6 +426,11 @@ class TestClone:
         assert not np.array_equal(clone.extractor[0][0].data,
                                   bundle.extractor[0][0].data)
 
+    @pytest.mark.parametrize("cells", [0, -1])
+    def test_fewer_than_one_cell_is_refused(self, cells):
+        with pytest.raises(ContractViolation, match=f"^cells must be >= 1, got {cells}$"):
+            clone_for_adaptation(build(small_spec()), cells)
+
 
 # -- the layer-stack kernels against the composed tape ------------------------------
 

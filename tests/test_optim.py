@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from actlab.errors import ContractViolation
 from actlab.losses import lsce
 from actlab.models import build, trainable_params
-from actlab.optim import (AdamConfig, AdamState, SamConfig,
+from actlab.optim import (AdamConfig, AdamState, ParamVector, SamConfig,
                           SamState, SgdConfig, SgdState, adam_step,
                           lr_at, sam_step, sgd_step)
 from actlab.tensor import Tensor, backward, scalar_mul, zero_grad
@@ -198,6 +198,14 @@ class TestSam:
                      base_step=lambda params, grads: None)
         assert calls == []
         np.testing.assert_array_equal(w.data, [1.0])
+
+    def test_no_parameters_is_refused(self):
+        calls = []
+        with pytest.raises(ContractViolation, match="at least one Tensor in tensors"):
+            sam_step([], lambda: calls.append(None), SamState(), SamConfig())
+        assert calls == []
+        with pytest.raises(ContractViolation, match="at least one Tensor in tensors"):
+            ParamVector([])
 
     def test_negative_rho_rejected(self):
         with pytest.raises(ContractViolation):

@@ -1,5 +1,6 @@
-"""tools/pairs.py's pure parts on canned result.json files: pairing, the
-statistics, the self-test diff and the refusals. No benchmark runs:
+"""tools/pairs.py's pure parts on canned result.json files and canned stdout:
+pairing, the statistics, the self-test and fidelity diffs and the refusals. No
+benchmark runs:
 every function that would start a process is replaced, and process creation
 itself fails."""
 
@@ -54,12 +55,19 @@ def canned_runs(base_ms=BASE_MS, change_ms=CHANGE_MS, change_fingerprints=None):
 
 
 SELFTEST_OK = {"counts": {}, "verdict": "ok", "exit_code": 0}
+FIDELITY = "moons seed 2 0123456789abcdef\nblobs seed 2 fedcba9876543210\nsweep jobs=1 00ff\n"
 
 
-def canned_report(pairs, runs, selftest=None):
-    """The parts of main's report that `refusal` reads; both self-tests pass by default."""
+def fidelity_run(stdout=FIDELITY, exit_code=0):
+    return {"stdout": stdout, "exit_code": exit_code}
+
+
+def canned_report(pairs, runs, selftest=None, fidelity=None):
+    """The parts of main's report that `refusal` reads; by default both self-tests
+    pass and both fidelity runs print the same lines."""
     return {"workloads": pairs.summarize(runs, END_TO_END),
-            "selftest": selftest or {"base": SELFTEST_OK, "change": SELFTEST_OK}}
+            "selftest": selftest or {"base": SELFTEST_OK, "change": SELFTEST_OK},
+            "fidelity": fidelity or pairs.compare_fidelity(fidelity_run(), fidelity_run())}
 
 
 def test_pairs_alternate_which_side_runs_first(pairs):
@@ -194,6 +202,7 @@ def test_main_writes_nothing_on_a_mismatch(pairs, monkeypatch, tmp_path, bits_ch
     monkeypatch.setattr(pairs, "run_bench", run_bench)
     monkeypatch.setattr(pairs, "run_selftest",
                         lambda checkout: {"counts": {}, "verdict": "ok", "exit_code": 0})
+    monkeypatch.setattr(pairs, "run_fidelity", lambda checkout: fidelity_run())
     out = tmp_path / "BENCH.json"
     argv = ["--base", "HEAD", "--out", str(out), "--workload", "moons_ref", "--pairs", "2"]
     code = pairs.main(argv + (["--bits-change"] if bits_change else []))
@@ -215,7 +224,81 @@ def test_main_writes_nothing_when_a_selftest_fails(pairs, monkeypatch, tmp_path)
     monkeypatch.setattr(pairs, "run_selftest", lambda checkout: {
         "counts": {}, "verdict": "FAILED" if checkout.parent.name == "b" else "ok",
         "exit_code": 1 if checkout.parent.name == "b" else 0})
+    monkeypatch.setattr(pairs, "run_fidelity", lambda checkout: fidelity_run())
     out = tmp_path / "BENCH.json"
     assert pairs.main(["--base", "HEAD", "--out", str(out), "--workload", "moons_ref",
                        "--pairs", "1", "--bits-change"]) == 1
     assert not out.exists()
+
+
+def test_fidelity_lines_that_differ(pairs):
+    same = pairs.compare_fidelity(fidelity_run(), fidelity_run())
+    assert same == {"match": True, "differing_lines": [], "exit_code": {"base": 0, "change": 0}}
+    changed = FIDELITY.replace("fedcba9876543210", "fedcba9876543211")
+    assert pairs.compare_fidelity(fidelity_run(), fidelity_run(changed))["differing_lines"] == [2]
+    # a run cut short in line 2, or one that prints more, differs on every line it cut or added
+    short = pairs.compare_fidelity(fidelity_run(), fidelity_run(FIDELITY[:40], exit_code=1))
+    assert short == {"match": False, "differing_lines": [2, 3],
+                     "exit_code": {"base": 0, "change": 1}}
+    assert pairs.compare_fidelity(fidelity_run(FIDELITY + "extra\n"),
+                                  fidelity_run())["differing_lines"] == [4]
+
+
+@pytest.mark.parametrize("base, change, reason", [
+    (fidelity_run(), fidelity_run(FIDELITY.replace("00ff", "00fe")),
+     "tests/fidelity.py prints different lines on the two sides: 3"),
+    (fidelity_run(exit_code=1), fidelity_run(),
+     "tests/fidelity.py exited 1 on the base side"),
+    (fidelity_run(), fidelity_run(exit_code=2),
+     "tests/fidelity.py exited 2 on the change side"),
+])
+def test_a_fidelity_mismatch_or_failure_is_refused_unless_bits_change(pairs, base, change,
+                                                                      reason):
+    report = canned_report(pairs, canned_runs(), fidelity=pairs.compare_fidelity(base, change))
+    assert pairs.refusal(report, bits_change=False) == (
+        reason + "; pass --bits-change if the change alters trained bits on purpose")
+    assert pairs.refusal(report, bits_change=True) is None
+
+
+def test_fingerprint_and_fidelity_reasons_are_named_together(pairs):
+    runs = canned_runs(change_fingerprints={2: "a", 3: "CHANGED", 4: "c"})
+    fidelity = pairs.compare_fidelity(fidelity_run(), fidelity_run("", exit_code=1))
+    why = pairs.refusal(canned_report(pairs, runs, fidelity=fidelity), bits_change=False)
+    assert why == ("fingerprints differ between base and change on moons_ref seed 1, "
+                   "moons_ref seed 2, moons_ref seed 3, moons_ref seed 4, moons_ref seed 5, "
+                   "moons_ref seed 6, moons_ref seed 7, moons_ref seed 8, moons_ref seed 9, "
+                   "moons_ref seed 10; tests/fidelity.py prints different lines on the two "
+                   "sides: 1, 2, 3; tests/fidelity.py exited 1 on the change side; pass "
+                   "--bits-change if the change alters trained bits on purpose")
+
+
+def test_run_fidelity_runs_the_script_with_src_on_the_path(pairs, monkeypatch, tmp_path):
+    calls = []
+
+    def run(argv, **kwargs):
+        calls.append((argv, kwargs["cwd"], kwargs["env"]["PYTHONPATH"]))
+        return subprocess.CompletedProcess(argv, 3, stdout=FIDELITY, stderr="")
+
+    monkeypatch.setattr(subprocess, "run", run)
+    assert pairs.run_fidelity(tmp_path) == {"stdout": FIDELITY, "exit_code": 3}
+    assert calls == [([pairs.sys.executable, "tests/fidelity.py"], tmp_path, "src")]
+
+
+@pytest.mark.parametrize("bits_change", [False, True])
+def test_main_writes_nothing_when_fidelity_lines_differ(pairs, monkeypatch, tmp_path,
+                                                        bits_change):
+    monkeypatch.setattr(pairs, "git", lambda *args, check=True: "f" * 40 + "\n")
+    monkeypatch.setattr(pairs, "copy_working_tree", lambda dest: None)
+    monkeypatch.setattr(pairs, "run_bench", lambda checkout, workload, seed, seconds: result(9.0))
+    monkeypatch.setattr(pairs, "run_selftest", lambda checkout: SELFTEST_OK)
+    monkeypatch.setattr(pairs, "run_fidelity", lambda checkout: fidelity_run(
+        FIDELITY.replace("0123", "3210") if checkout.parent.name == "b" else FIDELITY))
+    out = tmp_path / "BENCH.json"
+    code = pairs.main(["--base", "HEAD", "--out", str(out), "--workload", "moons_ref",
+                       "--pairs", "1"] + (["--bits-change"] if bits_change else []))
+    assert code == (0 if bits_change else 1)
+    assert out.exists() == bits_change
+    if bits_change:
+        fidelity = json.loads(out.read_text())["fidelity"]
+        assert fidelity == {"match": False, "differing_lines": [1],
+                            "exit_code": {"base": 0, "change": 0}}

@@ -102,6 +102,8 @@ class TestPretrain:
         with pytest.raises(DivergenceError) as exc:
             pretrain_source(source, SPEC, cfg)
         assert exc.value.iteration == 0
+        assert str(exc.value) == "pretraining diverged at epoch 0: non-finite logits"
+        assert math.isnan(exc.value.last_loss)
 
     @pytest.mark.parametrize("lr", [1.0, 100.0, 1e100])
     def test_a_saturated_softmax_is_divergence(self, domain_pair, lr):
@@ -157,6 +159,10 @@ def scored_sets(draw):
 
 
 class TestEvaluate:
+    def test_a_stacked_bundle_is_refused(self, domain_pair):
+        with pytest.raises(ContractViolation, match="^bundle is stacked: evaluate scores one"):
+            evaluate(clone_for_adaptation(build(SPEC), 3), domain_pair[1])
+
     def test_zeroed_heads_predict_class_zero(self, domain_pair):
         # all-zero logits tie on every row; ties must resolve to index 0
         source, _ = domain_pair
@@ -562,6 +568,23 @@ class TestLockstep:
         assert list(exc.value.last_good_params) == list(source)
         for name, value in exc.value.last_good_params.items():
             assert value.tobytes() == source[name].data.tobytes(), name
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_logits_come_before_a_saturated_softmax(self, pretrained, domain_pair,
+                                                               value):
+        # a NaN input reaches the logits only without a hidden layer: the ReLU maps it to 0
+        model = pretrained[0] if value == "inf" else build(MlpSpec(2, (), 8, 3, init_seed=7))
+        saturated, non_finite = (sample_support(domain_pair[1], 3, 5, seed=s) for s in (2, 3))
+        saturated.support.xs = saturated.support.xs * 1e4
+        non_finite.support.xs = np.full_like(non_finite.support.xs, float(value))
+        cfg = small_adapt_cfg()
+        # each cell fails at the first closure call, so the rule picks the message
+        with pytest.raises(DivergenceError, match=r"^adaptation diverged at iteration 0 "
+                                                  r"\(step 1\)$"):
+            adapt(model, saturated, AugmentPolicy(), cfg)
+        message = "adaptation diverged at iteration 0 (step 1) in cell 1: non-finite logits"
+        with pytest.raises(DivergenceError, match=f"^{re.escape(message)}$"):
+            adapt_cells(model, [saturated, non_finite], AugmentPolicy(), cfg)
 
     def test_a_saturated_softmax_names_the_cell(self, pretrained, split, domain_pair):
         # scaled inputs give cell 2 finite logits whose softmax underflows at once

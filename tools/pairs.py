@@ -12,7 +12,9 @@ timing. For each workload and each seed 1..N the unmodified
 ``bench/run.py --workload W --seed s --seconds S --trace 0`` runs once in
 each checkout, the base first for odd seeds and the change first for even
 ones, and each run's ``.bench_runs/<id>/result.json`` is read back.
-``bench/selftest.py`` runs once on each side too.
+``bench/selftest.py`` runs once on each side too, and so does
+``tests/fidelity.py`` (with ``PYTHONPATH=src``), whose lines a change that
+keeps every bit prints unchanged.
 
 The report holds the command line and both revisions; per pair, every
 end-to-end metric of both sides and whether the parameter fingerprints of the
@@ -20,22 +22,26 @@ data seeds both runs reached agree; per metric, each side's median and
 quartiles, how many pairs the change was better, worse or tied, the median
 per-pair ratio, whether a gain may be claimed (better in at least nine tenths
 of the pairs, by more than the base's interquartile range) and whether the
-change stays within BENCHMARK.json's bound; both machine blocks; and every
-self-test count that moved. The report is not written, and the command
-exits 1, if a run is not correct or has failed operations, if a side's
-self-test does not print ``selftest: ok``, or if any fingerprint differs,
-unless ``--bits-change`` says the change alters trained bits on purpose.
-The command needs no network.
+change stays within BENCHMARK.json's bound; both machine blocks; every
+self-test count that moved; and whether the two fidelity outputs match, with
+the numbers of the lines that differ and each side's exit code. The report
+is not written, and the command exits 1, if a run is not correct or has
+failed operations, or if a side's self-test does not print ``selftest: ok``;
+and also if any fingerprint differs, the fidelity outputs differ or a
+fidelity run exits non-zero, unless ``--bits-change`` says the change alters
+trained bits on purpose. The command needs no network.
 """
 
 import argparse
 import ast
 import json
+import os
 import shutil
 import statistics
 import subprocess
 import sys
 import tempfile
+from itertools import zip_longest
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -153,13 +159,22 @@ def moved_counts(base, change):
     return moved
 
 
+def compare_fidelity(base, change):
+    """The report's fidelity block from each side's {stdout, exit_code} of tests/fidelity.py."""
+    differ = [n for n, (b, c) in enumerate(zip_longest(base["stdout"].splitlines(),
+                                                       change["stdout"].splitlines()), 1)
+              if b != c]
+    return {"match": not differ, "differing_lines": differ,
+            "exit_code": {"base": base["exit_code"], "change": change["exit_code"]}}
+
+
 def refusal(report, bits_change):
     """Why the report may not be written, or None.
 
     A run that is not correct or has failed operations, and a side whose
     bench/selftest.py did not pass, measure nothing worth comparing; a
-    fingerprint that differs is refused unless the change is declared to
-    alter bits.
+    fingerprint that differs, fidelity lines that differ and a fidelity run
+    that fails are refused unless the change is declared to alter bits.
     """
     why = []
     broken = [f"{side} on {w} seed {r['seed']}" for w, s in report["workloads"].items()
@@ -172,11 +187,20 @@ def refusal(report, bits_change):
         if selftest["verdict"] != "ok" or selftest["exit_code"]:
             why.append(f"bench/selftest.py on the {side} side did not print 'selftest: ok' "
                        f"(it printed {selftest['verdict']!r}, exit code {selftest['exit_code']})")
+    bits = []
     differ = [f"{w} seed {r['seed']}" for w, s in report["workloads"].items()
               for r in s["pairs"] if not r["fingerprints_match"]]
-    if differ and not bits_change:
-        why.append("fingerprints differ between base and change on " + ", ".join(differ)
-                   + "; pass --bits-change if the change alters trained bits on purpose")
+    if differ:
+        bits.append("fingerprints differ between base and change on " + ", ".join(differ))
+    fidelity = report["fidelity"]
+    if not fidelity["match"]:
+        bits.append("tests/fidelity.py prints different lines on the two sides: "
+                    + ", ".join(map(str, fidelity["differing_lines"])))
+    bits += [f"tests/fidelity.py exited {code} on the {side} side"
+             for side, code in fidelity["exit_code"].items() if code]
+    if bits and not bits_change:
+        why.append("; ".join(bits) + "; pass --bits-change if the change alters trained "
+                   "bits on purpose")
     return "; ".join(why) or None
 
 
@@ -214,6 +238,13 @@ def run_selftest(checkout):
                          capture_output=True, text=True)
     counts, verdict = parse_selftest(out.stdout)
     return {"counts": counts, "verdict": verdict, "exit_code": out.returncode}
+
+
+def run_fidelity(checkout):
+    """One tests/fidelity.py run in `checkout`, with its src on the path: stdout and exit code."""
+    out = subprocess.run([sys.executable, "tests/fidelity.py"], cwd=checkout,
+                         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": "src"})
+    return {"stdout": out.stdout, "exit_code": out.returncode}
 
 
 def main(argv=None):
@@ -255,6 +286,7 @@ def main(argv=None):
                           f"{result[side]['metrics']['adapt_iter_ms']['value']:.4g}", flush=True)
                 runs[workload].append((seed, result["base"], result["change"]))
         selftest = {side: run_selftest(path) for side, path in sides.items()}
+        fidelity = {side: run_fidelity(path) for side, path in sides.items()}
     finally:
         git("worktree", "remove", "--force", str(sides["base"]), check=False)
         shutil.rmtree(tmp, ignore_errors=True)
@@ -269,6 +301,7 @@ def main(argv=None):
         "machine": machines,
         "selftest": {**selftest, "moved": moved_counts(selftest["base"]["counts"],
                                                        selftest["change"]["counts"])},
+        "fidelity": compare_fidelity(fidelity["base"], fidelity["change"]),
     }
     why = refusal(report, args.bits_change)
     if why:
