@@ -20,28 +20,27 @@ augmentation refuses a generator that is not PCG64, as every ``rng_stream`` is.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Annotated, Literal
+from typing import Annotated, Literal, get_args
 
 import numpy as np
 
 from .errors import ContractViolation, ParseError
 from .fileio import atomic_write, read_text
-from .schema import Bound, Classes, Natural, NonNegative, Probability, check_fields
+from .schema import (Bound, Classes, Count, Natural, NonNegative, Probability, check_fields,
+                     checked)
 
 # blob geometry: class means equally spaced on this circle in the first two dims
 BLOB_RADIUS = 2.5
 BLOB_STD = 0.6
 
-_STREAMS = {"source": 0, "target": 1, "split": 2, "augment": 3, "batch": 4}
+Purpose = Literal["source", "target", "split", "augment", "batch"]
+_STREAMS = {purpose: i for i, purpose in enumerate(get_args(Purpose))}
+Tier = Literal["weak", "strong"]
 
 
-def rng_stream(seed: int, purpose: str, index: int | None = None):
+@checked
+def rng_stream(seed: Natural, purpose: Purpose, index: Natural | None = None):
     """Independent, reproducible child generator for one purpose."""
-    if purpose not in _STREAMS:
-        raise ContractViolation(f"unknown rng purpose {purpose!r}")
-    for name, value in (("seed", seed), ("index", index)):
-        if value is not None and value < 0:
-            raise ContractViolation(f"{name} must be >= 0, got {value}")
     key = (_STREAMS[purpose],) if index is None else (_STREAMS[purpose], int(index))
     return np.random.default_rng(np.random.SeedSequence(int(seed), spawn_key=key))
 
@@ -195,11 +194,11 @@ def make_domain_pair(spec: DomainSpec):
 # -- few-shot split ----------------------------------------------------------------
 
 
-def sample_support(target: LabeledSet, n_way: int, k_shot: int, seed: int) -> SupportSplit:
+@checked
+def sample_support(target: LabeledSet, n_way: Count, k_shot: Count,
+                   seed: Natural) -> SupportSplit:
     """Uniform without-replacement support draw; everything else is the test set,
     which must keep at least one row."""
-    if k_shot < 1:
-        raise ContractViolation(f"k_shot must be >= 1, got {k_shot}")
     classes = np.unique(target.ys)
     if n_way != len(classes):
         raise ContractViolation(f"n_way is {n_way} but the target set has "
@@ -261,13 +260,15 @@ class AugmentPolicy:
             raise ContractViolation("strong jitter must be at least the weak jitter")
 
 
-def augment(x, policy: AugmentPolicy, tier: str, rng) -> np.ndarray:
+@checked
+def augment(x, policy: AugmentPolicy, tier: Tier, rng) -> np.ndarray:
     """One augmented view of one feature vector (or of S cells' rows [S, d], which
     share its draws). Consumes only `rng`."""
     return augment_batch(np.asarray(x, dtype=np.float64)[None], policy, tier, rng)[0]
 
 
-def augment_batch(xs, policy, tier, rng):
+@checked
+def augment_batch(xs, policy: AugmentPolicy, tier: Tier, rng):
     """`augment` of each row of `xs`, in order: the same draws from `rng`, row by row.
 
     `xs` is [n, d], or [n, S, d] for S cells in lockstep: row i of every cell
@@ -277,8 +278,6 @@ def augment_batch(xs, policy, tier, rng):
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim not in (2, 3):
         raise ContractViolation(f"augment takes vectors, got rows of shape {xs.shape[1:]}")
-    if tier not in ("weak", "strong"):
-        raise ContractViolation(f"unknown tier {tier!r}")
     return _augment_apply(xs, _augment_draws(len(xs), xs.shape[-1], policy, tier, rng),
                           policy, tier)
 
@@ -367,12 +366,9 @@ def _augment_apply(xs, draws, policy, tier):
 # -- batching ---------------------------------------------------------------------
 
 
-def batches(labeled_set: LabeledSet, batch_size: int, shuffle_seed: int, epoch: int):
+@checked
+def batches(labeled_set: LabeledSet, batch_size: Count, shuffle_seed: Natural, epoch: Natural):
     """Index batches for one epoch: a fresh permutation, short tail retained."""
-    if batch_size < 1:
-        raise ContractViolation(f"batch_size must be >= 1, got {batch_size}")
-    if epoch < 0:
-        raise ContractViolation(f"epoch must be >= 0, got {epoch}")
     n = len(labeled_set)
     perm = rng_stream(shuffle_seed, "batch", index=epoch).permutation(n)
     return [perm[i:i + batch_size] for i in range(0, n, batch_size)]

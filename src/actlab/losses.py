@@ -62,15 +62,17 @@ take [n, K] logits only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Annotated
+from typing import Annotated, Literal
 
 import numpy as np
 
 from .errors import ContractViolation
-from .schema import Bound, Fraction, NonNegative, check_fields
+from .schema import Bound, Fraction, NonNegative, check_fields, checked
 from .tensor import Tensor, _log_shifted, _result, _softmax, _softmax_grad
 
 SIMPLEX_TOL = 1e-6
+
+CddSign = Literal["as_printed", "flipped"]
 
 
 @dataclass(frozen=True)
@@ -174,23 +176,23 @@ def _single_node(logits, term, n):
 
 def _lsce_targets(shape, labels, alpha_smooth):
     """The smoothed targets of `lsce` on [n, K] logits of `shape`, after its checks
-    of that shape, the labels and alpha_smooth."""
+    of that shape and the labels."""
     n, k = shape
     if n < 1 or k < 2:  # `_check_logits`' test, for a caller that holds no Tensor
         raise ContractViolation(f"lsce: degenerate logits shape {shape}")
     labels = _check_labels(labels, (n,), k)
-    if not 0.0 <= alpha_smooth < 1.0:
-        raise ContractViolation(f"alpha_smooth must be in [0, 1), got {alpha_smooth}")
     return _smoothed_targets(labels, k, alpha_smooth)
 
 
-def lsce(logits: Tensor, labels, alpha_smooth: float) -> Tensor:
+@checked
+def lsce(logits: Tensor, labels, alpha_smooth: Fraction) -> Tensor:
     """Label-smoothed cross-entropy against hard labels."""
     n, _ = _check_logits(logits, "lsce")
     smoothed = _lsce_targets(logits.shape, labels, alpha_smooth)
     return _single_node(logits, _lsce_term(_softmax(logits.data), smoothed), n)
 
 
+@checked
 def cond_entropy(logits: Tensor, eps_log: float) -> Tensor:
     """Mean Shannon entropy of the prediction rows, log shifted by eps_log.
 
@@ -201,6 +203,7 @@ def cond_entropy(logits: Tensor, eps_log: float) -> Tensor:
     return _single_node(logits, _entropy_term(_softmax(logits.data), eps_log), n)
 
 
+@checked
 def rce(target_logits: Tensor, source_probs, eps_log: float) -> Tensor:
     """Reverse cross-entropy: target predictions scored under frozen source probs.
 
@@ -335,13 +338,12 @@ def step1_objective(logits1, logits2, targets: BatchTargets, weights: LossWeight
     return _objective(logits1, logits2, targets, weights, None, "step1_objective")
 
 
+@checked
 def step2_objective(logits1, logits2, targets: BatchTargets, weights: LossWeights,
-                    cdd_sign: str = "as_printed"):
+                    cdd_sign: CddSign = "as_printed"):
     """Step-1 terms with the weighted CDD term added.
 
     ``as_printed`` subtracts lambda_cdd * cdd (minimizing the objective pushes
     the two heads' determinacy disparity up); ``flipped`` adds it instead.
     """
-    if cdd_sign not in ("as_printed", "flipped"):
-        raise ContractViolation(f"cdd_sign must be as_printed or flipped, got {cdd_sign!r}")
     return _objective(logits1, logits2, targets, weights, cdd_sign, "step2_objective")

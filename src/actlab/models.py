@@ -62,7 +62,7 @@ import numpy as np
 from .errors import ConfigError, ContractViolation, ParseError
 from .fileio import atomic_write, read_text
 from .optim import ParamVector
-from .schema import Classes, Count, Natural, check_fields, parse, to_plain
+from .schema import Classes, Count, Natural, check_fields, checked, parse, to_plain
 from .tensor import Tensor
 
 CHECKPOINT_FORMAT_VERSION = 1
@@ -124,10 +124,9 @@ class ModelBundle:
         """A learning rate per entry of ``vector``'s last axis: the heads' tail gets `lr_heads`."""
         return np.array((lr_extractor, lr_heads), dtype=np.float64).repeat(self._rate_counts)
 
-    def named_params(self, side="target"):
+    @checked
+    def named_params(self, side: Literal["target"] = "target"):
         """(name, Tensor) pairs in checkpoint order. ``side`` may only be "target"."""
-        if side != "target":
-            raise ContractViolation(f"unknown side {side!r}")
         return list(self.params.items())
 
 
@@ -150,7 +149,8 @@ def build(spec: MlpSpec) -> ModelBundle:
 
 
 def bundle_from_params(spec, params: dict) -> ModelBundle:
-    """Bundle holding copies of named arrays, checked against ``spec.param_shapes()``."""
+    """Bundle holding copies of named arrays, checked against ``spec.param_shapes()``
+    and refused if not finite."""
     layout = spec.param_shapes()
     names = {name for name, _ in layout}
     if set(params) != names:
@@ -162,11 +162,14 @@ def bundle_from_params(spec, params: dict) -> ModelBundle:
         got = np.asarray(params[name], dtype=np.float64)
         if got.shape != shape:
             raise ContractViolation(f"{name}: expected shape {shape}, got {got.shape}")
+        if not np.isfinite(got).all():
+            raise ContractViolation(f"parameter {name!r} has a non-finite value")
         tensors[name] = Tensor(got, requires_grad=True)  # the bundle's vector copies it
     return ModelBundle(spec, tensors)
 
 
-def clone_for_adaptation(bundle: ModelBundle, cells: int | None = None) -> ModelBundle:
+@checked
+def clone_for_adaptation(bundle: ModelBundle, cells: Count | None = None) -> ModelBundle:
     """New bundle with its own copies of `bundle`'s parameters.
 
     Given `cells`, a stacked bundle of that many copies: each parameter gains a
@@ -175,8 +178,6 @@ def clone_for_adaptation(bundle: ModelBundle, cells: int | None = None) -> Model
     params = {name: t.data for name, t in bundle.named_params()}
     if cells is None:
         return bundle_from_params(bundle.spec, params)
-    if cells < 1:
-        raise ContractViolation(f"cells must be >= 1, got {cells}")
     return ModelBundle(bundle.spec, {  # the stacked vector copies the broadcast views
         name: Tensor(np.broadcast_to(a, (cells,) + a.shape), requires_grad=True)
         for name, a in params.items()}, stacked=True)
@@ -186,7 +187,7 @@ def clone_for_adaptation(bundle: ModelBundle, cells: int | None = None) -> Model
 
 
 def _check_rows(x, dim, who):
-    """`x` as a float64 array, checked to be real numbers of shape [n, dim] or [S, n, dim]."""
+    """`x` as a float64 array, checked to be finite real numbers, [n, dim] or [S, n, dim]."""
     try:
         a = np.asarray(x)
     except ValueError as e:  # ragged rows
@@ -196,6 +197,8 @@ def _check_rows(x, dim, who):
                                 f"{type(x).__name__} of dtype {a.dtype}")
     if a.ndim not in (2, 3) or a.shape[-1] != dim:
         raise ContractViolation(f"{who} must be [n, {dim}] or [S, n, {dim}], got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ContractViolation(f"{who} must be finite, got a NaN or infinite entry")
     return a.astype(np.float64, copy=False)
 
 
@@ -256,10 +259,9 @@ def forward_features(bundle, x):
     return _stack_forward(_check_rows(x, bundle.spec.input_dim, "input"), bundle.extractor)[0]
 
 
-def forward_head(bundle, feats, branch):
+@checked
+def forward_head(bundle, feats, branch: Literal[1, 2]):
     """Logits of head `branch` (1 or 2) on extractor features."""
-    if branch not in (1, 2):
-        raise ContractViolation(f"branch must be 1 or 2, got {branch!r}")
     feats = _check_rows(feats, bundle.spec.feature_dim, "features")
     return _stack_forward(feats, bundle.head1 if branch == 1 else bundle.head2)[0]
 
@@ -273,13 +275,10 @@ def forward_target(bundle, x):
 # -- parameter access -----------------------------------------------------------
 
 
-def trainable_params(bundle, scope):
+@checked
+def trainable_params(bundle, scope: Literal["all_target", "classifiers_only"]):
     """The Tensors that `scope` trains, in checkpoint order."""
-    if scope == "all_target":
-        return list(bundle.vector.tensors)
-    if scope == "classifiers_only":
-        return list(bundle.head_vector.tensors)
-    raise ContractViolation(f"unknown scope {scope!r}")
+    return list((bundle.vector if scope == "all_target" else bundle.head_vector).tensors)
 
 
 def params_fingerprint(tensors):
@@ -334,13 +333,10 @@ def _entry_array(path, name, entry, shape):
     # one pass over the list; a bool is not a number, and np.array would cast it
     if not isinstance(data, list) or not set(map(type, data)) <= {int, float}:
         raise ParseError(f"{path}: bad parameter {name!r} (data must be a flat list of numbers)")
-    try:
-        arr = np.array(data, dtype=np.float64).reshape(shape)
+    try:  # bundle_from_params refuses a non-finite value
+        return np.array(data, dtype=np.float64).reshape(shape)
     except (OverflowError, ValueError) as e:
         raise ParseError(f"{path}: bad parameter {name!r} ({e})") from e
-    if not np.isfinite(arr).all():
-        raise ParseError(f"{path}: parameter {name!r} has a non-finite value")
-    return arr
 
 
 def load_checkpoint(path, expect_spec: MlpSpec | None = None) -> ModelBundle:

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractViolation
-from .schema import Fraction, NonNegative, Positive, check_fields
+from .schema import Fraction, NonNegative, Positive, Probability, check_fields, checked
 from .tensor import Tensor, backward, zero_grad
 
 SAM_NORM_FLOOR = 1e-12
@@ -132,11 +132,8 @@ class SamState:
         self.base = AdamState()
 
 
-def lr_at(eta0: float, progress: float) -> float:
-    if not eta0 > 0:
-        raise ContractViolation(f"eta0 must be positive, got {eta0}")
-    if not 0.0 <= progress <= 1.0:
-        raise ContractViolation(f"progress must be in [0, 1], got {progress}")
+@checked
+def lr_at(eta0: Positive, progress: Probability) -> float:
     return eta0 * (1.0 + POLY_SLOPE * progress) ** POLY_EXPONENT
 
 

@@ -41,7 +41,7 @@ seed's cells in such groups, one group per pool worker.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
+from collections.abc import Sequence
 from dataclasses import asdict, astuple, dataclass, field, replace
 from functools import partial
 from itertools import groupby, islice
@@ -52,14 +52,14 @@ import numpy as np
 from .data import (AugmentPolicy, LabeledSet, SupportSplit, _augment_apply, _augment_draws,
                    batches, make_domain_pair, rng_stream, sample_support)
 from .errors import ContractViolation, DivergenceError
-from .losses import (BatchTargets, LossWeights, SmoothingParams, _branch_objective,
+from .losses import (BatchTargets, CddSign, LossWeights, SmoothingParams, _branch_objective,
                      _lsce_targets, _lsce_term, batch_targets)
 from .models import (MlpSpec, ModelBundle, _branch_heads, _check_rows, _stack_backward,
                      _stack_forward, build, bundle_from_params, clone_for_adaptation,
                      forward_features, forward_head, params_fingerprint, trainable_params)
 from .optim import (AdamConfig, SamConfig, SamState, SgdConfig, SgdState, lr_at,
                     sam_step, sgd_step)
-from .schema import Count, Fraction, Match, Natural, Positive, check_fields
+from .schema import Count, Fraction, Match, Natural, Positive, check_fields, checked
 from .tensor import _result, _softmax
 
 EvalHead = Literal["c_t1", "mean_of_heads"]
@@ -100,7 +100,7 @@ class AdaptConfig:
     smoothing: SmoothingParams = field(default_factory=SmoothingParams)
     sam: SamConfig = field(default_factory=SamConfig)
     schedule: ScheduleConfig = field(default_factory=ScheduleConfig)
-    cdd_sign: Literal["as_printed", "flipped"] = "as_printed"
+    cdd_sign: CddSign = "as_printed"
     step_pattern: Annotated[str, Match("[12]+")] = "12"
     fresh_batch_per_step: bool = True
     view_mode: Literal["asymmetric", "both_to_both"] = "asymmetric"
@@ -165,14 +165,13 @@ class RunReport:
 # -- evaluation -------------------------------------------------------------------
 
 
-def evaluate(bundle: ModelBundle, test: LabeledSet, eval_head: str = "c_t1") -> EvalResult:
+@checked
+def evaluate(bundle: ModelBundle, test: LabeledSet, eval_head: EvalHead = "c_t1") -> EvalResult:
     """Accuracy, per-class and macro accuracy and confusion counts on clean inputs.
 
     Argmax ties resolve to the lowest class index. Classes absent from the
     test set get a None per-class entry and stay out of the macro average.
     """
-    if eval_head not in EVAL_HEADS:
-        raise ContractViolation(f"eval_head must be one of {EVAL_HEADS}")
     if bundle.vector.data.ndim != 1:
         raise ContractViolation("bundle is stacked: evaluate scores one model")
     if len(test) == 0:
@@ -528,8 +527,10 @@ def _run_cells(spec, target, n_way, k_shot, policy, adapt_cfg, task):
             for ds, (_, report) in zip(data_seeds, runs)]
 
 
-def seed_sweep(domain, spec, pretrain_cfg, adapt_cfg, policy, n_way, k_shot,
-               data_seeds, model_seeds, jobs: int = 1) -> SweepReport:
+@checked
+def seed_sweep(domain, spec, pretrain_cfg, adapt_cfg, policy, n_way: Count, k_shot: Count,
+               data_seeds: Sequence[int], model_seeds: Sequence[int],
+               jobs: Count = 1) -> SweepReport:
     """Cross-product of data seeds (support draw) and model seeds (init + pretrain).
 
     A repeated or negative seed is refused before any work. Each model seed's
@@ -557,15 +558,16 @@ def seed_sweep(domain, spec, pretrain_cfg, adapt_cfg, policy, n_way, k_shot,
             raise ContractViolation(f"{kind} seed {repeats[0]} is repeated")
         if min(seeds) < 0:
             raise ContractViolation(f"{kind} seed {min(seeds)} must be >= 0")
-    if jobs < 1:
-        raise ContractViolation(f"jobs must be >= 1, got {jobs}")
     source, target = make_domain_pair(domain)
     parts = min(len(data_seeds), -(-jobs // len(model_seeds)))
     cuts = [len(data_seeds) * i // parts for i in range(parts + 1)]
     groups = [list(data_seeds[a:b]) for a, b in zip(cuts, cuts[1:])]
 
     workers = min(jobs, len(data_seeds) * len(model_seeds))
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    pool = None
+    if workers > 1:  # the process-pool stack is imported only by a sweep that forks
+        from concurrent.futures import ProcessPoolExecutor
+        pool = ProcessPoolExecutor(max_workers=workers)
     run = map if pool is None else pool.map
     try:
         params = run(partial(_pretrain_params, source, spec, pretrain_cfg), model_seeds)

@@ -19,14 +19,21 @@ Parsing is closed-world: an unknown key is an error. Every complaint is a
 ``ContractViolation`` from a dataclass's own cross-field checks becomes one
 at the path of its object. ``to_plain`` is the inverse: the fields in order,
 tuples as lists.
+
+A public function's arguments are declared the same way, in its annotations,
+and the decorator ``checked`` applies the same rules to them.
 """
 
 from __future__ import annotations
 
+import collections.abc
 import dataclasses
 import functools
+import inspect
 import math
+import numbers
 import re
+import sys
 import types
 import typing
 from typing import Annotated
@@ -78,7 +85,7 @@ def _rule(tp):
         return tp.__origin__, tp.__metadata__[0].complaint
     if typing.get_origin(tp) is typing.Literal:
         choices = typing.get_args(tp)
-        return str, lambda s: None if s in choices else \
+        return type(choices[0]), lambda s: None if s in choices else \
             f"must be one of {', '.join(map(repr, choices))}, got {s!r}"
     return None
 
@@ -100,35 +107,52 @@ def _fail(path, message):
     raise ConfigError(path or "<root>", message)
 
 
-def _num(v, path):
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        _fail(path, f"expected a number, got {v!r}")
-    try:
-        x = float(v)
-    except OverflowError:
-        _fail(path, "number is out of float64 range")
-    if not math.isfinite(x):
-        _fail(path, f"expected a finite number, got {v!r}")
-    return x
+def _integer(v):
+    if type(v) is int or type(v) is not bool and isinstance(v, numbers.Integral):
+        return None
+    return "an integer"
 
 
-def _exact(kind, noun):
-    """Parser for a leaf that must be a `kind` itself (a bool is not an int)."""
+def _number(v):
+    if type(v) not in (float, int) and (type(v) is bool or not isinstance(v, numbers.Real)):
+        return "a number"
+    # an int is compared, not converted: float() may overflow
+    finite = abs(v) <= sys.float_info.max if isinstance(v, int) else math.isfinite(v)
+    return None if finite else "a finite number"
+
+
+# The leaf rules of fields and arguments alike: None, or what the value should be.
+# A bool is not an integer, nor a number. The exact types are tested first, since
+# an isinstance check against a numbers ABC is slow.
+_LEAVES = {int: _integer, float: _number,
+           str: lambda v: None if type(v) is str else "a string",
+           bool: lambda v: None if type(v) is bool else "true/false"}
+
+
+def _leaf_parser(kind):
+    """Parser for a leaf of type `kind`: its rule, then a float leaf's value as a float."""
+    rule = _LEAVES[kind]
+
     def parse_leaf(v, path):
-        if type(v) is not kind:
+        if (noun := rule(v)) is not None:
             _fail(path, f"expected {noun}, got {v!r}")
-        return v
+        return float(v) if kind is float else v
     return parse_leaf
 
 
-_LEAVES = {int: _exact(int, "an integer"), float: _num, str: _exact(str, "a string"),
-           bool: _exact(bool, "true/false")}
+def _optional(tp):
+    """X of a type `X | None`, else None."""
+    args = typing.get_args(tp)
+    if typing.get_origin(tp) in (types.UnionType, typing.Union) and len(args) == 2 \
+            and type(None) in args:
+        return args[0] if args[1] is type(None) else args[1]
+    return None
 
 
 def _parser_for(tp):
     """The value parser for one annotated field type."""
     if tp in _LEAVES:
-        return _LEAVES[tp]
+        return _leaf_parser(tp)
     if dataclasses.is_dataclass(tp):
         return _object_parser(tp)
     ruled = _rule(tp)
@@ -143,9 +167,8 @@ def _parser_for(tp):
                 _fail(path, f"expected a list, got {v!r}")
             return tuple(item(x, f"{path}[{i}]") for i, x in enumerate(v))
         return parse_list
-    if typing.get_origin(tp) in (types.UnionType, typing.Union) and len(args) == 2 \
-            and type(None) in args:
-        inner = _parser_for(args[0] if args[1] is type(None) else args[1])
+    if (inner := _optional(tp)) is not None:
+        inner = _parser_for(inner)
         return lambda v, path: None if v is None else inner(v, path)
     raise TypeError(f"no JSON parser for field type {tp!r}")
 
@@ -185,6 +208,59 @@ def _object_parser(cls):
         except ContractViolation as e:
             raise ConfigError(path or "<root>", str(e)) from e
     return parse_object
+
+
+def _arg_rule(tp):
+    """complaint(v) of an argument annotated `tp`, or None if `tp` carries no rule.
+
+    A complaint is None, or what follows the argument's name: " must be ...".
+    """
+    kind, rule = _rule(tp) or (tp, None)
+    if kind in _LEAVES:
+        leaf = _LEAVES[kind]
+
+        def complaint(v):
+            if (noun := leaf(v)) is not None:
+                return f" must be {noun}, got {v!r}"
+            if rule is not None and (problem := rule(v)) is not None:
+                return f" {problem}"
+            return None
+        return complaint
+    if (inner := _optional(tp)) and (inner_rule := _arg_rule(inner)):
+        return lambda v: None if v is None else inner_rule(v)
+    if typing.get_origin(tp) is collections.abc.Sequence and (item := _arg_rule(tp.__args__[0])):
+        def each(v):
+            if not isinstance(v, (list, tuple)):
+                return f" must be a list or tuple, got {v!r}"
+            return next((f"[{i}]{problem}" for i, x in enumerate(v) if (problem := item(x))),
+                        None)
+        return each
+    return None
+
+
+def checked(fn):
+    """`fn`, refusing an argument outside the rule its annotation carries.
+
+    The rules are ``parse``'s, read from `fn`'s annotations once, here: leaf
+    types, ``Bound`` and ``Match`` aliases, ``Literal`` choices, ``X | None``
+    and ``Sequence[X]`` (a list or tuple, each item an X). A call checks each
+    such argument it passes, by position or keyword, before `fn` runs, and
+    refuses a bad one with a ContractViolation such as "seed must be >= 0, got
+    -1". A default is not checked.
+    """
+    hints = typing.get_type_hints(fn, include_extras=True)
+    checks = [(math.inf if p.kind is p.KEYWORD_ONLY else i, p.name, p.default, complaint)
+              for i, p in enumerate(inspect.signature(fn).parameters.values())
+              if (complaint := _arg_rule(hints.get(p.name)))]
+
+    @functools.wraps(fn)
+    def check_args(*args, **kwargs):
+        for i, name, default, complaint in checks:
+            v = args[i] if i < len(args) else kwargs.get(name, default)
+            if v is not default and (problem := complaint(v)):
+                raise ContractViolation(name + problem)
+        return fn(*args, **kwargs)
+    return check_args
 
 
 def parse(cls, doc, path=""):

@@ -1,7 +1,10 @@
 import json
 import os
 import re
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -597,3 +600,13 @@ class TestErrorPaths:
         with pytest.raises(SystemExit) as exc:
             main(["transmogrify"])
         assert exc.value.code == 2
+
+
+def test_importing_the_cli_loads_no_process_pool_stack():
+    # a sweep that forks imports concurrent.futures; nothing else needs it
+    src = Path(__file__).resolve().parent.parent / "src"
+    probe = ("import sys, actlab.cli; print(sorted(m for m in ('concurrent.futures', "
+             "'multiprocessing') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.stdout == "[]\n"

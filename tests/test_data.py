@@ -147,6 +147,12 @@ class TestSupportSplit:
         with pytest.raises(ContractViolation, match="seed must be >= 0, got -1"):
             sample_support(tgt, 3, 5, seed=-1)
 
+    def test_a_non_integral_k_shot_is_refused(self):
+        # it raised a bare TypeError from inside numpy's choice
+        _, tgt = make_domain_pair(blob_spec())
+        with pytest.raises(ContractViolation, match=r"^k_shot must be an integer, got 2\.5$"):
+            sample_support(tgt, 3, 2.5, 0)
+
     def test_a_support_of_every_row_is_refused(self):
         _, tgt = make_domain_pair(blob_spec(samples_per_class=(5, 5, 5)))
         with pytest.raises(ContractViolation, match="no test rows"):
@@ -310,6 +316,12 @@ class TestBatches:
         np.testing.assert_array_equal(np.concatenate(batches(ls, 8, 1, 3)),
                                       np.concatenate(batches(ls, 8, 1, 3)))
 
+    def test_a_bool_batch_size_is_refused(self):
+        # True made one-row batches, as batch size 1
+        ls = LabeledSet(np.zeros((4, 2)), np.zeros(4, dtype=int), 2, "x")
+        with pytest.raises(ContractViolation, match="^batch_size must be an integer, got True$"):
+            batches(ls, True, 0, 0)
+
     def test_oversized_batch_is_one_batch(self):
         ls = LabeledSet(np.zeros((5, 2)), np.zeros(5, dtype=int), 2, "x")
         bs = batches(ls, 100, 1, 0)
@@ -423,3 +435,14 @@ class TestRngStreams:
             rng_stream(1, "batch", index=-2)
         with pytest.raises(ContractViolation, match="seed must be >= 0, got -3"):
             batches(ls, 2, -3, 0)
+
+    @pytest.mark.parametrize("seed", [1.5, True])
+    def test_a_float_or_bool_seed_is_refused(self, seed):
+        # each drew seed 1's stream
+        with pytest.raises(ContractViolation, match=f"^seed must be an integer, got {seed}$"):
+            rng_stream(seed, "batch")
+
+    def test_a_string_seed_is_a_contract_violation(self):
+        # a bare TypeError from SeedSequence before
+        with pytest.raises(ContractViolation, match="^seed must be an integer, got 'a'$"):
+            rng_stream("a", "batch")

@@ -103,6 +103,15 @@ class TestForward:
                            match="^features must be an array of real numbers"):
             forward_head(bundle, bad, 1)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_input_is_refused(self, value):
+        # the ReLU mapped NaN to 0, so an all-NaN batch was scored with no error
+        bundle = build(small_spec())
+        with pytest.raises(ContractViolation, match="^input must be finite"):
+            forward_target(bundle, np.full((3, 2), value))
+        with pytest.raises(ContractViolation, match="^features must be finite"):
+            forward_head(bundle, np.where(np.arange(8) == 5, value, 0.0)[None], 2)
+
     def test_target_is_features_then_heads(self):
         bundle = build(small_spec())
         for w, _ in bundle.head2:
@@ -178,6 +187,16 @@ class TestLayout:
         with pytest.raises(ContractViolation, match=re.escape(
                 "head1.bias: expected shape (3,), got (2,)")):
             bundle_from_params(spec, {**params, "head1.bias": np.zeros(2)})
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_parameters_are_refused(self, value):
+        # they were kept, though save_checkpoint and load_checkpoint refuse them
+        spec = small_spec()
+        params = {name: np.zeros(shape) for name, shape in spec.param_shapes()}
+        params["head2.weight"] = np.where(np.arange(24).reshape(8, 3) == 7, value, 0.0)
+        with pytest.raises(ContractViolation,
+                           match="^parameter 'head2.weight' has a non-finite value$"):
+            bundle_from_params(spec, params)
 
 
 class TestCheckpoint:
@@ -425,6 +444,11 @@ class TestClone:
         clone.extractor[0][0].data = clone.extractor[0][0].data + 5.0
         assert not np.array_equal(clone.extractor[0][0].data,
                                   bundle.extractor[0][0].data)
+
+    def test_a_non_integral_cell_count_is_refused(self):
+        # a bare TypeError from np.broadcast_to before
+        with pytest.raises(ContractViolation, match=r"^cells must be an integer, got 2\.5$"):
+            clone_for_adaptation(build(small_spec()), 2.5)
 
     @pytest.mark.parametrize("cells", [0, -1])
     def test_fewer_than_one_cell_is_refused(self, cells):

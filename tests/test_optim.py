@@ -303,6 +303,11 @@ class TestLrSchedule:
             with pytest.raises(ContractViolation):
                 lr_at(1.0, p)
 
+    def test_a_bool_eta0_is_refused(self):
+        # True was taken as 1 and gave 0.261
+        with pytest.raises(ContractViolation, match="^eta0 must be a number, got True$"):
+            lr_at(True, 0.5)
+
     def test_bad_configs_rejected(self):
         for eta0 in (0.0, -1.0, float("nan")):
             with pytest.raises(ContractViolation):

@@ -113,6 +113,58 @@ def test_direction_and_bound_follow_the_benchmark(pairs):
     assert (m["change_worse"], m["within_bound"]) == (4, False)
 
 
+# sweep_seeds setup_s base runs of BENCH_25.json: (q3 - q1) / median is 0.29
+WIDE_SETUP_S = [0.1798, 0.2349, 0.2086, 0.2101, 0.1525, 0.1678, 0.1663, 0.2466, 0.1584, 0.2285]
+
+
+def test_a_base_spread_wider_than_the_bound_leaves_the_metric_unresolved(pairs):
+    q1, q2, q3 = statistics.quantiles(WIDE_SETUP_S, n=4, method="inclusive")
+    assert (q3 - q1) / q2 > 0.25
+    m = pairs.metric_summary(list(zip(WIDE_SETUP_S, WIDE_SETUP_S[1:] + WIDE_SETUP_S[:1])),
+                             "lower", 0.25)
+    assert m["within_bound"] and not m["resolved"]
+
+
+@pytest.mark.parametrize("better", ["lower", "higher"])
+def test_a_change_better_in_every_run_is_resolved_whatever_the_spread(pairs, better):
+    step = 0.1 if better == "lower" else 0.3  # past the base's extreme either way
+    change = [min(WIDE_SETUP_S) - step if better == "lower" else max(WIDE_SETUP_S) + step
+              + i * 0.001 for i in range(10)]
+    m = pairs.metric_summary(list(zip(WIDE_SETUP_S, change)), better, 0.25)
+    assert m["resolved"]
+    # one change run no better than the best base run leaves it unresolved
+    change[3] = min(WIDE_SETUP_S) if better == "lower" else max(WIDE_SETUP_S)
+    assert not pairs.metric_summary(list(zip(WIDE_SETUP_S, change)), better, 0.25)["resolved"]
+
+
+def test_a_spread_inside_the_bound_is_resolved(pairs):
+    report = pairs.summarize(canned_runs(), END_TO_END)["moons_ref"]["metrics"]
+    assert all(m["resolved"] for m in report.values())
+    same = pairs.metric_summary([(b, b) for b in BASE_MS], "lower", 0.25)
+    assert same["resolved"] and not same["gain"]
+
+
+def test_main_prints_unresolved_for_an_unresolved_metric(pairs, monkeypatch, tmp_path, capsys):
+    def run_bench(checkout, workload, seed, seconds):
+        run = result(10.0)
+        run["metrics"]["setup_s"]["value"] = WIDE_SETUP_S[seed - 1]
+        return run
+
+    monkeypatch.setattr(pairs, "git", lambda *args, check=True: "f" * 40 + "\n")
+    monkeypatch.setattr(pairs, "copy_working_tree", lambda dest: None)
+    monkeypatch.setattr(pairs, "run_bench", run_bench)
+    monkeypatch.setattr(pairs, "run_selftest",
+                        lambda checkout: {"counts": {}, "verdict": "ok", "exit_code": 0})
+    monkeypatch.setattr(pairs, "run_fidelity", lambda checkout: fidelity_run())
+    out = tmp_path / "BENCH.json"
+    assert pairs.main(["--base", "HEAD", "--out", str(out), "--workload", "moons_ref",
+                       "--pairs", "10"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[1] for line in lines if line.endswith("unresolved")] == ["setup_s"]
+    assert json.loads(out.read_text())["workloads"]["moons_ref"]["metrics"]["setup_s"][
+        "resolved"] is False
+
+
 def test_fingerprints_compare_on_the_data_seeds_both_runs_reached(pairs):
     assert pairs.fingerprints_agree({2: "a", 3: "b", 5: "x"}, {2: "a", 3: "b"}) == (True, 2)
     assert pairs.fingerprints_agree({2: "a", 3: "b"}, {2: "a", 3: "z"}) == (False, 2)

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import math
 import re
@@ -935,10 +936,27 @@ class TestSeedSweep:
             seed_sweep(DOMAIN, SPEC, PretrainConfig(epochs=1), small_adapt_cfg(),
                        AugmentPolicy(), 3, 5, data_seeds, model_seeds)
 
+    @pytest.mark.parametrize("data_seeds, model_seeds, message", [
+        ([1.5, 1], [5], "data_seeds[0] must be an integer, got 1.5"),
+        ([1, True], [5], "data_seeds[1] must be an integer, got True"),
+        ([1], [5, 6.0], "model_seeds[1] must be an integer, got 6.0"),
+        ([1], 5, "model_seeds must be a list or tuple, got 5"),
+    ], ids=["float-data", "bool-data", "float-model", "not-a-list"])
+    def test_a_seed_that_is_not_an_integer_is_refused_before_pretraining(
+            self, monkeypatch, data_seeds, model_seeds, message):
+        # [1.5, 1] gave two cells of data seed 1
+        def pretrain(*args, **kwargs):
+            raise AssertionError("pretraining started")
+
+        monkeypatch.setattr(pipeline, "pretrain_source", pretrain)
+        with pytest.raises(ContractViolation, match=f"^{re.escape(message)}$"):
+            seed_sweep(DOMAIN, SPEC, PretrainConfig(epochs=1), small_adapt_cfg(),
+                       AugmentPolicy(), 3, 5, data_seeds, model_seeds)
+
     def test_pool_has_at_most_one_worker_per_cell(self, monkeypatch):
         sizes = []
         serial = self.sweep(jobs=1).to_dict()
-        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", InlinePool.recording(sizes))
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool.recording(sizes))
         assert self.sweep(jobs=64).to_dict() == serial
         assert self.sweep(jobs=3).to_dict() == serial
         assert sizes == [4, 3]  # 2 data seeds x 2 model seeds
@@ -953,7 +971,7 @@ class TestSeedSweep:
             raise AssertionError(f"a pool of {max_workers} started")
 
         serial = one_cell(jobs=1)
-        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         assert one_cell(jobs=2) == serial
         assert [c["status"] for c in serial["cells"]] == ["ok"]
 
@@ -978,7 +996,7 @@ class TestSeedSweep:
         assert sorted(groups) == [1, 1, 1, 1, 2, 2]  # each seed's group fails, then its cells
         in_workers = self.sweep(jobs=2).to_dict()  # one group per seed, in two workers
         groups.clear()
-        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", InlinePool.recording([]))
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool.recording([]))
         alone = self.sweep(jobs=4).to_dict()  # every cell its own group: solo runs
         assert groups == [1, 1, 1, 1]
         assert grouped == in_workers == alone

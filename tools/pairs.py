@@ -21,8 +21,11 @@ end-to-end metric of both sides and whether the parameter fingerprints of the
 data seeds both runs reached agree; per metric, each side's median and
 quartiles, how many pairs the change was better, worse or tied, the median
 per-pair ratio, whether a gain may be claimed (better in at least nine tenths
-of the pairs, by more than the base's interquartile range) and whether the
-change stays within BENCHMARK.json's bound; both machine blocks; every
+of the pairs, by more than the base's interquartile range), whether the
+change stays within BENCHMARK.json's bound, and whether the runs resolve the
+metric at all (``resolved`` is false, and the printed line says
+``unresolved``, when the base's interquartile range over its median exceeds
+the bound, unless every change run is better than every base run); both machine blocks; every
 self-test count that moved; and whether the two fidelity outputs match, with
 the numbers of the lines that differ and each side's exit code. The report
 is not written, and the command exits 1, if a run is not correct or has
@@ -96,6 +99,8 @@ def metric_summary(pairs, better, bound):
     bq, cq = quartiles(base), quartiles(change)
     gain = sign * (bq[1] - cq[1])  # how much better the change's median is
     relative = (cq[1] - bq[1]) / bq[1] if bq[1] else 0.0
+    spread = (bq[2] - bq[0]) / bq[1] if bq[1] else 0.0
+    every_run_better = all(sign * (b - c) > 0 for b in base for c in change)
     return {
         "better": better,
         "base": {"q1": bq[0], "median": bq[1], "q3": bq[2]},
@@ -106,6 +111,8 @@ def metric_summary(pairs, better, bound):
         "median_change": relative,
         "gain": wins * 10 >= 9 * len(pairs) and gain > bq[2] - bq[0],
         "within_bound": sign * relative <= bound,
+        # a base spread wider than the bound cannot tell a change within it from none
+        "resolved": spread <= bound or every_run_better,
     }
 
 
@@ -313,7 +320,8 @@ def main(argv=None):
             print(f"{workload:12s} {name:18s} {m['base']['median']:10.4g} -> "
                   f"{m['change']['median']:10.4g}  better in {m['change_better']}/{m['pairs']}"
                   f"{'  GAIN' if m['gain'] else ''}"
-                  f"{'' if m['within_bound'] else '  OUT OF BOUND'}")
+                  f"{'' if m['within_bound'] else '  OUT OF BOUND'}"
+                  f"{'' if m['resolved'] else '  unresolved'}")
     print(f"pairs: wrote {args.out}")
     return 0
 
