@@ -51,9 +51,7 @@ class ShiftSpec:
     translation: tuple[float, ...] = ()
     noise_sigma: NonNegative = 0.0
 
-    def __post_init__(self):
-        check_fields(self)
-        object.__setattr__(self, "translation", tuple(float(t) for t in self.translation))
+    __post_init__ = check_fields
 
 
 @dataclass(frozen=True)
@@ -61,24 +59,20 @@ class DomainSpec:
     generator: Literal["gaussian_blobs", "two_moons"]
     dim: Annotated[int, Bound(2)]  # shifts rotate the first two dims
     num_classes: Classes
-    samples_per_class: tuple[int, ...]
+    samples_per_class: tuple[Count, ...]
     shift: ShiftSpec = field(default_factory=ShiftSpec)
     label_space_mode: Literal["closed_set", "partial_set"] = "closed_set"
-    target_classes: tuple[int, ...] | None = None
+    target_classes: tuple[Natural, ...] | None = None
     seed: Natural = 0
 
     def __post_init__(self):
         check_fields(self)
-        object.__setattr__(self, "samples_per_class",
-                           tuple(int(n) for n in self.samples_per_class))
         if self.generator == "two_moons" and (self.num_classes != 2 or self.dim != 2):
             raise ContractViolation("two_moons is a 2-class, 2-dim generator")
         if len(self.samples_per_class) != self.num_classes:
             raise ContractViolation(
                 f"samples_per_class has {len(self.samples_per_class)} entries "
                 f"for {self.num_classes} classes")
-        if any(n < 1 for n in self.samples_per_class):
-            raise ContractViolation("samples_per_class entries must be positive")
         if self.shift.translation and len(self.shift.translation) != self.dim:
             raise ContractViolation(
                 f"translation has {len(self.shift.translation)} entries for dim {self.dim}")
@@ -88,9 +82,9 @@ class DomainSpec:
         elif not self.target_classes:
             raise ContractViolation("partial_set mode needs target_classes")
         else:
-            tc = tuple(sorted(int(c) for c in self.target_classes))
+            tc = tuple(sorted(self.target_classes))
             object.__setattr__(self, "target_classes", tc)
-            if len(set(tc)) != len(tc) or any(not 0 <= c < self.num_classes for c in tc):
+            if len(set(tc)) != len(tc) or tc[-1] >= self.num_classes:
                 raise ContractViolation(f"target_classes {tc} not a subset of "
                                         f"[0, {self.num_classes})")
             if len(tc) == self.num_classes:
@@ -163,6 +157,7 @@ def _draw_domain(rng, spec, classes, name):
     return LabeledSet(np.vstack(xs), np.concatenate(ys), spec.num_classes, name)
 
 
+@checked
 def rotation_matrix_2d(degrees: float):
     theta = np.deg2rad(degrees)
     c, s = np.cos(theta), np.sin(theta)
@@ -244,7 +239,6 @@ class StrongTier:
 
     def __post_init__(self):
         check_fields(self)
-        object.__setattr__(self, "scale_range", tuple(float(s) for s in self.scale_range))
         if len(self.scale_range) != 2 or self.scale_range[0] > self.scale_range[1]:
             raise ContractViolation(f"scale_range must be (lo, hi) with lo <= hi, "
                                     f"got {self.scale_range}")
@@ -256,6 +250,7 @@ class AugmentPolicy:
     strong: StrongTier = field(default_factory=StrongTier)
 
     def __post_init__(self):
+        check_fields(self)
         if self.strong.jitter_sigma < self.weak.jitter_sigma:
             raise ContractViolation("strong jitter must be at least the weak jitter")
 
@@ -370,7 +365,8 @@ def _augment_apply(xs, draws, policy, tier):
 def batches(labeled_set: LabeledSet, batch_size: Count, shuffle_seed: Natural, epoch: Natural):
     """Index batches for one epoch: a fresh permutation, short tail retained."""
     n = len(labeled_set)
-    perm = rng_stream(shuffle_seed, "batch", index=epoch).permutation(n)
+    # the undecorated stream: both seeds are checked above
+    perm = rng_stream.__wrapped__(shuffle_seed, "batch", index=epoch).permutation(n)
     return [perm[i:i + batch_size] for i in range(0, n, batch_size)]
 
 

@@ -71,17 +71,13 @@ CHECKPOINT_FORMAT_VERSION = 1
 @dataclass(frozen=True)
 class MlpSpec:
     input_dim: Count
-    hidden_dims: tuple[int, ...]
+    hidden_dims: tuple[Count, ...]
     feature_dim: Count
     num_classes: Classes
     activation: Literal["relu"] = "relu"
     init_seed: Natural = 0
 
-    def __post_init__(self):
-        check_fields(self)
-        object.__setattr__(self, "hidden_dims", tuple(int(h) for h in self.hidden_dims))
-        if any(h < 1 for h in self.hidden_dims):
-            raise ContractViolation(f"hidden dims must be positive, got {self.hidden_dims}")
+    __post_init__ = check_fields
 
     def param_shapes(self):
         """(name, shape) of every parameter, in checkpoint order: the extractor's

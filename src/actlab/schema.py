@@ -1,27 +1,33 @@
-"""Strict JSON documents for frozen dataclasses: the dataclasses are the schema.
+"""Annotations as contracts: one checker per annotated type, three users.
 
-A dataclass's fields, their annotated types and their defaults are the only
-declaration of what its JSON object may hold. ``parse`` reads them through
-``dataclasses.fields`` and ``typing.get_type_hints``:
+The annotations of a dataclass's fields, and their defaults, are the only
+declaration of what it and its JSON object may hold; a public function's
+annotations are the only one of what its arguments may be. ``_checker`` turns
+one annotation into one check, which returns a value in normal form or refuses
+it, saying where and what:
 
-- ``int``, ``float``, ``str`` and ``bool`` are checked leaves (a bool is not
-  an integer, and a number must be finite in float64);
+- ``int``, ``float``, ``str`` and ``bool`` are leaves. A bool is not an
+  integer, nor a number; an integer (numpy's too) is kept as an ``int``, and
+  a number as a ``float``, which must be finite;
 - ``Annotated[X, rule]`` (a ``Bound`` such as ``Positive``, or a ``Match``)
-  and ``Literal`` string choices carry a rule, which ``check_fields`` applies;
-- ``tuple[X, ...]`` is a list whose items get indexed paths (``a.b[2]``);
-- ``X | None`` is ``null`` or an ``X``;
-- a dataclass is a nested object, and a field with no default a required key;
-  a key omitted inside a block takes its value from the enclosing field's
-  default block, so each key has one default.
+  and ``Literal`` choices add their rule to their leaf's;
+- ``tuple[X, ...]`` and ``Sequence[X]`` are a list or tuple, kept as a tuple,
+  whose items get indexed paths (``a.b[2]``); ``X | None`` is None or an X;
+- a dataclass is an instance of it.
 
-Parsing is closed-world: an unknown key is an error. Every complaint is a
-``ConfigError`` carrying the full dotted path of the offending field, and a
-``ContractViolation`` from a dataclass's own cross-field checks becomes one
-at the path of its object. ``to_plain`` is the inverse: the fields in order,
-tuples as lists.
-
-A public function's arguments are declared the same way, in its annotations,
-and the decorator ``checked`` applies the same rules to them.
+``check_fields``, as a dataclass's ``__post_init__``, refuses a bad field with
+a ``ContractViolation`` ("hidden_dims[0]: must be >= 1, got 0") and stores the
+rest in normal form, so a config built in Python equals its parsed document
+and serializes as it. ``parse`` builds a dataclass from a JSON document: a
+nested dataclass is a nested object, a field with no default a required key,
+and a key omitted inside a block takes its value from the enclosing field's
+default block, so each key has one default. Parsing is closed-world: an
+unknown key is an error. Every complaint is a ``ConfigError`` carrying the
+full dotted path of the offending field, and a ``ContractViolation`` from a
+dataclass's own cross-field checks becomes one at the path of its object.
+``to_plain`` is the inverse: the fields in order, tuples as lists. The
+decorator ``checked`` checks a public function's arguments that are not
+dataclasses ("seed must be >= 0, got -1").
 """
 
 from __future__ import annotations
@@ -33,7 +39,6 @@ import inspect
 import math
 import numbers
 import re
-import sys
 import types
 import typing
 from typing import Annotated
@@ -54,9 +59,8 @@ class Bound:
         if (self.lo < x if self.open_lo else self.lo <= x) and \
                 (x < self.hi if self.open_hi else x <= self.hi):
             return None
-        where = (f"{'>' if self.open_lo else '>='} {self.lo}" if self.hi == math.inf else
-                 f"in {'[('[self.open_lo]}{self.lo}, {self.hi}{'])'[self.open_hi]}")
-        return f"must be {where}, got {x!r}"
+        return (f"must be {'>' if self.open_lo else '>='} {self.lo}" if self.hi == math.inf else
+                f"must be in {'[('[self.open_lo]}{self.lo}, {self.hi}{'])'[self.open_hi]}")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -66,8 +70,7 @@ class Match:
     pattern: str
 
     def complaint(self, s):
-        return None if re.fullmatch(self.pattern, s, re.DOTALL) else \
-            f"must match {self.pattern!r}, got {s!r}"
+        return None if re.fullmatch(self.pattern, s, re.DOTALL) else f"must match {self.pattern!r}"
 
 
 Positive = Annotated[float, Bound(0, open_lo=True)]
@@ -79,98 +82,127 @@ Count = Annotated[int, Bound(1)]
 Classes = Annotated[int, Bound(2)]
 
 
-def _rule(tp):
-    """(plain type, complaint function) of a field type that carries a rule, else None."""
-    if typing.get_origin(tp) is Annotated:
-        return tp.__origin__, tp.__metadata__[0].complaint
-    if typing.get_origin(tp) is typing.Literal:
-        choices = typing.get_args(tp)
-        return type(choices[0]), lambda s: None if s in choices else \
-            f"must be one of {', '.join(map(repr, choices))}, got {s!r}"
+def _shown(v):
+    """repr(v), or its type where repr fails, as it does for an int of over 4300 digits."""
+    try:
+        return repr(v)
+    except Exception:
+        return f"<unprintable {type(v).__name__}>"
+
+
+class _Refused(Exception):
+    """`value`, at `where` inside the value checked ("" or an index such as
+    "[2]"), is not `noun` (a leaf type's) or breaks `rule` ("must be >= 0")."""
+
+    def __init__(self, value, noun=None, rule=None):
+        self.value, self.noun, self.rule, self.where = value, noun, rule, ""
+
+    def says(self, expected="expected"):
+        """What is wrong: "expected an integer, got 1.5", or "must be >= 0, got -1"."""
+        return f"{self.rule or f'{expected} {self.noun}'}, got {_shown(self.value)}"
+
+
+# What a leaf of each type should be. A check tests the exact type first, since
+# an isinstance check against a numbers ABC is slow.
+_NOUNS = {int: "an integer", float: "a number", str: "a string", bool: "true/false"}
+
+
+def _normal(kind, v):
+    """`v`, not of exact type `kind` (a leaf type or a dataclass) or a float that is not
+    finite, as a `kind`, or refused."""
+    if kind is int and type(v) is not bool and isinstance(v, numbers.Integral):
+        return int(v)
+    if kind is float and type(v) is not bool and isinstance(v, numbers.Real):
+        try:
+            x = float(v)
+        except OverflowError:  # an int beyond float64
+            x = math.inf
+        if math.isfinite(x):
+            return x
+        raise _Refused(v, "a finite number")
+    if kind not in _NOUNS and isinstance(v, kind):  # an instance of a dataclass's subclass
+        return v
+    raise _Refused(v, _NOUNS.get(kind, f"an instance of {kind.__name__}"))
+
+
+def _leaf(kind, rule=None):
+    """Check of a leaf type or dataclass `kind` whose normal form `rule`, a complaint, accepts."""
+    def check(v):
+        if type(v) is not kind or kind is float and not -math.inf < v < math.inf:
+            v = _normal(kind, v)
+        if rule is not None and (problem := rule(v)) is not None:
+            raise _Refused(v, rule=problem)
+        return v
+    return check
+
+
+def _checker(tp):
+    """check(v) of annotation `tp`, which returns `v` in normal form or raises _Refused;
+    None for a type that carries no rule, such as an array or no annotation."""
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if tp in _NOUNS or dataclasses.is_dataclass(tp):
+        return _leaf(tp)
+    if origin is Annotated:
+        return _leaf(args[0], tp.__metadata__[0].complaint)
+    if origin is typing.Literal:
+        return _leaf(type(args[0]), lambda v: None if v in args else
+                     f"must be one of {', '.join(map(repr, args))}")
+    if origin is collections.abc.Sequence or origin is tuple and args[1:] == (Ellipsis,):
+        item = _checker(args[0])
+
+        def items(v):
+            if not isinstance(v, (list, tuple)):
+                raise _Refused(v, "a list or tuple")
+            out = []
+            for i, x in enumerate(v):
+                try:
+                    out.append(item(x))
+                except _Refused as e:
+                    e.where = f"[{i}]{e.where}"
+                    raise
+            return tuple(out)
+        return item and items
+    if origin in (types.UnionType, typing.Union) and len(args) == 2 and type(None) in args:
+        inner = _checker(args[args[0] is type(None)])
+        return inner and (lambda v: None if v is None else inner(v))
     return None
 
 
 @functools.cache
-def _rules(cls):
+def _field_checks(cls):
     hints = typing.get_type_hints(cls, include_extras=True)
-    return [(f.name, rule[1]) for f in dataclasses.fields(cls) if (rule := _rule(hints[f.name]))]
+    return [(f.name, check) for f in dataclasses.fields(cls) if (check := _checker(hints[f.name]))]
 
 
 def check_fields(obj):
-    """Refuse a field of dataclass `obj` outside its annotated range or choices."""
-    for name, complaint in _rules(type(obj)):
-        if (problem := complaint(getattr(obj, name))) is not None:
-            raise ContractViolation(f"{name}: {problem}")
+    """Refuse a field of dataclass `obj` its annotation refuses; keep the rest in normal form."""
+    for name, check in _field_checks(type(obj)):
+        v = getattr(obj, name)
+        try:
+            normal = check(v)
+        except _Refused as e:
+            raise ContractViolation(f"{name}{e.where}: {e.says()}") from None
+        if normal is not v:
+            object.__setattr__(obj, name, normal)  # a frozen dataclass's fields too
 
 
 def _fail(path, message):
     raise ConfigError(path or "<root>", message)
 
 
-def _integer(v):
-    if type(v) is int or type(v) is not bool and isinstance(v, numbers.Integral):
-        return None
-    return "an integer"
-
-
-def _number(v):
-    if type(v) not in (float, int) and (type(v) is bool or not isinstance(v, numbers.Real)):
-        return "a number"
-    # an int is compared, not converted: float() may overflow
-    finite = abs(v) <= sys.float_info.max if isinstance(v, int) else math.isfinite(v)
-    return None if finite else "a finite number"
-
-
-# The leaf rules of fields and arguments alike: None, or what the value should be.
-# A bool is not an integer, nor a number. The exact types are tested first, since
-# an isinstance check against a numbers ABC is slow.
-_LEAVES = {int: _integer, float: _number,
-           str: lambda v: None if type(v) is str else "a string",
-           bool: lambda v: None if type(v) is bool else "true/false"}
-
-
-def _leaf_parser(kind):
-    """Parser for a leaf of type `kind`: its rule, then a float leaf's value as a float."""
-    rule = _LEAVES[kind]
-
-    def parse_leaf(v, path):
-        if (noun := rule(v)) is not None:
-            _fail(path, f"expected {noun}, got {v!r}")
-        return float(v) if kind is float else v
-    return parse_leaf
-
-
-def _optional(tp):
-    """X of a type `X | None`, else None."""
-    args = typing.get_args(tp)
-    if typing.get_origin(tp) in (types.UnionType, typing.Union) and len(args) == 2 \
-            and type(None) in args:
-        return args[0] if args[1] is type(None) else args[1]
-    return None
-
-
 def _parser_for(tp):
     """The value parser for one annotated field type."""
-    if tp in _LEAVES:
-        return _leaf_parser(tp)
     if dataclasses.is_dataclass(tp):
         return _object_parser(tp)
-    ruled = _rule(tp)
-    if ruled is not None:  # its rule is checked by the enclosing object's parser
-        return _parser_for(ruled[0])
-    args = typing.get_args(tp)
-    if typing.get_origin(tp) is tuple and len(args) == 2 and args[1] is Ellipsis:
-        item = _parser_for(args[0])
+    if (check := _checker(tp)) is None:
+        raise TypeError(f"no JSON parser for field type {tp!r}")
 
-        def parse_list(v, path):
-            if not isinstance(v, (list, tuple)):
-                _fail(path, f"expected a list, got {v!r}")
-            return tuple(item(x, f"{path}[{i}]") for i, x in enumerate(v))
-        return parse_list
-    if (inner := _optional(tp)) is not None:
-        inner = _parser_for(inner)
-        return lambda v, path: None if v is None else inner(v, path)
-    raise TypeError(f"no JSON parser for field type {tp!r}")
+    def parse_value(v, path):
+        try:
+            return check(v)
+        except _Refused as e:
+            _fail(path + e.where, e.says())
+    return parse_value
 
 
 @functools.cache
@@ -200,9 +232,6 @@ def _object_parser(cls):
                 _fail(sub, "missing required key")
             else:
                 kwargs[key] = default
-        for key, complaint in _rules(cls):
-            if (problem := complaint(kwargs[key])) is not None:
-                _fail(f"{path}.{key}" if path else key, problem)
         try:
             return cls(**kwargs)
         except ContractViolation as e:
@@ -210,55 +239,30 @@ def _object_parser(cls):
     return parse_object
 
 
-def _arg_rule(tp):
-    """complaint(v) of an argument annotated `tp`, or None if `tp` carries no rule.
-
-    A complaint is None, or what follows the argument's name: " must be ...".
-    """
-    kind, rule = _rule(tp) or (tp, None)
-    if kind in _LEAVES:
-        leaf = _LEAVES[kind]
-
-        def complaint(v):
-            if (noun := leaf(v)) is not None:
-                return f" must be {noun}, got {v!r}"
-            if rule is not None and (problem := rule(v)) is not None:
-                return f" {problem}"
-            return None
-        return complaint
-    if (inner := _optional(tp)) and (inner_rule := _arg_rule(inner)):
-        return lambda v: None if v is None else inner_rule(v)
-    if typing.get_origin(tp) is collections.abc.Sequence and (item := _arg_rule(tp.__args__[0])):
-        def each(v):
-            if not isinstance(v, (list, tuple)):
-                return f" must be a list or tuple, got {v!r}"
-            return next((f"[{i}]{problem}" for i, x in enumerate(v) if (problem := item(x))),
-                        None)
-        return each
-    return None
-
-
 def checked(fn):
-    """`fn`, refusing an argument outside the rule its annotation carries.
+    """`fn`, refusing an argument that its annotation's check refuses.
 
-    The rules are ``parse``'s, read from `fn`'s annotations once, here: leaf
-    types, ``Bound`` and ``Match`` aliases, ``Literal`` choices, ``X | None``
-    and ``Sequence[X]`` (a list or tuple, each item an X). A call checks each
-    such argument it passes, by position or keyword, before `fn` runs, and
-    refuses a bad one with a ContractViolation such as "seed must be >= 0, got
-    -1". A default is not checked.
+    The checks are read from `fn`'s annotations once, here, one for each
+    argument whose annotation carries a rule and is not a dataclass. A call
+    checks each such argument it passes, by position or keyword, before `fn`
+    runs, and passes the argument on as given. A bad one raises a
+    ContractViolation such as "seed must be >= 0, got -1" or "data_seeds[0]
+    must be an integer, got 1.5". A default is not checked.
     """
     hints = typing.get_type_hints(fn, include_extras=True)
-    checks = [(math.inf if p.kind is p.KEYWORD_ONLY else i, p.name, p.default, complaint)
+    checks = [(math.inf if p.kind is p.KEYWORD_ONLY else i, p.name, p.default, check)
               for i, p in enumerate(inspect.signature(fn).parameters.values())
-              if (complaint := _arg_rule(hints.get(p.name)))]
+              if not dataclasses.is_dataclass(tp := hints.get(p.name)) and (check := _checker(tp))]
 
     @functools.wraps(fn)
     def check_args(*args, **kwargs):
-        for i, name, default, complaint in checks:
+        for i, name, default, check in checks:
             v = args[i] if i < len(args) else kwargs.get(name, default)
-            if v is not default and (problem := complaint(v)):
-                raise ContractViolation(name + problem)
+            if v is not default:
+                try:
+                    check(v)
+                except _Refused as e:
+                    raise ContractViolation(f"{name}{e.where} {e.says('must be')}") from None
         return fn(*args, **kwargs)
     return check_args
 

@@ -31,6 +31,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ContractViolation
+from .schema import checked
 
 
 class Tensor:
@@ -107,7 +108,8 @@ class Tensor:
         mask = self.data > 0.0  # subgradient at exactly 0 is 0
         return _result(np.where(mask, self.data, 0.0), (self,), lambda g: (g * mask,))
 
-    def log_shifted(self, eps: float) -> "Tensor":
+    @checked  # no return annotation: the class is not yet bound when this is read
+    def log_shifted(self, eps: float):
         """ln(x + eps). Every entry of x + eps must be strictly positive."""
         shifted, out_data = _log_shifted(self.data, eps)
         return _result(out_data, (self,), lambda g: (g / shifted,))
@@ -196,6 +198,7 @@ def _elementwise(name, a, b, fwd, da, db):
                               _reduce_to(db(g, a.data, b.data), b.shape)))
 
 
+@checked
 def scalar_mul(c: float, t: Tensor) -> Tensor:
     return _wrap(float(c)) * t
 

@@ -3,9 +3,12 @@ import json
 import math
 import pickle
 import re
+import typing
+from typing import Annotated, Literal
 
+import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, given, reject, settings
 from hypothesis import strategies as st
 
 from actlab.config import (ExperimentConfig, config_hash, config_to_dict,
@@ -13,7 +16,7 @@ from actlab.config import (ExperimentConfig, config_hash, config_to_dict,
 from actlab.errors import ConfigError, ContractViolation, ParseError
 from actlab.optim import SgdConfig
 from actlab.pipeline import PretrainConfig
-from actlab.schema import parse
+from actlab.schema import parse, to_plain
 
 
 def minimal_doc(**kw):
@@ -450,3 +453,109 @@ class TestLoad:
         p.write_bytes(b"\xff\xfe{}")
         with pytest.raises(ParseError, match="cannot read config"):
             load_config(p)
+
+
+# -- configs built in Python -------------------------------------------------------
+
+
+def _same_value(v):
+    """`v` as it may come from Python code: as given, as a numpy scalar, and a
+    whole float also as an int."""
+    if type(v) is int:
+        small = [np.uint8(v)] if 0 <= v < 256 else []
+        return st.sampled_from([v, np.int64(v), np.int32(v), *small])
+    if type(v) is float:
+        whole = [int(v), np.int64(v)] if v.is_integer() else []
+        return st.sampled_from([v, np.float64(v), *whole])
+    return st.just(v)
+
+
+def _fresh(tp):
+    """Values that the annotation `tp` of a leaf allows, read from its `Bound`,
+    `Match` or `Literal`, each as `_same_value` gives it."""
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is Literal:
+        return st.sampled_from(args)
+    kind, rule = (args[0], tp.__metadata__[0]) if origin is Annotated else (tp, None)
+    if kind is bool:
+        return st.booleans()
+    if kind is str:
+        return st.from_regex(rule.pattern, fullmatch=True)
+    lo, hi = (-1e6, 1e6) if rule is None else (rule.lo, min(rule.hi, 1e6))
+    first, last = math.ceil(lo), math.floor(hi)
+    first += rule is not None and rule.open_lo and first == lo
+    last -= rule is not None and rule.open_hi and last == hi
+    ints = st.integers(first, min(last, first + 100)) if first <= last else st.nothing()
+    if kind is int:
+        return ints.flatmap(_same_value)
+    floats = st.floats(lo, hi, exclude_min=rule is not None and rule.open_lo,
+                       exclude_max=rule is not None and rule.open_hi)
+    return st.one_of(floats, ints).flatmap(_same_value)
+
+
+@st.composite
+def _rebuilt(draw, base):
+    """Config object `base` built again in Python: each leaf as `_same_value` gives
+    it or, one time in four, drawn afresh, and a tuple field as a list or a tuple."""
+    hints = typing.get_type_hints(type(base), include_extras=True)
+    changes = {}
+    for f in dataclasses.fields(base):
+        v, tp = getattr(base, f.name), hints[f.name]
+        if isinstance(v, tuple):
+            listed = typing.get_args(tp)[0] if type(None) in typing.get_args(tp) else tp
+            item = typing.get_args(listed)[0]
+            items = [draw(_same_value(x) if draw(st.integers(0, 3)) else _fresh(item))
+                     for x in v]
+            changes[f.name] = draw(st.sampled_from([items, tuple(items)]))
+        elif v is not None and not dataclasses.is_dataclass(v):
+            changes[f.name] = draw(_same_value(v) if draw(st.integers(0, 3)) else _fresh(tp))
+    try:
+        return dataclasses.replace(base, **changes)
+    except ContractViolation:  # a cross-field check, such as n_way against the domain
+        reject()
+
+
+def _config_objects(obj):
+    """Every config object that `obj` nests, and `obj`, innermost first."""
+    nested = [_config_objects(getattr(obj, f.name)) for f in dataclasses.fields(obj)
+              if dataclasses.is_dataclass(getattr(obj, f.name))]
+    return [o for objs in nested for o in objs] + [obj]
+
+
+def _leaves(doc):
+    if isinstance(doc, dict):
+        return [x for v in doc.values() for x in _leaves(v)]
+    if isinstance(doc, list):
+        return [x for v in doc for x in _leaves(v)]
+    return [doc]
+
+
+PARTIAL_DOC = minimal_doc(n_way=2)
+PARTIAL_DOC["domain"].update(label_space_mode="partial_set", target_classes=[2, 0],
+                             shift={"translation": [1, -0.5]})
+BASES = list({(type(o), json.dumps(to_plain(o))): o for cfg in
+              (FULL_CFG, parse_config(PARTIAL_DOC)) for o in _config_objects(cfg)}.values())
+
+
+class TestBuiltInPython:
+    @pytest.mark.parametrize("base", BASES, ids=lambda o: type(o).__name__)
+    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+    @given(data=st.data())
+    def test_a_config_built_in_python_is_its_parsed_document(self, base, data):
+        # the same document means the same config_hash, which hashes it
+        obj = data.draw(_rebuilt(base), label="config")
+        plain = to_plain(obj)
+        text = json.dumps(plain, sort_keys=True)
+        assert {type(x) for x in _leaves(plain)} <= {int, float, str, bool, type(None)}
+        again = parse(type(obj), plain)
+        assert again == obj
+        assert json.dumps(to_plain(again), sort_keys=True) == text
+        if isinstance(obj, ExperimentConfig):
+            assert config_hash(again) == config_hash(obj)
+
+    def test_an_int_in_a_float_field_hashes_as_its_float(self):
+        cfg = dataclasses.replace(FULL_CFG, pretrain=dataclasses.replace(
+            FULL_CFG.pretrain, sgd=SgdConfig(lr=1), epochs=np.int64(3)))
+        assert config_hash(cfg) == config_hash(parse_config(json.loads(
+            json.dumps(config_to_dict(cfg)))))
+        assert config_to_dict(cfg)["pretrain"]["sgd"]["lr"] == 1.0

@@ -1,4 +1,5 @@
-"""Argument contracts: `schema.checked` on the public functions.
+"""Contracts read from annotations: `schema.checked` on the public functions,
+and `schema.check_fields` on the dataclasses.
 
 The rules a decorated argument must keep are read here from its annotation,
 independently of `schema`, and each kind of value the rule refuses is drawn:
@@ -7,9 +8,11 @@ the bound, a choice outside the `Literal`, and for a sequence an item of those
 or a value that is not a list.
 """
 
+import dataclasses
 import importlib
 import inspect
 import math
+import pkgutil
 import re
 import types
 import typing
@@ -22,13 +25,16 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import actlab
-from actlab.data import rng_stream
+from actlab.config import ExperimentConfig
+from actlab.data import AugmentPolicy, rng_stream
 from actlab.errors import ContractViolation
-from actlab.optim import lr_at
-from actlab.schema import Count, Natural, checked
+from actlab.losses import LossWeights
+from actlab.optim import SgdConfig, lr_at
+from actlab.pipeline import AdaptConfig, PretrainConfig
+from actlab.schema import Count, Natural, check_fields, checked
 
-MODULES = [importlib.import_module(f"actlab.{m}") for m in
-           ("config", "data", "losses", "models", "optim", "pipeline", "tensor")]
+MODULES = [importlib.import_module(f"actlab.{m.name}")
+           for m in pkgutil.iter_modules(actlab.__path__)]
 
 
 def rule_of(tp):
@@ -88,8 +94,9 @@ def ruled_params(fn):
 CHECK_ARGS = checked(lambda: None).__code__  # the code of every checked function
 
 
-def decorated():
-    """{qualified name: function} of every public function or method that is checked."""
+def public_functions():
+    """{qualified name: function} of every public function of the package's modules,
+    and every public method of their public classes."""
     found = {}
     for module in MODULES:
         for name, obj in vars(module).items():
@@ -97,22 +104,24 @@ def decorated():
                 continue
             members = vars(obj).items() if inspect.isclass(obj) else [(None, obj)]
             for attr, fn in members:
-                if inspect.isfunction(fn) and fn.__code__ is CHECK_ARGS:
+                if inspect.isfunction(fn) and not (attr or "").startswith("_"):
                     found[fn.__qualname__ if attr else name] = fn
     return found
 
 
-DECORATED = decorated()
+PUBLIC = public_functions()
+DECORATED = {qualname: fn for qualname, fn in PUBLIC.items() if fn.__code__ is CHECK_ARGS}
 CASES = [(qualname, name) for qualname, fn in DECORATED.items() for name in ruled_params(fn)]
 
 
 def test_every_public_function_with_a_ruled_argument_is_checked():
-    unchecked = [name for name in actlab.__all__
-                 if inspect.isfunction(fn := getattr(actlab, name))
-                 and fn.__code__ is not CHECK_ARGS and ruled_params(fn)]
+    unchecked = [qualname for qualname, fn in PUBLIC.items()
+                 if fn.__code__ is not CHECK_ARGS and ruled_params(fn)]
     assert unchecked == []
     assert {"rng_stream", "batches", "sample_support", "lr_at", "evaluate", "seed_sweep",
-            "forward_head", "ModelBundle.named_params"} <= set(DECORATED)
+            "forward_head", "ModelBundle.named_params", "scalar_mul", "Tensor.log_shifted",
+            "rotation_matrix_2d"} <= set(DECORATED)
+    assert {"load_config", "to_plain", "Bound.complaint"} <= set(PUBLIC)
     assert len(CASES) >= 20
 
 
@@ -189,3 +198,75 @@ def test_a_call_reads_no_signature(monkeypatch):
     monkeypatch.setattr(inspect, "signature", no_signature)
     rng_stream(1, "batch", index=2)
     assert lr_at(1.0, 0.0) == 1.0
+
+
+def test_a_value_too_large_to_print_is_refused_by_name():
+    # repr refuses an int of over 4300 digits; the refusal must not
+    with pytest.raises(ContractViolation, match="^eta0 must be a finite number, got "):
+        lr_at(10 ** 5000, 0.5)
+    with pytest.raises(ContractViolation, match="^lr: expected a finite number, got "):
+        SgdConfig(lr=10 ** 5000)
+
+
+# -- dataclass fields ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("build, field", [
+    (lambda: SgdConfig(lr=float("inf")), "lr"),
+    (lambda: PretrainConfig(epochs=2.5), "epochs"),
+    (lambda: PretrainConfig(seed=True), "seed"),
+    (lambda: AdaptConfig(fresh_batch_per_step="no"), "fresh_batch_per_step"),
+    (lambda: AdaptConfig(schedule=None), "schedule"),
+    (lambda: AugmentPolicy(weak=None), "weak"),
+    (lambda: LossWeights(lambda_e="a"), "lambda_e"),
+    (lambda: actlab.MlpSpec(2, (16, 0), 8, 3), "hidden_dims[1]"),
+    (lambda: actlab.MlpSpec(2, 16, 8, 3), "hidden_dims"),
+    (lambda: actlab.ShiftSpec(translation=(0.5, math.nan)), "translation[1]"),
+    (lambda: actlab.StrongTier(scale_range=(0.5, "1")), "scale_range[1]"),
+    (lambda: actlab.DomainSpec("two_moons", 2, 2, (5, 0)), "samples_per_class[1]"),
+    (lambda: actlab.DomainSpec("gaussian_blobs", 2, 3, (5, 5, 5), label_space_mode="partial_set",
+                               target_classes=(0, -1)), "target_classes[1]"),
+], ids=lambda v: v if isinstance(v, str) else "build")
+def test_a_field_built_in_python_is_refused_as_its_document_would_be(build, field):
+    with pytest.raises(ContractViolation, match=f"^{re.escape(field)}: "):
+        build()
+
+
+def test_fields_are_stored_in_normal_form():
+    spec = actlab.MlpSpec(np.int64(2), [np.uint8(16)], 8, 3, init_seed=np.int32(4))
+    assert spec == actlab.MlpSpec(2, (16,), 8, 3, init_seed=4)
+    assert [type(v) for v in (spec.input_dim, *spec.hidden_dims, spec.init_seed)] == [int] * 3
+    assert type(SgdConfig(lr=1).lr) is float and type(SgdConfig(lr=np.float64(0.5)).lr) is float
+
+
+def package_dataclasses():
+    return [obj for module in MODULES for obj in vars(module).values()
+            if inspect.isclass(obj) and dataclasses.is_dataclass(obj)
+            and obj.__module__ == module.__name__]
+
+
+def carries_rule(tp):
+    """Whether annotation `tp` holds a `Bound`/`Match` alias or a `Literal`, at any depth."""
+    if typing.get_origin(tp) in (Annotated, Literal):
+        return True
+    return any(carries_rule(arg) for arg in typing.get_args(tp))
+
+
+def config_classes(cls=ExperimentConfig):
+    """`cls` and every dataclass its fields nest, at any depth."""
+    nested = [tp for tp in hints(cls).values() if dataclasses.is_dataclass(tp)]
+    return {cls}.union(*map(config_classes, nested))
+
+
+def runs_check_fields(cls):
+    post = getattr(cls, "__post_init__", None)
+    return post is check_fields or inspect.isfunction(post) and \
+        "check_fields" in post.__code__.co_names
+
+
+def test_every_dataclass_with_a_ruled_field_and_every_config_runs_check_fields():
+    ruled = {cls for cls in package_dataclasses()
+             if any(carries_rule(tp) for tp in hints(cls).values())}
+    assert len(ruled) >= 14 and len(config_classes()) == 15
+    assert sorted(cls.__name__ for cls in ruled | config_classes()
+                  if not runs_check_fields(cls)) == []
