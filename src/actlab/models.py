@@ -144,24 +144,29 @@ def build(spec: MlpSpec) -> ModelBundle:
     return bundle_from_params(spec, params)
 
 
-def bundle_from_params(spec, params: dict) -> ModelBundle:
-    """Bundle holding copies of named arrays, checked against ``spec.param_shapes()``
-    and refused if not finite."""
+def _layout_arrays(spec, params):
+    """Named arrays `params` as float64 arrays in ``spec.param_shapes()`` order, refused
+    unless their names and shapes are the layout's and every value is finite."""
     layout = spec.param_shapes()
     names = {name for name, _ in layout}
     if set(params) != names:
         raise ContractViolation(f"parameter names do not match spec "
                                 f"(missing {sorted(names - set(params))}, "
                                 f"unexpected {sorted(set(params) - names)})")
-    tensors = {}
+    arrays = {name: np.asarray(params[name], dtype=np.float64) for name, _ in layout}
     for name, shape in layout:
-        got = np.asarray(params[name], dtype=np.float64)
-        if got.shape != shape:
-            raise ContractViolation(f"{name}: expected shape {shape}, got {got.shape}")
-        if not np.isfinite(got).all():
+        if arrays[name].shape != shape:
+            raise ContractViolation(f"{name}: expected shape {shape}, got {arrays[name].shape}")
+        if not np.isfinite(arrays[name]).all():
             raise ContractViolation(f"parameter {name!r} has a non-finite value")
-        tensors[name] = Tensor(got, requires_grad=True)  # the bundle's vector copies it
-    return ModelBundle(spec, tensors)
+    return arrays
+
+
+def bundle_from_params(spec, params: dict) -> ModelBundle:
+    """Bundle holding copies of named arrays, checked against ``spec.param_shapes()``
+    and refused if not finite."""
+    return ModelBundle(spec, {name: Tensor(a, requires_grad=True)  # the vector copies it
+                              for name, a in _layout_arrays(spec, params).items()})
 
 
 @checked
@@ -291,25 +296,18 @@ def params_fingerprint(tensors):
 def save_checkpoint(bundle: ModelBundle, path):
     """Write `bundle` to `path` atomically (`fileio.atomic_write`).
 
-    Refuses a parameter whose shape is not the spec's (a stacked bundle's, say)
-    and a NaN or infinite one before touching the filesystem, since
-    ``load_checkpoint`` would refuse the file.
+    Refuses what ``load_checkpoint`` would refuse, by ``bundle_from_params``' check
+    and before touching the filesystem: parameter names or shapes that are not the
+    spec's (a stacked bundle's, say), or a NaN or infinite value.
     """
-    named = dict(bundle.named_params("target"))
-    layout = dict(bundle.spec.param_shapes())
-    for name, t in named.items():
-        if t.data.shape != layout.get(name):
-            raise ContractViolation(f"cannot save parameter {name!r}: its shape {t.data.shape} "
-                                    f"is not the spec's {layout.get(name)}")
-        if not np.isfinite(t.data).all():
-            raise ContractViolation(f"cannot save parameter {name!r}: it has a non-finite value")
+    named = _layout_arrays(bundle.spec, {name: t.data for name, t in bundle.named_params()})
     # the bytes of json.dumps(doc, sort_keys=True), one parameter at a time: the C
     # encoder holds a string per token, so encoding the whole document at once
     # would hold every parameter's tokens together
     with atomic_write(path) as f:
         f.write(f'{{"format_version": {CHECKPOINT_FORMAT_VERSION}, "params": {{')
         for i, name in enumerate(sorted(named)):
-            data = named[name].data
+            data = named[name]
             entry = {"data": data.reshape(-1).tolist(), "shape": list(data.shape)}
             f.write(f'{", " if i else ""}{json.dumps(name)}: {json.dumps(entry)}')
         f.write(f'}}, "spec": {json.dumps(to_plain(bundle.spec), sort_keys=True)}}}\n')

@@ -7,8 +7,9 @@ one annotation into one check, which returns a value in normal form or refuses
 it, saying where and what:
 
 - ``int``, ``float``, ``str`` and ``bool`` are leaves. A bool is not an
-  integer, nor a number; an integer (numpy's too) is kept as an ``int``, and
-  a number as a ``float``, which must be finite;
+  integer, nor a number; an integer (numpy's too) is kept as an ``int``, of no
+  more digits than ``json.dumps`` (so ``config_hash``) prints, 4300 by default;
+  a number is kept as a ``float``, which must be finite;
 - ``Annotated[X, rule]`` (a ``Bound`` such as ``Positive``, or a ``Match``)
   and ``Literal`` choices add their rule to their leaf's;
 - ``tuple[X, ...]`` and ``Sequence[X]`` are a list or tuple, kept as a tuple,
@@ -39,6 +40,7 @@ import inspect
 import math
 import numbers
 import re
+import sys
 import types
 import typing
 from typing import Annotated
@@ -105,13 +107,18 @@ class _Refused(Exception):
 # What a leaf of each type should be. A check tests the exact type first, since
 # an isinstance check against a numbers ABC is slow.
 _NOUNS = {int: "an integer", float: "a number", str: "a string", bool: "true/false"}
+# The most digits Python prints of an int; 0, or a Python before 3.10.7: no limit.
+_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+_INT_LIMIT = 10 ** (_DIGITS or math.inf)
 
 
 def _normal(kind, v):
-    """`v`, not of exact type `kind` (a leaf type or a dataclass) or a float that is not
-    finite, as a `kind`, or refused."""
+    """`v`, not of exact type `kind` (a leaf type or a dataclass), a float that is not
+    finite or an int too long to print, as a `kind`, or refused."""
     if kind is int and type(v) is not bool and isinstance(v, numbers.Integral):
-        return int(v)
+        if abs(n := int(v)) < _INT_LIMIT:
+            return n
+        raise _Refused(v, f"an integer of at most {_DIGITS} digits")
     if kind is float and type(v) is not bool and isinstance(v, numbers.Real):
         try:
             x = float(v)
@@ -128,7 +135,8 @@ def _normal(kind, v):
 def _leaf(kind, rule=None):
     """Check of a leaf type or dataclass `kind` whose normal form `rule`, a complaint, accepts."""
     def check(v):
-        if type(v) is not kind or kind is float and not -math.inf < v < math.inf:
+        if type(v) is not kind or kind is float and not -math.inf < v < math.inf \
+                or kind is int and abs(v) >= _INT_LIMIT:
             v = _normal(kind, v)
         if rule is not None and (problem := rule(v)) is not None:
             raise _Refused(v, rule=problem)

@@ -421,6 +421,15 @@ class TestSweepCommand:
                          "aggregate", "aggregate"]
         assert all(line.split(",")[3] == "ok" for line in lines[1:3])
 
+    def test_jobs_takes_a_positive_integer(self, workspace, capsys):
+        # more jobs than cells: one cell starts no pool
+        cfg_path, run_dir = workspace
+        rc = main(["sweep", "--config", str(cfg_path), "--data-seeds", "1",
+                   "--model-seeds", "5", "--jobs", "2"])
+        assert rc == 0
+        assert "sweep: 1/1 cells ok" in capsys.readouterr().out
+        assert (run_dir / "sweep.csv").exists()
+
     def test_all_failed_cells_exit_nonzero(self, tmp_path, capsys):
         out = tmp_path / "runs"
         cfg_path = tmp_path / "exp.json"
@@ -558,6 +567,20 @@ class TestErrorPaths:
                  + [arg for pair in seeds.items() for arg in pair])
         assert exc.value.code == 2
         assert "seeds must be >= 0" in capsys.readouterr().err
+        assert not run_dir.exists()
+
+    @pytest.mark.parametrize("text, message", [
+        ("1,x", "expected comma-separated integers, got '1,x'"),
+        (" , ", "expected at least one seed"),
+    ], ids=["not-an-integer", "no-seed"])
+    def test_a_malformed_sweep_seed_list_is_a_usage_error(self, workspace, capsys, text,
+                                                           message):
+        cfg_path, run_dir = workspace
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--config", str(cfg_path), "--data-seeds", text,
+                  "--model-seeds", "5"])
+        assert exc.value.code == 2
+        assert f"--data-seeds: {message}\n" in capsys.readouterr().err
         assert not run_dir.exists()
 
     @pytest.mark.parametrize("option", ["--data-seeds", "--model-seeds"])

@@ -95,6 +95,14 @@ class TestParsing:
             parse_config(minimal_doc(adapt={"step_pattern": 12}))
         assert exc.value.path == "adapt.step_pattern"
 
+    @pytest.mark.parametrize("adapt, path, got", [(5, "adapt", "int"),
+                                                  ({"sam": [0.05]}, "adapt.sam", "list")])
+    def test_a_block_that_is_not_an_object_names_its_path(self, adapt, path, got):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(minimal_doc(adapt=adapt))
+        assert exc.value.path == path
+        assert str(exc.value) == f"{path}: expected an object, got {got}"
+
     def test_list_items_get_indexed_paths(self):
         doc = minimal_doc()
         doc["domain"]["samples_per_class"] = [40, "many", 40]
@@ -395,6 +403,14 @@ class TestCrossChecks:
     def test_n_way_must_match_domain_classes(self):
         with pytest.raises(ConfigError):
             parse_config(minimal_doc(n_way=2))
+
+    def test_model_classes_must_match_domain_classes(self):
+        doc = minimal_doc()
+        doc["model"]["num_classes"] = 4
+        with pytest.raises(ConfigError) as exc:
+            parse_config(doc)
+        assert exc.value.path == "<root>"
+        assert str(exc.value) == "<root>: model num_classes 4 != domain num_classes 3"
 
     def test_partial_set_counts_target_classes(self):
         doc = minimal_doc(n_way=2)

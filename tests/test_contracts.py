@@ -11,6 +11,7 @@ or a value that is not a list.
 import dataclasses
 import importlib
 import inspect
+import json
 import math
 import pkgutil
 import re
@@ -26,12 +27,12 @@ from hypothesis import strategies as st
 
 import actlab
 from actlab.config import ExperimentConfig
-from actlab.data import AugmentPolicy, rng_stream
+from actlab.data import AugmentPolicy, LabeledSet, rng_stream
 from actlab.errors import ContractViolation
 from actlab.losses import LossWeights
 from actlab.optim import SgdConfig, lr_at
 from actlab.pipeline import AdaptConfig, PretrainConfig
-from actlab.schema import Count, Natural, check_fields, checked
+from actlab.schema import Count, Natural, check_fields, checked, parse, to_plain
 
 MODULES = [importlib.import_module(f"actlab.{m.name}")
            for m in pkgutil.iter_modules(actlab.__path__)]
@@ -208,6 +209,19 @@ def test_a_value_too_large_to_print_is_refused_by_name():
         SgdConfig(lr=10 ** 5000)
 
 
+def test_an_integer_too_long_to_print_is_refused_by_name():
+    # json.dumps, and so config_hash, refuses an int of over 4300 digits
+    with pytest.raises(ContractViolation,
+                       match="^seed: expected an integer of at most 4300 digits, got "):
+        PretrainConfig(seed=10 ** 5000)
+    with pytest.raises(ContractViolation, match="^seed must be an integer of at most 4300 digits"):
+        rng_stream(10 ** 5000, "batch")
+    with pytest.raises(ContractViolation, match="^seed: expected an integer of at most 4300 "):
+        PretrainConfig(seed=-10 ** 4300)  # 4301 digits
+    longest = PretrainConfig(seed=10 ** 4300 - 1)
+    assert json.loads(json.dumps(to_plain(longest))) == to_plain(longest)
+
+
 # -- dataclass fields ------------------------------------------------------------------
 
 
@@ -230,6 +244,20 @@ def test_a_value_too_large_to_print_is_refused_by_name():
 def test_a_field_built_in_python_is_refused_as_its_document_would_be(build, field):
     with pytest.raises(ContractViolation, match=f"^{re.escape(field)}: "):
         build()
+
+
+def test_an_instance_of_a_subclass_is_an_instance():
+    class Weights(LossWeights):
+        pass
+
+    weights = Weights(lambda_e=0.5)
+    assert AdaptConfig(weights=weights).weights is weights
+
+
+def test_a_field_with_no_rule_has_no_json_parser():
+    # a LabeledSet's arrays have no JSON form, so no document can describe one
+    with pytest.raises(TypeError, match="^no JSON parser for field type "):
+        parse(LabeledSet, {})
 
 
 def test_fields_are_stored_in_normal_form():

@@ -1,3 +1,4 @@
+import re
 import tempfile
 from pathlib import Path
 
@@ -169,6 +170,12 @@ class TestAugment:
         b = augment(x, policy, "strong", rng_stream(3, "augment"))
         np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("shape", [(3,), (2, 2, 2, 2)])
+    def test_a_batch_is_rows_of_vectors(self, shape):
+        with pytest.raises(ContractViolation, match=f"^augment takes vectors, got rows of shape "
+                                                    f"{re.escape(str(shape[1:]))}$"):
+            augment_batch(np.zeros(shape), AugmentPolicy(), "weak", rng_stream(0, "augment"))
+
     def test_identity_policy_is_exact(self):
         policy = AugmentPolicy(
             weak=WeakTier(jitter_sigma=0.0, flip_axis_prob=0.0),
@@ -339,6 +346,16 @@ class TestLabeledSet:
             LabeledSet(xs, [0, 1, 0, 1], 2, "demo")
 
 
+    @pytest.mark.parametrize("xs, ys", [(np.zeros(4), [0, 1, 0, 1]),
+                                        (np.zeros((4, 2)), [[0, 1, 0, 1]]),
+                                        (np.zeros((4, 2)), [0, 1, 0])],
+                             ids=["flat-rows", "nested-labels", "one-label-short"])
+    def test_rows_and_labels_must_be_a_matrix_and_a_vector_of_one_length(self, xs, ys):
+        message = f"bad labeled set shapes {np.shape(xs)} / {np.shape(ys)}"
+        with pytest.raises(ContractViolation, match=f"^{re.escape(message)}$"):
+            LabeledSet(xs, ys, 2, "demo")
+
+
 class TestExport:
     def test_round_trip_exact(self, tmp_path):
         _, tgt = make_domain_pair(blob_spec(shift=ShiftSpec(noise_sigma=0.3)))
@@ -381,6 +398,34 @@ class TestExport:
         path.write_text(f"{dim},2,x\n")
         with pytest.raises(ParseError, match="dim must be >= 1"):
             load_labeled_set(path)
+
+    @pytest.mark.parametrize("header, message", [
+        ("2,2", "header must be dim,num_classes,name"),
+        ("2,2,demo,x", "header must be dim,num_classes,name"),
+        ("two,2,demo", "bad header (invalid literal for int() with base 10: 'two')"),
+    ], ids=["two-fields", "four-fields", "not-an-integer"])
+    def test_malformed_header_rejected(self, tmp_path, header, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"{header}\n1.0,2.0,0\n")
+        with pytest.raises(ParseError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            load_labeled_set(path)
+
+    @pytest.mark.parametrize("row, message", [
+        ("1.0,x,0", "could not convert string to float: 'x'"),
+        ("1.0,2.0,1.5", "invalid literal for int() with base 10: '1.5'"),
+    ], ids=["feature", "label"])
+    def test_a_value_that_is_not_a_number_names_its_line(self, tmp_path, row, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"2,2,demo\n1.0,2.0,0\n{row}\n")
+        with pytest.raises(ParseError, match=f"^{re.escape(f'{path}:3: {message}')}$"):
+            load_labeled_set(path)
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("2,2,demo\n1.0,2.0,0\n\n3.0,4.0,1\n\n")
+        back = load_labeled_set(path)
+        np.testing.assert_array_equal(back.xs, [[1.0, 2.0], [3.0, 4.0]])
+        np.testing.assert_array_equal(back.ys, [0, 1])
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"

@@ -1,13 +1,15 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from actlab.errors import ContractViolation
-from actlab.losses import (LossWeights, SmoothingParams, batch_targets, cdd_batch,
-                           cdd_pair, cond_entropy, lsce, rce, step1_objective,
-                           step2_objective)
-from actlab.tensor import Tensor, backward, scalar_mul
+from actlab.losses import (LossWeights, SmoothingParams, _branch_objective, _lsce_targets,
+                           _lsce_term, batch_targets, cdd_batch, cdd_pair, cond_entropy,
+                           lsce, rce, step1_objective, step2_objective)
+from actlab.tensor import Tensor, _softmax, backward, scalar_mul
 
 import oracles
 
@@ -155,6 +157,11 @@ class TestCddPair:
             cdd_pair([0.5, 0.6], [0.5, 0.5])
         with pytest.raises(ContractViolation):
             cdd_pair([1.2, -0.2], [0.5, 0.5])
+
+    def test_rejects_vectors_of_unequal_length(self):
+        message = "cdd_pair needs two equal-length vectors, got (2,) and (3,)"
+        with pytest.raises(ContractViolation, match=f"^{re.escape(message)}$"):
+            cdd_pair([0.5, 0.5], [0.2, 0.3, 0.5])
 
 
 class TestCddBatch:
@@ -376,6 +383,63 @@ class TestErrorPaths:
     def test_cond_entropy_rejects_a_negative_eps(self):
         with pytest.raises(ContractViolation, match="nonnegative"):
             cond_entropy(Tensor([[0.3, -0.2]]), -1e-3)
+
+    @pytest.mark.parametrize("shape", [(0, 3), (2, 1)])
+    def test_degenerate_logits_are_refused(self, shape):
+        message = f"cond_entropy: degenerate logits shape {shape}"
+        with pytest.raises(ContractViolation, match=f"^{re.escape(message)}$"):
+            cond_entropy(Tensor(np.zeros(shape)), 1e-5)
+
+
+@st.composite
+def finite_logits(draw, shape):
+    """Logits of `shape` of any magnitude up to 1e300: a common offset plus entries that
+    are all close together, or some far apart, so that a softmax entry is sometimes 0."""
+    near = st.floats(-50.0, 50.0)
+    entries = draw(st.sampled_from([near, st.one_of(st.floats(-5e299, 5e299), near)]))
+    values = draw(st.lists(entries, min_size=int(np.prod(shape)), max_size=int(np.prod(shape))))
+    return draw(st.floats(-5e299, 5e299)) + np.array(values).reshape(shape)
+
+
+class TestRefusalsOfFiniteLogits:
+    """Pretraining and adaptation name a divergence where lsce refuses a softmax entry,
+    and rely on these two facts to keep no check past it."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_an_lsce_that_accepts_its_softmax_has_a_finite_value(self, data):
+        n, k = data.draw(st.integers(1, 6)), data.draw(st.integers(2, 5))
+        logits = data.draw(finite_logits((n, k)))
+        labels = np.array(data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)))
+        smoothed = _lsce_targets((n, k), labels, data.draw(st.floats(0.0, 1.0, exclude_max=True)))
+        try:
+            s, _ = _lsce_term(_softmax(logits), smoothed)
+        except ContractViolation:
+            return
+        v = (-1.0 / n) * s  # pretraining's loss is v + v, lsce of two equal heads
+        assert np.isfinite(v) and np.isfinite(v + v)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_a_refused_step_objective_has_a_softmax_entry_of_zero(self, data):
+        cells = data.draw(st.sampled_from([(), (1,), (3,)]))
+        n, k = data.draw(st.integers(1, 4)), data.draw(st.integers(2, 4))
+        logits = data.draw(finite_logits((2, *cells, n, k)))
+        rows = int(np.prod(cells)) * n
+        labels = np.array(data.draw(st.lists(st.integers(0, k - 1), min_size=rows,
+                                             max_size=rows))).reshape(*cells, n)
+        q = _softmax(data.draw(finite_logits((*cells, n, k))))
+        smoothing = SmoothingParams(data.draw(st.floats(0.0, 0.5)),
+                                    data.draw(st.floats(1e-12, 0.5)))
+        cdd_sign = data.draw(st.sampled_from([None, "as_printed", "flipped"]))
+        zero = (_softmax(logits) == 0.0).any()
+        try:
+            _branch_objective(logits, batch_targets(labels, q, q[::-1], smoothing), LossWeights(),
+                              cdd_sign)
+        except ContractViolation:
+            assert zero
+        else:  # lsce takes ln of every entry, unshifted
+            assert not zero
 
 
 @st.composite

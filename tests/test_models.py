@@ -308,6 +308,19 @@ class TestCheckpoint:
                 f"{path}: bad parameter 'head1.bias' (unknown key 'extra')")):
             load_checkpoint(path)
 
+    def test_root_must_be_an_object(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        path.write_text("[]")
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: checkpoint root must be "
+                                             f"an object$"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("key", ["spec", "params"])
+    def test_spec_and_params_are_required(self, tmp_path, key):
+        path = self.edited(tmp_path, lambda doc: doc.pop(key))
+        with pytest.raises(ParseError, match=f"^{re.escape(f'{path}: missing {key!r}')}$"):
+            load_checkpoint(path)
+
     def test_unknown_top_level_key_is_refused(self, tmp_path):
         path = self.edited(tmp_path, lambda doc: doc.update(formt_version=1))
         with pytest.raises(ParseError, match=re.escape(f"{path}: unknown key 'formt_version'")):
@@ -374,9 +387,35 @@ class TestCheckpoint:
     def test_stacked_bundle_is_refused_before_any_write(self, tmp_path):
         # load_checkpoint would refuse its [3, ...] parameters
         stacked = clone_for_adaptation(build(small_spec()), cells=3)
-        with pytest.raises(ContractViolation, match="'extractor.0.weight'.*spec's"):
+        with pytest.raises(ContractViolation,
+                           match=r"^extractor\.0\.weight: expected shape \(\d+, \d+\), got \(3, "):
             save_checkpoint(stacked, tmp_path / "m.ckpt")
         assert list(tmp_path.iterdir()) == []
+
+    @settings(max_examples=60, deadline=None)
+    @given(SPECS, st.sampled_from([None, 1, 2]), st.data())
+    def test_a_save_refuses_what_a_load_refuses_and_writes_every_bit(self, spec, cells, data):
+        bundle = build(spec) if cells is None else clone_for_adaptation(build(spec), cells=cells)
+        vector = bundle.vector.data.copy()
+        for i in data.draw(st.lists(st.integers(0, vector.size - 1), max_size=3, unique=True)):
+            vector.flat[i] = data.draw(st.floats(allow_nan=True, allow_infinity=True))
+        bundle.vector.data = vector
+        try:  # what load_checkpoint would run on the file
+            bundle_from_params(spec, {name: t.data for name, t in bundle.named_params()})
+            refusal = None
+        except ContractViolation as e:
+            refusal = str(e)
+        assert (refusal is None) == (cells is None and np.isfinite(vector).all())
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "m.ckpt"
+            if refusal is not None:
+                with pytest.raises(ContractViolation, match=f"^{re.escape(refusal)}$"):
+                    save_checkpoint(bundle, path)
+                assert list(Path(tmp).iterdir()) == []
+            else:
+                save_checkpoint(bundle, path)
+                assert params_fingerprint(trainable_params(load_checkpoint(path), "all_target")) \
+                    == params_fingerprint(trainable_params(bundle, "all_target"))
 
     def test_refused_save_keeps_the_existing_file(self, tmp_path):
         path = tmp_path / "m.ckpt"

@@ -99,6 +99,18 @@ class TestAdam:
         with pytest.raises(ContractViolation):
             adam_step([w], [np.zeros(3)], AdamState(), AdamConfig())
 
+    def test_one_grad_per_param(self):
+        w = Tensor([0.0], requires_grad=True)
+        with pytest.raises(ContractViolation, match="^1 params but 2 grads$"):
+            adam_step([w], [np.zeros(1), np.zeros(1)], AdamState(), AdamConfig())
+        np.testing.assert_array_equal(w.data, [0.0])
+
+    def test_one_lr_override_per_param(self):
+        w = Tensor([0.0], requires_grad=True)
+        with pytest.raises(ContractViolation, match="^1 params but 2 lr overrides$"):
+            adam_step([w], [np.ones(1)], AdamState(), AdamConfig(), lr_override=[0.1, 0.2])
+        np.testing.assert_array_equal(w.data, [0.0])
+
 
 class TestSam:
     def test_quadratic_pinned(self):
@@ -197,6 +209,13 @@ class TestSam:
             sam_step([w], closure, SamState(), SamConfig(), lr_override=0.5,
                      base_step=lambda params, grads: None)
         assert calls == []
+        np.testing.assert_array_equal(w.data, [1.0])
+
+    @pytest.mark.parametrize("loss", [None, Tensor([1.0, 2.0])], ids=["none", "two-entries"])
+    def test_a_closure_that_returns_no_scalar_tensor_is_refused(self, loss):
+        w = Tensor([1.0], requires_grad=True)
+        with pytest.raises(ContractViolation, match="^loss closure must return a scalar tensor$"):
+            sam_step([w], lambda: loss, SamState(), SamConfig())
         np.testing.assert_array_equal(w.data, [1.0])
 
     def test_no_parameters_is_refused(self):

@@ -115,6 +115,12 @@ class TestPretrain:
             pretrain_source(source, SPEC, cfg)
         assert exc.value.iteration == 0 and math.isnan(exc.value.last_loss)
 
+    def test_an_empty_source_set_is_refused(self):
+        empty = LabeledSet(np.zeros((0, 2)), np.zeros(0, dtype=np.int64), 3, "empty")
+        # today the refusal is lsce's, whose message names no source set
+        with pytest.raises(ContractViolation):
+            pretrain_source(empty, SPEC, PretrainConfig(epochs=1))
+
     @pytest.mark.parametrize("case", ["moons", "blobs", "blobs_32x32", "one_row_tail"])
     def test_matches_the_tape_loop_bit_for_bit(self, case):
         domain, spec, cfg = {
@@ -328,6 +334,12 @@ class TestAdapt:
         with pytest.raises(ContractViolation):
             adapt(bundle, bad_split, AugmentPolicy(), small_adapt_cfg())
 
+    def test_a_support_of_another_dimension_is_refused(self, pretrained, split):
+        support = LabeledSet(np.zeros((len(split.support), 3)), split.support.ys, 3, "3-d")
+        with pytest.raises(ContractViolation, match="^support dim 3 != model input dim 2$"):
+            adapt(pretrained[0], SupportSplit(support, split.test, 3, 5, 21), AugmentPolicy(),
+                  small_adapt_cfg())
+
     @pytest.mark.parametrize("cells", [1, 2])
     def test_an_empty_test_set_is_refused_before_any_step(self, pretrained, split,
                                                           monkeypatch, cells):
@@ -422,6 +434,25 @@ class TestAdapt:
             assert value.tobytes() == after.tobytes(), name
         assert any(after.tobytes() != source[name].data.tobytes()
                    for name, after in zip(source, snapshots[-1]))
+
+    def test_a_step_total_that_overflows_is_divergence(self, pretrained, split):
+        # finite weights and finite terms, whose weighted sum overflows float64
+        cfg = small_adapt_cfg(weights=LossWeights(lambda_e=1.7e308, lambda_rce=1.7e308))
+        with pytest.raises(DivergenceError, match=r"^adaptation diverged at iteration 0 "
+                                                  r"\(step 1\)$") as exc:
+            adapt(pretrained[0], split, AugmentPolicy(), cfg)
+        assert exc.value.iteration == 0 and exc.value.last_loss == math.inf
+        source = dict(pretrained[0].named_params())
+        for name, value in exc.value.last_good_params.items():
+            assert value.tobytes() == source[name].data.tobytes(), name
+
+    def test_a_source_model_that_changes_during_adaptation_is_an_error(self, pretrained, split,
+                                                                       monkeypatch):
+        # a clone that is the source itself: each step then moves the source model
+        source = clone_for_adaptation(pretrained[0])
+        monkeypatch.setattr(pipeline, "clone_for_adaptation", lambda bundle, cells=None: bundle)
+        with pytest.raises(RuntimeError, match="^source model changed during adaptation$"):
+            adapt(source, split, AugmentPolicy(), small_adapt_cfg())
 
     def test_a_saturated_softmax_is_divergence(self, pretrained, split):
         # eta0 1.0 moves iteration 0 so far that iteration 1's logits are finite
@@ -923,8 +954,8 @@ class TestSeedSweep:
         ([1, 1, 2], [5], "data seed 1 is repeated"),
         ([2, 0, 1, 0, 2], [5], "data seed 0 is repeated"),
         ([1, 2], [6, 5, 6], "model seed 6 is repeated"),
-        ([2, -1, -3], [5], "data seed -3 must be >= 0"),
-        ([1, 2], [5, -1], "model seed -1 must be >= 0"),
+        ([2, -1, -3], [5], "data_seeds[1] must be >= 0, got -1"),
+        ([1, 2], [5, -1], "model_seeds[1] must be >= 0, got -1"),
     ], ids=["data", "data-first-repeat", "model", "negative-data", "negative-model"])
     def test_repeated_seeds_rejected_before_pretraining(self, monkeypatch, data_seeds,
                                                         model_seeds, message):

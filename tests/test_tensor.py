@@ -165,6 +165,25 @@ class TestContracts:
         with pytest.raises(ContractViolation):
             Tensor([1.0, 2.0]).softmax_rows()
 
+    def test_item_needs_a_size_one_tensor(self):
+        assert Tensor([[2.5]]).item() == 2.5
+        with pytest.raises(ContractViolation,
+                           match=r"^item\(\) needs a size-1 tensor, got shape \(2,\)$"):
+            Tensor([1.0, 2.0]).item()
+
+    def test_add_bias_needs_a_row_and_a_matching_vector(self):
+        with pytest.raises(ContractViolation,
+                           match=r"^add_bias needs \[n,k\] and \[k\], got \(2, 3\) and \(2,\)$"):
+            Tensor(np.ones((2, 3))).add_bias(Tensor(np.ones(2)))
+
+    def test_an_operand_that_is_not_a_number_is_refused(self):
+        with pytest.raises(ContractViolation, match="^cannot use str as a tensor operand$"):
+            Tensor([1.0]) * "2"
+
+    def test_repr_shows_shape_and_requires_grad(self):
+        assert repr(Tensor(np.ones((2, 3)), requires_grad=True)) == \
+            "Tensor(shape=(2, 3), requires_grad=True)"
+
 
 class TestRuleContract:
     """A node's rule returns one gradient per parent, in the order `_result` got them."""
