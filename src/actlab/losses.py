@@ -30,7 +30,7 @@ the tape reaches the four softmax nodes. tests/test_losses.py holds the fused
 nodes to the composed form (kept in tests/oracles.py) bit for bit, for two
 distinct logits tensors; the same tensor passed as both branches accumulates
 in another order. Pretraining builds no node: it calls ``_lsce_targets``
-(lsce's checks) once and ``_lsce_term`` per batch.
+(lsce's label check) once and ``_lsce_term`` per batch.
 
 The step objective has one implementation, ``_branch_objective``, over both
 branches' logits stacked on a leading axis of size 2: [2, n, K]. Every term
@@ -175,11 +175,9 @@ def _single_node(logits, term, n):
 
 
 def _lsce_targets(shape, labels, alpha_smooth):
-    """The smoothed targets of `lsce` on [n, K] logits of `shape`, after its checks
-    of that shape and the labels."""
+    """The smoothed targets of `lsce` on [n, K] logits of `shape`, after its check
+    of the labels."""
     n, k = shape
-    if n < 1 or k < 2:  # `_check_logits`' test, for a caller that holds no Tensor
-        raise ContractViolation(f"lsce: degenerate logits shape {shape}")
     labels = _check_labels(labels, (n,), k)
     return _smoothed_targets(labels, k, alpha_smooth)
 

@@ -66,6 +66,7 @@ from .schema import Classes, Count, Natural, check_fields, checked, parse, to_pl
 from .tensor import Tensor
 
 CHECKPOINT_FORMAT_VERSION = 1
+CHECKPOINT_CHUNK = 1024  # floats per write of save_checkpoint
 
 
 @dataclass(frozen=True)
@@ -301,15 +302,18 @@ def save_checkpoint(bundle: ModelBundle, path):
     spec's (a stacked bundle's, say), or a NaN or infinite value.
     """
     named = _layout_arrays(bundle.spec, {name: t.data for name, t in bundle.named_params()})
-    # the bytes of json.dumps(doc, sort_keys=True), one parameter at a time: the C
-    # encoder holds a string per token, so encoding the whole document at once
-    # would hold every parameter's tokens together
+    # the bytes of json.dumps(doc, sort_keys=True), written CHECKPOINT_CHUNK floats at
+    # a time: json holds a string per float of all it encodes (16,384 for one 128-wide
+    # weight), and it formats a finite float by float.__repr__, as this does
     with atomic_write(path) as f:
         f.write(f'{{"format_version": {CHECKPOINT_FORMAT_VERSION}, "params": {{')
         for i, name in enumerate(sorted(named)):
-            data = named[name]
-            entry = {"data": data.reshape(-1).tolist(), "shape": list(data.shape)}
-            f.write(f'{", " if i else ""}{json.dumps(name)}: {json.dumps(entry)}')
+            flat = named[name].reshape(-1)
+            f.write(f'{", " if i else ""}{json.dumps(name)}: {{"data": [')
+            for start in range(0, flat.size, CHECKPOINT_CHUNK):
+                chunk = flat[start:start + CHECKPOINT_CHUNK].tolist()
+                f.write(f'{", " if start else ""}{", ".join(map(repr, chunk))}')
+            f.write(f'], "shape": {json.dumps(named[name].shape)}}}')
         f.write(f'}}, "spec": {json.dumps(to_plain(bundle.spec), sort_keys=True)}}}\n')
 
 

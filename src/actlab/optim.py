@@ -8,6 +8,9 @@ gets its own Tensor's bits. A stacked ParamVector holds S models' vectors as
 the rows of one matrix and steps them all at once; SAM takes one norm and one
 scale per row, so each row gets the bits of its own step. State is keyed by
 parameter object, never by list position, so update order cannot matter.
+Adam's state owns its moments: the first step allocates ``m[p]`` and ``v[p]``
+and later steps update those arrays in place, so a held ``state.m[p]`` sees
+every later step.
 
     sgd   v <- momentum * v + (g + wd * w);  w <- w - lr * v
     adam  standard bias-corrected moments, update m_hat / (sqrt(v_hat) + eps)
@@ -170,11 +173,15 @@ def adam_step(params, grads, state: AdamState, cfg: AdamConfig, lr_override=None
     bias2 = 1.0 - cfg.beta2 ** state.t
     for p, g, lr in zip(params, grads, lrs):
         g = np.asarray(g, dtype=np.float64)
-        m = state.m.get(p)
-        v = state.v.get(p)
-        m = (1.0 - cfg.beta1) * g if m is None else cfg.beta1 * m + (1.0 - cfg.beta1) * g
-        v = (1.0 - cfg.beta2) * g * g if v is None else cfg.beta2 * v + (1.0 - cfg.beta2) * g * g
-        state.m[p], state.v[p] = m, v
+        m, v = state.m.get(p), state.v.get(p)
+        if m is None:  # asarray: a 0-d product is a scalar, which `*=` would rebind
+            m = state.m[p] = np.asarray((1.0 - cfg.beta1) * g)
+            v = state.v[p] = np.asarray((1.0 - cfg.beta2) * g * g)
+        else:  # bitwise beta1 * m + (1 - beta1) * g, without a new array per moment
+            m *= cfg.beta1
+            m += (1.0 - cfg.beta1) * g
+            v *= cfg.beta2
+            v += (1.0 - cfg.beta2) * g * g
         p.data = p.data - lr * (m / bias1) / (np.sqrt(v / bias2) + cfg.eps_adam)
 
 

@@ -221,6 +221,8 @@ def pretrain_source(source: LabeledSet, spec: MlpSpec, cfg: PretrainConfig):
     if source.num_classes != spec.num_classes:
         raise ContractViolation(f"source has {source.num_classes} classes, "
                                 f"spec expects {spec.num_classes}")
+    if not len(source):
+        raise ContractViolation(f"source set {source.name!r} has no rows")
     xs = _check_rows(source.xs, spec.input_dim, "input")
     smoothed = _lsce_targets((len(source), spec.num_classes), source.ys, cfg.alpha_smooth)
     bundle = build(spec)

@@ -2,16 +2,17 @@ import json
 import math
 import re
 import tempfile
+import tracemalloc
 from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from actlab.errors import ContractViolation, ParseError
-from actlab.models import (MlpSpec, _stack_backward, _stack_forward, build,
+from actlab.models import (CHECKPOINT_CHUNK, MlpSpec, _stack_backward, _stack_forward, build,
                            bundle_from_params, clone_for_adaptation, forward_features,
                            forward_head, forward_target, load_checkpoint,
                            params_fingerprint, save_checkpoint, trainable_params)
@@ -207,10 +208,26 @@ class TestCheckpoint:
         save_checkpoint(load_checkpoint(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    # its first weight ends on a chunk boundary, after two chunks; its second spans
+    # two chunks and ends inside the second
+    CHUNKED = MlpSpec(4, (CHECKPOINT_CHUNK // 2, 3), 5, 2)
+    # -0.0, two subnormals, the least normal, ±max, and repr's exponent and plain forms
+    EDGES = [-0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1.7976931348623157e308,
+             -1.7976931348623157e308, 1e16, -1.5e-05, 0.1]
+
     @settings(max_examples=50, deadline=None)
-    @given(SPECS)
-    def test_bytes_are_the_sorted_json_document(self, spec):
+    @given(spec=SPECS | st.just(CHUNKED), seed=st.none() | st.integers(0, 2**32 - 1))
+    @example(spec=CHUNKED, seed=0)
+    def test_bytes_are_the_sorted_json_document(self, spec, seed):
+        """With a `seed`, the values are any finite float64: random bit patterns,
+        the EDGES first and each non-finite pattern replaced by its index."""
         bundle = build(spec)
+        if seed is not None:
+            size = bundle.vector.data.size
+            bits = np.random.default_rng(seed).integers(0, 2**64, size, dtype=np.uint64)
+            values = bits.view(np.float64)
+            values[:len(self.EDGES)] = self.EDGES[:size]
+            bundle.vector.data = np.where(np.isfinite(values), values, np.arange(size))
         doc = {"format_version": 1, "spec": asdict(spec),
                "params": {name: {"shape": list(t.data.shape), "data": t.data.ravel().tolist()}
                           for name, t in bundle.named_params()}}
@@ -218,6 +235,17 @@ class TestCheckpoint:
             path = Path(tmp) / "m.ckpt"
             save_checkpoint(bundle, path)
             assert path.read_bytes() == (json.dumps(doc, sort_keys=True) + "\n").encode()
+
+    def test_a_save_holds_one_chunk_of_text_at_a_time(self, tmp_path):
+        # 65,536 floats in extractor.1.weight: 7 MB of strings when json encodes it whole
+        bundle = build(MlpSpec(8, (256, 256), 64, 8))
+        tracemalloc.start()
+        try:
+            save_checkpoint(bundle, tmp_path / "m.ckpt")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 500_000
 
     def test_records_seed(self, tmp_path):
         path = tmp_path / "m.ckpt"

@@ -89,6 +89,35 @@ class TestAdam:
         adam_step([c], [g], AdamState(), AdamConfig(lr=1.0), lr_override=0.2)
         np.testing.assert_allclose(abs(c.data[0]), 0.2, rtol=1e-6)
 
+    @pytest.mark.parametrize("lead", [(), (3,)], ids=["plain", "stacked"])
+    def test_moments_are_updated_in_place(self, lead):
+        rng = np.random.default_rng(5)
+        vec = ParamVector([Tensor(rng.normal(size=lead + (4, 2))),
+                           Tensor(rng.normal(size=lead + (5,)))], stacked=bool(lead))
+        ref = Tensor(vec.data.copy())
+        state, ref_state, cfg = AdamState(), AdamState(), AdamConfig(lr=0.01)
+        for step in range(3):
+            g = rng.normal(size=vec.data.shape)
+            g.flags.writeable = False
+            before = g.copy()
+            adam_step([vec], [g], state, cfg)
+            oracles.adam_step([ref], [g], ref_state, cfg, [cfg.lr])
+            np.testing.assert_array_equal(g, before)
+            if step == 0:
+                moments = state.m[vec], state.v[vec]
+            assert state.m[vec] is moments[0] and state.v[vec] is moments[1]
+            for got, want in ((vec.data, ref.data), (state.m[vec], ref_state.m[ref]),
+                              (state.v[vec], ref_state.v[ref])):
+                assert got.tobytes() == want.tobytes()
+
+    def test_a_scalar_parameter_steps_as_a_vector_of_one(self):
+        # a 0-d product is a numpy scalar, which an in-place update would only rebind
+        w0, w1, s0, s1 = Tensor(0.5), Tensor([0.5]), AdamState(), AdamState()
+        for g in (0.4, -0.3, 0.25):
+            adam_step([w0], [np.array(g)], s0, AdamConfig(lr=0.05))
+            adam_step([w1], [np.array([g])], s1, AdamConfig(lr=0.05))
+        assert w0.data.shape == () and w0.data.tobytes() == w1.data.tobytes()
+
     def test_missing_grad_rejected(self):
         w = Tensor([0.0], requires_grad=True)
         with pytest.raises(ContractViolation):

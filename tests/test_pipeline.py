@@ -117,8 +117,7 @@ class TestPretrain:
 
     def test_an_empty_source_set_is_refused(self):
         empty = LabeledSet(np.zeros((0, 2)), np.zeros(0, dtype=np.int64), 3, "empty")
-        # today the refusal is lsce's, whose message names no source set
-        with pytest.raises(ContractViolation):
+        with pytest.raises(ContractViolation, match="^source set 'empty' has no rows$"):
             pretrain_source(empty, SPEC, PretrainConfig(epochs=1))
 
     @pytest.mark.parametrize("case", ["moons", "blobs", "blobs_32x32", "one_row_tail"])
