@@ -313,7 +313,7 @@ def _branch_objective(logits, targets, weights, cdd_sign=None):
         return (dz + d_entropy(c_entropy)) + d_lsce(c_lsce)
 
     # one cell's np.float64 sums to itself and lists as a float; S cells' list S floats
-    return total.sum(), {name: v.tolist() for name, v in parts.items()}, grad
+    return np.add.reduce(total, axis=None), {name: v.tolist() for name, v in parts.items()}, grad
 
 
 def _objective(logits1, logits2, targets, weights, cdd_sign, who):

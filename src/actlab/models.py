@@ -5,8 +5,8 @@ A bundle is one network: a feature extractor shared by two classifier heads.
 order): ``build`` draws into it, ``bundle_from_params`` checks named arrays
 against it, and the training scopes and checkpoints follow it. The bundle's
 parameters are one float64 vector in that order (an ``optim.ParamVector``):
-each Tensor's ``data`` is a reshaped view into it, and a step binds a new
-vector rather than writing into it. ``classifiers_only`` trains its tail.
+each Tensor's ``data`` is a read-only reshaped view into it, made once, and
+a step writes into the vector. ``classifiers_only`` trains its tail.
 Adaptation trains a clone and reads the caller's untouched bundle as the
 frozen source model whose predictions anchor the losses. The forward pass
 comes in two pieces, features then one head, so a caller that holds the
@@ -36,10 +36,11 @@ evaluation and for callers outside the package.
 
 Adaptation runs its two branches as a leading axis of size 2: the extractor
 once over [2, (S,) n, d] views (each weight serves both branches), then one
-pass of ``_branch_heads``, ``head1`` and ``head2`` stacked as [2, (S,) f, K],
-so branch b's logits are head b's. Its backward gives each head its branch's
-slice, and the extractor the sum of the two branch slices, the two-term sum
-``tensor.backward`` forms where two extractor passes meet.
+pass of ``head1`` and ``head2`` as one [2, (S,) f, K] layer (``_branch_heads``,
+views of a heads' tail: the bundle's ``branch_heads``, made with it), so branch
+b's logits are head b's. Its backward gives each head its branch's slice, and the extractor
+the sum of the two branch slices, the two-term sum ``tensor.backward`` forms
+where two extractor passes meet.
 
 A stacked bundle (``clone_for_adaptation(bundle, cells=S)``) is S models
 trained in lockstep: every parameter has a leading cell axis, the vector is an
@@ -98,9 +99,11 @@ class ModelBundle:
     """Two-head MLP: one shared extractor and two classifier heads.
 
     ``params`` maps each name of ``spec.param_shapes()``, in that order, to a
-    Tensor with requires_grad set; ``vector`` binds their data into one vector,
+    Tensor with requires_grad set; ``vector`` holds their data as one vector,
     and ``head_vector`` is its heads' tail. ``extractor`` / ``head1`` / ``head2``
-    are lists of (weight, bias) pairs of those Tensors, as the forward passes read them.
+    are lists of (weight, bias) pairs of those Tensors, as the forward passes read them,
+    and ``branch_heads`` is both heads as one [2, (S,) f, K] layer of views of the tail;
+    like ``vector``, it stops seeing a Tensor whose ``data`` is assigned.
     A ``stacked`` bundle holds S models: every Tensor has a leading cell axis.
     """
 
@@ -114,8 +117,9 @@ class ModelBundle:
         # built once, since optimizer state is keyed by the parameter object
         self.head_vector = ParamVector(tensors[2 * len(self.extractor):], root=self.vector,
                                        stacked=stacked)
-        heads = self.head_vector.data.shape[-1]  # entries in the heads' tail
-        self._rate_counts = (self.vector.data.shape[-1] - heads, heads)
+        tail = self.head_vector.data
+        self._rate_counts = (self.vector.data.shape[-1] - tail.shape[-1], tail.shape[-1])
+        self.branch_heads = _branch_heads(tail, spec)
 
     def entry_rates(self, lr_extractor, lr_heads):
         """A learning rate per entry of ``vector``'s last axis: the heads' tail gets `lr_heads`."""
@@ -231,7 +235,7 @@ def _stack_backward(g, layers, inputs, input_grad=False):
     grads = [None] * (2 * last + 2)
     for i in range(last, -1, -1):
         grads[2 * i] = inputs[i].mT @ g
-        grads[2 * i + 1] = g.sum(axis=-2)
+        grads[2 * i + 1] = np.add.reduce(g, axis=-2)  # g.sum(axis=-2) without its wrapper
         if i > 0:
             g = g @ layers[i][0].data.mT
             g *= inputs[i] > 0.0  # the ReLU's mask; its subgradient at exactly 0 is 0
@@ -240,20 +244,16 @@ def _stack_backward(g, layers, inputs, input_grad=False):
     return grads
 
 
-def _branch_heads(bundle, rank):
-    """`head1`'s and `head2`'s layers stacked on a leading branch axis, as
-    `_stack_forward` reads them, for branch-stacked features of `rank` axes.
-
-    Weights are [2, f, K], or [2, S, f, K] for a stacked bundle; a 2-D weight
-    (a plain bundle's) under S cells' [2, S, n, f] features gains a cell axis of 1.
+def _branch_heads(tail, spec):
+    """`head1`'s and `head2`'s layer on a leading branch axis, as `_stack_forward`
+    reads it: views of a heads' tail [(S,) 2(fK + K)], head1's weight and bias
+    then head2's. The weight is [2, (S,) f, K] and the bias [2, (S,) K]; a
+    plain tail given a leading axis of 1 serves S cells' [2, S, n, f] features.
     """
-    layers = []
-    for (w1, b1), (w2, b2) in zip(bundle.head1, bundle.head2):
-        w, b = np.array((w1.data, w2.data)), np.array((b1.data, b2.data))
-        if w.ndim < rank:
-            w, b = w[:, None], b[:, None]
-        layers.append((Tensor(w), Tensor(b)))
-    return layers
+    f, k = spec.feature_dim, spec.num_classes
+    rows = np.moveaxis(tail.reshape(tail.shape[:-1] + (2, -1)), -2, 0)  # [2, (S,) fK + K]
+    return [(Tensor(rows[..., :f * k].reshape(rows.shape[:-1] + (f, k))),
+             Tensor(rows[..., f * k:]))]
 
 
 def forward_features(bundle, x):

@@ -63,17 +63,19 @@ class SamConfig:
 
 
 class ParamVector:
-    """Tensors seen as one float64 vector: each Tensor's ``data`` is a reshaped
-    view into ``data``, in order. Assigning ``data`` binds a new vector, made
-    read-only, and re-points the views; nothing writes into a bound vector, so
-    a reference to ``data`` keeps its values bitwise. Given a `root` whose last
-    Tensors these are, the vector is the root's tail: assigning it binds the
-    root anew.
+    """Tensors seen as one float64 vector that owns their values: each Tensor's
+    ``data`` is a read-only reshaped view into one buffer, in order, made once,
+    and so is ``data``. Assigning ``data``, SAM's perturb and restore and the
+    optimizers' updates write into the buffer, so a snapshot is a copy. Given a
+    `root` whose last Tensors these are, the buffer is a view of the root's tail.
+    ``leaf``, a Tensor over ``data`` that requires a gradient, is the one parent
+    of a node that gives the whole vector's gradient at once; ``grad()`` is the
+    leaf's gradient if it has one, else the Tensors' in layout order.
 
     With ``stacked``, every Tensor's data has a leading cell axis of one length
-    S, and ``data`` is an [S, P] matrix: row s is cell s's vector. Slots, tail
-    and rest index the last axis, ``np.s_[..., a:b]``, so every method treats
-    each row as the vector of one model.
+    S, and ``data`` is an [S, P] matrix: row s is cell s's vector. Slots and
+    tail index the last axis, ``np.s_[..., a:b]``, so every method treats each
+    row as the vector of one model.
     """
 
     def __init__(self, tensors, root=None, stacked=False):
@@ -85,31 +87,32 @@ class ParamVector:
         ends = np.cumsum([math.prod(shape) for shape in shapes]).tolist()
         self._slots = [(np.s_[..., hi - math.prod(shape):hi], self._lead + shape)
                        for shape, hi in zip(shapes, ends)]
-        # a tail is the root's last ends[-1] entries; the rest is the root's head
-        self._root, self._tail, self._rest = root, np.s_[..., -ends[-1]:], np.s_[..., :-ends[-1]]
-        if root is None:  # row-major, whatever the Tensors' layout: each row is contiguous
-            self.data = np.ascontiguousarray(np.concatenate(
-                [t.data.reshape(self._lead + (-1,)) for t in self.tensors], axis=-1))
+        # row-major, whatever the Tensors' layout: each row is contiguous
+        self._buffer = np.ascontiguousarray(self.flat([t.data for t in self.tensors])) \
+            if root is None else root._buffer[..., -ends[-1]:]
+        self.leaf = Tensor(self._buffer.view(), requires_grad=True)
+        self.leaf.data.flags.writeable = False  # and so is every view of it
+        if root is None:  # a root's Tensors view its buffer already
+            for t, view in zip(self.tensors, self.split(self.leaf.data)):
+                t.data = view
 
     @property
     def data(self):
-        return self._data if self._root is None else self._root.data[self._tail]
+        return self.leaf.data
 
     @data.setter
     def data(self, vector):
-        if self._root is not None:
-            self._root.data = np.concatenate((self._root.data[self._rest], vector), axis=-1)
-            return
-        vector.flags.writeable = False
-        self._data = vector
-        for t, (index, shape) in zip(self.tensors, self._slots):
-            t.data = vector[index].reshape(shape)
+        np.copyto(self._buffer, vector)
 
     def grad(self):  # a Tensor the loss never reached has a zero gradient
-        grads = [np.zeros(t.shape) if t.grad is None else t.grad for t in self.tensors]
+        if self.leaf.grad is not None:
+            return self.leaf.grad
+        return self.flat([np.zeros(t.shape) if t.grad is None else t.grad for t in self.tensors])
+
+    def flat(self, arrays):  # one array per Tensor, in its shape, as one new vector
         if not self._lead:
-            return np.concatenate(grads, axis=None)
-        return np.concatenate([g.reshape(self._lead + (-1,)) for g in grads], axis=-1)
+            return np.concatenate(arrays, axis=None)
+        return np.concatenate([a.reshape(self._lead + (-1,)) for a in arrays], axis=-1)
 
     def segments(self, vector):  # one flat slice of `vector`'s last axis per Tensor
         return [vector[index] for index, _ in self._slots]
@@ -198,21 +201,22 @@ def sam_step(params, loss_closure, state: SamState, cfg: SamConfig,
     if base_step is not None and lr_override is not None:
         raise ContractViolation("lr_override is not used with base_step")
     vec = params if isinstance(params, ParamVector) else ParamVector(params)
-    zero_grad(vec.tensors)
+    holders = [vec.leaf, *vec.tensors]  # a step node's parent, or the Tensors a tape reaches
+    zero_grad(holders)
     loss = loss_closure()
     if not isinstance(loss, Tensor) or loss.size != 1:
         raise ContractViolation("loss closure must return a scalar tensor")
     backward(loss)
     grad = vec.grad()
 
-    w = vec.data  # read-only, and steps bind new vectors: w stays w
+    w = vec.data.copy()  # a snapshot: the perturbation writes into the vector
     # square once, sum per Tensor, add in layout order: the bits of a per-Tensor norm;
     # a stacked vector gets one norm and one scale per row
-    norm = np.sqrt(sum(sq.sum(axis=-1) for sq in vec.segments(grad * grad)))
+    norm = np.sqrt(sum([np.add.reduce(sq, axis=-1) for sq in vec.segments(grad * grad)]))
     scale = cfg.rho / (norm + SAM_NORM_FLOOR)
     vec.data = w + scale[..., None] * grad
 
-    zero_grad(vec.tensors)
+    zero_grad(holders)
     backward(loss_closure())
     adv_grad = vec.grad()
     vec.data = w

@@ -13,13 +13,14 @@ as eta0 * (1 + 10 p)^-0.75 over outer-iteration progress p.
 
 The two branches are a leading axis of size 2: a batch's views are one
 [2, (S,) n, d] array, and the extractor runs once over both, then one pass of
-the two heads stacked as [2, (S,) f, K] gives both heads' logits (the frozen
+the two heads as one [2, (S,) f, K] layer gives both heads' logits (the frozen
 source model's probabilities and step 2's fixed features come the same way).
-Each SAM closure (``_step_closure``) returns one tape node whose parents are
-the Tensors the step trains; its rule chains ``losses._branch_objective``'s
-logit gradient through ``models._stack_backward`` and adds the extractor's
-two branch gradients. The bits are those of separate passes and nodes per
-branch, which tests/oracles.py keeps as the reference.
+Each SAM closure (``_step_closure``) returns one tape node whose one parent
+is the gradient leaf of the vector the step trains (``ParamVector.leaf``);
+its rule chains ``losses._branch_objective``'s logit gradient through
+``models._stack_backward``, adds the extractor's two branch gradients and
+returns the vector's flat gradient. The bits are those of separate passes
+and nodes per branch, which tests/oracles.py keeps as the reference.
 
 A step's inputs (its views, and the frozen source model's probabilities on
 them as ``losses.batch_targets``) do not depend on the trained parameters,
@@ -286,7 +287,10 @@ def _prepared_batches(source_model, xs, ys, batch_iter, policy, cfg, aug_rng):
     count = cfg.total_iterations * (len(cfg.step_pattern) if cfg.fresh_batch_per_step else 1)
     both = cfg.view_mode == "both_to_both"
     view_rows = 2 * (2 if both else 1) * (xs.shape[1] if xs.ndim == 3 else 1)  # per batch row
-    source_heads = _branch_heads(source_model, xs.ndim + 1)
+    # the frozen source model's heads from its Tensors, which its extractor is read from
+    # too: a Tensor whose data its caller assigned no longer views the bundle's vector
+    tail = source_model.head_vector.flat([t.data for t in source_model.head_vector.tensors])
+    source_heads = _branch_heads(tail if xs.ndim == 2 else tail[None], source_model.spec)
     for n, group in groupby(islice(batch_iter, count), len):  # a short tail starts a new group
         while block := list(islice(group, max(1, BLOCK_ROWS // (n * view_rows)))):
             idx = np.array(block)  # [B, n]
@@ -316,24 +320,23 @@ def _step_closure(bundle, step_kind, views, targets, weights, cdd_sign, diverged
     Each call runs both branches in one pass (step 1 through the extractor,
     step 2 from features fixed at the step's start), scores them with
     `losses._branch_objective` (step 2 adds the CDD term with `cdd_sign`),
-    appends the components to `evals` and returns one tape node: its parents
-    are the Tensors the step trains, and its rule runs the heads' and then
-    the extractor's backward (`models._stack_backward`), adds the
-    extractor's two branch gradients, the sum the tape forms where two
-    extractor passes meet, and returns the gradients as a list in the order
-    of those Tensors: the extractor's (step 1 only), head 1's, head 2's.
+    appends the components to `evals` and returns one tape node: its one
+    parent is the leaf of the vector the step trains, and its rule runs the
+    heads' and then the extractor's backward (`models._stack_backward`), adds
+    the extractor's two branch gradients, the sum the tape forms where two
+    extractor passes meet, and returns the vector's gradient: its Tensors',
+    the extractor's (step 1 only), head 1's and head 2's, concatenated.
     When lsce refuses a softmax entry that is NaN or 0, ``diverged(detail, last_loss,
     cell)`` names the first cell with non-finite logits, else the first saturated one.
     """
-    extractor = bundle.extractor
+    extractor, heads = bundle.extractor, bundle.branch_heads
     train_extractor = step_kind == "1"
-    trained = (bundle.vector if train_extractor else bundle.head_vector).tensors
+    trained = bundle.vector if train_extractor else bundle.head_vector
     # step 2 moves only the heads: its features are constants, and it adds the CDD term
     fixed = None if train_extractor else _stack_forward(views, extractor)[0]
     cdd_sign = None if train_extractor else cdd_sign
 
     def closure():
-        heads = _branch_heads(bundle, views.ndim)
         feats, inputs = _stack_forward(views, extractor) if train_extractor else (fixed, None)
         logits, head_inputs = _stack_forward(feats, heads)
         try:
@@ -349,12 +352,12 @@ def _step_closure(bundle, step_kind, views, targets, weights, cdd_sign, diverged
 
         def backward(g):
             grads = _stack_backward(logit_grad(g), heads, head_inputs, input_grad=train_extractor)
-            if train_extractor:  # the extractor's gradient: branch 1's plus branch 2's
-                ext = _stack_backward(grads.pop(), extractor, inputs)
-                return [e[0] + e[1] for e in ext] + [h[0] for h in grads] + [h[1] for h in grads]
-            return [h[0] for h in grads] + [h[1] for h in grads]
+            # the extractor's gradient (step 1 only): branch 1's plus branch 2's
+            ext = _stack_backward(grads.pop(), extractor, inputs) if train_extractor else []
+            return (trained.flat([e[0] + e[1] for e in ext] + [h[0] for h in grads]
+                                 + [h[1] for h in grads]),)
 
-        return _result(value, trained, backward)  # the sum of the cells' totals
+        return _result(value, (trained.leaf,), backward)  # the sum of the cells' totals
 
     return closure
 
@@ -430,11 +433,10 @@ def adapt_cells(source_model: ModelBundle, splits, policy: AugmentPolicy, cfg: A
                               zip(bundle.params, bundle.vector.split(last_good))})
 
     traces = [[] for _ in splits]
-    # a bound vector is read-only and steps bind a new one, so a reference suffices
-    last_good = bundle.vector.data
+    last_good = bundle.vector.data.copy()  # a snapshot, refreshed in place: steps write the vector
     for it in range(cfg.total_iterations):
         progress = it / cfg.total_iterations
-        eta = lr_at(cfg.schedule.eta0, progress)
+        eta = lr_at.__wrapped__(cfg.schedule.eta0, progress)  # a checked field; 0 <= progress < 1
         lr_ext = eta if cfg.schedule.schedule_extractor else cfg.schedule.eta0
         lr_head = (eta if cfg.schedule.schedule_heads else cfg.schedule.eta0) \
             * cfg.schedule.head_multiplier
@@ -454,7 +456,7 @@ def adapt_cells(source_model: ModelBundle, splits, policy: AugmentPolicy, cfg: A
             for cell, loss in enumerate(comps["total"]):
                 if not math.isfinite(loss):
                     raise diverged("", loss, cell)
-            last_good = bundle.vector.data
+            np.copyto(last_good, bundle.vector.data)
             for trace, *losses in zip(traces, comps["total"], comps["lsce"],
                                       comps["entropy"], comps["rce"], comps["cdd"]):
                 trace.append(StepRecord(it, f"step{step_kind}", *losses, lr=lr_ext))

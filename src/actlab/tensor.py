@@ -15,10 +15,11 @@ one). Matrix ops are rank-2 only. Everything is float64.
 
 The package builds nodes through ``_result`` in two places only: one per
 loss in losses.py, and one per adaptation step in ``pipeline._step_closure``,
-whose parents are the Tensors the step trains and whose rule is plain numpy,
-so each ``backward`` in adaptation's ``sam_step`` walks that node and its
-leaves. Besides, it uses only ``backward`` and ``zero_grad``; the forward
-passes in models.py and pretraining build no tape. The rest of the op set
+whose one parent is the leaf of the vector the step trains
+(``optim.ParamVector.leaf``) and whose rule is plain numpy, so each
+``backward`` in adaptation's ``sam_step`` walks two nodes. Besides, it uses
+only ``backward`` and ``zero_grad``; the forward passes in models.py and
+pretraining build no tape. The rest of the op set
 (``+``, ``*``, ``matmul``, ``add_bias``, ``relu``, ``log_shifted``,
 ``softmax_rows``, the full ``sum`` and ``scalar_mul``) is what the composed
 references in ``tests/oracles.py`` need: the tests hold the fused loss nodes,
@@ -138,7 +139,7 @@ def _log_shifted(x, eps):
         raise ContractViolation(f"log_shifted eps must be nonnegative, got {eps}")
     shifted = x + eps
     positive = shifted > 0.0  # False for NaN too
-    if not positive.all():
+    if not np.logical_and.reduce(positive, axis=None):  # positive.all() without its wrapper
         i = int(np.flatnonzero(~positive)[0])
         raise ContractViolation(
             f"log_shifted: entry {i} is {x.reshape(-1)[i]!r}, not positive after +{eps}")
@@ -147,13 +148,13 @@ def _log_shifted(x, eps):
 
 def _softmax(x):
     """Softmax over the last axis ([n, K] rows, or [S, n, K]), max-subtracted for stability."""
-    e = np.exp(x - x.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    e = np.exp(x - np.maximum.reduce(x, axis=-1, keepdims=True))  # x.max and e.sum as plain
+    return e / np.add.reduce(e, axis=-1, keepdims=True)  # ufunc reductions: no Python wrapper
 
 
 def _softmax_grad(p, g):
     """d/dx of a row softmax p = softmax(x), given g = d/dp: p * (g - sum_k g_k p_k)."""
-    return p * (g - (g * p).sum(axis=-1, keepdims=True))
+    return p * (g - np.add.reduce(g * p, axis=-1, keepdims=True))
 
 
 def _wrap(value):

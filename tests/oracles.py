@@ -11,7 +11,7 @@ import numpy as np
 from actlab import optim
 from actlab.data import augment_batch, batches
 from actlab.losses import batch_targets
-from actlab.models import _branch_heads, _stack_forward, build
+from actlab.models import _stack_forward, build
 from actlab.pipeline import EvalResult, evaluate
 from actlab.tensor import Tensor, _softmax, backward, scalar_mul, zero_grad
 
@@ -188,18 +188,17 @@ def evaluate_by_class(bundle, test, eval_head):
                       confusion.tolist(), len(test))
 
 
-def tape_adapt_step(bundle, step_kind, view1, view2, labels, source_probs1, source_probs2,
-                    weights, smoothing, cdd_sign, sam_cfg, rates):
-    """One SAM step of adaptation's `step_kind` ("1" or "2") on the composed tape.
+def tape_step_closure(bundle, step_kind, view1, view2, labels, source_probs1, source_probs2,
+                      weights, smoothing, cdd_sign, comps):
+    """The loss closure of adaptation's `step_kind` ("1" or "2") step on the composed tape.
 
     actlab.pipeline runs both branches as one stacked pass behind one node per
     step. This is the step as separate tape nodes: an extractor pass per view
-    (for step 2, constant features taken before the step), a head pass per
-    branch, and the composed step objective. Returns (loss, components).
+    (for step 2, constant features taken now), a head pass per branch, and the
+    composed step objective. Each call appends its components to `comps`.
     """
     x1, x2 = Tensor(view1), Tensor(view2)
     fixed = [Tensor(tape_forward_features(bundle, x).data) for x in (x1, x2)]
-    comps = []
 
     def closure():
         f1, f2 = fixed if step_kind == "2" else \
@@ -211,6 +210,16 @@ def tape_adapt_step(bundle, step_kind, view1, view2, labels, source_probs1, sour
         comps.append(parts)
         return total
 
+    return closure
+
+
+def tape_adapt_step(bundle, step_kind, view1, view2, labels, source_probs1, source_probs2,
+                    weights, smoothing, cdd_sign, sam_cfg, rates):
+    """One SAM step of adaptation's `step_kind` step on the composed tape
+    (`tape_step_closure`). Returns (loss, components)."""
+    comps = []
+    closure = tape_step_closure(bundle, step_kind, view1, view2, labels, source_probs1,
+                                source_probs2, weights, smoothing, cdd_sign, comps)
     vector = bundle.vector if step_kind == "1" else bundle.head_vector
     loss = optim.sam_step(vector, closure, optim.SamState(), sam_cfg, lr_override=rates)
     return loss, comps[0]
@@ -385,7 +394,11 @@ def tape_pretrain_source(source, spec, cfg):
 def prepared_steps(source_model, xs, ys, batch_iter, policy, cfg, aug_rng):
     """Each step's (views [2, (S,) n', d], targets), for `_prepared_batches`' arguments."""
     count = cfg.total_iterations * (len(cfg.step_pattern) if cfg.fresh_batch_per_step else 1)
-    source_heads = _branch_heads(source_model, xs.ndim + 1)
+    # both heads' current Tensors stacked on a branch axis, under S cells with a cell axis of 1
+    (w1, b1), (w2, b2) = source_model.head1[0], source_model.head2[0]
+    cell_axis = (slice(None), None) if xs.ndim == 3 else ()
+    source_heads = [(Tensor(np.array((w1.data, w2.data))[cell_axis]),
+                     Tensor(np.array((b1.data, b2.data))[cell_axis]))]
     for _ in range(count):
         idx = next(batch_iter)
         rows, labels = xs[idx], ys[idx].T  # [n, (S,) d], [(S,) n]

@@ -3,9 +3,9 @@
 bench/run.py's counting run drives `pipeline.adapt` with call and tape counters.
 A refactor that leaves it nothing to count (no `tensor.backward` call, say)
 would crash every workload's traced phase, and nothing else in the suite runs
-it. The tape count is pinned: one node per adaptation step, whose parents are
-the Tensors the step trains. The bench modules are imported as they are and
-only read.
+it. The tape count is pinned: one node per adaptation step, whose one parent
+is the gradient leaf of the vector the step trains. The bench modules are
+imported as they are and only read.
 """
 
 import gc
@@ -44,9 +44,9 @@ def no_gc_callbacks():
     gc.callbacks[:] = saved
 
 
-# tape nodes per backward: each adaptation step is one node over the Tensors it trains,
-# every parameter for step 1 and the two heads' four for step 2
-TAPE_NODES = {"moons_ref": 7.0, "wide_cli": 8.0, "sweep_seeds": 7.0}
+# tape nodes per backward: each adaptation step is one node over one leaf, the vector it
+# trains (every parameter for step 1, the heads' tail for step 2)
+TAPE_NODES = {"moons_ref": 2.0, "wide_cli": 2.0, "sweep_seeds": 2.0}
 
 
 @pytest.mark.parametrize("workload", ["moons_ref", "wide_cli", "sweep_seeds"])
@@ -58,10 +58,9 @@ def test_count_run_gives_finite_counts(bench, tmp_path, workload, no_gc_callback
     assert set(counts) == {"pipeline.python_calls_per_iter", "tensor.tape_nodes_per_backward"}
     assert all(math.isfinite(v) for v in counts.values()), counts
     assert counts["pipeline.python_calls_per_iter"] > 0
-    # one node per step: the mean over both steps of the node plus its trained Tensors
-    bundle, _, cfg = wl.adapt_inputs(state)
+    # one node per step over one leaf, whichever vector the step trains
+    _, _, cfg = wl.adapt_inputs(state)
     assert cfg.step_pattern == "12"
-    trained = {"1": len(bundle.spec.param_shapes()), "2": 4}
-    expected = sum(1 + trained[step] for step in "12") / 2
+    expected = 1 + 1  # the node and its leaf, on both steps
     assert counts["tensor.tape_nodes_per_backward"] == expected == TAPE_NODES[workload]
     assert run.count_run(wl, state) == counts  # the counts repeat exactly

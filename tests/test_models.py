@@ -491,16 +491,19 @@ class TestClone:
         assert params_fingerprint(trainable_params(clone, "all_target")) == \
             params_fingerprint(trainable_params(bundle, "all_target"))
 
-    def test_bound_vector_is_read_only(self):
-        # sam_step's restore of w and adaptation's last_good snapshot keep a
-        # reference to a bound vector: no write may reach it
+    def test_views_are_read_only_and_only_the_vector_writes_its_buffer(self):
+        # the vector's data, its tail's and every Tensor's are read-only views of one
+        # buffer that only the vector writes, by assignment; so a snapshot (sam_step's
+        # w, adaptation's last_good) is a copy
         bundle = build(small_spec())
         before = bundle.vector.data.copy()
         for array in (bundle.vector.data, bundle.head_vector.data,
                       bundle.extractor[0][0].data, bundle.head2[0][1].data):
             with pytest.raises(ValueError, match="read-only"):
                 array[...] = 1.0
-        bundle.vector.data = bundle.vector.data + 1.0  # binding a new vector is the way
+        views = [t.data for t in bundle.vector.tensors]
+        bundle.vector.data = bundle.vector.data + 1.0  # assigning writes into the buffer
+        assert all(t.data is view for t, view in zip(bundle.vector.tensors, views))
         assert not bundle.vector.data.flags.writeable
         assert not bundle.extractor[0][0].data.flags.writeable
         np.testing.assert_array_equal(bundle.vector.data, before + 1.0)

@@ -239,6 +239,26 @@ def test_selftest_counts_that_moved(pairs):
     assert pairs.moved_counts(base, base) == {}
 
 
+def test_main_prints_each_moved_count_after_the_metrics(pairs, monkeypatch, tmp_path, capsys):
+    counts = {"a": {"tensor.tape_nodes_per_backward": 7.0, "pipeline.python_calls_per_iter": 363.0},
+              "b": {"tensor.tape_nodes_per_backward": 2.0, "pipeline.python_calls_per_iter": 363.0}}
+    monkeypatch.setattr(pairs, "git", lambda *args, check=True: "f" * 40 + "\n")
+    monkeypatch.setattr(pairs, "copy_working_tree", lambda dest: None)
+    monkeypatch.setattr(pairs, "run_bench", lambda checkout, workload, seed, seconds: result(9.0))
+    monkeypatch.setattr(pairs, "run_selftest", lambda checkout: {
+        "counts": {"moons_ref": counts[checkout.parent.name]}, "verdict": "ok", "exit_code": 0})
+    monkeypatch.setattr(pairs, "run_fidelity", lambda checkout: fidelity_run())
+    out = tmp_path / "BENCH.json"
+    assert pairs.main(["--base", "HEAD", "--out", str(out), "--workload", "moons_ref",
+                       "--pairs", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    metrics = [i for i, line in enumerate(lines) if "better in" in line]
+    moved = [i for i, line in enumerate(lines) if " -> " in line and "better in" not in line]
+    assert len(metrics) == len(END_TO_END) and len(moved) == 1 and moved[0] > max(metrics)
+    assert lines[moved[0]].split() == ["moons_ref", "tensor.tape_nodes_per_backward", "7.0",
+                                       "->", "2.0"]
+
+
 @pytest.mark.parametrize("bits_change", [False, True])
 def test_main_writes_nothing_on_a_mismatch(pairs, monkeypatch, tmp_path, bits_change):
     calls = []

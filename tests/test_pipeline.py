@@ -16,11 +16,12 @@ from actlab.data import (AugmentPolicy, DomainSpec, LabeledSet, ShiftSpec, Stron
                          make_domain_pair, sample_support)
 from actlab.errors import ContractViolation, DivergenceError
 from actlab.losses import LossWeights, SmoothingParams, batch_targets
-from actlab.models import (MlpSpec, build, bundle_from_params, clone_for_adaptation,
-                           params_fingerprint, trainable_params)
+from actlab.models import (MlpSpec, _branch_heads, build, bundle_from_params,
+                           clone_for_adaptation, params_fingerprint, trainable_params)
 from actlab.optim import AdamConfig, SamConfig, SamState, SgdConfig, lr_at, sam_step
 from actlab.pipeline import (AdaptConfig, PretrainConfig, ScheduleConfig,
                              adapt, adapt_cells, evaluate, pretrain_source, seed_sweep)
+from actlab.tensor import Tensor, backward, zero_grad
 
 import oracles
 from test_acceptance import BLOBS, BLOBS_MODEL, MOONS, MOONS_MODEL, PRETRAIN
@@ -453,6 +454,33 @@ class TestAdapt:
         with pytest.raises(RuntimeError, match="^source model changed during adaptation$"):
             adapt(source, split, AugmentPolicy(), small_adapt_cfg())
 
+    @pytest.mark.parametrize("cells", [1, 2])
+    @pytest.mark.parametrize("move", ["assigned", "tensor-list-sam"])
+    def test_the_source_is_read_from_its_tensors(self, pretrained, split, move, cells):
+        # assigning a Tensor's data, or a sam_step on a Tensor list, moves the source's
+        # Tensors off its vector; adaptation reads the values they hold, as it reads a
+        # fresh bundle of those values
+        source = clone_for_adaptation(pretrained[0])
+        if move == "assigned":
+            (w, _), = source.head2
+            w.data = w.data + 0.1
+        else:
+            def closure():
+                feats = oracles.tape_forward_features(source, Tensor(split.support.xs))
+                return (oracles.tape_forward_head(source, feats, 1)
+                        + oracles.tape_forward_head(source, feats, 2)).sum()
+
+            sam_step(trainable_params(source, "all_target"), closure, SamState(),
+                     SamConfig(rho=0.05), lr_override=0.1)
+        assert not np.shares_memory(source.head2[0][0].data, source.vector.data)
+        fresh = bundle_from_params(SPEC, {name: t.data for name, t in source.named_params()})
+        assert fresh.head2[0][0].data.tobytes() != pretrained[0].head2[0][0].data.tobytes()
+        runs = [adapt_cells(bundle, [split] * cells, AugmentPolicy(), small_adapt_cfg())
+                for bundle in (source, fresh)]
+        for (got, got_report), (want, want_report) in zip(*runs):
+            assert fingerprint(got) == fingerprint(want)
+            assert got_report == want_report
+
     def test_a_saturated_softmax_is_divergence(self, pretrained, split):
         # eta0 1.0 moves iteration 0 so far that iteration 1's logits are finite
         # but a softmax entry underflows to 0, which lsce refuses
@@ -478,7 +506,7 @@ class TestAdapt:
         assert err.last_good_params is not None
         assert all(np.isfinite(v).all() for v in err.last_good_params.values())
         # nothing was applied yet, so the snapshot is the source model bitwise;
-        # it holds references, so this breaks if a step writes p.data in place
+        # it is a copy, so this breaks if a step's write into the vector reaches it
         source = dict(bundle.named_params())
         assert list(err.last_good_params) == list(source)
         for name, value in err.last_good_params.items():
@@ -715,7 +743,7 @@ class TestPreparedBatches:
 
 
 @st.composite
-def step_cases(draw):
+def step_cases(draw, cells=st.sampled_from([1, 3])):
     """A source model with 0-2 hidden layers and two distinct heads, S in {1, 3} cells'
     views of either view mode, their batch targets, the weights and the SAM config."""
     seed = draw(st.integers(0, 2**32 - 1))
@@ -726,7 +754,7 @@ def step_cases(draw):
     # the drawn model, every parameter moved a little, so that head1 != head2
     source = bundle_from_params(spec, {name: t.data + 0.1 * rng.normal(size=t.shape)
                                        for name, t in build(spec).named_params()})
-    cells = draw(st.sampled_from([1, 3]))
+    cells = draw(cells)
     lead, n = ((cells,) if cells > 1 else ()), draw(st.integers(1, 5))
     weak, strong = (rng.normal(size=lead + (n, spec.input_dim)) * 2.0 for _ in range(2))
     labels = rng.integers(0, spec.num_classes, size=lead + (n,))
@@ -776,6 +804,58 @@ class TestStepNode:
             assert repr(sorted(evals[0].items())) == repr(sorted(expected.items()))
             for c, b in enumerate(alone):
                 assert cell(stacked.vector.data, c).tobytes() == b.vector.data.tobytes()
+
+    @pytest.mark.parametrize("cells", [1, 3], ids=["plain", "stacked"])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_the_node_is_over_the_leaf_with_the_tapes_gradient(self, cells, data):
+        # its one parent is the trained vector's leaf, whose gradient is, cell by cell,
+        # the composed tape's per-Tensor gradients concatenated in layout order
+        source, cells, view1, view2, labels, q1, q2, weights, smoothing, cdd_sign, _ = \
+            data.draw(step_cases(st.just(cells)))
+        stacked = clone_for_adaptation(source, cells if cells > 1 else None)
+        targets = batch_targets(labels, q1, q2, smoothing)
+        cell = (lambda a, c: a[c]) if cells > 1 else (lambda a, c: a)  # cell c's slice
+        for step_kind, scope in (("1", "all_target"), ("2", "classifiers_only")):
+            vector = stacked.vector if step_kind == "1" else stacked.head_vector
+            node = pipeline._step_closure(stacked, step_kind, np.array((view1, view2)), targets,
+                                          weights, cdd_sign, lambda *why: AssertionError(why),
+                                          [])()
+            assert len(node._parents) == 1 and node._parents[0] is vector.leaf
+            zero_grad([vector.leaf])
+            backward(node)
+            for c in range(cells):
+                alone = clone_for_adaptation(source)
+                trained = trainable_params(alone, scope)
+                zero_grad(trained)
+                backward(oracles.tape_step_closure(
+                    alone, step_kind, cell(view1, c), cell(view2, c), cell(labels, c),
+                    cell(q1, c), cell(q2, c), weights, smoothing, cdd_sign, [])())
+                want = np.concatenate([t.grad for t in trained], axis=None)
+                assert cell(vector.leaf.grad, c).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("cells, cell_axis", [(None, False), (3, False), (None, True)],
+                             ids=["plain", "stacked", "plain-source-under-cells"])
+    def test_branch_heads_are_read_only_views_of_the_stepped_heads(self, cells, cell_axis):
+        rng = np.random.default_rng(3)
+        bundle = clone_for_adaptation(build(SPEC), cells)
+        lead, k = ((cells,) if cells else ()), SPEC.num_classes
+        views = rng.normal(size=(2,) + lead + (4, SPEC.input_dim))
+        q = oracles.softmax_np(rng.normal(size=(math.prod(lead) * 4, k))).reshape(lead + (4, k))
+        targets = batch_targets(rng.integers(0, k, size=lead + (4,)), q, q, SmoothingParams())
+        for step_kind in "12":
+            closure = pipeline._step_closure(bundle, step_kind, views, targets, LossWeights(),
+                                             "flipped", lambda *why: AssertionError(why), [])
+            vector = bundle.vector if step_kind == "1" else bundle.head_vector
+            sam_step(vector, closure, SamState(), SamConfig(rho=0.1), lr_override=0.05)
+        # a plain model's heads under S cells are its tail with a leading axis of 1
+        (w, b), = _branch_heads(bundle.head_vector.data[None], SPEC) if cell_axis \
+            else bundle.branch_heads
+        for got, i in ((w.data, 0), (b.data, 1)):
+            want = np.array((bundle.head1[0][i].data, bundle.head2[0][i].data))
+            want = want[:, None] if cell_axis else want
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            assert not got.flags.writeable and np.shares_memory(got, bundle.vector.data)
 
 
 class TestAdaptConfigValidation:

@@ -26,7 +26,8 @@ change stays within BENCHMARK.json's bound, and whether the runs resolve the
 metric at all (``resolved`` is false, and the printed line says
 ``unresolved``, when the base's interquartile range over its median exceeds
 the bound, unless every change run is better than every base run); both machine blocks; every
-self-test count that moved; and whether the two fidelity outputs match, with
+self-test count that moved, which is also printed after the metrics as
+``<workload> <count> <base> -> <change>``; and whether the two fidelity outputs match, with
 the numbers of the lines that differ and each side's exit code. The report
 is not written, and the command exits 1, if a run is not correct or has
 failed operations, or if a side's self-test does not print ``selftest: ok``;
@@ -322,6 +323,9 @@ def main(argv=None):
                   f"{'  GAIN' if m['gain'] else ''}"
                   f"{'' if m['within_bound'] else '  OUT OF BOUND'}"
                   f"{'' if m['resolved'] else '  unresolved'}")
+    for workload, moved in report["selftest"]["moved"].items():
+        for count, (base, change) in moved.items():
+            print(f"{workload:12s} {count} {base} -> {change}")
     print(f"pairs: wrote {args.out}")
     return 0
 
