@@ -8,9 +8,9 @@ gets its own Tensor's bits. A stacked ParamVector holds S models' vectors as
 the rows of one matrix and steps them all at once; SAM takes one norm and one
 scale per row, so each row gets the bits of its own step. State is keyed by
 parameter object, never by list position, so update order cannot matter.
-Adam's state owns its moments: the first step allocates ``m[p]`` and ``v[p]``
-and later steps update those arrays in place, so a held ``state.m[p]`` sees
-every later step.
+The states own their arrays: a first step allocates ``velocity[p]`` (SGD) or
+``m[p]`` and ``v[p]`` (Adam), later steps update them in place, so a held one
+sees every later step; SGD writes a ParamVector's step into its buffer.
 
     sgd   v <- momentum * v + (g + wd * w);  w <- w - lr * v
     adam  standard bias-corrected moments, update m_hat / (sqrt(v_hat) + eps)
@@ -149,9 +149,11 @@ def _check_step_args(params, grads, lr_override, default_lr):
     for i, (p, g) in enumerate(zip(params, grads)):
         if g is None:
             raise ContractViolation(f"param {i} has no gradient")
-        if np.shape(g) != np.shape(p.data):
-            raise ContractViolation(f"param {i}: grad shape {np.shape(g)} != {np.shape(p.data)}")
-    if lr_override is None or np.isscalar(lr_override):
+        d = p.data  # np.shape and np.isscalar are Python calls: arrays, floats and lists skip them
+        if g.shape != d.shape if type(g) is type(d) is np.ndarray else np.shape(g) != np.shape(d):
+            raise ContractViolation(f"param {i}: grad shape {np.shape(g)} != {np.shape(d)}")
+    if lr_override is None or isinstance(lr_override, float) or (
+            not isinstance(lr_override, list) and np.isscalar(lr_override)):
         return [default_lr if lr_override is None else float(lr_override)] * len(params)
     lrs = list(lr_override)
     if len(lrs) != len(params):
@@ -164,9 +166,15 @@ def sgd_step(params, grads, state: SgdState, cfg: SgdConfig, lr_override=None):
     for p, g, lr in zip(params, grads, lrs):
         step = np.asarray(g, dtype=np.float64) + cfg.weight_decay * p.data
         v = state.velocity.get(p)
-        v = step if v is None else cfg.momentum * v + step
-        state.velocity[p] = v
-        p.data = p.data - lr * v
+        if v is None:  # asarray: a 0-d sum is a scalar, which `*=` would rebind
+            v = state.velocity[p] = np.asarray(step)
+        else:  # bitwise momentum * v + step, without a new array
+            v *= cfg.momentum
+            v += step
+        if isinstance(p, ParamVector):  # the step is written into the vector's buffer
+            np.subtract(p.data, lr * v, out=p._buffer)
+        else:
+            p.data = p.data - lr * v
 
 
 def adam_step(params, grads, state: AdamState, cfg: AdamConfig, lr_override=None):

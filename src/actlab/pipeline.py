@@ -201,10 +201,8 @@ def evaluate(bundle: ModelBundle, test: LabeledSet, eval_head: EvalHead = "c_t1"
 # -- source pretraining -------------------------------------------------------------
 
 
-# a run that overflows reports once, by its DivergenceError, not also by numpy warnings
-@np.errstate(over="ignore", invalid="ignore")
-def pretrain_source(source: LabeledSet, spec: MlpSpec, cfg: PretrainConfig):
-    """Train extractor plus both heads with label-smoothed CE under SGD-momentum.
+def _pretrain_epochs(source, spec, cfg):
+    """The pretraining loop: yields the bundle it trains, then each epoch's batch losses.
 
     The loss is lsce(head1) + lsce(head2) on one shared feature pass. The heads
     start as one draw (``build``) and see the same features, labels and rates,
@@ -213,11 +211,8 @@ def pretrain_source(source: LabeledSet, spec: MlpSpec, cfg: PretrainConfig):
     the loss v + v, its input gradient g_f makes the extractor's upstream
     gradient g_f + g_f (the sum a tape forms where two heads meet), and
     ``head2`` gets ``head1``'s gradient. The bits are those of the two-head
-    loss on the tape, which tests/oracles.py keeps as the reference.
-
-    Returns (bundle, history); history holds one record per epoch. Zero epochs
-    returns the untouched initialization. A batch whose softmax lsce refuses
-    (an entry NaN or 0) raises a DivergenceError, naming non-finite logits if any.
+    loss on the tape, which tests/oracles.py keeps as the reference. Each
+    caller drives it under ``np.errstate(over="ignore", invalid="ignore")``.
     """
     if source.num_classes != spec.num_classes:
         raise ContractViolation(f"source has {source.num_classes} classes, "
@@ -227,10 +222,10 @@ def pretrain_source(source: LabeledSet, spec: MlpSpec, cfg: PretrainConfig):
     xs = _check_rows(source.xs, spec.input_dim, "input")
     smoothed = _lsce_targets((len(source), spec.num_classes), source.ys, cfg.alpha_smooth)
     bundle = build(spec)
+    yield bundle
     extractor, head = bundle.extractor, bundle.head1
     rates = [bundle.entry_rates(cfg.sgd.lr, cfg.sgd.lr * cfg.lr_multiplier_heads)]
     state = SgdState()
-    history = []
     for epoch in range(cfg.epochs):
         epoch_losses = []
         for idx in batches(source, cfg.batch_size, cfg.seed, epoch):
@@ -244,18 +239,29 @@ def pretrain_source(source: LabeledSet, spec: MlpSpec, cfg: PretrainConfig):
                 raise DivergenceError(f"pretraining diverged at epoch {epoch}{detail}",
                                       iteration=epoch, last_loss=float("nan")) from None
             v = m * s
-            value = float(v + v)  # finite: every p lsce accepted is >= 2**-1074, so |v| < 745
+            epoch_losses.append(float(v + v))  # finite: lsce accepts p >= 2**-1074, so |v| < 745
             *head_grads, g_f = _stack_backward(logit_grad(m), head, head_inputs, input_grad=True)
             grads = _stack_backward(g_f + g_f, extractor, inputs)
             grad = np.concatenate(grads + head_grads + head_grads, axis=None)
             sgd_step([bundle.vector], [grad], state, cfg.sgd, lr_override=rates)
-            epoch_losses.append(value)
-        history.append({
-            "epoch": epoch,
-            "mean_loss": float(np.mean(epoch_losses)),
-            "train_accuracy": evaluate(bundle, source).accuracy,
-        })
-    return bundle, history
+        yield epoch_losses
+
+
+# a run that overflows reports once, by its DivergenceError, not also by numpy warnings
+@np.errstate(over="ignore", invalid="ignore")
+def pretrain_source(source: LabeledSet, spec: MlpSpec, cfg: PretrainConfig):
+    """Train extractor plus both heads with label-smoothed CE under SGD-momentum.
+
+    Returns (bundle, history): the bundle `_pretrain_epochs` trains and, per
+    epoch, a record of its mean batch loss and then its accuracy on `source`.
+    Zero epochs return the untouched initialization. A batch whose softmax
+    lsce refuses (NaN or 0) raises a DivergenceError, naming any non-finite logits.
+    """
+    epochs = _pretrain_epochs(source, spec, cfg)
+    bundle = next(epochs)
+    return bundle, [{"epoch": epoch, "mean_loss": float(np.mean(losses)),
+                     "train_accuracy": evaluate(bundle, source).accuracy}
+                    for epoch, losses in enumerate(epochs)]
 
 
 # -- adaptation ----------------------------------------------------------------------
@@ -499,10 +505,11 @@ class SweepReport:
         return asdict(self)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # as for pretrain_source
 def _pretrain_params(source, spec, cfg, model_seed):
-    """Pretrain one model seed; its named parameter arrays."""
-    bundle, _ = pretrain_source(source, replace(spec, init_seed=model_seed),
-                                replace(cfg, seed=model_seed))
+    """One model seed's parameters by name, pretrained as by `pretrain_source`, unscored."""
+    bundle, *_ = _pretrain_epochs(source, replace(spec, init_seed=model_seed),
+                                  replace(cfg, seed=model_seed))
     return {name: t.data for name, t in bundle.named_params()}
 
 
@@ -538,12 +545,12 @@ def seed_sweep(domain, spec, pretrain_cfg, adapt_cfg, policy, n_way: Count, k_sh
     of consecutive seeds, so one group per worker. The work runs in three
     rounds, each a `map` over its tasks: the builtin one when min(jobs, cells)
     is 1, else that of one process pool of that many workers (fork starts them
-    all at the first task). Round one pretrains each model seed, round two
-    runs every group, and round three re-runs, one task each, the cells of
-    every group that failed with a ContractViolation or a DivergenceError. A
-    cell that fails so alone is recorded with its error and skipped by the
-    aggregates. A cell in lockstep gets the bits it gets alone, so the report
-    is the same for every ``jobs``. Any other exception in a cell, and any
+    all at the first task). Round one pretrains each model seed, scoring no
+    epoch, round two runs every group, and round three re-runs, one task each,
+    the cells of every group that failed with a ContractViolation or a
+    DivergenceError. A cell that fails so alone is recorded with its error and
+    skipped by the aggregates. A cell in lockstep gets its bits alone, so the
+    report is the same for every ``jobs``. Any other exception in a cell, and any
     exception in pretraining, propagates: the first in task order is raised,
     for every ``jobs``, and queued tasks are cancelled. Spread and variance
     are computed across data seeds after averaging over model seeds within

@@ -234,7 +234,7 @@ def backward(loss: Tensor):
     if loss.size != 1:
         raise ContractViolation(f"backward needs a scalar loss, got shape {loss.shape}")
     topo = _topo_order(loss)
-    pass_grads = {id(loss): np.ones_like(loss.data)}
+    pass_grads = {id(loss): np.array(1.0).reshape(loss.data.shape)}  # np.ones_like: 4 Python calls
     for t in reversed(topo):
         g = pass_grads.pop(id(t), None)
         if g is None:

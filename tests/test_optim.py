@@ -1,3 +1,6 @@
+import re
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -35,6 +38,34 @@ class TestSgd:
         w = Tensor([2.0], requires_grad=True)
         sgd_step([w], [np.array([3.0])], SgdState(), SgdConfig(lr=0.1, momentum=0.0))
         np.testing.assert_allclose(w.data, [1.7], atol=1e-15)
+
+    @pytest.mark.parametrize("kind", ["tensor", "0-d tensor", "vector"])
+    def test_a_held_velocity_sees_later_steps(self, kind):
+        w = {"tensor": Tensor([1.0, -2.0]), "0-d tensor": Tensor(1.5),
+             "vector": ParamVector([Tensor([1.0, -2.0]), Tensor([[0.5]])])}[kind]
+        state, cfg = SgdState(), SgdConfig(lr=0.1, momentum=0.9, weight_decay=0.01)
+        g = np.full(w.data.shape, 0.3)
+        sgd_step([w], [g], state, cfg)
+        held = state.velocity[w]
+        expected = held.copy()
+        for _ in range(3):
+            before = w.data.copy()
+            sgd_step([w], [g], state, cfg)
+            expected = 0.9 * expected + (g + 0.01 * before)
+            assert state.velocity[w] is held
+            assert held.tobytes() == expected.tobytes()
+            assert w.data.tobytes() == np.asarray(before - 0.1 * expected).tobytes()
+        if kind == "vector":  # the step is written into the buffer its Tensors view
+            assert all(np.shares_memory(t.data, w.data) for t in w.tensors)
+            assert w.flat([t.data for t in w.tensors]).tobytes() == w.data.tobytes()
+
+    @pytest.mark.parametrize("lr", [0.25, 1, np.float64(0.25), np.float32(0.25), Fraction(1, 4)])
+    def test_a_scalar_rate_of_any_number_type_is_every_params_rate(self, lr):
+        a, b = Tensor([1.0, 2.0]), Tensor([3.0])
+        sgd_step([a, b], [np.ones(2), np.ones(1)], SgdState(), SgdConfig(lr=0.1, momentum=0.0),
+                 lr_override=lr)
+        rate = float(lr)
+        assert (a.data.tolist(), b.data.tolist()) == ([1.0 - rate, 2.0 - rate], [3.0 - rate])
 
 
 class TestAdam:
@@ -127,6 +158,17 @@ class TestAdam:
         w = Tensor([0.0, 1.0], requires_grad=True)
         with pytest.raises(ContractViolation):
             adam_step([w], [np.zeros(3)], AdamState(), AdamConfig())
+
+    @pytest.mark.parametrize("grad, shape", [(np.zeros(3), "(3,)"), ([0.0, 0.0, 0.0], "(3,)"),
+                                             (0.5, "()"), (np.zeros((2, 1)), "(2, 1)")],
+                             ids=["array", "list", "float", "column"])
+    def test_a_grad_of_another_shape_is_refused_by_both_shapes(self, grad, shape):
+        w = Tensor([0.0, 1.0], requires_grad=True)
+        with pytest.raises(ContractViolation,
+                           match=f"^param 0: grad shape {re.escape(shape)} != \\(2,\\)$"):
+            adam_step([w], [grad], AdamState(), AdamConfig())
+        adam_step([w], [[0.5, -0.5]], AdamState(), AdamConfig())  # a list of its shape is a grad
+        assert w.data[0] < 0.0 < 1.0 < w.data[1]
 
     def test_one_grad_per_param(self):
         w = Tensor([0.0], requires_grad=True)

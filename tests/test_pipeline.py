@@ -3,6 +3,7 @@ import json
 import math
 import re
 import time
+import warnings
 from dataclasses import asdict, fields, replace
 
 import numpy as np
@@ -141,6 +142,22 @@ class TestPretrain:
         for (w1, b1), (w2, b2) in zip(bundle.head1, bundle.head2):
             assert w1.data.tobytes() == w2.data.tobytes()
             assert b1.data.tobytes() == b2.data.tobytes()
+
+    @pytest.mark.parametrize("case", ["moons", "short_tail", "zero_epochs"])
+    def test_the_sweeps_pretraining_gives_pretrain_sources_parameters(self, case):
+        # seed_sweep's round one drives the same loop, scoring no epoch
+        cfg = {"moons": PRETRAIN, "short_tail": replace(PRETRAIN, epochs=8, batch_size=7),
+               "zero_epochs": replace(PRETRAIN, epochs=0)}[case]
+        source, _ = make_domain_pair(MOONS)
+        if case == "short_tail":
+            assert len(source) % cfg.batch_size == 1
+        params = pipeline._pretrain_params(source, MOONS_MODEL, cfg, 8)
+        bundle, history = pretrain_source(source, replace(MOONS_MODEL, init_seed=8),
+                                          replace(cfg, seed=8))
+        assert len(history) == cfg.epochs
+        assert list(params) == [name for name, _ in bundle.named_params()]
+        for name, t in bundle.named_params():
+            assert params[name].tobytes() == t.data.tobytes(), name
 
 
 @st.composite
@@ -945,6 +962,42 @@ class TestSeedSweep:
         for jobs in (2, 3):
             assert self.sweep(jobs=jobs).to_dict() == serial
 
+    def test_a_serial_sweep_scores_each_cell_twice_and_no_pretraining_epoch(self, monkeypatch):
+        real_evaluate, real_pretrain = pipeline.evaluate, pipeline._pretrain_params
+        scored, phase = [], ["adaptation"]
+
+        def evaluate(*args, **kwargs):
+            scored.append(phase[0])
+            return real_evaluate(*args, **kwargs)
+
+        def pretrain(*args):
+            phase[0] = "pretraining"
+            try:
+                return real_pretrain(*args)
+            finally:
+                phase[0] = "adaptation"
+
+        monkeypatch.setattr(pipeline, "evaluate", evaluate)
+        monkeypatch.setattr(pipeline, "_pretrain_params", pretrain)
+        report = self.sweep(jobs=1)
+        assert [c.status for c in report.cells] == ["ok"] * 4
+        assert scored == ["adaptation"] * 8  # each cell's source model, then its adapted one
+
+    def test_a_diverging_pretraining_raises_pretrain_sources_error_and_no_warning(self):
+        cfg = PretrainConfig(epochs=2, sgd=SgdConfig(lr=1e200, momentum=0.0), seed=5)
+        source, _ = make_domain_pair(DOMAIN)
+        with pytest.raises(DivergenceError) as alone:
+            pretrain_source(source, replace(SPEC, init_seed=5), cfg)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(DivergenceError) as swept:
+                seed_sweep(DOMAIN, SPEC, cfg, small_adapt_cfg(), AugmentPolicy(), 3, 5,
+                           data_seeds=[1, 2], model_seeds=[5])
+        assert str(swept.value) == str(alone.value) == \
+            "pretraining diverged at epoch 0: non-finite logits"
+        assert swept.value.iteration == 0 and math.isnan(swept.value.last_loss)
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+
     # Pool workers are forked inside seed_sweep, after these monkeypatches, so
     # the patched functions are the ones that run in the workers.
 
@@ -957,7 +1010,7 @@ class TestSeedSweep:
         def fail(*args, **kwargs):
             raise error()
 
-        monkeypatch.setattr(pipeline, "pretrain_source", fail)
+        monkeypatch.setattr(pipeline, "_pretrain_epochs", fail)
         with pytest.raises(type(error()), match=str(error())) as exc:
             self.sweep(jobs=jobs)
         assert vars(exc.value) == vars(error())  # iteration, last_loss, ...
@@ -1025,7 +1078,7 @@ class TestSeedSweep:
         def pretrain(*args, **kwargs):
             raise AssertionError("pretraining started")
 
-        monkeypatch.setattr(pipeline, "pretrain_source", pretrain)
+        monkeypatch.setattr(pipeline, "_pretrain_epochs", pretrain)
         with pytest.raises(ContractViolation, match=f"jobs must be >= 1, got {jobs}"):
             self.sweep(jobs=jobs)
 
@@ -1041,7 +1094,7 @@ class TestSeedSweep:
         def pretrain(*args, **kwargs):
             raise AssertionError("pretraining started")
 
-        monkeypatch.setattr(pipeline, "pretrain_source", pretrain)
+        monkeypatch.setattr(pipeline, "_pretrain_epochs", pretrain)
         with pytest.raises(ContractViolation, match=f"^{re.escape(message)}$"):
             seed_sweep(DOMAIN, SPEC, PretrainConfig(epochs=1), small_adapt_cfg(),
                        AugmentPolicy(), 3, 5, data_seeds, model_seeds)
@@ -1058,7 +1111,7 @@ class TestSeedSweep:
         def pretrain(*args, **kwargs):
             raise AssertionError("pretraining started")
 
-        monkeypatch.setattr(pipeline, "pretrain_source", pretrain)
+        monkeypatch.setattr(pipeline, "_pretrain_epochs", pretrain)
         with pytest.raises(ContractViolation, match=f"^{re.escape(message)}$"):
             seed_sweep(DOMAIN, SPEC, PretrainConfig(epochs=1), small_adapt_cfg(),
                        AugmentPolicy(), 3, 5, data_seeds, model_seeds)
