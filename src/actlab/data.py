@@ -383,8 +383,9 @@ def save_labeled_set(ls: LabeledSet, path):
         raise ContractViolation(f"set name {ls.name!r} cannot be written as UTF-8: {e}") from e
     with atomic_write(path) as f:
         f.write(f"{ls.xs.shape[1]},{ls.num_classes},{ls.name}\n")
-        for row, y in zip(ls.xs, ls.ys):
-            f.write(",".join("%.17g" % v for v in row) + f",{int(y)}\n")
+        row_format = ",".join(["%.17g"] * ls.xs.shape[1]) + ",%d\n"  # one % per row
+        for row, y in zip(ls.xs.tolist(), ls.ys.tolist()):
+            f.write(row_format % (*row, y))
 
 
 def load_labeled_set(path) -> LabeledSet:

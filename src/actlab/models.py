@@ -20,19 +20,20 @@ Each piece runs its layer stack (affine layers with a ReLU between consecutive
 ones) on plain arrays and records no tape node. Its forward, ``_stack_forward``,
 writes each activation once, in place: ``a @ W``, ``+= b``, then the ReLU as
 ``fmax(a, 0)`` and ``+= 0.0``, bitwise the tape's ``np.where(a > 0, a, 0)``.
-It keeps each layer's input. Its backward, ``_stack_backward``, runs from the
-last layer down the numpy operations the tape runs over the same stack composed
-from ``Tensor.matmul`` / ``add_bias`` / ``relu``: ``g.sum(axis=0)`` for a bias,
-``a.T @ g`` for a weight, ``g @ W.T`` for the layer input (only when asked) and
-``g * (a > 0)`` through a ReLU of output a, which is > 0 exactly where the
-ReLU's input was. So logits and every parameter gradient are bitwise those of
-the composed form; tests/test_models.py holds the pair to that form (kept in
-tests/oracles.py). Training chains the pair by hand: pretraining runs
-``head1`` alone (the two heads start as one draw and get the same gradient
-every step, so ``head2`` gets ``head1``'s), and each adaptation step wraps
-its pass in one tape node (``pipeline._step_closure``). ``forward_features``,
-``forward_head`` and ``forward_target`` are the forward alone, for
-evaluation and for callers outside the package.
+It keeps each layer's input only for a caller that runs ``_stack_backward``,
+which runs from the last layer down the numpy operations the tape runs over
+the same stack composed from ``Tensor.matmul`` / ``add_bias`` / ``relu``:
+``g.sum(axis=0)`` for a bias, ``a.T @ g`` for a weight, ``g @ W.T`` for the
+layer input (only when asked) and ``g * (a > 0)`` through a ReLU of output a,
+which is > 0 exactly where the ReLU's input was. So logits and every
+parameter gradient are bitwise those of the composed form; tests/test_models.py
+holds the pair to that form (kept in tests/oracles.py). Training chains the
+pair by hand: pretraining runs ``head1`` alone (the two heads start as one
+draw and get the same gradient every step, so ``head2`` gets ``head1``'s), and
+each adaptation step wraps its pass in one tape node
+(``pipeline._step_closure``). ``forward_features``, ``forward_head`` and
+``forward_target`` are the forward alone, for evaluation and for callers
+outside the package; they keep no layer input.
 
 Adaptation runs its two branches as a leading axis of size 2: the extractor
 once over [2, (S,) n, d] views (each weight serves both branches), then one
@@ -208,17 +209,19 @@ def _check_rows(x, dim, who):
     return a.astype(np.float64, copy=False)
 
 
-def _stack_forward(a, layers):
+def _stack_forward(a, layers, keep=True):
     """Affine layers with a ReLU between consecutive ones, on plain arrays.
 
-    Returns the output and each layer's input. Writes only the arrays it makes.
+    Returns the output and, given `keep`, each layer's input (else none: each
+    activation is freed once the next is made). Writes only the arrays it makes.
     """
     inputs = []
-    for w, b in layers:
-        if inputs:  # the ReLU, bitwise np.where(a > 0, a, 0.0): fmax maps NaN and -inf
+    for i, (w, b) in enumerate(layers):
+        if i:  # the ReLU, bitwise np.where(a > 0, a, 0.0): fmax maps NaN and -inf
             np.fmax(a, 0.0, out=a)  # to 0, and + 0.0 turns -0.0 into +0.0
             a += 0.0
-        inputs.append(a)
+        if keep:
+            inputs.append(a)
         a = a @ w.data
         a += b.data[..., None, :]
     return a, inputs
@@ -258,14 +261,15 @@ def _branch_heads(tail, spec):
 
 def forward_features(bundle, x):
     """Extractor output for inputs of shape [n, input_dim], or [S, n, input_dim]."""
-    return _stack_forward(_check_rows(x, bundle.spec.input_dim, "input"), bundle.extractor)[0]
+    return _stack_forward(_check_rows(x, bundle.spec.input_dim, "input"), bundle.extractor,
+                          keep=False)[0]
 
 
 @checked
 def forward_head(bundle, feats, branch: Literal[1, 2]):
     """Logits of head `branch` (1 or 2) on extractor features."""
     feats = _check_rows(feats, bundle.spec.feature_dim, "features")
-    return _stack_forward(feats, bundle.head1 if branch == 1 else bundle.head2)[0]
+    return _stack_forward(feats, bundle.head1 if branch == 1 else bundle.head2, keep=False)[0]
 
 
 def forward_target(bundle, x):

@@ -205,6 +205,8 @@ def sam_step(params, loss_closure, state: SamState, cfg: SamConfig,
     perturbed-point gradient. Gradients are zeroed before each phase so no
     stale state can leak in. `params` is a ParamVector or a list of Tensors.
     A `base_step(params, grads)` replaces the Adam step, which `lr_override` sets.
+    Each array goes after its last reader: (1)'s node and activations before (2),
+    (1)'s gradient before (3), and the snapshot of w after (4).
     """
     if base_step is not None and lr_override is not None:
         raise ContractViolation("lr_override is not used with base_step")
@@ -215,6 +217,8 @@ def sam_step(params, loss_closure, state: SamState, cfg: SamConfig,
     if not isinstance(loss, Tensor) or loss.size != 1:
         raise ContractViolation("loss closure must return a scalar tensor")
     backward(loss)
+    value = float(loss.item())
+    del loss  # the first pass's node, and the activations its rule holds
     grad = vec.grad()
 
     w = vec.data.copy()  # a snapshot: the perturbation writes into the vector
@@ -223,15 +227,17 @@ def sam_step(params, loss_closure, state: SamState, cfg: SamConfig,
     norm = np.sqrt(sum([np.add.reduce(sq, axis=-1) for sq in vec.segments(grad * grad)]))
     scale = cfg.rho / (norm + SAM_NORM_FLOOR)
     vec.data = w + scale[..., None] * grad
+    del grad
 
     zero_grad(holders)
     backward(loss_closure())
     adv_grad = vec.grad()
     vec.data = w
+    del w
 
     params, grads = ([vec], [adv_grad]) if vec is params else (params, vec.split(adv_grad))
     if base_step is not None:
         base_step(params, grads)
     else:
         adam_step(params, grads, state.base, cfg.base, lr_override)
-    return float(loss.item())
+    return value

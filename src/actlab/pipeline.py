@@ -116,7 +116,7 @@ class AdaptConfig:
                                     f"sam.base.lr at {AdamConfig.lr}, got {self.sam.base.lr}")
 
 
-@dataclass
+@dataclass(slots=True)  # no dict per record: a trace holds one per step
 class StepRecord:
     iteration: int
     step_kind: str
@@ -127,8 +127,8 @@ class StepRecord:
     loss_cdd: float
     lr: float
 
-    def to_dict(self):
-        return asdict(self)
+    def to_dict(self):  # asdict's dict, without its deep copy of each value
+        return {name: getattr(self, name) for name in self.__slots__}
 
 
 @dataclass
@@ -312,9 +312,10 @@ def _prepared_batches(source_model, xs, ys, batch_iter, policy, cfg, aug_rng):
                 weak = strong = np.concatenate([weak, strong], axis=-2)
                 labels = np.concatenate([labels, labels], axis=-1)
             views = np.ascontiguousarray(np.stack((weak, strong), axis=1))  # view b feeds head b
-            source_feats = _stack_forward(views, source_model.extractor)[0]
+            source_feats = _stack_forward(views, source_model.extractor, keep=False)[0]
             q = _softmax(_stack_forward(source_feats, source_heads)[0])
             targets = batch_targets(labels, q[:, 0], q[:, 1], cfg.smoothing)
+            del source_feats, q  # the steps below read the views and targets alone
             for j in range(len(block)):
                 yield views[j], BatchTargets(targets.smoothed[j], targets.log_q[:, j],
                                              cfg.smoothing)
@@ -339,7 +340,7 @@ def _step_closure(bundle, step_kind, views, targets, weights, cdd_sign, diverged
     train_extractor = step_kind == "1"
     trained = bundle.vector if train_extractor else bundle.head_vector
     # step 2 moves only the heads: its features are constants, and it adds the CDD term
-    fixed = None if train_extractor else _stack_forward(views, extractor)[0]
+    fixed = None if train_extractor else _stack_forward(views, extractor, keep=False)[0]
     cdd_sign = None if train_extractor else cdd_sign
 
     def closure():
@@ -359,9 +360,9 @@ def _step_closure(bundle, step_kind, views, targets, weights, cdd_sign, diverged
         def backward(g):
             grads = _stack_backward(logit_grad(g), heads, head_inputs, input_grad=train_extractor)
             # the extractor's gradient (step 1 only): branch 1's plus branch 2's
-            ext = _stack_backward(grads.pop(), extractor, inputs) if train_extractor else []
-            return (trained.flat([e[0] + e[1] for e in ext] + [h[0] for h in grads]
-                                 + [h[1] for h in grads]),)
+            ext = [e[0] + e[1] for e in _stack_backward(grads.pop(), extractor, inputs)] \
+                if train_extractor else []
+            return (trained.flat(ext + [h[0] for h in grads] + [h[1] for h in grads]),)
 
         return _result(value, (trained.leaf,), backward)  # the sum of the cells' totals
 
@@ -397,7 +398,8 @@ def adapt_cells(source_model: ModelBundle, splits, policy: AugmentPolicy, cfg: A
 
     Several cells carry a leading cell axis on every array (a stacked bundle,
     [S, n, d] batches). One cell runs the same code on plain [n, d] arrays,
-    which numpy serves faster.
+    which numpy serves faster. The final evaluation runs once the loop
+    (``_train_cells``) has returned, so no training state is alive beside it.
     """
     spec = source_model.spec
     sizes = sorted({len(split.support) for split in splits})
@@ -416,17 +418,32 @@ def adapt_cells(source_model: ModelBundle, splits, policy: AugmentPolicy, cfg: A
 
     source_before = params_fingerprint(trainable_params(source_model, "all_target"))
     stacked = len(splits) > 1
+    bundle = clone_for_adaptation(source_model, len(splits) if stacked else None)
+    traces = _train_cells(source_model, bundle, splits, policy, cfg)
+    if params_fingerprint(trainable_params(source_model, "all_target")) != source_before:
+        raise RuntimeError("source model changed during adaptation")
+
+    runs = []
+    for cell, (split, trace, baseline) in enumerate(zip(splits, traces, baselines)):
+        adapted = bundle_from_params(spec, {name: t.data[cell] for name, t in
+                                            bundle.params.items()}) if stacked else bundle
+        final = evaluate(adapted, split.test, cfg.eval_head)
+        runs.append((adapted, RunReport(trace, *astuple(final)[:4], *astuple(baseline)[:3])))
+    return runs
+
+
+def _train_cells(source_model, bundle, splits, policy, cfg):
+    """`adapt_cells`' loop on its clone `bundle`: returns each cell's trace."""
+    stacked = len(splits) > 1
     if stacked:
-        bundle = clone_for_adaptation(source_model, len(splits))
         support_xs = np.stack([split.support.xs for split in splits], axis=1)  # [m, S, d]
         support_ys = np.stack([split.support.ys for split in splits], axis=1)  # [m, S]
     else:
-        bundle = clone_for_adaptation(source_model)
         support_xs, support_ys = splits[0].support.xs, splits[0].support.ys
 
     # step kind -> the vector it trains (all of it, or the heads' tail) and its SAM state
     steps = {"1": (bundle.vector, SamState()), "2": (bundle.head_vector, SamState())}
-    batch_iter = _batch_stream(splits[0].support, min(cfg.batch_size, sizes[0]), cfg.seed)
+    batch_iter = _batch_stream(splits[0].support, min(cfg.batch_size, len(support_xs)), cfg.seed)
     prepared = _prepared_batches(source_model, support_xs, support_ys, batch_iter, policy, cfg,
                                  rng_stream(cfg.seed, "augment"))
 
@@ -467,16 +484,7 @@ def adapt_cells(source_model: ModelBundle, splits, policy: AugmentPolicy, cfg: A
                                       comps["entropy"], comps["rce"], comps["cdd"]):
                 trace.append(StepRecord(it, f"step{step_kind}", *losses, lr=lr_ext))
 
-    if params_fingerprint(trainable_params(source_model, "all_target")) != source_before:
-        raise RuntimeError("source model changed during adaptation")
-
-    runs = []
-    for cell, (split, trace, baseline) in enumerate(zip(splits, traces, baselines)):
-        adapted = bundle_from_params(spec, {name: t.data[cell] for name, t in
-                                            bundle.params.items()}) if stacked else bundle
-        final = evaluate(adapted, split.test, cfg.eval_head)
-        runs.append((adapted, RunReport(trace, *astuple(final)[:4], *astuple(baseline)[:3])))
-    return runs
+    return traces
 
 
 # -- seed sweeps ---------------------------------------------------------------------

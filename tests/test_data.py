@@ -372,6 +372,14 @@ class TestExport:
         save_labeled_set(ls, path)
         assert path.read_text().splitlines()[0] == "2,2,demo"
 
+    def test_rows_are_written_with_17_significant_digits(self, tmp_path):
+        ls = LabeledSet([[0.1, -0.0, 5e-324], [1e300, -2.5, 1.0 / 3.0]], [1, 0], 2, "demo")
+        path = tmp_path / "d.csv"
+        save_labeled_set(ls, path)
+        assert path.read_bytes() == (b"3,2,demo\n"
+                                     b"0.10000000000000001,-0,4.9406564584124654e-324,1\n"
+                                     b"1.0000000000000001e+300,-2.5,0.33333333333333331,0\n")
+
     def test_malformed_rows_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("2,2,demo\n1.0,2.0\n")

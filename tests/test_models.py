@@ -742,6 +742,20 @@ class TestPlainForward:
             assert np.array_equal(logits,
                                   oracles.tape_forward_head(bundle, tape_feats, branch).data)
 
+    def test_a_forward_without_backward_keeps_no_layer_inputs(self):
+        # 2000 rows of 128 + 128 + 64 float64 activations: 5.12 MB held at once if each
+        # layer's input were kept; two at a time, as evaluation needs, peak near 4.1 MB
+        bundle = build(MlpSpec(8, (128, 128), 64, 8))
+        x = np.random.default_rng(0).normal(size=(2000, 8))
+        tracemalloc.start()
+        try:
+            feats = forward_features(bundle, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert feats.shape == (2000, 64)
+        assert peak < 2000 * (128 + 128 + 64) * 8
+
     def test_shapes_and_branch_checked(self):
         bundle = build(small_spec())
         with pytest.raises(ContractViolation, match="input must be"):

@@ -1,4 +1,5 @@
 import re
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -12,7 +13,7 @@ from actlab.models import build, trainable_params
 from actlab.optim import (AdamConfig, AdamState, ParamVector, SamConfig,
                           SamState, SgdConfig, SgdState, adam_step,
                           lr_at, sam_step, sgd_step)
-from actlab.tensor import Tensor, backward, scalar_mul, zero_grad
+from actlab.tensor import Tensor, _result, backward, scalar_mul, zero_grad
 
 import oracles
 from test_models import SPECS
@@ -267,6 +268,21 @@ class TestSam:
         sam_step([used, unused], lambda: (used * used).sum(),
                  SamState(), SamConfig(rho=0.05))
         np.testing.assert_array_equal(unused.data, [5.0])
+
+    def test_the_first_pass_is_dropped_before_the_second(self):
+        """The first closure's node, and what its rule holds, are gone when SAM
+        calls the closure again: the second pass never runs beside the first."""
+        w = Tensor([1.0, 2.0], requires_grad=True)
+        held, alive = [], []
+
+        def closure():  # w . w, whose rule holds an array as a layer input would be held
+            alive.append([ref() is not None for ref in held])
+            twice_w = 2.0 * w.data
+            held.append(weakref.ref(twice_w))
+            return _result(np.array(w.data @ w.data), (w,), lambda g: (g * twice_w,))
+
+        assert sam_step([w], closure, SamState(), SamConfig(rho=0.1)) == 5.0
+        assert alive == [[], [False]]
 
     def test_lr_override_with_base_step_refused(self):
         w = Tensor([1.0], requires_grad=True)
