@@ -4,9 +4,9 @@ A bundle is one network: a feature extractor shared by two classifier heads.
 ``MlpSpec.param_shapes`` is its one parameter layout (names, shapes, checkpoint
 order): ``build`` draws into it, ``bundle_from_params`` checks named arrays
 against it, and the training scopes and checkpoints follow it. The bundle's
-parameters are one float64 vector in that order (an ``optim.ParamVector``):
-each Tensor's ``data`` is a read-only reshaped view into it, made once, and
-a step writes into the vector. ``classifiers_only`` trains its tail.
+parameters are one float64 vector in that order (an ``optim.ParamVector``);
+each is a read-only reshaped view of it, made once, so only a step, which
+writes into the vector, moves them. ``classifiers_only`` trains its tail.
 Adaptation trains a clone and reads the caller's untouched bundle as the
 frozen source model whose predictions anchor the losses. The forward pass
 comes in two pieces, features then one head, so a caller that holds the
@@ -57,6 +57,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Literal
 
 import numpy as np
@@ -65,7 +66,6 @@ from .errors import ConfigError, ContractViolation, ParseError
 from .fileio import atomic_write, read_text
 from .optim import ParamVector
 from .schema import Classes, Count, Natural, check_fields, checked, parse, to_plain
-from .tensor import Tensor
 
 CHECKPOINT_FORMAT_VERSION = 1
 CHECKPOINT_CHUNK = 1024  # floats per write of save_checkpoint
@@ -99,36 +99,34 @@ class MlpSpec:
 class ModelBundle:
     """Two-head MLP: one shared extractor and two classifier heads.
 
-    ``params`` maps each name of ``spec.param_shapes()``, in that order, to a
-    Tensor with requires_grad set; ``vector`` holds their data as one vector,
-    and ``head_vector`` is its heads' tail. ``extractor`` / ``head1`` / ``head2``
-    are lists of (weight, bias) pairs of those Tensors, as the forward passes read them,
-    and ``branch_heads`` is both heads as one [2, (S,) f, K] layer of views of the tail;
-    like ``vector``, it stops seeing a Tensor whose ``data`` is assigned.
-    A ``stacked`` bundle holds S models: every Tensor has a leading cell axis.
+    ``vector`` holds a copy of `arrays` (named in ``spec.param_shapes()`` order),
+    ``head_vector`` is its heads' tail, and ``params`` maps each name, read-only,
+    to its read-only view of ``vector``. ``extractor`` / ``head1`` / ``head2`` are
+    tuples of (weight, bias) views, as the forward passes read them, and
+    ``branch_heads`` is both heads as one [2, (S,) f, K] layer of views of the
+    tail. A ``stacked`` bundle holds S models: each parameter has a cell axis first.
     """
 
-    def __init__(self, spec, params, stacked=False):
+    def __init__(self, spec, arrays, stacked=False):
         self.spec = spec
-        self.params = params
-        self.vector = ParamVector(params.values(), stacked=stacked)
-        tensors = self.vector.tensors
-        layers = list(zip(tensors[0::2], tensors[1::2]))
+        self.vector = ParamVector(arrays.values(), stacked=stacked)
+        views = self.vector.views
+        self.params = MappingProxyType(dict(zip(arrays, views)))
+        layers = tuple(zip(views[0::2], views[1::2]))
         self.extractor, self.head1, self.head2 = layers[:-2], layers[-2:-1], layers[-1:]
-        # built once, since optimizer state is keyed by the parameter object
-        self.head_vector = ParamVector(tensors[2 * len(self.extractor):], root=self.vector,
-                                       stacked=stacked)
-        tail = self.head_vector.data
-        self._rate_counts = (self.vector.data.shape[-1] - tail.shape[-1], tail.shape[-1])
-        self.branch_heads = _branch_heads(tail, spec)
+        # the heads' four parameters end the layout; built once: optimizer state is keyed by it
+        self.head_vector = ParamVector(views[-4:], root=self.vector, stacked=stacked)
+        self.branch_heads = _branch_heads(self.head_vector.data, spec)
 
-    def entry_rates(self, lr_extractor, lr_heads):
-        """A learning rate per entry of ``vector``'s last axis: the heads' tail gets `lr_heads`."""
-        return np.array((lr_extractor, lr_heads), dtype=np.float64).repeat(self._rate_counts)
+    def rate_vector(self):
+        """A new float64 vector of a learning rate per entry of ``vector``'s last axis,
+        and its heads' tail, a view: fill the vector with the extractor's rate, then the tail."""
+        rates = np.empty(self.vector.data.shape[-1])
+        return rates, rates[-self.head_vector.data.shape[-1]:]
 
     @checked
     def named_params(self, side: Literal["target"] = "target"):
-        """(name, Tensor) pairs in checkpoint order. ``side`` may only be "target"."""
+        """(name, array view) pairs in checkpoint order. ``side`` may only be "target"."""
         return list(self.params.items())
 
 
@@ -171,8 +169,7 @@ def _layout_arrays(spec, params):
 def bundle_from_params(spec, params: dict) -> ModelBundle:
     """Bundle holding copies of named arrays, checked against ``spec.param_shapes()``
     and refused if not finite."""
-    return ModelBundle(spec, {name: Tensor(a, requires_grad=True)  # the vector copies it
-                              for name, a in _layout_arrays(spec, params).items()})
+    return ModelBundle(spec, _layout_arrays(spec, params))
 
 
 @checked
@@ -182,12 +179,10 @@ def clone_for_adaptation(bundle: ModelBundle, cells: Count | None = None) -> Mod
     Given `cells`, a stacked bundle of that many copies: each parameter gains a
     leading cell axis, and the vector is one row per cell.
     """
-    params = {name: t.data for name, t in bundle.named_params()}
     if cells is None:
-        return bundle_from_params(bundle.spec, params)
-    return ModelBundle(bundle.spec, {  # the stacked vector copies the broadcast views
-        name: Tensor(np.broadcast_to(a, (cells,) + a.shape), requires_grad=True)
-        for name, a in params.items()}, stacked=True)
+        return bundle_from_params(bundle.spec, bundle.params)
+    return ModelBundle(bundle.spec, {name: np.broadcast_to(a, (cells,) + a.shape)  # copied in
+                                     for name, a in bundle.params.items()}, stacked=True)
 
 
 # -- forward passes -------------------------------------------------------------
@@ -222,8 +217,8 @@ def _stack_forward(a, layers, keep=True):
             a += 0.0
         if keep:
             inputs.append(a)
-        a = a @ w.data
-        a += b.data[..., None, :]
+        a = a @ w
+        a += b[..., None, :]
     return a, inputs
 
 
@@ -240,10 +235,10 @@ def _stack_backward(g, layers, inputs, input_grad=False):
         grads[2 * i] = inputs[i].mT @ g
         grads[2 * i + 1] = np.add.reduce(g, axis=-2)  # g.sum(axis=-2) without its wrapper
         if i > 0:
-            g = g @ layers[i][0].data.mT
+            g = g @ layers[i][0].mT
             g *= inputs[i] > 0.0  # the ReLU's mask; its subgradient at exactly 0 is 0
     if input_grad:
-        grads.append(g @ layers[0][0].data.mT)
+        grads.append(g @ layers[0][0].mT)
     return grads
 
 
@@ -255,8 +250,7 @@ def _branch_heads(tail, spec):
     """
     f, k = spec.feature_dim, spec.num_classes
     rows = np.moveaxis(tail.reshape(tail.shape[:-1] + (2, -1)), -2, 0)  # [2, (S,) fK + K]
-    return [(Tensor(rows[..., :f * k].reshape(rows.shape[:-1] + (f, k))),
-             Tensor(rows[..., f * k:]))]
+    return ((rows[..., :f * k].reshape(rows.shape[:-1] + (f, k)), rows[..., f * k:]),)
 
 
 def forward_features(bundle, x):
@@ -283,15 +277,15 @@ def forward_target(bundle, x):
 
 @checked
 def trainable_params(bundle, scope: Literal["all_target", "classifiers_only"]):
-    """The Tensors that `scope` trains, in checkpoint order."""
-    return list((bundle.vector if scope == "all_target" else bundle.head_vector).tensors)
+    """The views of the parameters that `scope` trains, in checkpoint order."""
+    return list((bundle.vector if scope == "all_target" else bundle.head_vector).views)
 
 
-def params_fingerprint(tensors):
+def params_fingerprint(arrays):
     """sha256 over the raw little-endian bytes of every array, in order."""
     h = hashlib.sha256()
-    for t in tensors:
-        h.update(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
     return h.hexdigest()
 
 
@@ -305,7 +299,7 @@ def save_checkpoint(bundle: ModelBundle, path):
     and before touching the filesystem: parameter names or shapes that are not the
     spec's (a stacked bundle's, say), or a NaN or infinite value.
     """
-    named = _layout_arrays(bundle.spec, {name: t.data for name, t in bundle.named_params()})
+    named = _layout_arrays(bundle.spec, bundle.params)
     # the bytes of json.dumps(doc, sort_keys=True), written CHECKPOINT_CHUNK floats at
     # a time: json holds a string per float of all it encodes (16,384 for one 128-wide
     # weight), and it formats a finite float by float.__repr__, as this does

@@ -2,9 +2,9 @@
 
 All steps are functional: parameters in, state mutated, nothing returned
 (except SAM, which returns the unperturbed loss for logging). A parameter is a
-Tensor or a ``ParamVector``: Tensors stepped at once as one vector, whose rate
+Tensor or a ``ParamVector``, parameters stepped at once as one vector, whose rate
 may be an array of per-entry rates; the arithmetic is elementwise, so each entry
-gets its own Tensor's bits. A stacked ParamVector holds S models' vectors as
+gets its parameter's bits. A stacked ParamVector holds S models' vectors as
 the rows of one matrix and steps them all at once; SAM takes one norm and one
 scale per row, so each row gets the bits of its own step. State is keyed by
 parameter object, never by list position, so update order cannot matter.
@@ -63,38 +63,41 @@ class SamConfig:
 
 
 class ParamVector:
-    """Tensors seen as one float64 vector that owns their values: each Tensor's
-    ``data`` is a read-only reshaped view into one buffer, in order, made once,
-    and so is ``data``. Assigning ``data``, SAM's perturb and restore and the
-    optimizers' updates write into the buffer, so a snapshot is a copy. Given a
-    `root` whose last Tensors these are, the buffer is a view of the root's tail.
+    """Arrays (copied) or Tensors seen as one float64 vector that owns their
+    values: ``views`` holds a read-only reshaped view of one buffer per parameter,
+    in order, made once (a Tensor's ``data`` is rebound to it), and so is ``data``.
+    Assigning ``data``, SAM's perturb and restore and the optimizers' updates
+    write into the buffer, so a snapshot is a copy. Given a `root` whose last
+    parameters these are, buffer and views are the root's tail and last views.
     ``leaf``, a Tensor over ``data`` that requires a gradient, is the one parent
     of a node that gives the whole vector's gradient at once; ``grad()`` is the
-    leaf's gradient if it has one, else the Tensors' in layout order.
+    leaf's gradient if it has one, else the Tensors' (a vector of arrays refuses).
 
-    With ``stacked``, every Tensor's data has a leading cell axis of one length
-    S, and ``data`` is an [S, P] matrix: row s is cell s's vector. Slots and
-    tail index the last axis, ``np.s_[..., a:b]``, so every method treats each
-    row as the vector of one model.
+    With ``stacked``, every parameter has a leading cell axis of one length S,
+    and ``data`` is an [S, P] matrix: row s is cell s's vector. Slots and tail
+    index the last axis, ``np.s_[..., a:b]``, so every method treats each row as
+    the vector of one model.
     """
 
-    def __init__(self, tensors, root=None, stacked=False):
-        self.tensors = list(tensors)
-        if not self.tensors:
-            raise ContractViolation("ParamVector needs at least one Tensor in tensors")
-        self._lead = self.tensors[0].shape[:1] if stacked else ()
-        shapes = [t.shape[len(self._lead):] for t in self.tensors]
+    def __init__(self, params, root=None, stacked=False):
+        params = list(params)
+        self.tensors = [p for p in params if isinstance(p, Tensor)]
+        if not params or len(self.tensors) not in (0, len(params)):
+            raise ContractViolation("ParamVector needs one or more arrays, or one or more Tensors")
+        arrays = [t.data for t in self.tensors] or params
+        self._lead = arrays[0].shape[:1] if stacked else ()
+        shapes = [a.shape[len(self._lead):] for a in arrays]
         ends = np.cumsum([math.prod(shape) for shape in shapes]).tolist()
         self._slots = [(np.s_[..., hi - math.prod(shape):hi], self._lead + shape)
                        for shape, hi in zip(shapes, ends)]
-        # row-major, whatever the Tensors' layout: each row is contiguous
-        self._buffer = np.ascontiguousarray(self.flat([t.data for t in self.tensors])) \
+        # row-major, whatever the arrays' layout: each row is contiguous
+        self._buffer = np.ascontiguousarray(self.flat(arrays), dtype=np.float64) \
             if root is None else root._buffer[..., -ends[-1]:]
         self.leaf = Tensor(self._buffer.view(), requires_grad=True)
         self.leaf.data.flags.writeable = False  # and so is every view of it
-        if root is None:  # a root's Tensors view its buffer already
-            for t, view in zip(self.tensors, self.split(self.leaf.data)):
-                t.data = view
+        self.views = root.views[-len(shapes):] if root else tuple(self.split(self.data))
+        for t, view in zip(self.tensors, self.views):
+            t.data = view
 
     @property
     def data(self):
@@ -107,17 +110,19 @@ class ParamVector:
     def grad(self):  # a Tensor the loss never reached has a zero gradient
         if self.leaf.grad is not None:
             return self.leaf.grad
+        if not self.tensors:  # an array's gradient can come only through the leaf
+            raise ContractViolation("the loss does not depend on the vector's leaf")
         return self.flat([np.zeros(t.shape) if t.grad is None else t.grad for t in self.tensors])
 
-    def flat(self, arrays):  # one array per Tensor, in its shape, as one new vector
+    def flat(self, arrays):  # one array per parameter, in its shape, as one new vector
         if not self._lead:
             return np.concatenate(arrays, axis=None)
         return np.concatenate([a.reshape(self._lead + (-1,)) for a in arrays], axis=-1)
 
-    def segments(self, vector):  # one flat slice of `vector`'s last axis per Tensor
+    def segments(self, vector):  # one flat slice of `vector`'s last axis per parameter
         return [vector[index] for index, _ in self._slots]
 
-    def split(self, vector):  # one view of `vector` per Tensor, in its shape
+    def split(self, vector):  # one view of `vector` per parameter, in its shape
         return [vector[index].reshape(shape) for index, shape in self._slots]
 
 

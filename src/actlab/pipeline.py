@@ -224,7 +224,9 @@ def _pretrain_epochs(source, spec, cfg):
     bundle = build(spec)
     yield bundle
     extractor, head = bundle.extractor, bundle.head1
-    rates = [bundle.entry_rates(cfg.sgd.lr, cfg.sgd.lr * cfg.lr_multiplier_heads)]
+    rate, head_rate = bundle.rate_vector()
+    rate.fill(cfg.sgd.lr)
+    head_rate.fill(cfg.sgd.lr * cfg.lr_multiplier_heads)
     state = SgdState()
     for epoch in range(cfg.epochs):
         epoch_losses = []
@@ -243,7 +245,7 @@ def _pretrain_epochs(source, spec, cfg):
             *head_grads, g_f = _stack_backward(logit_grad(m), head, head_inputs, input_grad=True)
             grads = _stack_backward(g_f + g_f, extractor, inputs)
             grad = np.concatenate(grads + head_grads + head_grads, axis=None)
-            sgd_step([bundle.vector], [grad], state, cfg.sgd, lr_override=rates)
+            sgd_step([bundle.vector], [grad], state, cfg.sgd, lr_override=[rate])
         yield epoch_losses
 
 
@@ -293,10 +295,8 @@ def _prepared_batches(source_model, xs, ys, batch_iter, policy, cfg, aug_rng):
     count = cfg.total_iterations * (len(cfg.step_pattern) if cfg.fresh_batch_per_step else 1)
     both = cfg.view_mode == "both_to_both"
     view_rows = 2 * (2 if both else 1) * (xs.shape[1] if xs.ndim == 3 else 1)  # per batch row
-    # the frozen source model's heads from its Tensors, which its extractor is read from
-    # too: a Tensor whose data its caller assigned no longer views the bundle's vector
-    tail = source_model.head_vector.flat([t.data for t in source_model.head_vector.tensors])
-    source_heads = _branch_heads(tail if xs.ndim == 2 else tail[None], source_model.spec)
+    source_heads = source_model.branch_heads if xs.ndim == 2 else \
+        _branch_heads(source_model.head_vector.data[None], source_model.spec)
     for n, group in groupby(islice(batch_iter, count), len):  # a short tail starts a new group
         while block := list(islice(group, max(1, BLOCK_ROWS // (n * view_rows)))):
             idx = np.array(block)  # [B, n]
@@ -425,7 +425,7 @@ def adapt_cells(source_model: ModelBundle, splits, policy: AugmentPolicy, cfg: A
 
     runs = []
     for cell, (split, trace, baseline) in enumerate(zip(splits, traces, baselines)):
-        adapted = bundle_from_params(spec, {name: t.data[cell] for name, t in
+        adapted = bundle_from_params(spec, {name: a[cell] for name, a in
                                             bundle.params.items()}) if stacked else bundle
         final = evaluate(adapted, split.test, cfg.eval_head)
         runs.append((adapted, RunReport(trace, *astuple(final)[:4], *astuple(baseline)[:3])))
@@ -457,13 +457,16 @@ def _train_cells(source_model, bundle, splits, policy, cfg):
 
     traces = [[] for _ in splits]
     last_good = bundle.vector.data.copy()  # a snapshot, refreshed in place: steps write the vector
+    rate, head_rate = bundle.rate_vector()  # step 1's, refilled in place each iteration
     for it in range(cfg.total_iterations):
         progress = it / cfg.total_iterations
         eta = lr_at.__wrapped__(cfg.schedule.eta0, progress)  # a checked field; 0 <= progress < 1
         lr_ext = eta if cfg.schedule.schedule_extractor else cfg.schedule.eta0
         lr_head = (eta if cfg.schedule.schedule_heads else cfg.schedule.eta0) \
             * cfg.schedule.head_multiplier
-        rates = {"1": [bundle.entry_rates(lr_ext, lr_head)], "2": lr_head}
+        rate.fill(lr_ext)
+        head_rate.fill(lr_head)
+        rates = {"1": [rate], "2": lr_head}
 
         for i, step_kind in enumerate(cfg.step_pattern):
             if i == 0 or cfg.fresh_batch_per_step:
@@ -518,7 +521,7 @@ def _pretrain_params(source, spec, cfg, model_seed):
     """One model seed's parameters by name, pretrained as by `pretrain_source`, unscored."""
     bundle, *_ = _pretrain_epochs(source, replace(spec, init_seed=model_seed),
                                   replace(cfg, seed=model_seed))
-    return {name: t.data for name, t in bundle.named_params()}
+    return dict(bundle.params)
 
 
 def _run_cells(spec, target, n_way, k_shot, policy, adapt_cfg, task):

@@ -148,6 +148,24 @@ def tape_step2_objective(logits1, logits2, labels, source_probs1, source_probs2,
 # numpy (`_stack_forward`), and training chains its backward by hand
 # (`_stack_backward`). These build the same pieces from Tensor.matmul /
 # add_bias / relu, one tape node per op; the kernels must match them bit for bit.
+# A bundle's parameters are arrays, so the tape runs over Tensors of its own.
+
+
+def tape_params(bundle):
+    """A Tensor over each of `bundle`'s parameter views, by name, requiring a gradient.
+    Each one's data is the bundle's read-only view, so it sees every write into the
+    bundle's vector."""
+    return {name: Tensor(view, requires_grad=True) for name, view in bundle.params.items()}
+
+
+def tape_vectors(bundle):
+    """`bundle`'s parameters as Tensors that a step moves: `tape_params`, a vector over
+    them all and its heads' tail (`optim.ParamVector`). The vector copies the bundle's
+    values, its Tensors view it, and ``grad()`` gathers their gradients."""
+    params = tape_params(bundle)
+    tensors = list(params.values())
+    vector = optim.ParamVector(tensors)
+    return params, vector, optim.ParamVector(tensors[-4:], root=vector)
 
 
 def tape_layer_stack(x, layers):
@@ -160,21 +178,28 @@ def tape_layer_stack(x, layers):
     return out
 
 
-def tape_forward_features(bundle, x):
-    return tape_layer_stack(x, bundle.extractor)
+def tape_layers(params, prefix):
+    """The (weight, bias) pairs of the Tensors in `params` whose names start with `prefix`."""
+    tensors = [t for name, t in params.items() if name.startswith(prefix)]
+    return list(zip(tensors[0::2], tensors[1::2]))
 
 
-def tape_forward_head(bundle, feats, branch):
-    return tape_layer_stack(feats, bundle.head1 if branch == 1 else bundle.head2)
+def tape_forward_features(params, x):
+    return tape_layer_stack(x, tape_layers(params, "extractor."))
+
+
+def tape_forward_head(params, feats, branch):
+    return tape_layer_stack(feats, tape_layers(params, f"head{branch}."))
 
 
 def evaluate_by_class(bundle, test, eval_head):
     """`pipeline.evaluate` on the tape: an np.add.at count of (true, predicted)
     pairs, then one class at a time, with None for an absent class."""
-    feats = tape_forward_features(bundle, Tensor(test.xs))
-    probs = _softmax(tape_forward_head(bundle, feats, 1).data)
+    params = tape_params(bundle)
+    feats = tape_forward_features(params, Tensor(test.xs))
+    probs = _softmax(tape_forward_head(params, feats, 1).data)
     if eval_head == "mean_of_heads":
-        probs = 0.5 * (probs + _softmax(tape_forward_head(bundle, feats, 2).data))
+        probs = 0.5 * (probs + _softmax(tape_forward_head(params, feats, 2).data))
     preds = np.argmax(probs, axis=1)
     k = test.num_classes
     confusion = np.zeros((k, k), dtype=np.int64)
@@ -188,9 +213,10 @@ def evaluate_by_class(bundle, test, eval_head):
                       confusion.tolist(), len(test))
 
 
-def tape_step_closure(bundle, step_kind, view1, view2, labels, source_probs1, source_probs2,
+def tape_step_closure(params, step_kind, view1, view2, labels, source_probs1, source_probs2,
                       weights, smoothing, cdd_sign, comps):
-    """The loss closure of adaptation's `step_kind` ("1" or "2") step on the composed tape.
+    """The loss closure of adaptation's `step_kind` ("1" or "2") step on the composed
+    tape over the Tensors `params` (`tape_params`).
 
     actlab.pipeline runs both branches as one stacked pass behind one node per
     step. This is the step as separate tape nodes: an extractor pass per view
@@ -198,12 +224,12 @@ def tape_step_closure(bundle, step_kind, view1, view2, labels, source_probs1, so
     composed step objective. Each call appends its components to `comps`.
     """
     x1, x2 = Tensor(view1), Tensor(view2)
-    fixed = [Tensor(tape_forward_features(bundle, x).data) for x in (x1, x2)]
+    fixed = [Tensor(tape_forward_features(params, x).data) for x in (x1, x2)]
 
     def closure():
         f1, f2 = fixed if step_kind == "2" else \
-            (tape_forward_features(bundle, x1), tape_forward_features(bundle, x2))
-        l1, l2 = tape_forward_head(bundle, f1, 1), tape_forward_head(bundle, f2, 2)
+            (tape_forward_features(params, x1), tape_forward_features(params, x2))
+        l1, l2 = tape_forward_head(params, f1, 1), tape_forward_head(params, f2, 2)
         args = (l1, l2, labels, source_probs1, source_probs2, weights, smoothing)
         total, parts = tape_step1_objective(*args) if step_kind == "1" else \
             tape_step2_objective(*args, cdd_sign)
@@ -216,12 +242,14 @@ def tape_step_closure(bundle, step_kind, view1, view2, labels, source_probs1, so
 def tape_adapt_step(bundle, step_kind, view1, view2, labels, source_probs1, source_probs2,
                     weights, smoothing, cdd_sign, sam_cfg, rates):
     """One SAM step of adaptation's `step_kind` step on the composed tape
-    (`tape_step_closure`). Returns (loss, components)."""
+    (`tape_step_closure`), written into `bundle`'s vector. Returns (loss, components)."""
     comps = []
-    closure = tape_step_closure(bundle, step_kind, view1, view2, labels, source_probs1,
+    params, vector, heads = tape_vectors(bundle)
+    closure = tape_step_closure(params, step_kind, view1, view2, labels, source_probs1,
                                 source_probs2, weights, smoothing, cdd_sign, comps)
-    vector = bundle.vector if step_kind == "1" else bundle.head_vector
-    loss = optim.sam_step(vector, closure, optim.SamState(), sam_cfg, lr_override=rates)
+    loss = optim.sam_step(vector if step_kind == "1" else heads, closure, optim.SamState(),
+                          sam_cfg, lr_override=rates)
+    bundle.vector.data = vector.data
     return loss, comps[0]
 
 
@@ -357,22 +385,23 @@ def augment_draws(n, d, policy, tier, rng):
 
 def tape_pretrain_source(source, spec, cfg):
     bundle = build(spec)
-    vector = bundle.vector
-    is_head = np.concatenate([np.full(t.size, name.startswith("head"))
-                              for name, t in bundle.named_params()])
+    vector, params = bundle.vector, tape_params(bundle)  # the Tensors view the vector it steps
+    is_head = np.concatenate([np.full(a.size, name.startswith("head"))
+                              for name, a in bundle.named_params()])
     rates = [np.where(is_head, cfg.sgd.lr * cfg.lr_multiplier_heads, cfg.sgd.lr)]
     state = optim.SgdState()
     history = []
     for epoch in range(cfg.epochs):
         epoch_losses = []
         for idx in batches(source, cfg.batch_size, cfg.seed, epoch):
-            feats = tape_forward_features(bundle, Tensor(source.xs[idx]))
-            l1, l2 = tape_forward_head(bundle, feats, 1), tape_forward_head(bundle, feats, 2)
+            feats = tape_forward_features(params, Tensor(source.xs[idx]))
+            l1, l2 = tape_forward_head(params, feats, 1), tape_forward_head(params, feats, 2)
             y = source.ys[idx]
             loss = tape_lsce(l1, y, cfg.alpha_smooth) + tape_lsce(l2, y, cfg.alpha_smooth)
-            zero_grad(vector.tensors)
+            zero_grad(params.values())
             backward(loss)
-            optim.sgd_step([vector], [vector.grad()], state, cfg.sgd, lr_override=rates)
+            grad = vector.flat([t.grad for t in params.values()])
+            optim.sgd_step([vector], [grad], state, cfg.sgd, lr_override=rates)
             epoch_losses.append(loss.item())
         history.append({
             "epoch": epoch,
@@ -394,11 +423,10 @@ def tape_pretrain_source(source, spec, cfg):
 def prepared_steps(source_model, xs, ys, batch_iter, policy, cfg, aug_rng):
     """Each step's (views [2, (S,) n', d], targets), for `_prepared_batches`' arguments."""
     count = cfg.total_iterations * (len(cfg.step_pattern) if cfg.fresh_batch_per_step else 1)
-    # both heads' current Tensors stacked on a branch axis, under S cells with a cell axis of 1
+    # both heads stacked on a branch axis, under S cells with a cell axis of 1
     (w1, b1), (w2, b2) = source_model.head1[0], source_model.head2[0]
     cell_axis = (slice(None), None) if xs.ndim == 3 else ()
-    source_heads = [(Tensor(np.array((w1.data, w2.data))[cell_axis]),
-                     Tensor(np.array((b1.data, b2.data))[cell_axis]))]
+    source_heads = [(np.array((w1, w2))[cell_axis], np.array((b1, b2))[cell_axis])]
     for _ in range(count):
         idx = next(batch_iter)
         rows, labels = xs[idx], ys[idx].T  # [n, (S,) d], [(S,) n]

@@ -64,3 +64,19 @@ def test_count_run_gives_finite_counts(bench, tmp_path, workload, no_gc_callback
     expected = 1 + 1  # the node and its leaf, on both steps
     assert counts["tensor.tape_nodes_per_backward"] == expected == TAPE_NODES[workload]
     assert run.count_run(wl, state) == counts  # the counts repeat exactly
+
+
+def test_the_benchmarks_fingerprint_is_the_public_one(bench):
+    # bench/workloads.py fingerprints a bundle by its named parameters; that must stay
+    # the fingerprint of its trained parameters, and the draw's digest must not move
+    from actlab.models import build, clone_for_adaptation, params_fingerprint, trainable_params
+    _, workloads = bench
+    drawn = build(workloads.MOONS_MODEL)
+    moved = clone_for_adaptation(drawn)
+    moved.vector.data = moved.vector.data + 0.5
+    for bundle in (drawn, moved):
+        assert workloads._target_fingerprint(bundle) == \
+            params_fingerprint(trainable_params(bundle, "all_target"))
+    assert workloads._target_fingerprint(drawn) == \
+        "e0933acb52e315dfb6a8c5d17292af4d26bf5498ff68de001cb92ba57e0c53f0"
+    assert workloads._target_fingerprint(moved) != workloads._target_fingerprint(drawn)

@@ -3,6 +3,7 @@ import math
 import re
 import tempfile
 import tracemalloc
+from collections.abc import Mapping
 from dataclasses import asdict
 from pathlib import Path
 
@@ -24,6 +25,13 @@ import oracles
 def small_spec(seed=7):
     return MlpSpec(input_dim=2, hidden_dims=(16,), feature_dim=8, num_classes=3,
                    init_seed=seed)
+
+
+def set_param(bundle, name, value):
+    """Write `value` into `bundle`'s parameter `name` through its vector, the one writer."""
+    values = bundle.vector.data.copy()
+    bundle.vector.split(values)[list(bundle.params).index(name)][...] = value
+    bundle.vector.data = values
 
 
 # a random MLP with 0-3 hidden layers
@@ -54,22 +62,22 @@ class TestBuild:
 
     def test_heads_start_identical(self):
         bundle = build(small_spec())
-        np.testing.assert_array_equal(bundle.head1[0][0].data, bundle.head2[0][0].data)
+        np.testing.assert_array_equal(bundle.head1[0][0], bundle.head2[0][0])
 
     def test_biases_start_zero(self):
         bundle = build(small_spec())
         for _, b in bundle.extractor:
-            np.testing.assert_array_equal(b.data, 0.0)
+            np.testing.assert_array_equal(b, 0.0)
 
     def test_kaiming_bound(self):
         bundle = build(small_spec())
-        w0 = bundle.extractor[0][0].data  # fan_in 2
+        w0 = bundle.extractor[0][0]  # fan_in 2
         assert np.all(np.abs(w0) <= np.sqrt(6.0 / 2))
 
     @settings(max_examples=100, deadline=None)
     @given(SPECS)
     def test_draw_matches_the_spelled_out_oracle_bit_for_bit(self, spec):
-        got = [(name, t.data) for name, t in build(spec).named_params()]
+        got = build(spec).named_params()
         want = oracles.drawn_params(spec)
         assert [name for name, _ in got] == [name for name, _ in want]
         for (_, a), (_, b) in zip(got, want):
@@ -115,8 +123,7 @@ class TestForward:
 
     def test_target_is_features_then_heads(self):
         bundle = build(small_spec())
-        for w, _ in bundle.head2:
-            w.data = w.data + 1.0  # so the two heads differ
+        set_param(bundle, "head2.weight", bundle.params["head2.weight"] + 1.0)  # heads differ
         x = np.random.default_rng(0).normal(size=(5, 2))
         l1, l2 = forward_target(bundle, x)
         feats = forward_features(bundle, x)
@@ -147,6 +154,46 @@ class TestForward:
 
 
 class TestLayout:
+    @settings(max_examples=30, deadline=None)
+    @given(SPECS, st.sampled_from([None, 3]))
+    def test_no_parameter_can_be_rebound_or_written(self, spec, cells):
+        # a parameter's values live in the bundle's vector alone: no name can be bound
+        # to another array, no layer entry replaced, and no view written through
+        bundle = clone_for_adaptation(build(spec), cells)
+        before = bundle.vector.data.copy()
+        for name, view in bundle.named_params():
+            with pytest.raises(TypeError):
+                bundle.params[name] = view.copy()
+        with pytest.raises(TypeError):
+            bundle.extractor[0] = bundle.head1[0]
+        layers = bundle.extractor + bundle.head1 + bundle.head2 + bundle.branch_heads
+        for view in [*bundle.params.values(), *bundle.head_vector.views,
+                     *trainable_params(bundle, "classifiers_only"),
+                     *(a for layer in layers for a in layer)]:
+            with pytest.raises(ValueError, match="read-only"):
+                view[...] = 1.0
+        assert bundle.vector.data.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("cells", [None, 3])
+    def test_the_only_tensors_a_bundle_holds_are_its_vectors_leaves(self, cells):
+        bundle = clone_for_adaptation(build(small_spec()), cells)
+        found, todo, seen = [], [bundle], set()
+        while todo:  # every object reachable through attributes, mappings and sequences
+            obj = todo.pop()
+            if id(obj) in seen:
+                continue
+            seen.add(id(obj))
+            if isinstance(obj, Tensor):
+                found.append(obj)
+            elif isinstance(obj, Mapping):
+                todo += obj.values()
+            elif isinstance(obj, (list, tuple)):
+                todo += obj
+            elif hasattr(obj, "__dict__"):
+                todo += vars(obj).values()
+        assert sorted(map(id, found)) == sorted(map(id, (bundle.vector.leaf,
+                                                         bundle.head_vector.leaf)))
+
     @settings(max_examples=100, deadline=None)
     @given(SPECS)
     def test_every_view_follows_param_shapes(self, spec):
@@ -172,7 +219,9 @@ class TestLayout:
         is_head = np.concatenate([np.full(math.prod(shape), name.startswith("head"))
                                   for name, shape in spec.param_shapes()])
         for lr_extractor, lr_heads in ((0.001, 0.0033), (1, 3)):  # ints become float64
-            rates = bundle.entry_rates(lr_extractor, lr_heads)
+            rates, heads = bundle.rate_vector()
+            rates.fill(lr_extractor)
+            heads.fill(lr_heads)
             assert rates.dtype == np.float64
             assert rates.tobytes() == np.where(is_head, float(lr_heads),
                                                float(lr_extractor)).tobytes()
@@ -229,8 +278,8 @@ class TestCheckpoint:
             values[:len(self.EDGES)] = self.EDGES[:size]
             bundle.vector.data = np.where(np.isfinite(values), values, np.arange(size))
         doc = {"format_version": 1, "spec": asdict(spec),
-               "params": {name: {"shape": list(t.data.shape), "data": t.data.ravel().tolist()}
-                          for name, t in bundle.named_params()}}
+               "params": {name: {"shape": list(a.shape), "data": a.ravel().tolist()}
+                          for name, a in bundle.named_params()}}
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "m.ckpt"
             save_checkpoint(bundle, path)
@@ -259,7 +308,7 @@ class TestCheckpoint:
         loaded = load_checkpoint(path)
         for (_, a), (_, b) in zip(bundle.named_params("target"),
                                   loaded.named_params("target")):
-            np.testing.assert_array_equal(a.data, b.data)
+            np.testing.assert_array_equal(a, b)
 
     def test_truncated_file_is_parse_error(self, tmp_path):
         bundle = build(small_spec())
@@ -406,7 +455,7 @@ class TestCheckpoint:
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_parameter_is_refused_before_any_write(self, tmp_path, value):
         bundle = build(small_spec())
-        bundle.extractor[1][1].data = np.where(np.arange(8) == 3, value, 0.0)
+        set_param(bundle, "extractor.1.bias", np.where(np.arange(8) == 3, value, 0.0))
         path = tmp_path / "m.ckpt"
         with pytest.raises(ContractViolation, match="extractor.1.bias"):
             save_checkpoint(bundle, path)
@@ -429,7 +478,7 @@ class TestCheckpoint:
             vector.flat[i] = data.draw(st.floats(allow_nan=True, allow_infinity=True))
         bundle.vector.data = vector
         try:  # what load_checkpoint would run on the file
-            bundle_from_params(spec, {name: t.data for name, t in bundle.named_params()})
+            bundle_from_params(spec, bundle.params)
             refusal = None
         except ContractViolation as e:
             refusal = str(e)
@@ -450,7 +499,7 @@ class TestCheckpoint:
         save_checkpoint(build(small_spec()), path)
         before = path.read_bytes()
         bad = build(small_spec(seed=8))
-        bad.head2[0][0].data = bad.head2[0][0].data * np.nan
+        set_param(bad, "head2.weight", bad.params["head2.weight"] * np.nan)
         with pytest.raises(ContractViolation, match="head2.weight"):
             save_checkpoint(bad, path)
         assert path.read_bytes() == before
@@ -485,35 +534,34 @@ class TestClone:
         # the two sides of an adaptation: the trainable clone, and the
         # original, which adapt() reads as the frozen source model
         bundle = build(small_spec())
-        for w, _ in bundle.extractor:
-            w.data = w.data + 1.0  # pretend training happened
+        for name in ("extractor.0.weight", "extractor.1.weight"):
+            set_param(bundle, name, bundle.params[name] + 1.0)  # pretend training happened
         clone = clone_for_adaptation(bundle)
         assert params_fingerprint(trainable_params(clone, "all_target")) == \
             params_fingerprint(trainable_params(bundle, "all_target"))
 
     def test_views_are_read_only_and_only_the_vector_writes_its_buffer(self):
-        # the vector's data, its tail's and every Tensor's are read-only views of one
+        # the vector's data, its tail's and every parameter are read-only views of one
         # buffer that only the vector writes, by assignment; so a snapshot (sam_step's
         # w, adaptation's last_good) is a copy
         bundle = build(small_spec())
         before = bundle.vector.data.copy()
         for array in (bundle.vector.data, bundle.head_vector.data,
-                      bundle.extractor[0][0].data, bundle.head2[0][1].data):
+                      bundle.extractor[0][0], bundle.head2[0][1]):
             with pytest.raises(ValueError, match="read-only"):
                 array[...] = 1.0
-        views = [t.data for t in bundle.vector.tensors]
+        views = list(bundle.params.values())
         bundle.vector.data = bundle.vector.data + 1.0  # assigning writes into the buffer
-        assert all(t.data is view for t, view in zip(bundle.vector.tensors, views))
+        assert all(a is view for a, view in zip(bundle.params.values(), views, strict=True))
         assert not bundle.vector.data.flags.writeable
-        assert not bundle.extractor[0][0].data.flags.writeable
+        assert not bundle.extractor[0][0].flags.writeable
         np.testing.assert_array_equal(bundle.vector.data, before + 1.0)
 
     def test_clone_is_independent_storage(self):
         bundle = build(small_spec())
         clone = clone_for_adaptation(bundle)
-        clone.extractor[0][0].data = clone.extractor[0][0].data + 5.0
-        assert not np.array_equal(clone.extractor[0][0].data,
-                                  bundle.extractor[0][0].data)
+        set_param(clone, "extractor.0.weight", clone.extractor[0][0] + 5.0)
+        assert not np.array_equal(clone.extractor[0][0], bundle.extractor[0][0])
 
     def test_a_non_integral_cell_count_is_refused(self):
         # a bare TypeError from np.broadcast_to before
@@ -540,8 +588,8 @@ def stack_cases(draw):
     spec = draw(SPECS)
     n = draw(st.integers(1, 64))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    params = {name: rng.normal(size=t.shape)
-              for name, t in build(spec).named_params()}
+    params = {name: rng.normal(size=a.shape)
+              for name, a in build(spec).named_params()}
     k = spec.num_classes
     return {
         "spec": spec, "params": params,
@@ -554,20 +602,20 @@ def stack_cases(draw):
 def run_stack(case):
     """Logits, then the gradient of every parameter and input, after one backward
     of sum(l1 * c1) + sum(l2 * c2) on the composed tape."""
-    bundle = bundle_from_params(case["spec"], case["params"])
+    params = oracles.tape_params(bundle_from_params(case["spec"], case["params"]))
     x1 = Tensor(case["x1"].copy(), requires_grad=case["input_grad"])
     x2 = Tensor(case["x2"].copy(), requires_grad=case["input_grad"])
     features, head = oracles.tape_forward_features, oracles.tape_forward_head
     if case["wiring"] == "two_views":
-        l1 = head(bundle, features(bundle, x1), 1)
-        l2 = head(bundle, features(bundle, x2), 2)
+        l1 = head(params, features(params, x1), 1)
+        l2 = head(params, features(params, x2), 2)
     else:
-        feats = features(bundle, x1)
+        feats = features(params, x1)
         if case["wiring"] == "constant_features":
             feats = Tensor(feats.data)
-        l1, l2 = head(bundle, feats, 1), head(bundle, feats, 2)
+        l1, l2 = head(params, feats, 1), head(params, feats, 2)
     backward((l1 * Tensor(case["c1"])).sum() + (l2 * Tensor(case["c2"])).sum())
-    return [l1.data, l2.data] + [t.grad for _, t in bundle.named_params()] + [x1.grad, x2.grad]
+    return [l1.data, l2.data] + [t.grad for t in params.values()] + [x1.grad, x2.grad]
 
 
 def run_kernels(case):
@@ -641,9 +689,8 @@ class TestFusedLayerStack:
         -0.0 + b0 is b0, -0.0 included."""
         rng = np.random.default_rng(5)
         x, w0 = np.full((3, 3), -1e-200), np.full((3, b0.size), 1e-200)
-        layers = [(Tensor(w0), Tensor(b0)),
-                  (Tensor(rng.normal(size=(b0.size, 5))), Tensor(rng.normal(size=5))),
-                  (Tensor(rng.normal(size=(5, 2))), Tensor(rng.normal(size=2)))]
+        layers = [(w0, b0), (rng.normal(size=(b0.size, 5)), rng.normal(size=5)),
+                  (rng.normal(size=(5, 2)), rng.normal(size=2))]
         pre = x @ w0 + b0
         assert pre.tobytes() == np.broadcast_to(b0, pre.shape).tobytes()
         return layers, x, pre
@@ -656,13 +703,13 @@ class TestFusedLayerStack:
                 layers, x, pre = self.special_stack(np.full(width, value))
                 with np.errstate(all="ignore"):
                     _, inputs = _stack_forward(x, layers)
-                    pre1 = np.where(pre > 0, pre, 0.0) @ layers[1][0].data + layers[1][1].data
+                    pre1 = np.where(pre > 0, pre, 0.0) @ layers[1][0] + layers[1][1]
                 assert inputs[1].tobytes() == np.where(pre > 0, pre, 0.0).tobytes(), value
                 assert inputs[2].tobytes() == np.where(pre1 > 0, pre1, 0.0).tobytes()
 
     def test_backward_masks_where_the_pre_activation_is_positive(self):
         layers, x, pre0 = self.special_stack(np.array(self.SPECIAL))
-        (w0, _), (w1, b1), (w2, _) = [(w.data, b.data) for w, b in layers]
+        (w0, _), (w1, b1), (w2, _) = layers
         g = np.random.default_rng(6).normal(size=(3, 2))
         with np.errstate(all="ignore"):
             _, inputs = _stack_forward(x, layers)
@@ -691,7 +738,7 @@ class TestFusedLayerStack:
         bundle.vector.data = rng.normal(size=bundle.vector.data.shape)  # some ReLUs clip
         x = rng.normal(size=(6, 3) if layout == "plain" else (2, 3, 6, 3))
         layers = bundle.extractor + bundle.head1
-        arrays = [x, bundle.vector.data] + [t.data for layer in layers for t in layer]
+        arrays = [x, bundle.vector.data] + [a for layer in layers for a in layer]
         before = [a.tobytes() for a in arrays]
         out, inputs = _stack_forward(x, layers)
         assert inputs[0] is x and out.shape == x.shape[:-1] + (3,)
@@ -708,7 +755,7 @@ class TestFusedLayerStack:
         spec = MlpSpec(input_dim=3, hidden_dims=(5, 4), feature_dim=4, num_classes=3)
         rng = np.random.default_rng(59)
         names = [name for name, _ in build(spec).named_params()]
-        arrays = [rng.normal(size=t.shape) for _, t in build(spec).named_params()]
+        arrays = [rng.normal(size=a.shape) for _, a in build(spec).named_params()]
         arrays += [rng.normal(size=(6, 3)), rng.normal(size=(6, 3))]
         c1, c2 = rng.normal(size=(6, 3)), rng.normal(size=(6, 3))
 
@@ -733,14 +780,15 @@ class TestPlainForward:
         bundle = bundle_from_params(case["spec"], case["params"])
         x = case["x1"]
         feats = forward_features(bundle, x)
-        tape_feats = oracles.tape_forward_features(bundle, Tensor(x))
+        params = oracles.tape_params(bundle)
+        tape_feats = oracles.tape_forward_features(params, Tensor(x))
         assert type(feats) is np.ndarray
         assert np.array_equal(feats, tape_feats.data)
         for branch, logits in zip((1, 2), forward_target(bundle, x)):
             assert type(logits) is np.ndarray
             assert np.array_equal(logits, forward_head(bundle, feats, branch))
             assert np.array_equal(logits,
-                                  oracles.tape_forward_head(bundle, tape_feats, branch).data)
+                                  oracles.tape_forward_head(params, tape_feats, branch).data)
 
     def test_a_forward_without_backward_keeps_no_layer_inputs(self):
         # 2000 rows of 128 + 128 + 64 float64 activations: 5.12 MB held at once if each

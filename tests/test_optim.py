@@ -307,11 +307,28 @@ class TestSam:
 
     def test_no_parameters_is_refused(self):
         calls = []
-        with pytest.raises(ContractViolation, match="at least one Tensor in tensors"):
+        with pytest.raises(ContractViolation, match="needs one or more arrays, or one or more"):
             sam_step([], lambda: calls.append(None), SamState(), SamConfig())
         assert calls == []
-        with pytest.raises(ContractViolation, match="at least one Tensor in tensors"):
+        with pytest.raises(ContractViolation, match="needs one or more arrays, or one or more"):
             ParamVector([])
+
+    def test_a_vector_copies_arrays_and_refuses_a_mix_with_tensors(self):
+        a, b = np.array([1.0, 2.0]), np.array([[3.0]])
+        vec = ParamVector([a, b])
+        assert not any(np.shares_memory(x, vec.data) for x in (a, b))
+        assert [v.tolist() for v in vec.views] == [[1.0, 2.0], [[3.0]]]
+        # no Tensor to gather from: a loss that never reached the leaf is refused, not
+        # taken for a zero gradient that would step nothing
+        assert vec.tensors == []
+        with pytest.raises(ContractViolation,
+                           match="^the loss does not depend on the vector's leaf$"):
+            sam_step(vec, lambda: (Tensor([1.0], requires_grad=True) * 2.0).sum(), SamState(),
+                     SamConfig())
+        assert vec.data.tolist() == [1.0, 2.0, 3.0]
+        with pytest.raises(ContractViolation, match="^ParamVector needs one or more arrays, "
+                                                    "or one or more Tensors$"):
+            ParamVector([a, Tensor([3.0])])
 
     def test_negative_rho_rejected(self):
         with pytest.raises(ContractViolation):
@@ -320,25 +337,25 @@ class TestSam:
 
 class TestVectorStepsMatchPerParameterLoops:
     """A bundle's vector stepped at once, with a rate for the extractor and one for
-    the heads, against the per-parameter loops in oracles on a twin bundle."""
+    the heads, against the per-parameter loops in oracles on a twin bundle's Tensors."""
 
     SCOPES = {"1": "all_target", "2": "classifiers_only"}
 
     @staticmethod
     def rates(bundle, scope, lr_ext, lr_head):
-        """(the rates as adapt passes them to a vector step, one rate per Tensor)"""
-        heads = [not name.startswith("extractor.") for name, t in bundle.named_params()
-                 if t in trainable_params(bundle, scope)]
+        """(the rates as adapt passes them to a vector step, one rate per parameter)"""
+        trained = trainable_params(bundle, scope)
+        heads = [not name.startswith("extractor.")
+                 for name, _ in bundle.named_params()[-len(trained):]]
         if scope == "classifiers_only":
             return lr_head, [lr_head] * len(heads)
-        mask = np.concatenate([np.full(t.size, head)
-                               for t, head in zip(bundle.vector.tensors, heads)])
+        mask = np.concatenate([np.full(a.size, head) for a, head in zip(trained, heads)])
         return [np.where(mask, lr_head, lr_ext)], [lr_head if h else lr_ext for h in heads]
 
     @staticmethod
-    def assert_same_bits(flat, loose):
-        assert flat.vector.data.tobytes() == np.concatenate(
-            [t.data for t in trainable_params(loose, "all_target")], axis=None).tobytes()
+    def assert_same_bits(vector, loose):
+        assert vector.data.tobytes() == np.concatenate(
+            [t.data for t in loose.values()], axis=None).tobytes()
 
     @settings(max_examples=30, deadline=None)
     @given(spec=SPECS, seed=st.integers(0, 2**32 - 1), steps=st.integers(1, 4))
@@ -347,15 +364,15 @@ class TestVectorStepsMatchPerParameterLoops:
         for step, oracle, state, cfg in (
                 (sgd_step, oracles.sgd_step, SgdState, SgdConfig(0.02, 0.9, 5e-4)),
                 (adam_step, oracles.adam_step, AdamState, AdamConfig())):
-            flat, loose = build(spec), build(spec)
+            flat, loose = build(spec), oracles.tape_params(build(spec))
             states = state(), state()
             for _ in range(steps):
                 g = rng.normal(size=flat.vector.data.size) * rng.uniform(0.1, 10.0)
                 rates, lrs = self.rates(flat, "all_target", *rng.uniform(1e-3, 1e-1, 2))
                 step([flat.vector], [g], states[0], cfg, lr_override=rates)
-                oracle(trainable_params(loose, "all_target"),
-                       [a.copy() for a in flat.vector.split(g)], states[1], cfg, lrs)
-                self.assert_same_bits(flat, loose)
+                oracle(list(loose.values()), [a.copy() for a in flat.vector.split(g)],
+                       states[1], cfg, lrs)
+                self.assert_same_bits(flat.vector, loose)
 
     @settings(max_examples=30, deadline=None)
     @given(spec=SPECS, seed=st.integers(0, 2**32 - 1),
@@ -365,26 +382,28 @@ class TestVectorStepsMatchPerParameterLoops:
         x = Tensor(rng.normal(size=(6, spec.input_dim)))
         y = rng.integers(0, spec.num_classes, size=6)
         cfg = SamConfig(rho=0.1)
-        flat, loose = build(spec), build(spec)
+        bundle = build(spec)  # its layout; the stepped vectors are over Tensors of its values
+        flat, vector, heads = oracles.tape_vectors(bundle)
+        loose = oracles.tape_params(build(spec))
         states = {kind: (SamState(), SamState()) for kind in self.SCOPES}
 
-        def closure(bundle):
+        def closure(params):
             def loss():
-                feats = oracles.tape_forward_features(bundle, x)
-                l1 = oracles.tape_forward_head(bundle, feats, 1)
-                l2 = oracles.tape_forward_head(bundle, feats, 2)
+                feats = oracles.tape_forward_features(params, x)
+                l1 = oracles.tape_forward_head(params, feats, 1)
+                l2 = oracles.tape_forward_head(params, feats, 2)
                 return lsce(l1, y, 0.1) + lsce(l2, y, 0.1)
             return loss
 
         for kind in kinds:
             scope = self.SCOPES[kind]
-            rates, lrs = self.rates(flat, scope, *rng.uniform(1e-3, 1e-1, 2))
-            vector = flat.vector if kind == "1" else flat.head_vector
-            got = sam_step(vector, closure(flat), states[kind][0], cfg, lr_override=rates)
-            want = oracles.sam_step(trainable_params(loose, scope), closure(loose),
+            rates, lrs = self.rates(bundle, scope, *rng.uniform(1e-3, 1e-1, 2))
+            trained = vector if kind == "1" else heads
+            got = sam_step(trained, closure(flat), states[kind][0], cfg, lr_override=rates)
+            want = oracles.sam_step(list(loose.values())[-len(trained.views):], closure(loose),
                                     states[kind][1], cfg, lrs)
             assert got == want
-            self.assert_same_bits(flat, loose)
+            self.assert_same_bits(vector, loose)
 
 
 class TestLrSchedule:

@@ -24,7 +24,7 @@ from actlab.models import (MlpSpec, _branch_heads, build, bundle_from_params,
 from actlab.optim import AdamConfig, AdamState, SamConfig, SamState, SgdConfig, lr_at, sam_step
 from actlab.pipeline import (AdaptConfig, PretrainConfig, ScheduleConfig,
                              adapt, adapt_cells, evaluate, pretrain_source, seed_sweep)
-from actlab.tensor import Tensor, backward, zero_grad
+from actlab.tensor import backward, zero_grad
 
 import oracles
 from test_acceptance import BLOBS, BLOBS_MODEL, MOONS, MOONS_MODEL, PRETRAIN
@@ -139,11 +139,11 @@ class TestPretrain:
         ref_bundle, ref_history = oracles.tape_pretrain_source(source, spec, cfg)
         assert repr(history) == repr(ref_history)  # repr tells every float bit apart
         ref = dict(ref_bundle.named_params())
-        for name, t in bundle.named_params():
-            assert t.data.tobytes() == ref[name].data.tobytes(), name
+        for name, a in bundle.named_params():
+            assert a.tobytes() == ref[name].tobytes(), name
         for (w1, b1), (w2, b2) in zip(bundle.head1, bundle.head2):
-            assert w1.data.tobytes() == w2.data.tobytes()
-            assert b1.data.tobytes() == b2.data.tobytes()
+            assert w1.tobytes() == w2.tobytes()
+            assert b1.tobytes() == b2.tobytes()
 
     @pytest.mark.parametrize("case", ["moons", "short_tail", "zero_epochs"])
     def test_the_sweeps_pretraining_gives_pretrain_sources_parameters(self, case):
@@ -158,8 +158,8 @@ class TestPretrain:
                                           replace(cfg, seed=8))
         assert len(history) == cfg.epochs
         assert list(params) == [name for name, _ in bundle.named_params()]
-        for name, t in bundle.named_params():
-            assert params[name].tobytes() == t.data.tobytes(), name
+        for name, a in bundle.named_params():
+            assert params[name].tobytes() == a.tobytes(), name
 
 
 @st.composite
@@ -309,7 +309,7 @@ class TestAdapt:
                            small_adapt_cfg(total_iterations=3))
         h1 = {n: t for n, t in adapted.named_params("target") if n.startswith("head1")}
         h2 = {n: t for n, t in adapted.named_params("target") if n.startswith("head2")}
-        assert not np.array_equal(h1["head1.weight"].data, h2["head2.weight"].data)
+        assert not np.array_equal(h1["head1.weight"], h2["head2.weight"])
 
     def test_view_modes_and_batch_reuse_run(self, pretrained, split):
         bundle, _ = pretrained
@@ -427,16 +427,16 @@ class TestAdapt:
         calls, sam_step = [], pipeline.sam_step
 
         def recording(params, closure, state, cfg, lr_override=None):
-            # the step's rates (an array over its vector, or one rate) cut per Tensor
+            # the step's rates (an array over its vector, or one rate) cut per parameter
             rates = lr_override[0] if isinstance(lr_override, list) else lr_override
             rates = params.split(np.broadcast_to(rates, params.data.shape))
-            calls.append([(t, set(r.ravel().tolist())) for t, r in zip(params.tensors, rates)])
+            calls.append([(a, set(r.ravel().tolist())) for a, r in zip(params.views, rates)])
             return sam_step(params, closure, state, cfg, lr_override=lr_override)
 
         monkeypatch.setattr(pipeline, "sam_step", recording)
         adapted, report = adapt(pretrained[0], split, AugmentPolicy(),
                                 small_adapt_cfg(total_iterations=3, schedule=schedule))
-        names = {id(t): name for name, t in adapted.named_params()}
+        names = {id(a): name for name, a in adapted.named_params()}
         assert len(calls) == 6
         for i, rates in enumerate(calls):
             eta = lr_at(2e-3, (i // 2) / 3)
@@ -467,7 +467,7 @@ class TestAdapt:
                                                            monkeypatch, iteration, iterations):
         # step 1's loss turns NaN from `iteration` on, so its perturbed logits are NaN
         objective, sam_step = pipeline._branch_objective, pipeline.sam_step
-        evals, tensors, snapshots = [], [], []
+        evals, views, snapshots = [], [], []
 
         def poisoned(logits, targets, weights, cdd_sign):
             value, comps, grad = objective(logits, targets, weights, cdd_sign)
@@ -479,9 +479,9 @@ class TestAdapt:
             return value * float("nan"), comps, lambda g: grad(g * float("nan"))
 
         def recording(params, *args, **kwargs):
-            tensors[:] = tensors or params.tensors  # step 1 comes first and trains them all
+            views[:] = views or params.views  # step 1 comes first and trains them all
             loss = sam_step(params, *args, **kwargs)
-            snapshots.append([t.data.copy() for t in tensors])
+            snapshots.append([a.copy() for a in views])
             return loss
 
         monkeypatch.setattr(pipeline, "_branch_objective", poisoned)
@@ -497,7 +497,7 @@ class TestAdapt:
         assert list(err.last_good_params) == list(source)
         for (name, value), after in zip(err.last_good_params.items(), snapshots[-1]):
             assert value.tobytes() == after.tobytes(), name
-        assert any(after.tobytes() != source[name].data.tobytes()
+        assert any(after.tobytes() != source[name].tobytes()
                    for name, after in zip(source, snapshots[-1]))
 
     def test_a_step_total_that_overflows_is_divergence(self, pretrained, split):
@@ -509,7 +509,7 @@ class TestAdapt:
         assert exc.value.iteration == 0 and exc.value.last_loss == math.inf
         source = dict(pretrained[0].named_params())
         for name, value in exc.value.last_good_params.items():
-            assert value.tobytes() == source[name].data.tobytes(), name
+            assert value.tobytes() == source[name].tobytes(), name
 
     def test_a_source_model_that_changes_during_adaptation_is_an_error(self, pretrained, split,
                                                                        monkeypatch):
@@ -518,33 +518,6 @@ class TestAdapt:
         monkeypatch.setattr(pipeline, "clone_for_adaptation", lambda bundle, cells=None: bundle)
         with pytest.raises(RuntimeError, match="^source model changed during adaptation$"):
             adapt(source, split, AugmentPolicy(), small_adapt_cfg())
-
-    @pytest.mark.parametrize("cells", [1, 2])
-    @pytest.mark.parametrize("move", ["assigned", "tensor-list-sam"])
-    def test_the_source_is_read_from_its_tensors(self, pretrained, split, move, cells):
-        # assigning a Tensor's data, or a sam_step on a Tensor list, moves the source's
-        # Tensors off its vector; adaptation reads the values they hold, as it reads a
-        # fresh bundle of those values
-        source = clone_for_adaptation(pretrained[0])
-        if move == "assigned":
-            (w, _), = source.head2
-            w.data = w.data + 0.1
-        else:
-            def closure():
-                feats = oracles.tape_forward_features(source, Tensor(split.support.xs))
-                return (oracles.tape_forward_head(source, feats, 1)
-                        + oracles.tape_forward_head(source, feats, 2)).sum()
-
-            sam_step(trainable_params(source, "all_target"), closure, SamState(),
-                     SamConfig(rho=0.05), lr_override=0.1)
-        assert not np.shares_memory(source.head2[0][0].data, source.vector.data)
-        fresh = bundle_from_params(SPEC, {name: t.data for name, t in source.named_params()})
-        assert fresh.head2[0][0].data.tobytes() != pretrained[0].head2[0][0].data.tobytes()
-        runs = [adapt_cells(bundle, [split] * cells, AugmentPolicy(), small_adapt_cfg())
-                for bundle in (source, fresh)]
-        for (got, got_report), (want, want_report) in zip(*runs):
-            assert fingerprint(got) == fingerprint(want)
-            assert got_report == want_report
 
     def test_a_saturated_softmax_is_divergence(self, pretrained, split):
         # eta0 1.0 moves iteration 0 so far that iteration 1's logits are finite
@@ -558,8 +531,8 @@ class TestAdapt:
         # the parameters after iteration 0 are those of a one-iteration run
         one, _ = adapt(pretrained[0], split, AugmentPolicy(), replace(cfg, total_iterations=1))
         assert list(err.last_good_params) == [name for name, _ in one.named_params()]
-        for name, t in one.named_params():
-            assert err.last_good_params[name].tobytes() == t.data.tobytes(), name
+        for name, a in one.named_params():
+            assert err.last_good_params[name].tobytes() == a.tobytes(), name
 
     @staticmethod
     def assert_aborts_with_the_source(bundle, split, cfg, step):
@@ -575,7 +548,7 @@ class TestAdapt:
         source = dict(bundle.named_params())
         assert list(err.last_good_params) == list(source)
         for name, value in err.last_good_params.items():
-            assert value.tobytes() == source[name].data.tobytes(), name
+            assert value.tobytes() == source[name].tobytes(), name
 
 
 def fingerprint(bundle):
@@ -691,7 +664,7 @@ class TestLockstep:
         source = dict(pretrained[0].named_params())
         assert list(exc.value.last_good_params) == list(source)
         for name, value in exc.value.last_good_params.items():
-            assert value.tobytes() == source[name].data.tobytes(), name
+            assert value.tobytes() == source[name].tobytes(), name
 
     @pytest.mark.parametrize("value", ["inf", "nan"])
     def test_non_finite_logits_come_before_a_saturated_softmax(self, pretrained, domain_pair,
@@ -720,7 +693,7 @@ class TestLockstep:
         source = dict(pretrained[0].named_params())
         assert list(exc.value.last_good_params) == list(source)
         for name, value in exc.value.last_good_params.items():
-            assert value.tobytes() == source[name].data.tobytes(), name
+            assert value.tobytes() == source[name].tobytes(), name
 
 
 @st.composite
@@ -733,8 +706,8 @@ def preparation_cases(draw):
     rng = np.random.default_rng(seed)
     spec = draw(SPECS)
     # the drawn model, every parameter moved a little, so that head1 != head2
-    source = bundle_from_params(spec, {name: t.data + 0.1 * rng.normal(size=t.shape)
-                                       for name, t in build(spec).named_params()})
+    source = bundle_from_params(spec, {name: a + 0.1 * rng.normal(size=a.shape)
+                                       for name, a in build(spec).named_params()})
     size, cells = draw(st.integers(1, 9)), draw(st.sampled_from([1, 3]))
     lead = (size, cells) if cells > 1 else (size,)
     xs = rng.normal(size=lead + (spec.input_dim,)) * 2.0
@@ -817,8 +790,8 @@ def step_cases(draw, cells=st.sampled_from([1, 3])):
                                                                  max_size=2))),
                    draw(st.integers(1, 8)), draw(st.integers(2, 4)), init_seed=seed)
     # the drawn model, every parameter moved a little, so that head1 != head2
-    source = bundle_from_params(spec, {name: t.data + 0.1 * rng.normal(size=t.shape)
-                                       for name, t in build(spec).named_params()})
+    source = bundle_from_params(spec, {name: a + 0.1 * rng.normal(size=a.shape)
+                                       for name, a in build(spec).named_params()})
     cells = draw(cells)
     lead, n = ((cells,) if cells > 1 else ()), draw(st.integers(1, 5))
     weak, strong = (rng.normal(size=lead + (n, spec.input_dim)) * 2.0 for _ in range(2))
@@ -846,7 +819,10 @@ class TestStepNode:
         alone = [clone_for_adaptation(source) for _ in range(cells)]
         views = np.array((view1, view2))
         targets = batch_targets(labels, q1, q2, smoothing)
-        rates = {"1": [source.entry_rates(0.005, 0.02)], "2": 0.02}
+        rate, head_rate = source.rate_vector()
+        rate.fill(0.005)
+        head_rate.fill(0.02)
+        rates = {"1": [rate], "2": 0.02}
         cell = (lambda a, c: a[c]) if cells > 1 else (lambda a, c: a)  # cell c's slice
         for step_kind in "12":
             evals = []
@@ -890,11 +866,11 @@ class TestStepNode:
             zero_grad([vector.leaf])
             backward(node)
             for c in range(cells):
-                alone = clone_for_adaptation(source)
-                trained = trainable_params(alone, scope)
+                params = oracles.tape_params(source)
+                trained = list(params.values())[-len(vector.views):]
                 zero_grad(trained)
                 backward(oracles.tape_step_closure(
-                    alone, step_kind, cell(view1, c), cell(view2, c), cell(labels, c),
+                    params, step_kind, cell(view1, c), cell(view2, c), cell(labels, c),
                     cell(q1, c), cell(q2, c), weights, smoothing, cdd_sign, [])())
                 want = np.concatenate([t.grad for t in trained], axis=None)
                 assert cell(vector.leaf.grad, c).tobytes() == want.tobytes()
@@ -916,8 +892,8 @@ class TestStepNode:
         # a plain model's heads under S cells are its tail with a leading axis of 1
         (w, b), = _branch_heads(bundle.head_vector.data[None], SPEC) if cell_axis \
             else bundle.branch_heads
-        for got, i in ((w.data, 0), (b.data, 1)):
-            want = np.array((bundle.head1[0][i].data, bundle.head2[0][i].data))
+        for got, i in ((w, 0), (b, 1)):
+            want = np.array((bundle.head1[0][i], bundle.head2[0][i]))
             want = want[:, None] if cell_axis else want
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
             assert not got.flags.writeable and np.shares_memory(got, bundle.vector.data)
