@@ -6,7 +6,8 @@ order): ``build`` draws into it, ``bundle_from_params`` checks named arrays
 against it, and the training scopes and checkpoints follow it. The bundle's
 parameters are one float64 vector in that order (an ``optim.ParamVector``);
 each is a read-only reshaped view of it, made once, so only a step, which
-writes into the vector, moves them. ``classifiers_only`` trains its tail.
+writes into the vector, moves them. ``classifiers_only`` trains its tail. A
+bundle pickles and copies by rebuilding from its spec and named parameters.
 Adaptation trains a clone and reads the caller's untouched bundle as the
 frozen source model whose predictions anchor the losses. The forward pass
 comes in two pieces, features then one head, so a caller that holds the
@@ -105,6 +106,8 @@ class ModelBundle:
     tuples of (weight, bias) views, as the forward passes read them, and
     ``branch_heads`` is both heads as one [2, (S,) f, K] layer of views of the
     tail. A ``stacked`` bundle holds S models: each parameter has a cell axis first.
+    ``pickle``, ``copy.copy`` and ``copy.deepcopy`` rebuild it from its spec, its
+    named parameters and ``stacked``, so the copy owns a vector of its own.
     """
 
     def __init__(self, spec, arrays, stacked=False):
@@ -117,6 +120,9 @@ class ModelBundle:
         # the heads' four parameters end the layout; built once: optimizer state is keyed by it
         self.head_vector = ParamVector(views[-4:], root=self.vector, stacked=stacked)
         self.branch_heads = _branch_heads(self.head_vector.data, spec)
+
+    def __reduce__(self):  # pickle and copy rebuild a bundle with a vector of its own
+        return ModelBundle, (self.spec, dict(self.params), self.vector.data.ndim == 2)
 
     def rate_vector(self):
         """A new float64 vector of a learning rate per entry of ``vector``'s last axis,

@@ -2,9 +2,11 @@
 
 All steps are functional: parameters in, state mutated, nothing returned
 (except SAM, which returns the unperturbed loss for logging). A parameter is a
-Tensor or a ``ParamVector``, parameters stepped at once as one vector, whose rate
-may be an array of per-entry rates; the arithmetic is elementwise, so each entry
-gets its parameter's bits. A stacked ParamVector holds S models' vectors as
+Tensor or a ``ParamVector``, arrays copied into one vector and stepped at once,
+whose rate may be an array of per-entry rates; the arithmetic is elementwise, so
+each entry gets its parameter's bits. SAM moves a vector, whose gradient is its
+``leaf``'s, or a list of Tensors, through one adapter: a vector of their values
+that their ``data`` views. A stacked ParamVector holds S models' vectors as
 the rows of one matrix and steps them all at once; SAM takes one norm and one
 scale per row, so each row gets the bits of its own step. State is keyed by
 parameter object, never by list position, so update order cannot matter.
@@ -63,15 +65,13 @@ class SamConfig:
 
 
 class ParamVector:
-    """Arrays (copied) or Tensors seen as one float64 vector that owns their
-    values: ``views`` holds a read-only reshaped view of one buffer per parameter,
-    in order, made once (a Tensor's ``data`` is rebound to it), and so is ``data``.
-    Assigning ``data``, SAM's perturb and restore and the optimizers' updates
-    write into the buffer, so a snapshot is a copy. Given a `root` whose last
-    parameters these are, buffer and views are the root's tail and last views.
-    ``leaf``, a Tensor over ``data`` that requires a gradient, is the one parent
-    of a node that gives the whole vector's gradient at once; ``grad()`` is the
-    leaf's gradient if it has one, else the Tensors' (a vector of arrays refuses).
+    """Arrays, copied, as one float64 vector that owns their values: ``views``
+    holds a read-only reshaped view of one buffer per array, in order, made once,
+    and so is ``data``. Assigning ``data``, SAM's perturb and restore and the
+    optimizers' updates write into the buffer, so a snapshot is a copy. Given a
+    `root` whose last parameters these are, buffer and views are the root's tail
+    and last views. ``leaf``, a Tensor over ``data`` that requires a gradient, is
+    the one parent of a node that gives the whole vector's gradient at once.
 
     With ``stacked``, every parameter has a leading cell axis of one length S,
     and ``data`` is an [S, P] matrix: row s is cell s's vector. Slots and tail
@@ -79,12 +79,10 @@ class ParamVector:
     the vector of one model.
     """
 
-    def __init__(self, params, root=None, stacked=False):
-        params = list(params)
-        self.tensors = [p for p in params if isinstance(p, Tensor)]
-        if not params or len(self.tensors) not in (0, len(params)):
-            raise ContractViolation("ParamVector needs one or more arrays, or one or more Tensors")
-        arrays = [t.data for t in self.tensors] or params
+    def __init__(self, arrays, root=None, stacked=False):
+        arrays = list(arrays)
+        if not arrays:
+            raise ContractViolation("ParamVector needs one or more arrays")
         self._lead = arrays[0].shape[:1] if stacked else ()
         shapes = [a.shape[len(self._lead):] for a in arrays]
         ends = np.cumsum([math.prod(shape) for shape in shapes]).tolist()
@@ -96,8 +94,6 @@ class ParamVector:
         self.leaf = Tensor(self._buffer.view(), requires_grad=True)
         self.leaf.data.flags.writeable = False  # and so is every view of it
         self.views = root.views[-len(shapes):] if root else tuple(self.split(self.data))
-        for t, view in zip(self.tensors, self.views):
-            t.data = view
 
     @property
     def data(self):
@@ -106,13 +102,6 @@ class ParamVector:
     @data.setter
     def data(self, vector):
         np.copyto(self._buffer, vector)
-
-    def grad(self):  # a Tensor the loss never reached has a zero gradient
-        if self.leaf.grad is not None:
-            return self.leaf.grad
-        if not self.tensors:  # an array's gradient can come only through the leaf
-            raise ContractViolation("the loss does not depend on the vector's leaf")
-        return self.flat([np.zeros(t.shape) if t.grad is None else t.grad for t in self.tensors])
 
     def flat(self, arrays):  # one array per parameter, in its shape, as one new vector
         if not self._lead:
@@ -201,6 +190,10 @@ def adam_step(params, grads, state: AdamState, cfg: AdamConfig, lr_override=None
         p.data = p.data - lr * (m / bias1) / (np.sqrt(v / bias2) + cfg.eps_adam)
 
 
+def _tensor_grad(vec, tensors):  # a Tensor the loss never reached has a zero gradient
+    return vec.flat([np.zeros(t.shape) if t.grad is None else t.grad for t in tensors])
+
+
 def sam_step(params, loss_closure, state: SamState, cfg: SamConfig,
              lr_override=None, base_step=None) -> float:
     """One sharpness-aware step. Returns the loss at the unperturbed point.
@@ -208,15 +201,30 @@ def sam_step(params, loss_closure, state: SamState, cfg: SamConfig,
     Phases: (1) gradient at w; (2) ascend to w + rho * g / ||g||; (3) fresh
     gradient there; (4) restore w bitwise; (5) base-optimizer step with the
     perturbed-point gradient. Gradients are zeroed before each phase so no
-    stale state can leak in. `params` is a ParamVector or a list of Tensors.
-    A `base_step(params, grads)` replaces the Adam step, which `lr_override` sets.
-    Each array goes after its last reader: (1)'s node and activations before (2),
-    (1)'s gradient before (3), and the snapshot of w after (4).
+    stale state can leak in. A `base_step(params, grads)` replaces the Adam
+    step, which `lr_override` sets. Each array goes after its last reader:
+    (1)'s node and activations before (2), (1)'s gradient before (3), and the
+    snapshot of w after (4).
+
+    `params` is a ParamVector, whose gradient is its leaf's (a first loss that
+    does not reach the leaf is refused; a second one is refused by the Adam or
+    SGD step's check), or a list of Tensors. For those, a vector of their
+    values is made, each Tensor's ``data`` rebound to its view, so perturb and
+    restore reach the tape; their gradients are gathered in layout order, zero
+    for a Tensor the loss never reached, and the base step moves the Tensors.
+    An empty list, or one with an entry that is not a Tensor, is refused.
     """
     if base_step is not None and lr_override is not None:
         raise ContractViolation("lr_override is not used with base_step")
-    vec = params if isinstance(params, ParamVector) else ParamVector(params)
-    holders = [vec.leaf, *vec.tensors]  # a step node's parent, or the Tensors a tape reaches
+    vec, tensors = params, []
+    if not isinstance(params, ParamVector):  # the adapter
+        tensors = list(params)
+        if not tensors or not all(isinstance(t, Tensor) for t in tensors):
+            raise ContractViolation("sam_step needs a ParamVector or one or more Tensors")
+        vec = ParamVector([t.data for t in tensors])
+        for t, view in zip(tensors, vec.views):
+            t.data = view
+    holders = tensors or [vec.leaf]  # the Tensors a tape reaches, or a step node's parent
     zero_grad(holders)
     loss = loss_closure()
     if not isinstance(loss, Tensor) or loss.size != 1:
@@ -224,7 +232,9 @@ def sam_step(params, loss_closure, state: SamState, cfg: SamConfig,
     backward(loss)
     value = float(loss.item())
     del loss  # the first pass's node, and the activations its rule holds
-    grad = vec.grad()
+    grad = _tensor_grad(vec, tensors) if tensors else vec.leaf.grad
+    if grad is None:  # not a zero gradient, which would step nothing
+        raise ContractViolation("the loss does not depend on the vector's leaf")
 
     w = vec.data.copy()  # a snapshot: the perturbation writes into the vector
     # square once, sum per Tensor, add in layout order: the bits of a per-Tensor norm;
@@ -236,11 +246,11 @@ def sam_step(params, loss_closure, state: SamState, cfg: SamConfig,
 
     zero_grad(holders)
     backward(loss_closure())
-    adv_grad = vec.grad()
+    adv_grad = _tensor_grad(vec, tensors) if tensors else vec.leaf.grad
     vec.data = w
     del w
 
-    params, grads = ([vec], [adv_grad]) if vec is params else (params, vec.split(adv_grad))
+    params, grads = (tensors, vec.split(adv_grad)) if tensors else ([vec], [adv_grad])
     if base_step is not None:
         base_step(params, grads)
     else:

@@ -517,20 +517,21 @@ class SweepReport:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # as for pretrain_source
-def _pretrain_params(source, spec, cfg, model_seed):
-    """One model seed's parameters by name, pretrained as by `pretrain_source`, unscored."""
+def _pretrain_bundle(source, spec, cfg, model_seed):
+    """One model seed's bundle, pretrained as by `pretrain_source`, unscored; its
+    spec's ``init_seed`` is the model seed."""
     bundle, *_ = _pretrain_epochs(source, replace(spec, init_seed=model_seed),
                                   replace(cfg, seed=model_seed))
-    return dict(bundle.params)
+    return bundle
 
 
-def _run_cells(spec, target, n_way, k_shot, policy, adapt_cfg, task):
-    """One group's cells, in lockstep. `task` is (model seed, its pretrained
-    parameters, data seeds); the result is a SweepCell per data seed, or None
-    when a group of several cells fails, so that its cells re-run one at a time."""
-    model_seed, source_params, data_seeds = task
+def _run_cells(target, n_way, k_shot, policy, adapt_cfg, task):
+    """One group's cells, in lockstep. `task` is (a model seed's pretrained bundle,
+    data seeds); the result is a SweepCell per data seed, or None when a group of
+    several cells fails, so that its cells re-run one at a time."""
+    pretrained, data_seeds = task
+    model_seed = pretrained.spec.init_seed
     try:
-        pretrained = bundle_from_params(replace(spec, init_seed=model_seed), source_params)
         splits = [sample_support(target, n_way, k_shot, seed=ds) for ds in data_seeds]
         runs = adapt_cells(pretrained, splits, policy, adapt_cfg)
     except (ContractViolation, DivergenceError) as e:
@@ -557,15 +558,16 @@ def seed_sweep(domain, spec, pretrain_cfg, adapt_cfg, policy, n_way: Count, k_sh
     rounds, each a `map` over its tasks: the builtin one when min(jobs, cells)
     is 1, else that of one process pool of that many workers (fork starts them
     all at the first task). Round one pretrains each model seed, scoring no
-    epoch, round two runs every group, and round three re-runs, one task each,
-    the cells of every group that failed with a ContractViolation or a
-    DivergenceError. A cell that fails so alone is recorded with its error and
-    skipped by the aggregates. A cell in lockstep gets its bits alone, so the
-    report is the same for every ``jobs``. Any other exception in a cell, and any
-    exception in pretraining, propagates: the first in task order is raised,
-    for every ``jobs``, and queued tasks are cancelled. Spread and variance
-    are computed across data seeds after averaging over model seeds within
-    each data seed.
+    epoch, and returns its bundle (a pool pickles it back, and out again with
+    each task); round two runs every group on its model seed's bundle, and
+    round three re-runs, one task each, the cells of every group that failed
+    with a ContractViolation or a DivergenceError. A cell that fails so alone
+    is recorded with its error and skipped by the aggregates. A cell in
+    lockstep gets its bits alone, so the report is the same for every
+    ``jobs``. Any other exception in a cell, and any exception in pretraining,
+    propagates: the first in task order is raised, for every ``jobs``, and
+    queued tasks are cancelled. Spread and variance are computed across data
+    seeds after averaging over model seeds within each data seed.
     """
     if not data_seeds or not model_seeds:
         raise ContractViolation("need at least one data seed and one model seed")
@@ -585,11 +587,11 @@ def seed_sweep(domain, spec, pretrain_cfg, adapt_cfg, policy, n_way: Count, k_sh
         pool = ProcessPoolExecutor(max_workers=workers)
     run = map if pool is None else pool.map
     try:
-        params = run(partial(_pretrain_params, source, spec, pretrain_cfg), model_seeds)
-        tasks = [(ms, p, group) for ms, p in zip(model_seeds, params) for group in groups]
-        run_group = partial(_run_cells, spec, target, n_way, k_shot, policy, adapt_cfg)
+        bundles = run(partial(_pretrain_bundle, source, spec, pretrain_cfg), model_seeds)
+        tasks = [(bundle, group) for bundle in bundles for group in groups]
+        run_group = partial(_run_cells, target, n_way, k_shot, policy, adapt_cfg)
         results = list(run(run_group, tasks))
-        retries = [(ms, p, [ds]) for (ms, p, group), result in zip(tasks, results)
+        retries = [(bundle, [ds]) for (bundle, group), result in zip(tasks, results)
                    if result is None for ds in group]
         results += run(run_group, retries)
     finally:

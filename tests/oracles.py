@@ -13,7 +13,7 @@ from actlab.data import augment_batch, batches
 from actlab.losses import batch_targets
 from actlab.models import _stack_forward, build
 from actlab.pipeline import EvalResult, evaluate
-from actlab.tensor import Tensor, _softmax, backward, scalar_mul, zero_grad
+from actlab.tensor import Tensor, _result, _softmax, backward, scalar_mul, zero_grad
 
 # ln(1e-5), i.e. log_shifted(0, 1e-5)
 LOG_SHIFTED_ZERO_1E5 = -11.512925464970228
@@ -159,13 +159,33 @@ def tape_params(bundle):
 
 
 def tape_vectors(bundle):
-    """`bundle`'s parameters as Tensors that a step moves: `tape_params`, a vector over
-    them all and its heads' tail (`optim.ParamVector`). The vector copies the bundle's
-    values, its Tensors view it, and ``grad()`` gathers their gradients."""
-    params = tape_params(bundle)
-    tensors = list(params.values())
-    vector = optim.ParamVector(tensors)
-    return params, vector, optim.ParamVector(tensors[-4:], root=vector)
+    """`bundle`'s parameters as Tensors that a step moves: a copy of its vector and the
+    copy's heads' tail (`optim.ParamVector`), and, by name, a Tensor over each of the
+    copy's views that requires a gradient, so it sees every write into the copy.
+    Returns (Tensors, vector, heads); `on_leaf` makes a tape over them a vector's loss."""
+    vector = optim.ParamVector(bundle.params.values())
+    params = {name: Tensor(view, requires_grad=True)
+              for name, view in zip(bundle.params, vector.views)}
+    return params, vector, optim.ParamVector(vector.views[-4:], root=vector)
+
+
+def on_leaf(vector, tensors, closure):
+    """`closure`, a loss on the composed tape over `tensors` (Tensors over `vector`'s
+    views, in order), as a closure whose loss is one node over ``vector.leaf``, as
+    `optim.sam_step` steps a vector: its rule runs the tape's backward and returns
+    the Tensors' gradients in layout order, zero for one the loss never reached."""
+    def loss():
+        total = closure()
+
+        def rule(g):
+            zero_grad(tensors)
+            backward(total)
+            return (g * vector.flat([np.zeros(t.shape) if t.grad is None else t.grad
+                                     for t in tensors]),)
+
+        return _result(total.data, (vector.leaf,), rule)
+
+    return loss
 
 
 def tape_layer_stack(x, layers):
@@ -245,10 +265,11 @@ def tape_adapt_step(bundle, step_kind, view1, view2, labels, source_probs1, sour
     (`tape_step_closure`), written into `bundle`'s vector. Returns (loss, components)."""
     comps = []
     params, vector, heads = tape_vectors(bundle)
+    trained = vector if step_kind == "1" else heads
     closure = tape_step_closure(params, step_kind, view1, view2, labels, source_probs1,
                                 source_probs2, weights, smoothing, cdd_sign, comps)
-    loss = optim.sam_step(vector if step_kind == "1" else heads, closure, optim.SamState(),
-                          sam_cfg, lr_override=rates)
+    closure = on_leaf(trained, list(params.values())[-len(trained.views):], closure)
+    loss = optim.sam_step(trained, closure, optim.SamState(), sam_cfg, lr_override=rates)
     bundle.vector.data = vector.data
     return loss, comps[0]
 

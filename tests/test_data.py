@@ -91,6 +91,11 @@ class TestGenerators:
         assert set(np.unique(tgt.ys)) == {0, 2}
         assert tgt.num_classes == 3
 
+    @pytest.mark.parametrize("target_classes", [None, ()])
+    def test_partial_set_without_target_classes_is_refused(self, target_classes):
+        with pytest.raises(ContractViolation, match="^partial_set mode needs target_classes$"):
+            blob_spec(label_space_mode="partial_set", target_classes=target_classes)
+
     def test_validation(self):
         with pytest.raises(ContractViolation):
             blob_spec(generator="spiral")

@@ -1,5 +1,7 @@
+import copy
 import json
 import math
+import pickle
 import re
 import tempfile
 import tracemalloc
@@ -562,6 +564,28 @@ class TestClone:
         clone = clone_for_adaptation(bundle)
         set_param(clone, "extractor.0.weight", clone.extractor[0][0] + 5.0)
         assert not np.array_equal(clone.extractor[0][0], bundle.extractor[0][0])
+
+    @pytest.mark.parametrize("cells", [None, 3], ids=["plain", "stacked"])
+    @pytest.mark.parametrize("copier", ["pickle", "deepcopy", "copy"])
+    def test_a_copy_owns_a_vector_that_its_views_see(self, cells, copier):
+        # a sweep ships pretrained bundles to its workers by pickle
+        bundle = clone_for_adaptation(build(small_spec()), cells)
+        copied = {"pickle": lambda b: pickle.loads(pickle.dumps(b)),
+                  "deepcopy": copy.deepcopy, "copy": copy.copy}[copier](bundle)
+        assert copied.spec == bundle.spec and list(copied.params) == list(bundle.params)
+        assert copied.vector.data.shape == bundle.vector.data.shape
+        assert params_fingerprint(trainable_params(copied, "all_target")) == \
+            params_fingerprint(trainable_params(bundle, "all_target"))
+        assert not np.shares_memory(copied.vector.data, bundle.vector.data)
+        layers = copied.extractor + copied.head1 + copied.head2 + copied.branch_heads
+        for view in [*copied.params.values(), copied.head_vector.data,
+                     *(a for layer in layers for a in layer)]:
+            assert np.shares_memory(view, copied.vector.data) and not view.flags.writeable
+        before = bundle.vector.data.copy()
+        copied.vector.data = copied.vector.data + 1.0
+        assert copied.vector.flat(list(copied.params.values())).tobytes() == \
+            copied.vector.data.tobytes() == (before + 1.0).tobytes()
+        assert bundle.vector.data.tobytes() == before.tobytes()
 
     def test_a_non_integral_cell_count_is_refused(self):
         # a bare TypeError from np.broadcast_to before

@@ -43,7 +43,7 @@ class TestSgd:
     @pytest.mark.parametrize("kind", ["tensor", "0-d tensor", "vector"])
     def test_a_held_velocity_sees_later_steps(self, kind):
         w = {"tensor": Tensor([1.0, -2.0]), "0-d tensor": Tensor(1.5),
-             "vector": ParamVector([Tensor([1.0, -2.0]), Tensor([[0.5]])])}[kind]
+             "vector": ParamVector([np.array([1.0, -2.0]), np.array([[0.5]])])}[kind]
         state, cfg = SgdState(), SgdConfig(lr=0.1, momentum=0.9, weight_decay=0.01)
         g = np.full(w.data.shape, 0.3)
         sgd_step([w], [g], state, cfg)
@@ -56,9 +56,9 @@ class TestSgd:
             assert state.velocity[w] is held
             assert held.tobytes() == expected.tobytes()
             assert w.data.tobytes() == np.asarray(before - 0.1 * expected).tobytes()
-        if kind == "vector":  # the step is written into the buffer its Tensors view
-            assert all(np.shares_memory(t.data, w.data) for t in w.tensors)
-            assert w.flat([t.data for t in w.tensors]).tobytes() == w.data.tobytes()
+        if kind == "vector":  # the step is written into the buffer its views view
+            assert all(np.shares_memory(view, w.data) for view in w.views)
+            assert w.flat(w.views).tobytes() == w.data.tobytes()
 
     @pytest.mark.parametrize("lr", [0.25, 1, np.float64(0.25), np.float32(0.25), Fraction(1, 4)])
     def test_a_scalar_rate_of_any_number_type_is_every_params_rate(self, lr):
@@ -124,8 +124,8 @@ class TestAdam:
     @pytest.mark.parametrize("lead", [(), (3,)], ids=["plain", "stacked"])
     def test_moments_are_updated_in_place(self, lead):
         rng = np.random.default_rng(5)
-        vec = ParamVector([Tensor(rng.normal(size=lead + (4, 2))),
-                           Tensor(rng.normal(size=lead + (5,)))], stacked=bool(lead))
+        vec = ParamVector([rng.normal(size=lead + (4, 2)), rng.normal(size=lead + (5,))],
+                          stacked=bool(lead))
         ref = Tensor(vec.data.copy())
         state, ref_state, cfg = AdamState(), AdamState(), AdamConfig(lr=0.01)
         for step in range(3):
@@ -306,29 +306,47 @@ class TestSam:
         np.testing.assert_array_equal(w.data, [1.0])
 
     def test_no_parameters_is_refused(self):
-        calls = []
-        with pytest.raises(ContractViolation, match="needs one or more arrays, or one or more"):
-            sam_step([], lambda: calls.append(None), SamState(), SamConfig())
-        assert calls == []
-        with pytest.raises(ContractViolation, match="needs one or more arrays, or one or more"):
+        with pytest.raises(ContractViolation, match="^ParamVector needs one or more arrays$"):
             ParamVector([])
 
-    def test_a_vector_copies_arrays_and_refuses_a_mix_with_tensors(self):
+    @pytest.mark.parametrize("kind", ["empty", "array-then-tensor", "tensor-then-array"])
+    def test_a_list_that_is_not_one_or_more_tensors_is_refused(self, kind):
+        t = Tensor([3.0], requires_grad=True)
+        data, calls = t.data, []
+        params = {"empty": [], "array-then-tensor": [np.array([1.0, 2.0]), t],
+                  "tensor-then-array": [t, np.array([1.0, 2.0])]}[kind]
+        with pytest.raises(ContractViolation,
+                           match="^sam_step needs a ParamVector or one or more Tensors$"):
+            sam_step(params, lambda: calls.append(None), SamState(), SamConfig())
+        assert calls == []
+        assert t.data is data and t.data.tolist() == [3.0]  # neither rebound nor moved
+
+    def test_a_vector_copies_its_arrays_and_refuses_a_loss_that_misses_its_leaf(self):
         a, b = np.array([1.0, 2.0]), np.array([[3.0]])
         vec = ParamVector([a, b])
         assert not any(np.shares_memory(x, vec.data) for x in (a, b))
         assert [v.tolist() for v in vec.views] == [[1.0, 2.0], [[3.0]]]
-        # no Tensor to gather from: a loss that never reached the leaf is refused, not
-        # taken for a zero gradient that would step nothing
-        assert vec.tensors == []
+        # a loss that never reached the leaf is refused, not taken for a zero gradient
+        # that would step nothing
         with pytest.raises(ContractViolation,
                            match="^the loss does not depend on the vector's leaf$"):
             sam_step(vec, lambda: (Tensor([1.0], requires_grad=True) * 2.0).sum(), SamState(),
                      SamConfig())
         assert vec.data.tolist() == [1.0, 2.0, 3.0]
-        with pytest.raises(ContractViolation, match="^ParamVector needs one or more arrays, "
-                                                    "or one or more Tensors$"):
-            ParamVector([a, Tensor([3.0])])
+
+    def test_a_second_pass_that_misses_the_leaf_is_refused_by_the_base_step(self):
+        vec, passes = ParamVector([np.array([1.0, 2.0])]), []
+
+        def closure():  # w . w, then a loss that no longer reaches the leaf
+            w = vec.data.copy()
+            passes.append(w)
+            if len(passes) > 1:
+                return (Tensor([1.0], requires_grad=True) * 2.0).sum()
+            return _result(np.array(w @ w), (vec.leaf,), lambda g: (2.0 * g * w,))
+
+        with pytest.raises(ContractViolation, match="^param 0 has no gradient$"):
+            sam_step(vec, closure, SamState(), SamConfig(rho=0.1))
+        assert len(passes) == 2 and vec.data.tolist() == [1.0, 2.0]  # restored, not stepped
 
     def test_negative_rho_rejected(self):
         with pytest.raises(ContractViolation):
@@ -399,7 +417,9 @@ class TestVectorStepsMatchPerParameterLoops:
             scope = self.SCOPES[kind]
             rates, lrs = self.rates(bundle, scope, *rng.uniform(1e-3, 1e-1, 2))
             trained = vector if kind == "1" else heads
-            got = sam_step(trained, closure(flat), states[kind][0], cfg, lr_override=rates)
+            tensors = list(flat.values())[-len(trained.views):]
+            got = sam_step(trained, oracles.on_leaf(trained, tensors, closure(flat)),
+                           states[kind][0], cfg, lr_override=rates)
             want = oracles.sam_step(list(loose.values())[-len(trained.views):], closure(loose),
                                     states[kind][1], cfg, lrs)
             assert got == want

@@ -153,13 +153,14 @@ class TestPretrain:
         source, _ = make_domain_pair(MOONS)
         if case == "short_tail":
             assert len(source) % cfg.batch_size == 1
-        params = pipeline._pretrain_params(source, MOONS_MODEL, cfg, 8)
+        swept = pipeline._pretrain_bundle(source, MOONS_MODEL, cfg, 8)
         bundle, history = pretrain_source(source, replace(MOONS_MODEL, init_seed=8),
                                           replace(cfg, seed=8))
         assert len(history) == cfg.epochs
-        assert list(params) == [name for name, _ in bundle.named_params()]
+        assert swept.spec == bundle.spec  # the model seed is its init_seed
+        assert list(swept.params) == [name for name, _ in bundle.named_params()]
         for name, a in bundle.named_params():
-            assert params[name].tobytes() == a.tobytes(), name
+            assert swept.params[name].tobytes() == a.tobytes(), name
 
 
 @st.composite
@@ -987,7 +988,7 @@ class TestSeedSweep:
             assert self.sweep(jobs=jobs).to_dict() == serial
 
     def test_a_serial_sweep_scores_each_cell_twice_and_no_pretraining_epoch(self, monkeypatch):
-        real_evaluate, real_pretrain = pipeline.evaluate, pipeline._pretrain_params
+        real_evaluate, real_pretrain = pipeline.evaluate, pipeline._pretrain_bundle
         scored, phase = [], ["adaptation"]
 
         def evaluate(*args, **kwargs):
@@ -1002,7 +1003,7 @@ class TestSeedSweep:
                 phase[0] = "adaptation"
 
         monkeypatch.setattr(pipeline, "evaluate", evaluate)
-        monkeypatch.setattr(pipeline, "_pretrain_params", pretrain)
+        monkeypatch.setattr(pipeline, "_pretrain_bundle", pretrain)
         report = self.sweep(jobs=1)
         assert [c.status for c in report.cells] == ["ok"] * 4
         assert scored == ["adaptation"] * 8  # each cell's source model, then its adapted one

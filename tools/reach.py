@@ -5,8 +5,12 @@
 Runs pytest on ``tests`` in this process under a ``sys.settrace``
 line tracer limited to ``src/actlab``, then prints ``path:line: text`` for each
 ``raise`` statement and each ``_fail(...)`` call whose first line no test ran.
-Exits 1 if there is one, or if a test failed. Pool workers that ``seed_sweep``
-forks are not traced: every refusal they can reach also runs at ``jobs=1``.
+Exits 1 if there is one, or if a test failed. Hypothesis runs derandomized and
+without its example database, so each run of one tree draws the same examples,
+whatever ``.hypothesis/`` holds, and gives the same verdict: a refusal that no
+fixed test reaches is listed every time or never, not one run in a few. Pool
+workers that ``seed_sweep`` forks are not traced: every refusal they can reach
+also runs at ``jobs=1``.
 """
 
 import ast
@@ -15,6 +19,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "actlab"
@@ -47,6 +52,10 @@ def main():
             return trace_line
         return None if lines is None else trace_line
 
+    settings.register_profile("reach", database=None, derandomize=True)
+    # before pytest imports a test module and its settings; pytest then warns, twice,
+    # that it cannot rewrite the asserts of the already imported hypothesis modules
+    settings.load_profile("reach")
     sys.settrace(trace_call)
     try:
         code = pytest.main(["-q", "-p", "no:cacheprovider", str(ROOT / "tests")])
