@@ -11,11 +11,12 @@ bundle pickles and copies by rebuilding from its spec and named parameters.
 Adaptation trains a clone and reads the caller's untouched bundle as the
 frozen source model whose predictions anchor the losses. The forward pass
 comes in two pieces, features then one head, so a caller that holds the
-extractor fixed can compute its features once. Checkpoints are JSON with
-decimal parameter text, which round-trips float64 exactly; they are written
-through a temporary file and renamed into place, so a crash never leaves a
-truncated one. A checkpoint's spec block is read by ``schema.parse`` from
-``MlpSpec``'s fields, as strictly as a config's ``model`` block.
+extractor fixed can compute its features once. Checkpoints are JSON whose
+parameter data is the base64 text of little-endian float64 bytes, so every
+value round-trips bit for bit; they are written through a temporary file and
+renamed into place, so a crash never leaves a truncated one. A checkpoint's
+spec block is read by ``schema.parse`` from ``MlpSpec``'s fields, as strictly
+as a config's ``model`` block.
 
 Each piece runs its layer stack (affine layers with a ReLU between consecutive
 ones) on plain arrays and records no tape node. Its forward, ``_stack_forward``,
@@ -55,8 +56,10 @@ computes what the cell alone would, bit for bit.
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Literal
@@ -68,8 +71,10 @@ from .fileio import atomic_write, read_text
 from .optim import ParamVector
 from .schema import Classes, Count, Natural, check_fields, checked, parse, to_plain
 
-CHECKPOINT_FORMAT_VERSION = 1
-CHECKPOINT_CHUNK = 1024  # floats per write of save_checkpoint
+CHECKPOINT_FORMAT_VERSION = 2  # load_checkpoint also reads version 1
+# floats per write of save_checkpoint: a multiple of 3, since 3 floats are 24 bytes,
+# 32 base64 characters, so each chunk's text joins the next without padding
+CHECKPOINT_CHUNK = 3 * 1024
 
 
 @dataclass(frozen=True)
@@ -299,30 +304,34 @@ def params_fingerprint(arrays):
 
 
 def save_checkpoint(bundle: ModelBundle, path):
-    """Write `bundle` to `path` atomically (`fileio.atomic_write`).
+    """Write `bundle` to `path` atomically (`fileio.atomic_write`), in format version 2.
+
+    The file is one line: the bytes of ``json.dumps(doc, sort_keys=True)`` and a
+    newline, where ``doc`` holds ``format_version``, the ``spec`` and, under each
+    parameter's name, its ``shape`` and its ``data``, the base64 text of its
+    little-endian float64 bytes in row-major order. The text is written
+    ``CHECKPOINT_CHUNK`` floats at a time, so a save holds one chunk of it.
 
     Refuses what ``load_checkpoint`` would refuse, by ``bundle_from_params``' check
     and before touching the filesystem: parameter names or shapes that are not the
     spec's (a stacked bundle's, say), or a NaN or infinite value.
     """
     named = _layout_arrays(bundle.spec, bundle.params)
-    # the bytes of json.dumps(doc, sort_keys=True), written CHECKPOINT_CHUNK floats at
-    # a time: json holds a string per float of all it encodes (16,384 for one 128-wide
-    # weight), and it formats a finite float by float.__repr__, as this does
     with atomic_write(path) as f:
         f.write(f'{{"format_version": {CHECKPOINT_FORMAT_VERSION}, "params": {{')
         for i, name in enumerate(sorted(named)):
             flat = named[name].reshape(-1)
-            f.write(f'{", " if i else ""}{json.dumps(name)}: {{"data": [')
+            f.write(f'{", " if i else ""}{json.dumps(name)}: {{"data": "')
             for start in range(0, flat.size, CHECKPOINT_CHUNK):
-                chunk = flat[start:start + CHECKPOINT_CHUNK].tolist()
-                f.write(f'{", " if start else ""}{", ".join(map(repr, chunk))}')
-            f.write(f'], "shape": {json.dumps(named[name].shape)}}}')
+                chunk = np.ascontiguousarray(flat[start:start + CHECKPOINT_CHUNK], dtype="<f8")
+                f.write(base64.b64encode(chunk.tobytes()).decode("ascii"))
+            f.write(f'", "shape": {json.dumps(named[name].shape)}}}')
         f.write(f'}}, "spec": {json.dumps(to_plain(bundle.spec), sort_keys=True)}}}\n')
 
 
-def _entry_array(path, name, entry, shape):
-    """One checkpoint entry's data as a float64 array of its layout `shape`."""
+def _entry_array(path, name, entry, shape, version):
+    """One checkpoint entry's data, read as format `version` has it, as a float64
+    array of its layout `shape`."""
     # `==` alone would let a float (2.0) or a bool (true for 1) stand for a size
     if not isinstance(entry, dict) or entry.get("shape") != list(shape) \
             or set(map(type, entry["shape"])) != {int}:
@@ -332,16 +341,42 @@ def _entry_array(path, name, entry, shape):
     if unknown:
         raise ParseError(f"{path}: bad parameter {name!r} (unknown key {unknown[0]!r})")
     data = entry.get("data")
-    # one pass over the list; a bool is not a number, and np.array would cast it
-    if not isinstance(data, list) or not set(map(type, data)) <= {int, float}:
-        raise ParseError(f"{path}: bad parameter {name!r} (data must be a flat list of numbers)")
-    try:  # bundle_from_params refuses a non-finite value
-        return np.array(data, dtype=np.float64).reshape(shape)
-    except (OverflowError, ValueError) as e:
-        raise ParseError(f"{path}: bad parameter {name!r} ({e})") from e
+    if version == 1:
+        # one pass over the list; a bool is not a number, and np.array would cast it
+        if not isinstance(data, list) or not set(map(type, data)) <= {int, float}:
+            raise ParseError(f"{path}: bad parameter {name!r} "
+                             f"(data must be a flat list of numbers)")
+        try:  # bundle_from_params refuses a non-finite value
+            return np.array(data, dtype=np.float64).reshape(shape)
+        except (OverflowError, ValueError) as e:
+            raise ParseError(f"{path}: bad parameter {name!r} ({e})") from e
+    if not isinstance(data, str):
+        raise ParseError(f"{path}: bad parameter {name!r} (data must be base64 text)")
+    try:
+        raw = base64.b64decode(data, validate=True)
+    except ValueError as e:  # binascii.Error, or a character outside ASCII
+        raise ParseError(f"{path}: bad parameter {name!r} (data is not base64: {e})") from e
+    count = math.prod(shape)
+    if len(raw) != 8 * count:
+        raise ParseError(f"{path}: bad parameter {name!r} (data holds {len(raw)} bytes, "
+                         f"not the {8 * count} of {count} float64 values)")
+    return np.frombuffer(raw, dtype="<f8").reshape(shape)  # bundle_from_params copies it
 
 
 def load_checkpoint(path, expect_spec: MlpSpec | None = None) -> ModelBundle:
+    """The bundle saved at `path`, checked against `expect_spec` if one is given.
+
+    Reads format version 2, which ``save_checkpoint`` writes (each parameter's
+    ``data`` is base64 text that must decode to exactly 8 bytes per value of its
+    shape), and version 1, whose ``data`` is a flat list of numbers. Every
+    refusal of the file is a ``ParseError`` that names `path`: text that is not
+    JSON, a root that is not an object, a ``format_version`` that is not the
+    integer 1 or 2, an unknown or missing key, a spec block that ``schema.parse``
+    refuses or that has no ``init_seed``, parameter names that are not the
+    spec's, an entry whose stated shape or data is not its layout's (``bad
+    parameter '<name>' (...)``), and a NaN or infinite value. A spec other than
+    `expect_spec` is a ``ContractViolation``.
+    """
     try:
         doc = json.loads(read_text(path, "checkpoint"))
     except json.JSONDecodeError as e:
@@ -349,7 +384,7 @@ def load_checkpoint(path, expect_spec: MlpSpec | None = None) -> ModelBundle:
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: checkpoint root must be an object")
     version = doc.get("format_version")
-    if type(version) is not int or version != CHECKPOINT_FORMAT_VERSION:
+    if type(version) is not int or version not in (1, CHECKPOINT_FORMAT_VERSION):
         raise ParseError(f"{path}: unsupported format_version {version!r}")
     unknown = sorted(set(doc) - {"format_version", "spec", "params"})
     if unknown:
@@ -370,8 +405,8 @@ def load_checkpoint(path, expect_spec: MlpSpec | None = None) -> ModelBundle:
         raise ParseError(f"{path}: params must be an object")
     layout = dict(spec.param_shapes())
     # a name outside the layout keeps its raw entry: bundle_from_params refuses it
-    params = {name: _entry_array(path, name, entry, layout[name]) if name in layout else entry
-              for name, entry in doc["params"].items()}
+    params = {name: _entry_array(path, name, entry, layout[name], version)
+              if name in layout else entry for name, entry in doc["params"].items()}
     try:
         return bundle_from_params(spec, params)
     except ContractViolation as e:

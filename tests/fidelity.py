@@ -23,7 +23,8 @@ README quickstart config, loaded through `load_config`, a sha256 of the bytes
 `save_checkpoint` writes for the pretrained moons source model, and the
 `params_fingerprint` of that file loaded back. The reload line does not
 depend on how the file is encoded, so a change of checkpoint bytes that keeps
-every parameter changes only the line before it. The last lines cover the
+every parameter changes only the line before it here, and the CLI's two
+``cli/runs/.../source.ckpt`` and ``target.ckpt`` lines below. The last lines cover the
 CLI's bytes: in a temporary working directory, the README quickstart runs
 through `cli.main` (`adapt`, `eval --json` on its outputs, and a two-cell
 `sweep --jobs 2`), and each command's stdout and each file it wrote get a

@@ -1,3 +1,4 @@
+import base64
 import json
 import os
 import re
@@ -117,6 +118,26 @@ class TestAdaptCommand:
         assert main(["adapt", "--config", str(cfg_path)]) == 0
         assert (run_dir / "source.ckpt").read_bytes() == ckpt_bytes
         assert (run_dir / "pretrain.log").read_bytes() == log_bytes
+
+    def test_reuses_a_lone_version_1_source_checkpoint(self, workspace, monkeypatch):
+        cfg_path, run_dir = workspace
+        assert main(["adapt", "--config", str(cfg_path)]) == 0
+        fresh = {name: (run_dir / name).read_bytes() for name in ("target.ckpt", "trace.csv")}
+        doc = json.loads((run_dir / "source.ckpt").read_text())
+        assert doc["format_version"] == 2
+        doc["format_version"] = 1  # each parameter's data as a flat list of numbers
+        for entry in doc["params"].values():
+            entry["data"] = np.frombuffer(base64.b64decode(entry["data"]), "<f8").tolist()
+        for path in run_dir.iterdir():
+            path.unlink()
+        (run_dir / "source.ckpt").write_text(json.dumps(doc, sort_keys=True) + "\n")
+        old = (run_dir / "source.ckpt").read_bytes()
+        monkeypatch.setattr(cli, "pretrain_source", None)  # a call would fail the run
+        assert main(["adapt", "--config", str(cfg_path)]) == 0
+        assert (run_dir / "source.ckpt").read_bytes() == old
+        assert not (run_dir / "pretrain.log").exists()
+        for name, data in fresh.items():
+            assert (run_dir / name).read_bytes() == data
 
     def test_rejects_checkpoint_from_another_model(self, workspace, capsys):
         cfg_path, run_dir = workspace

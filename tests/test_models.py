@@ -1,3 +1,4 @@
+import base64
 import copy
 import json
 import math
@@ -34,6 +35,28 @@ def set_param(bundle, name, value):
     values = bundle.vector.data.copy()
     bundle.vector.split(values)[list(bundle.params).index(name)][...] = value
     bundle.vector.data = values
+
+
+def checkpoint_doc(bundle, version):
+    """`bundle`'s checkpoint document in format `version`: each parameter's data is a
+    flat list of numbers (1) or the base64 text of its little-endian float64 bytes (2)."""
+    def data(a):
+        if version == 1:
+            return a.ravel().tolist()
+        return base64.b64encode(np.ascontiguousarray(a, dtype="<f8").tobytes()).decode("ascii")
+    return {"format_version": version, "spec": asdict(bundle.spec),
+            "params": {name: {"shape": list(a.shape), "data": data(a)}
+                       for name, a in bundle.named_params()}}
+
+
+def write_doc(path, doc):
+    """Write `doc` as save_checkpoint lays a document out: sorted keys, one line."""
+    path.write_text(json.dumps(doc, sort_keys=True) + "\n")
+    return path
+
+
+def fingerprint(bundle):
+    return params_fingerprint(trainable_params(bundle, "all_target"))
 
 
 # a random MLP with 0-3 hidden layers
@@ -251,6 +274,11 @@ class TestLayout:
             bundle_from_params(spec, params)
 
 
+def reencoded(text, edit):
+    """Base64 `text` with its decoded bytes `edit`ed."""
+    return base64.b64encode(edit(base64.b64decode(text))).decode("ascii")
+
+
 class TestCheckpoint:
     def test_round_trip_bitwise(self, tmp_path):
         bundle = build(small_spec())
@@ -266,26 +294,45 @@ class TestCheckpoint:
     EDGES = [-0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1.7976931348623157e308,
              -1.7976931348623157e308, 1e16, -1.5e-05, 0.1]
 
-    @settings(max_examples=50, deadline=None)
-    @given(spec=SPECS | st.just(CHUNKED), seed=st.none() | st.integers(0, 2**32 - 1))
-    @example(spec=CHUNKED, seed=0)
-    def test_bytes_are_the_sorted_json_document(self, spec, seed):
-        """With a `seed`, the values are any finite float64: random bit patterns,
-        the EDGES first and each non-finite pattern replaced by its index."""
+    @classmethod
+    def drawn(cls, spec, seed):
+        """`build(spec)`; with a `seed`, holding any finite float64: random bit
+        patterns, the EDGES first and each non-finite pattern replaced by its index."""
         bundle = build(spec)
         if seed is not None:
             size = bundle.vector.data.size
             bits = np.random.default_rng(seed).integers(0, 2**64, size, dtype=np.uint64)
             values = bits.view(np.float64)
-            values[:len(self.EDGES)] = self.EDGES[:size]
+            values[:len(cls.EDGES)] = cls.EDGES[:size]
             bundle.vector.data = np.where(np.isfinite(values), values, np.arange(size))
-        doc = {"format_version": 1, "spec": asdict(spec),
-               "params": {name: {"shape": list(a.shape), "data": a.ravel().tolist()}
-                          for name, a in bundle.named_params()}}
+        return bundle
+
+    @settings(max_examples=50, deadline=None)
+    @given(spec=SPECS | st.just(CHUNKED), seed=st.none() | st.integers(0, 2**32 - 1))
+    @example(spec=CHUNKED, seed=0)
+    def test_bytes_are_the_sorted_json_document(self, spec, seed):
+        """A version 1 document, each value as decimal text, loads every bit, and its
+        re-save is the version 2 document."""
+        bundle = self.drawn(spec, seed)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write_doc(Path(tmp) / "m.ckpt", checkpoint_doc(bundle, 1))
+            loaded = load_checkpoint(path)
+            assert fingerprint(loaded) == fingerprint(bundle)
+            save_checkpoint(loaded, path)
+            doc = checkpoint_doc(bundle, 2)
+            assert path.read_bytes() == (json.dumps(doc, sort_keys=True) + "\n").encode()
+
+    @settings(max_examples=50, deadline=None)
+    @given(spec=SPECS | st.just(CHUNKED), seed=st.none() | st.integers(0, 2**32 - 1))
+    @example(spec=CHUNKED, seed=0)
+    def test_version_2_bytes_are_the_sorted_json_document_with_base64_data(self, spec, seed):
+        bundle = self.drawn(spec, seed)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "m.ckpt"
             save_checkpoint(bundle, path)
+            doc = checkpoint_doc(bundle, 2)
             assert path.read_bytes() == (json.dumps(doc, sort_keys=True) + "\n").encode()
+            assert fingerprint(load_checkpoint(path)) == fingerprint(bundle)
 
     def test_a_save_holds_one_chunk_of_text_at_a_time(self, tmp_path):
         # 65,536 floats in extractor.1.weight: 7 MB of strings when json encodes it whole
@@ -321,11 +368,13 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     @staticmethod
-    def edited(tmp_path, edit, hidden=12):
-        """A saved 2-`hidden`-8 model, 2 classes, seed 1, whose document `edit` changed."""
+    def edited(tmp_path, edit, hidden=12, version=2):
+        """A saved 2-`hidden`-8 model, 2 classes, seed 1, whose document `edit` changed;
+        given `version` 1, the test writes the version 1 document itself."""
         path = tmp_path / "m.ckpt"
-        save_checkpoint(build(MlpSpec(2, (hidden,), 8, 2, init_seed=1)), path)
-        doc = json.loads(path.read_text())
+        bundle = build(MlpSpec(2, (hidden,), 8, 2, init_seed=1))
+        save_checkpoint(bundle, path)
+        doc = json.loads(path.read_text()) if version == 2 else checkpoint_doc(bundle, 1)
         edit(doc)
         path.write_text(json.dumps(doc))
         return path
@@ -335,12 +384,20 @@ class TestCheckpoint:
         """The same model, with its spec block `edit` changed."""
         return cls.edited(tmp_path, lambda doc: edit(doc["spec"]))
 
-    # both compare equal to 1, so a plain `!= 1` test lets them through
-    @pytest.mark.parametrize("value", [True, 1.0])
-    def test_format_version_must_be_the_integer_one(self, tmp_path, value):
+    # True and 1.0 compare equal to 1, and 2.0 to 2, so a plain `in (1, 2)` test
+    # lets them through; 3 is no format
+    @pytest.mark.parametrize("value", [True, 1.0, 2.0, 3])
+    def test_format_version_must_be_the_integer_one_or_two(self, tmp_path, value):
         path = self.edited(tmp_path, lambda doc: doc.update(format_version=value))
-        with pytest.raises(ParseError, match=re.escape(f"{path}: unsupported format_version")):
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: unsupported "
+                                             f"format_version {re.escape(repr(value))}$"):
             load_checkpoint(path)
+
+    def test_format_versions_one_and_two_load(self, tmp_path):
+        for version in (1, 2):
+            path = self.edited(tmp_path, lambda doc: None, version=version)
+            assert json.loads(path.read_text())["format_version"] == version
+            assert load_checkpoint(path).spec == MlpSpec(2, (12,), 8, 2, init_seed=1)
 
     @pytest.mark.parametrize("value", [[], None, "params"])
     def test_params_block_must_be_an_object(self, tmp_path, value):
@@ -359,8 +416,50 @@ class TestCheckpoint:
         def edit_doc(doc):
             entry = doc["params"]["head1.weight"]
             entry["data"] = edit(entry["data"])
-        path = self.edited(tmp_path, edit_doc)
+        path = self.edited(tmp_path, edit_doc, version=1)
         with pytest.raises(ParseError, match=re.escape(f"{path}: bad parameter 'head1.weight'")):
+            load_checkpoint(path)
+
+    # head1.weight is [8, 2]: 16 floats, 128 bytes, 172 base64 characters
+    @pytest.mark.parametrize("edit, why", [
+        (lambda text: list(text), "data must be base64 text"),
+        (lambda text: 0.5, "data must be base64 text"),
+        (lambda text: None, "data must be base64 text"),
+        (lambda text: text[:40] + "*" + text[41:], "data is not base64: Only base64 data"),
+        (lambda text: text[:40] + "\u00e9" + text[41:], "data is not base64: string argument"),
+        (lambda text: text[:-1], "data is not base64: Incorrect padding"),
+        (lambda text: text[:40] + "\n" + text[40:], "data is not base64: Only base64 data"),
+        (lambda text: reencoded(text, lambda raw: raw[:-8]),
+         "data holds 120 bytes, not the 128 of 16 float64 values"),
+        (lambda text: reencoded(text, lambda raw: raw + raw[:8]),
+         "data holds 136 bytes, not the 128 of 16 float64 values"),
+        (lambda text: reencoded(text, lambda raw: raw[:-1]),
+         "data holds 127 bytes, not the 128 of 16 float64 values"),
+    ], ids=["list", "number", "none", "outside_alphabet", "not_ascii", "bad_padding",
+            "whitespace", "one_float_short", "one_float_long", "one_byte_short"])
+    def test_version_2_data_must_be_base64_of_every_float(self, tmp_path, edit, why):
+        def edit_doc(doc):
+            entry = doc["params"]["head1.weight"]
+            entry["data"] = edit(entry["data"])
+        path = self.edited(tmp_path, edit_doc)
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: bad parameter "
+                                             f"'head1.weight' \\({re.escape(why)}"):
+            load_checkpoint(path)
+
+    # a quiet and a signalling NaN, and both infinities, as little-endian bit patterns
+    @pytest.mark.parametrize("bits", [0x7FF8000000000000, 0x7FF0000000000001,
+                                      0x7FF0000000000000, 0xFFF0000000000000],
+                             ids=["nan", "signalling_nan", "inf", "-inf"])
+    def test_a_version_2_non_finite_value_is_refused_naming_its_parameter(self, tmp_path,
+                                                                         bits):
+        def edit_doc(doc):
+            entry = doc["params"]["head1.weight"]
+            entry["data"] = reencoded(entry["data"],
+                                      lambda raw: raw[:24] + bits.to_bytes(8, "little")
+                                      + raw[32:])
+        path = self.edited(tmp_path, edit_doc)
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: parameter "
+                                             f"'head1.weight' has a non-finite value$"):
             load_checkpoint(path)
 
     def test_stated_shape_must_be_the_layouts(self, tmp_path):
@@ -447,8 +546,7 @@ class TestCheckpoint:
     @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_parameter_is_parse_error(self, tmp_path, value):
         path = tmp_path / "m.ckpt"
-        save_checkpoint(build(small_spec()), path)
-        doc = json.loads(path.read_text())
+        doc = checkpoint_doc(build(small_spec()), 1)
         doc["params"]["head1.weight"]["data"][0] = "@@"
         path.write_text(json.dumps(doc).replace('"@@"', value))
         with pytest.raises(ParseError, match="head1.weight"):
@@ -523,8 +621,7 @@ class TestCheckpoint:
 
     def test_bad_shape_is_parse_error(self, tmp_path):
         path = tmp_path / "m.ckpt"
-        save_checkpoint(build(small_spec()), path)
-        doc = json.loads(path.read_text())
+        doc = checkpoint_doc(build(small_spec()), 1)
         doc["params"]["head1.bias"]["data"] = [1.0, 2.0]
         path.write_text(json.dumps(doc))
         with pytest.raises(ParseError):

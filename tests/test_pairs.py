@@ -305,15 +305,19 @@ def test_main_writes_nothing_when_a_selftest_fails(pairs, monkeypatch, tmp_path)
 
 def test_fidelity_lines_that_differ(pairs):
     same = pairs.compare_fidelity(fidelity_run(), fidelity_run())
-    assert same == {"match": True, "differing_lines": [], "exit_code": {"base": 0, "change": 0}}
+    assert same == {"match": True, "differing_lines": [], "differing_labels": [],
+                    "exit_code": {"base": 0, "change": 0}}
     changed = FIDELITY.replace("fedcba9876543210", "fedcba9876543211")
     assert pairs.compare_fidelity(fidelity_run(), fidelity_run(changed))["differing_lines"] == [2]
     # a run cut short in line 2, or one that prints more, differs on every line it cut or added
     short = pairs.compare_fidelity(fidelity_run(), fidelity_run(FIDELITY[:40], exit_code=1))
     assert short == {"match": False, "differing_lines": [2, 3],
+                     "differing_labels": ["blobs", "sweep"],
                      "exit_code": {"base": 0, "change": 1}}
-    assert pairs.compare_fidelity(fidelity_run(FIDELITY + "extra\n"),
-                                  fidelity_run())["differing_lines"] == [4]
+    extra = pairs.compare_fidelity(fidelity_run(FIDELITY + "extra line\n"), fidelity_run())
+    assert (extra["differing_lines"], extra["differing_labels"]) == ([4], ["extra"])
+    added = pairs.compare_fidelity(fidelity_run(), fidelity_run(FIDELITY + "added line\n"))
+    assert (added["differing_lines"], added["differing_labels"]) == ([4], ["added"])
 
 
 @pytest.mark.parametrize("base, change, reason", [
@@ -328,7 +332,8 @@ def test_a_fidelity_mismatch_or_failure_is_refused_unless_bits_change(pairs, bas
                                                                       reason):
     report = canned_report(pairs, canned_runs(), fidelity=pairs.compare_fidelity(base, change))
     assert pairs.refusal(report, bits_change=False) == (
-        reason + "; pass --bits-change if the change alters trained bits on purpose")
+        reason + "; pass --bits-change if the change alters trained bits or file bytes "
+        "on purpose")
     assert pairs.refusal(report, bits_change=True) is None
 
 
@@ -341,7 +346,7 @@ def test_fingerprint_and_fidelity_reasons_are_named_together(pairs):
                    "moons_ref seed 6, moons_ref seed 7, moons_ref seed 8, moons_ref seed 9, "
                    "moons_ref seed 10; tests/fidelity.py prints different lines on the two "
                    "sides: 1, 2, 3; tests/fidelity.py exited 1 on the change side; pass "
-                   "--bits-change if the change alters trained bits on purpose")
+                   "--bits-change if the change alters trained bits or file bytes on purpose")
 
 
 def test_run_fidelity_runs_the_script_with_src_on_the_path(pairs, monkeypatch, tmp_path):
@@ -373,4 +378,33 @@ def test_main_writes_nothing_when_fidelity_lines_differ(pairs, monkeypatch, tmp_
     if bits_change:
         fidelity = json.loads(out.read_text())["fidelity"]
         assert fidelity == {"match": False, "differing_lines": [1],
+                            "differing_labels": ["moons"],
                             "exit_code": {"base": 0, "change": 0}}
+
+
+@pytest.mark.parametrize("differ", [False, True], ids=["bytes-only", "bits-too"])
+def test_main_prints_the_fingerprint_verdict_and_each_differing_fidelity_label(
+        pairs, monkeypatch, tmp_path, capsys, differ):
+    # a file-format change: fidelity line 2 differs on purpose; with `differ`, a
+    # trained bit moved too, which --bits-change alone would let through unseen
+    def run_bench(checkout, workload, seed, seconds):
+        moved = differ and checkout.parent.name == "b" and seed == 2
+        return result(9.0, fingerprints={2: "MOVED" if moved else "a", 3: "b", 4: "c"})
+
+    monkeypatch.setattr(pairs, "git", lambda *args, check=True: "f" * 40 + "\n")
+    monkeypatch.setattr(pairs, "copy_working_tree", lambda dest: None)
+    monkeypatch.setattr(pairs, "run_bench", run_bench)
+    monkeypatch.setattr(pairs, "run_selftest", lambda checkout: SELFTEST_OK)
+    monkeypatch.setattr(pairs, "run_fidelity", lambda checkout: fidelity_run(
+        FIDELITY.replace("fedc", "cdef") if checkout.parent.name == "b" else FIDELITY))
+    out = tmp_path / "BENCH.json"
+    assert pairs.main(["--base", "HEAD", "--out", str(out), "--workload", "moons_ref",
+                       "--pairs", "3", "--bits-change"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    metrics = max(i for i, line in enumerate(lines) if "better in" in line)
+    assert lines[metrics + 1].split() == (
+        ["moons_ref", "fingerprints", "differ", "on", "seed", "2"] if differ
+        else ["moons_ref", "fingerprints", "match", "on", "every", "pair"])
+    assert lines[-2:] == ["fidelity lines differ: 2 blobs", f"pairs: wrote {out}"]
+    fidelity = json.loads(out.read_text())["fidelity"]
+    assert (fidelity["differing_lines"], fidelity["differing_labels"]) == ([2], ["blobs"])

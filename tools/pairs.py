@@ -28,12 +28,16 @@ metric at all (``resolved`` is false, and the printed line says
 the bound, unless every change run is better than every base run); both machine blocks; every
 self-test count that moved, which is also printed after the metrics as
 ``<workload> <count> <base> -> <change>``; and whether the two fidelity outputs match, with
-the numbers of the lines that differ and each side's exit code. The report
+the numbers of the lines that differ, their labels (the text before a line's
+first space) and each side's exit code. After the metrics it also prints, per
+workload, whether the fingerprints matched on every pair, and the number and
+label of each fidelity line that differs, so a change that alters file bytes
+on purpose still shows whether it altered a trained bit. The report
 is not written, and the command exits 1, if a run is not correct or has
 failed operations, or if a side's self-test does not print ``selftest: ok``;
 and also if any fingerprint differs, the fidelity outputs differ or a
 fidelity run exits non-zero, unless ``--bits-change`` says the change alters
-trained bits on purpose. The command needs no network.
+trained bits or file bytes on purpose. The command needs no network.
 """
 
 import argparse
@@ -168,11 +172,17 @@ def moved_counts(base, change):
 
 
 def compare_fidelity(base, change):
-    """The report's fidelity block from each side's {stdout, exit_code} of tests/fidelity.py."""
-    differ = [n for n, (b, c) in enumerate(zip_longest(base["stdout"].splitlines(),
-                                                       change["stdout"].splitlines()), 1)
+    """The report's fidelity block from each side's {stdout, exit_code} of tests/fidelity.py.
+
+    A differing line's label is the text before its first space, read from the
+    base side's line, or from the change's where the base has none.
+    """
+    differ = [(n, b if b is not None else c)
+              for n, (b, c) in enumerate(zip_longest(base["stdout"].splitlines(),
+                                                     change["stdout"].splitlines()), 1)
               if b != c]
-    return {"match": not differ, "differing_lines": differ,
+    return {"match": not differ, "differing_lines": [n for n, _ in differ],
+            "differing_labels": [line.split(" ", 1)[0] for _, line in differ],
             "exit_code": {"base": base["exit_code"], "change": change["exit_code"]}}
 
 
@@ -208,7 +218,7 @@ def refusal(report, bits_change):
              for side, code in fidelity["exit_code"].items() if code]
     if bits and not bits_change:
         why.append("; ".join(bits) + "; pass --bits-change if the change alters trained "
-                   "bits on purpose")
+                   "bits or file bytes on purpose")
     return "; ".join(why) or None
 
 
@@ -264,7 +274,8 @@ def main(argv=None):
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=8.0)
     parser.add_argument("--bits-change", action="store_true",
-                        help="write the report even if fingerprints differ")
+                        help="write the report even if fingerprints or fidelity lines "
+                             "differ: the change alters trained bits or file bytes")
     args = parser.parse_args(argv)
     if args.pairs < 1 or args.seconds < 0:
         parser.error("--pairs must be >= 1 and --seconds >= 0")
@@ -323,9 +334,17 @@ def main(argv=None):
                   f"{'  GAIN' if m['gain'] else ''}"
                   f"{'' if m['within_bound'] else '  OUT OF BOUND'}"
                   f"{'' if m['resolved'] else '  unresolved'}")
+    for workload, summary in report["workloads"].items():
+        differ = [str(r["seed"]) for r in summary["pairs"] if not r["fingerprints_match"]]
+        print(f"{workload:12s} fingerprints "
+              + (f"differ on seed {', '.join(differ)}" if differ else "match on every pair"))
     for workload, moved in report["selftest"]["moved"].items():
         for count, (base, change) in moved.items():
             print(f"{workload:12s} {count} {base} -> {change}")
+    fidelity = report["fidelity"]
+    print("fidelity lines " + ("match" if fidelity["match"] else "differ: " + ", ".join(
+        f"{n} {label}" for n, label in zip(fidelity["differing_lines"],
+                                           fidelity["differing_labels"]))))
     print(f"pairs: wrote {args.out}")
     return 0
 
